@@ -313,7 +313,9 @@ class RemapLUT:
         optionally injects an already-derived ``(taps, N)`` float32
         weight table, e.g. one living in a shared segment;
         ``qweight_table`` likewise injects the ``(taps, N)`` int16
-        quantized table the Q tiers execute.
+        quantized table the Q tiers execute.  ``fracs`` may be ``None``
+        when the tier's weight table is injected instead — the lean
+        form :meth:`kernel_tables` hands to shared-memory publication.
         """
         self = cls.__new__(cls)
         self.method = method
@@ -359,13 +361,15 @@ class RemapLUT:
             qweight_table=self._qwtab if bits == self.frac_bits else None)
 
     # Scratch pools and derived tables are per-process state; drop them
-    # when a LUT is pickled to a worker.
+    # when a LUT is pickled to a worker — unless there are no fractions
+    # to derive them from again (a LUT rebuilt from published tables).
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_pool"] = None
-        state["_wtab"] = None
-        state["_qwtab"] = None
         state["_invalid"] = None
+        if self.fracs is not None or self.method == "nearest":
+            state["_wtab"] = None
+            state["_qwtab"] = None
         return state
 
     def __setstate__(self, state):
@@ -396,13 +400,13 @@ class RemapLUT:
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of the stored table (indices + fracs + mask)."""
-        n = self.indices.nbytes
-        if self.fracs is not None:
-            n += self.fracs.nbytes
-        if self.mask is not None:
-            n += self.mask.nbytes
-        return n
+        """Size of the compact table (indices + fracs + mask).
+
+        Priced from :meth:`entry_bytes`, so a LUT rebuilt from a lean
+        shared-memory publication (no ``fracs``) reports the same size
+        as the LUT it was published from.
+        """
+        return int(np.prod(self.out_shape)) * self.entry_bytes()
 
     def entry_bytes(self) -> int:
         """Bytes per output pixel of streamed LUT data (DMA sizing).
@@ -412,12 +416,7 @@ class RemapLUT:
         in ``constant`` mode.  The derived tap weights are *not*
         counted — a device kernel rebuilds them in-register.
         """
-        per = self.indices.dtype.itemsize * self.taps
-        if self.fracs is not None:
-            per += self.fracs.dtype.itemsize * self.fracs.shape[1]
-        if self.mask is not None:
-            per += 1
-        return per
+        return self.entry_bytes_for(self.method, self.border)
 
     @staticmethod
     def entry_bytes_for(method: str, border: str = "constant") -> int:
@@ -474,47 +473,88 @@ class RemapLUT:
 
     def _weight_table(self):
         """``(taps, N)`` float32 weight rows, or ``None`` for nearest."""
-        if self.fracs is None:
+        if self.method == "nearest":
             return None
         return self._weight_table_full()
 
     def _weight_table_full(self):
         if self._wtab is None:
-            n = self.indices.shape[0]
-            if self.fracs is None:
-                wtab = np.ones((1, n), dtype=np.float32)
-            elif self.method == "bilinear":
-                fx = self.fracs[:, 0]
-                fy = self.fracs[:, 1]
-                one = np.float32(1.0)
-                wtab = np.empty((4, n), dtype=np.float32)
-                wtab[0] = (one - fx) * (one - fy)
-                wtab[1] = fx * (one - fy)
-                wtab[2] = (one - fx) * fy
-                wtab[3] = fx * fy
-            else:  # bicubic
-                wx = self.fracs[:, :4]
-                wy = self.fracs[:, 4:]
-                wtab = np.empty((16, n), dtype=np.float32)
-                for j in range(4):
-                    for i in range(4):
-                        wtab[j * 4 + i] = wy[:, j] * wx[:, i]
-            inv = self._invalid_mask()
-            if inv is not None:
-                wtab[:, inv] = 0.0
-            self._wtab = wtab
+            self._wtab = self._derive_weight_table()
         return self._wtab
+
+    def _derive_weight_table(self):
+        """Expand ``fracs`` into fresh ``(taps, N)`` float32 weight rows.
+
+        Uncached: :meth:`_weight_table_full` keeps the result on the
+        LUT, :meth:`kernel_tables` hands it out without keeping it.
+        """
+        n = self.indices.shape[0]
+        if self.method == "nearest":
+            wtab = np.ones((1, n), dtype=np.float32)
+        elif self.fracs is None:
+            raise KernelTierError(
+                f"this {self.method} LUT was rebuilt from tables without "
+                f"float weights (a {self.tier}-tier publication); float "
+                f"frames need a numpy-tier publication")
+        elif self.method == "bilinear":
+            fx = self.fracs[:, 0]
+            fy = self.fracs[:, 1]
+            one = np.float32(1.0)
+            wtab = np.empty((4, n), dtype=np.float32)
+            wtab[0] = (one - fx) * (one - fy)
+            wtab[1] = fx * (one - fy)
+            wtab[2] = (one - fx) * fy
+            wtab[3] = fx * fy
+        else:  # bicubic
+            wx = self.fracs[:, :4]
+            wy = self.fracs[:, 4:]
+            wtab = np.empty((16, n), dtype=np.float32)
+            for j in range(4):
+                for i in range(4):
+                    wtab[j * 4 + i] = wy[:, j] * wx[:, i]
+        if self.mask is not None:
+            inv = self._invalid if self._invalid is not None else ~self.mask
+            wtab[:, inv] = 0.0
+        return wtab
 
     def _qweight_table(self):
         """``(taps, N)`` int16 Q-format weights for the fixed/compiled
         tiers; rows of one tap are contiguous so both the ufunc columns
         and the jitted per-tap streams read forward."""
         if self._qwtab is None:
-            # lazy import: fixedpoint imports this module at its top
-            from .fixedpoint import quantize_weights
-            q = quantize_weights(self._weight_table_full().T, self.frac_bits)
-            self._qwtab = np.ascontiguousarray(q.T)
+            self._qwtab = self._derive_qweight_table()
         return self._qwtab
+
+    def _derive_qweight_table(self):
+        # lazy import: fixedpoint imports this module at its top
+        from .fixedpoint import quantize_weights
+        wtab = (self._wtab if self._wtab is not None
+                else self._derive_weight_table())
+        return np.ascontiguousarray(quantize_weights(wtab.T, self.frac_bits).T)
+
+    def kernel_tables(self) -> dict:
+        """The arrays this LUT's tier reads per frame, by table name.
+
+        ``indices``, ``mask`` (``constant`` border only) and the one
+        weight table the tier executes: ``wtab`` on the numpy tier
+        (none for nearest), ``qwtab`` on the Q tiers.  ``fracs`` is
+        never included — it is the compact *storage* form the weights
+        are derived from.  A weight table already cached on this LUT is
+        reused; a missing one is derived into a fresh array and **not**
+        cached, so publishing a shared :class:`~repro.core.lutcache
+        .LUTCache` entry does not grow it.  :meth:`from_tables` rebuilds
+        a runnable LUT from exactly these arrays.
+        """
+        tables = {"indices": self.indices}
+        if self.mask is not None:
+            tables["mask"] = np.asarray(self.mask)
+        if self.tier != "numpy":
+            tables["qwtab"] = (self._qwtab if self._qwtab is not None
+                               else self._derive_qweight_table())
+        elif self.method != "nearest":
+            tables["wtab"] = (self._wtab if self._wtab is not None
+                              else self._derive_weight_table())
+        return tables
 
     # ------------------------------------------------------------------
     # The fused kernel

@@ -486,6 +486,13 @@ def disable() -> None:
     set_telemetry(None)
 
 
+def clear_scope() -> None:
+    """Drop this context's :func:`scoped` override (the global registry
+    becomes active).  For forked children, which inherit the forking
+    thread's context — scoped registry included."""
+    _ACTIVE.set(None)
+
+
 @contextmanager
 def scoped(tel):
     """Make ``tel`` the active registry inside the ``with`` block only.

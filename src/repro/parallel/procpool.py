@@ -284,8 +284,8 @@ def _run_shm_band(rows):
 class SharedMemoryExecutor(_BoundExecutorBase):
     """Tile-parallel correction with frames *and* LUT in shared memory.
 
-    The compact tables (indices, fractions, mask) plus the derived
-    weight rows are published once into named segments; each worker
+    The tables the LUT's tier executes (indices, mask and the derived
+    weight rows) are published once into named segments; each worker
     attaches by name and reconstructs a zero-copy
     :class:`~repro.core.remap.RemapLUT` view over them.  Per frame,
     workers receive only ``(row0, row1)`` tuples and write their bands

@@ -40,7 +40,8 @@ import numpy as np
 
 from ..core.kernel_tiers import DEFAULT_FRAC_BITS
 from ..core.remap import RemapLUT
-from ..obs.telemetry import Telemetry, get_telemetry, set_telemetry
+from ..obs.telemetry import (Telemetry, clear_scope, get_telemetry,
+                             set_telemetry)
 
 __all__ = [
     "share_array",
@@ -90,8 +91,12 @@ def init_worker_telemetry(enabled: bool) -> None:
     unit, so each result carries a pure counter/histogram delta that
     the parent folds in with
     :meth:`~repro.obs.telemetry.Telemetry.merge` — no shared state, no
-    locks across processes.
+    locks across processes.  A forked worker also inherits the parent's
+    :func:`~repro.obs.telemetry.scoped` registry; that override is
+    cleared, else the first delta would ship the parent's own records
+    back to it.
     """
+    clear_scope()
     if enabled:
         set_telemetry(Telemetry())
 
@@ -303,12 +308,23 @@ def _lut_meta(lut: RemapLUT) -> dict:
 
 
 class SharedTables(_SegmentGroup):
-    """The LUT's compact tables published once into named segments.
+    """The tables a LUT's kernel tier runs, published once into segments.
+
+    Lean by design: only what a worker executes is published —
+    ``indices``, ``mask`` and the tier's one weight table (``wtab`` on
+    the numpy tier, ``qwtab`` on the Q tiers; see
+    :meth:`~repro.core.remap.RemapLUT.kernel_tables`).  The compact
+    ``fracs`` stay in the parent LUT and the disk cache tier, and the
+    weight table is derived for publication without being cached on the
+    parent (often a shared :class:`~repro.core.lutcache.LUTCache`
+    entry).  ``nbytes`` totals the published arrays.
 
     ``spec`` maps table keys to ``(segment_name, shape, dtype_str)``
     triples and ``meta`` carries the scalar LUT parameters — together
     they are everything a worker needs to rebuild a zero-copy
     :class:`~repro.core.remap.RemapLUT` with :func:`attach_tables`.
+    ``spec["indices"][0]`` names the publication: unique while it
+    exists, so workers may cache their attachment under it.
 
     With a ``chroma`` LUT the publication becomes *planar*: the chroma
     tables join the same spec under :data:`_CHROMA_PREFIX`-prefixed
@@ -325,22 +341,15 @@ class SharedTables(_SegmentGroup):
                  pixfmt: str = "yuv420"):
         shms = []
         self.spec = {}
-
-        def publish(key, arr):
-            shm, _ = share_array(arr)
-            shms.append(shm)
-            self.spec[key] = (shm.name, tuple(arr.shape), arr.dtype.str)
+        self.nbytes = 0
 
         def publish_lut(lut, prefix=""):
-            publish(prefix + "indices", lut.indices)
-            if lut.fracs is not None:
-                publish(prefix + "fracs", lut.fracs)
-                publish(prefix + "wtab", lut._weight_table())
-            if lut.mask is not None:
-                publish(prefix + "mask", np.asarray(lut.mask))
-            if lut.tier != "numpy":
-                # quantize once in the parent; workers map the same table
-                publish(prefix + "qwtab", lut._qweight_table())
+            for key, arr in lut.kernel_tables().items():
+                shm, _ = share_array(arr)
+                shms.append(shm)
+                self.spec[prefix + key] = (shm.name, tuple(arr.shape),
+                                           arr.dtype.str)
+                self.nbytes += arr.nbytes
 
         publish_lut(lut)
         self.meta = _lut_meta(lut)

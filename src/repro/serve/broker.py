@@ -19,11 +19,13 @@ one pool of persistent band workers:
   scheduling turn a stream may dispatch up to ``weight`` band items,
   so a stalled or slow stream cannot starve the others, and priority
   streams get proportionally more of the fleet.
-- Workers attach a session's slots and LUT lazily, **cached by
-  calibration key** — sessions sharing a calibration share one
+- Sessions sharing a calibration share one
   :class:`~repro.parallel.shmseg.SharedTables` publication (fed from
   one single-flight :class:`~repro.core.lutcache.LUTCache`), attached
-  once per worker.
+  lazily once per worker.  A publication is **session-scoped**: it is
+  reference-counted by its open sessions and unlinked — and unmapped
+  in every worker — when the last one closes, so a PTZ operator
+  cycling through poses pays for the live calibrations only.
 - A **collector thread** routes band completions back to sessions;
   each :class:`StreamSession` yields its frames **strictly in input
   order** no matter how the fleet interleaved the bands.
@@ -141,16 +143,19 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
 
     Unlike the single-stream ring worker, attachments are *lazy and
     cached*: the first band of a session attaches its slots (and its
-    LUT tables — cached by calibration key, so sessions sharing one
-    calibration attach the tables once).  Planar (yuv420/nv12)
+    LUT tables — cached by **publication**, the name of the
+    publication's index segment, so sessions sharing one calibration
+    attach the tables once, and a calibration published again after a
+    drop can never reuse the dropped mapping).  Planar (yuv420/nv12)
     sessions publish a chroma LUT next to the luma one; the worker
     detects it from the table metadata, indexes both slot views and
     LUTs by the band's ``plane``, and labels its spans with the
     publication's plane names (``y``/``u``/``v`` or ``y``/``uv``).
-    ``ctrl_q`` broadcasts ``("forget", sid)`` when a session closes so
-    the worker drops its mappings; a band whose segments are already
-    gone posts ``rows=-1`` and the collector decides whether anyone
-    still cares.
+    ``ctrl_q`` broadcasts ``("forget", sid)`` when a session closes and
+    ``("drop", publication)`` when the last session of a calibration
+    has closed, so the worker unmaps both; a band whose segments are
+    already gone posts ``rows=-1`` and the collector decides whether
+    anyone still cares.
     """
     from ..parallel.shmseg import (attach_any_slot, attach_planar_tables,
                                    attach_tables, init_worker_telemetry,
@@ -158,29 +163,80 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
     from ..video.yuv import plane_names_for
 
     init_worker_telemetry(telemetry_enabled)
-    luts: dict = {}      # lut_key -> (segments, per-plane lut tuple, names)
-    sessions: dict = {}  # sid -> (segments, slots, plane luts, label, names)
+    luts: dict = {}      # publication -> (segments, plane lut tuple, names)
+    sessions: dict = {}  # sid -> (segments, slot views, publication, label)
     track = f"serve-worker-{rank}"
 
-    def forget(sid):
-        entry = sessions.pop(sid, None)
+    def unmap(cache, key):
+        # the popped entry holds the only views over its segments:
+        # dropping it frees them, so close() can unmap at once
+        entry = cache.pop(key, None)
         if entry is None:
             return
-        for shm in entry[0]:
+        segments = entry[0]
+        del entry
+        for shm in segments:
             try:
                 shm.close()
             except Exception:  # pragma: no cover - already closed
                 pass
 
+    def forget(sid):
+        unmap(sessions, sid)
+
+    def drop(pub):
+        unmap(luts, pub)
+
+    def attach(sid, desc):
+        """Map a session's slots, and its publication unless cached."""
+        _, label, table_spec, table_meta, slot_spec = desc
+        spec = dict(table_spec)
+        pub = spec["indices"][0]
+        if pub not in luts:
+            meta = dict(table_meta)
+            if "chroma" in meta:
+                segs, plane_luts = attach_planar_tables(spec, meta)
+                names = plane_names_for(meta.get("pixfmt", "yuv420"))
+            else:
+                segs, _, one = attach_tables(spec, meta)
+                plane_luts, names = (one,), ("y",)
+            luts[pub] = (segs, plane_luts, names)
+        slots, slot_segs = [], []
+        for slot in slot_spec:
+            segs, srcs, dsts = attach_any_slot(slot)
+            slot_segs += segs
+            slots.append((srcs, dsts))
+        sessions[sid] = (slot_segs, slots, pub, label)
+        return sessions[sid]
+
+    def run_band(sid, slot_idx, plane, row0, row1, desc):
+        """Apply one band; returns ``(label, tier, plane name)``.
+
+        A function of its own so no view into a segment outlives the
+        band in a local: a later ``drop``/``forget`` unmaps at once.
+        """
+        entry = sessions.get(sid)
+        if entry is None:
+            entry = attach(sid, desc)
+        _, slots, pub, label = entry
+        _, plane_luts, names = luts[pub]
+        srcs, dsts = slots[slot_idx]
+        lut = plane_luts[plane]
+        lut.apply_rows_into(srcs[plane], row0, row1, dsts[plane][row0:row1])
+        return label, lut.tier, (names[plane] if len(plane_luts) > 1
+                                 else None)
+
     try:
         while True:
             while True:  # drain control messages first
                 try:
-                    kind, sid = ctrl_q.get_nowait()
+                    kind, key = ctrl_q.get_nowait()
                 except _queue.Empty:
                     break
                 if kind == "forget":
-                    forget(sid)
+                    forget(key)
+                elif kind == "drop":
+                    drop(key)
             try:
                 item = task_q.get(timeout=_POLL_S)
             except _queue.Empty:
@@ -193,39 +249,9 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
             t0 = time.perf_counter() if tel.enabled else 0.0
             rows = -1
             delta = None
-            planar = False
-            lut = None
             try:
-                entry = sessions.get(sid)
-                if entry is None:
-                    lut_key, label, table_spec, table_meta, slot_spec = desc
-                    cached = luts.get(lut_key)
-                    if cached is None:
-                        meta = dict(table_meta)
-                        if "chroma" in meta:
-                            segs, plane_luts = attach_planar_tables(
-                                dict(table_spec), meta)
-                            names = plane_names_for(
-                                meta.get("pixfmt", "yuv420"))
-                        else:
-                            segs, _, one = attach_tables(dict(table_spec),
-                                                         meta)
-                            plane_luts = (one,)
-                            names = ("y",)
-                        cached = luts[lut_key] = (segs, plane_luts, names)
-                    slots, slot_segs = [], []
-                    for spec in slot_spec:
-                        segs, srcs, dsts = attach_any_slot(spec)
-                        slot_segs += segs
-                        slots.append((srcs, dsts))
-                    entry = sessions[sid] = (slot_segs, slots, cached[1],
-                                             label, cached[2])
-                _, slots, plane_luts, label, plane_names = entry
-                planar = len(plane_luts) > 1
-                srcs, dsts = slots[slot_idx]
-                lut = plane_luts[plane]
-                lut.apply_rows_into(srcs[plane], row0, row1,
-                                    dsts[plane][row0:row1])
+                label, tier, plane_name = run_band(sid, slot_idx, plane,
+                                                   row0, row1, desc)
                 rows = row1 - row0
             except Exception:
                 # session torn down under us (or a real kernel fault):
@@ -238,9 +264,9 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
                 tel.counter(f"serve.worker.{rank}.busy_seconds").inc(dt)
                 tel.histogram("serve.band_seconds").observe(dt)
                 args = {"frame_id": seq, "stream": label,
-                        "rows": rows, "tier": lut.tier}
-                if planar:
-                    args["plane"] = plane_names[plane]
+                        "rows": rows, "tier": tier}
+                if plane_name is not None:
+                    args["plane"] = plane_name
                 tel.add_span("serve.band", wall0, dt, cat="serve", tid=track,
                              args=args)
                 delta = worker_delta()
@@ -248,12 +274,8 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
     finally:
         for sid in list(sessions):
             forget(sid)
-        for segs, _, _ in luts.values():
-            for shm in segs:
-                try:
-                    shm.close()
-                except Exception:  # pragma: no cover
-                    pass
+        for pub in list(luts):
+            drop(pub)
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +321,7 @@ class StreamSession:
         for i in range(len(slots)):
             self._free.put(i)
         self._pending = [0] * len(slots)      # outstanding bands per slot
+        self._dispatched = 0                  # bands sent, not yet back
         self._slot_items = [None] * len(slots)
         self._completed: dict = {}            # seq -> slot
         self._decode_t0: dict = {}            # seq -> decode wall time
@@ -363,6 +386,8 @@ class StreamSession:
                     except _queue.Empty:
                         if self._closed or broker._abort.is_set():
                             return
+                if slot is None or self._closed:  # woken by close()
+                    return
                 if self._planar:
                     for view, plane in zip(self._slots[slot].src_views,
                                            item.planes):
@@ -391,15 +416,43 @@ class StreamSession:
                     self._produced = seq
                 self._cond.notify_all()
 
-    # -- collector callbacks -------------------------------------------
-    def _band_done(self, seq, slot):
+    # -- dispatcher / collector callbacks ------------------------------
+    def _take_dispatch(self) -> bool:
+        """Count a band about to be sent; refused once closed."""
         with self._cond:
             if self._closed:
+                return False
+            self._dispatched += 1
+            return True
+
+    def _band_returned(self, seq, slot, ok: bool) -> None:
+        with self._cond:
+            self._dispatched -= 1
+            if self._closed:
+                self._cond.notify_all()  # close() may be draining
+                return
+            if not ok:
                 return
             self._pending[slot] -= 1
             if self._pending[slot] == 0:
                 self._completed[seq] = slot
                 self._cond.notify_all()
+
+    def _drain_dispatched(self) -> None:
+        """Wait (bounded) for every band already sent to come back.
+
+        Afterwards no worker can still be about to attach this
+        session's segments, so unlinking them cannot race a worker's
+        attach (whose resource-tracker registration would otherwise
+        land after the unlink and be reported as a leak at exit).
+        """
+        deadline = time.monotonic() + 2.0
+        with self._cond:
+            while self._dispatched and not self.broker._abort.is_set():
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self._cond.wait(min(left, _POLL_S))
 
     def _fail(self, exc: BaseException):
         with self._cond:
@@ -484,8 +537,10 @@ class StreamSession:
     def close(self) -> None:
         """Release this session's slots back to the budget (idempotent).
 
-        In-flight bands finish against unlinked (harmless) segments;
-        workers are told to drop their cached mappings.
+        Bands already sent to the fleet are waited for (bounded), then
+        the slots — and the calibration's table publication, when this
+        was its last session — are unlinked and the workers told to
+        drop their cached mappings.
         """
         with self._cond:
             if self._closed:
@@ -494,9 +549,11 @@ class StreamSession:
             if self._held_slot is not None:
                 self._recycle(self._held_slot)
                 self._held_slot = None
+            self._free.put(None)  # wake a feeder blocked on the ring
             self._cond.notify_all()
         if self._feeder is not None and self._feeder is not threading.current_thread():
             self._feeder.join(timeout=2.0)
+        self._drain_dispatched()
         self.broker._session_closed(self)
 
     def __enter__(self):
@@ -540,7 +597,9 @@ class StreamBroker:
         Optional shared :class:`~repro.core.lutcache.LUTCache`; one is
         created when omitted.  Sessions opened against the same
         calibration (field + build parameters + kernel tier) share one
-        built LUT *and* one shared-memory table publication.
+        built LUT *and* one shared-memory table publication; the
+        publication lives as long as its sessions (a reopen publishes
+        again from the cache).
     max_inflight_bands:
         Cap on dispatched-but-uncompleted band items (default
         ``4 * workers``); keeps the fleet queue short so round-robin
@@ -572,7 +631,7 @@ class StreamBroker:
         self._tel = get_telemetry()
         self._lock = threading.Lock()
         self._sessions: dict = {}          # sid -> StreamSession
-        self._tables: dict = {}            # lut_key -> (SharedTables, lut)
+        self._tables: dict = {}            # lut_key -> [SharedTables, refs]
         self._slots_used = 0
         self._sid_gen = itertools.count()
         self._error: BaseException | None = None
@@ -592,6 +651,7 @@ class StreamBroker:
         self._ctrl_qs = [ctx.Queue() for _ in range(workers)]
         self._tel.gauge("serve.workers").set(workers)
         self._tel.gauge("serve.slot_budget").set(slot_budget)
+        self._table_gauges()
         log.debug("starting %d shared serve workers (%s, budget %d slots)",
                   workers, context, slot_budget)
         self._procs = []
@@ -689,6 +749,7 @@ class StreamBroker:
             self._slots_used += depth
 
         session = None
+        ref_key = None  # set once this open holds a table reference
         try:
             # single-flight shared build: concurrent opens on one
             # calibration build (and publish) exactly once
@@ -752,13 +813,9 @@ class StreamBroker:
                         f"stream {name!r} luma shape {first.y.shape} does "
                         f"not match LUT source {lut.src_shape}")
                 oh, ow = lut.out_shape
-                with self._lock:
-                    shared = self._tables.get(lut_key)
-                    if shared is None:
-                        shared = self._tables[lut_key] = (
-                            SharedTables(lut, chroma=chroma_lut,
-                                         pixfmt=pixfmt), lut)
-                tables = shared[0]
+                tables = self._ref_tables(lut_key, lambda: SharedTables(
+                    lut, chroma=chroma_lut, pixfmt=pixfmt))
+                ref_key = lut_key
                 slots = [PlanarFrameSegments(
                             frame_cls.plane_shapes(*first.y.shape),
                             first.y.dtype,
@@ -786,11 +843,9 @@ class StreamBroker:
                         f"match LUT source {lut.src_shape}")
                 channels = data.shape[2:] if data.ndim == 3 else ()
                 out_shape = lut.out_shape + channels
-                with self._lock:
-                    shared = self._tables.get(lut_key)
-                    if shared is None:
-                        shared = self._tables[lut_key] = (SharedTables(lut), lut)
-                tables = shared[0]
+                tables = self._ref_tables(lut_key,
+                                          lambda: SharedTables(lut))
+                ref_key = lut_key
                 slots = [FrameSegments(data.shape, data.dtype, out_shape)
                          for _ in range(depth)]
                 bands = [(0, r0, r1) for r0, r1 in
@@ -808,6 +863,8 @@ class StreamBroker:
         except BaseException:
             with self._lock:
                 self._slots_used -= depth
+            if ref_key is not None:
+                self._unref_tables(ref_key)
             raise
         with self._lock:
             self._sessions[sid] = session
@@ -847,7 +904,7 @@ class StreamBroker:
                     return
             with self._lock:
                 session = self._sessions.get(sid)
-            if session is None or session.closed:
+            if session is None or not session._take_dispatch():
                 self._inflight_sem.release()
                 continue
             try:
@@ -855,6 +912,7 @@ class StreamBroker:
                                   session._desc))
             except Exception:  # pragma: no cover - queue torn down
                 self._inflight_sem.release()
+                session._band_returned(seq, slot, False)
                 return
 
     def _collect(self):
@@ -875,12 +933,11 @@ class StreamBroker:
                 session = self._sessions.get(sid)
             if session is None:
                 continue  # closed session's stale band: nobody cares
-            if rows < 0:
+            session._band_returned(seq, slot, rows >= 0)
+            if rows < 0 and not session.closed:
                 session._fail(StreamError(
                     f"band ({seq}, slot {slot}) of stream {session.name!r} "
                     f"failed in serve-worker-{rank}"))
-                continue
-            session._band_done(seq, slot)
 
     def _check_workers(self):
         for p in self._procs:
@@ -909,15 +966,72 @@ class StreamBroker:
             return
         with self._sched_cond:
             self._sched.remove_stream(session.sid)
-        for q in self._ctrl_qs:
-            try:
-                q.put(("forget", session.sid))
-            except Exception:  # pragma: no cover - queue torn down
-                pass
+        # unlink before telling the workers: a stale band that reaches
+        # a worker after the message can then no longer re-attach
         for seg in session._slots:
             seg.release()
+        self._broadcast("forget", session.sid)
+        if session._desc is not None:
+            self._unref_tables(session._desc[0])
         self._tel.gauge("serve.active_streams").set(len(self._sessions))
         self._tel.gauge("serve.slots_used").set(self._slots_used)
+
+    def _broadcast(self, kind: str, key) -> None:
+        for q in self._ctrl_qs:
+            try:
+                q.put((kind, key))
+            except Exception:  # pragma: no cover - queue torn down
+                pass
+
+    def _ref_tables(self, lut_key: str, publish):
+        """Take a session reference on ``lut_key``'s publication.
+
+        ``publish()`` builds the :class:`SharedTables` when no live
+        publication exists — the first session of a calibration, or a
+        reopen after the last one closed (re-published from the
+        :class:`~repro.core.lutcache.LUTCache`).  It runs outside the
+        broker lock so band completions keep flowing meanwhile; an open
+        that loses a race to publish the same key discards its copy.
+        """
+        with self._lock:
+            entry = self._tables.get(lut_key)
+            if entry is not None:
+                entry[1] += 1
+                return entry[0]
+        fresh = publish()
+        with self._lock:
+            entry = self._tables.get(lut_key)
+            if entry is None:
+                entry = self._tables[lut_key] = [fresh, 0]
+                fresh = None
+            entry[1] += 1
+            self._table_gauges()
+            tables = entry[0]
+        if fresh is not None:
+            fresh.release()
+        return tables
+
+    def _unref_tables(self, lut_key: str) -> None:
+        """Drop a session reference; the last one unpublishes."""
+        with self._lock:
+            entry = self._tables.get(lut_key)
+            if entry is None:  # already released by close()
+                return
+            entry[1] -= 1
+            if entry[1] > 0:
+                return
+            del self._tables[lut_key]
+            self._table_gauges()
+        tables = entry[0]
+        pub = tables.spec["indices"][0]
+        tables.release()
+        self._broadcast("drop", pub)
+
+    def _table_gauges(self) -> None:
+        """``serve.table_*`` gauges; caller holds ``self._lock``."""
+        self._tel.gauge("serve.table_publications").set(len(self._tables))
+        self._tel.gauge("serve.table_bytes").set(
+            sum(t.nbytes for t, _ in self._tables.values()))
 
     @property
     def slots_used(self) -> int:
@@ -976,9 +1090,11 @@ class StreamBroker:
         for q in [self._task_q, self._done_q] + self._ctrl_qs:
             q.cancel_join_thread()
             q.close()
-        for tables, _ in self._tables.values():
-            tables.release()
-        self._tables.clear()
+        with self._lock:
+            for tables, _ in self._tables.values():
+                tables.release()
+            self._tables.clear()
+            self._table_gauges()
         self._tel.gauge("serve.active_streams").set(0)
         self._tel.gauge("serve.slots_used").set(0)
 

@@ -153,6 +153,24 @@ class TestCrossProcessMerge:
         frame_spans = [s for s in snap["spans"] if s["name"] == "executor.frame"]
         assert len(frame_spans) == 2
 
+    def test_ring_workers_do_not_echo_the_scoped_registry(self, small_field,
+                                                          gradient_image):
+        """Forked workers inherit the parent's scoped registry; their
+        deltas must carry only their own records, not the parent's."""
+        from repro.video.stream import corrected_stream
+        tel = Telemetry()
+        with scoped(tel):
+            tel.counter("parent.marker").inc()
+            with tel.span("parent.setup"):
+                pass
+            out = [f.copy() for f in corrected_stream(
+                [gradient_image] * 4, small_field, engine="ring", workers=2)]
+        assert len(out) == 4
+        snap = tel.snapshot()
+        assert snap["counters"]["parent.marker"] == 1
+        assert [s["name"] for s in snap["spans"]].count("parent.setup") == 1
+        assert snap["counters"]["ring.bands"] >= 4  # worker deltas merged
+
     def test_disabled_executor_records_nothing(self, small_field, gradient_image):
         lut = RemapLUT(small_field, method="bilinear")
         with SharedMemoryExecutor(lut, gradient_image.shape,

@@ -8,6 +8,7 @@ LUT build/publication per calibration, labelled telemetry, and the
 teardown guarantees (budget returned, segments unlinked, fleet dead).
 """
 
+import os
 import threading
 import time
 from multiprocessing import shared_memory
@@ -242,6 +243,23 @@ class TestBackpressureAndFairness:
             assert elapsed < 20.0
             a.close()
 
+    def test_close_wakes_feeder_blocked_on_its_ring(self, small_field,
+                                                    monkeypatch):
+        import repro.serve.broker as broker_mod
+        with StreamBroker(workers=1, slot_budget=8) as broker:
+            # a long poll makes a missed wake-up obvious (workers forked
+            # with the default already)
+            monkeypatch.setattr(broker_mod, "_POLL_S", 1.0)
+            session = broker.open(_const_frames(0, 100), small_field,
+                                  depth=2)
+            time.sleep(0.3)  # nobody consumes: the feeder blocks
+            t0 = time.monotonic()
+            session.close()
+            elapsed = time.monotonic() - t0
+            assert not session._feeder.is_alive()
+            assert elapsed < 0.3
+            monkeypatch.undo()
+
     def test_closed_session_next_raises_stream_error(self, small_field):
         with StreamBroker(workers=1) as broker:
             session = broker.open(_const_frames(0, 4), small_field)
@@ -283,19 +301,171 @@ class TestSharedCalibration:
                           lut_cache=cache) as broker:
             sessions = [broker.open(_const_frames(i, 2), small_field,
                                     name=f"cam{i}") for i in range(3)]
+            assert len(broker._tables) == 1   # one shared-memory publication
             for s in sessions:
                 assert len(list(s)) == 2
             assert cache.misses == 1          # one LUT build
-            assert len(broker._tables) == 1   # one shared-memory publication
+            assert len(broker._tables) == 0   # gone with its last session
 
     def test_distinct_calibrations_get_distinct_tables(self, small_field,
                                                        tilted_field):
         cache = LUTCache()
         with StreamBroker(workers=1, lut_cache=cache) as broker:
-            list(broker.open(_const_frames(0, 1), small_field))
-            list(broker.open(_const_frames(0, 1), tilted_field))
-            assert cache.misses == 2
+            a = broker.open(_const_frames(0, 1), small_field)
+            b = broker.open(_const_frames(0, 1), tilted_field)
             assert len(broker._tables) == 2
+            list(a)
+            list(b)
+            assert cache.misses == 2
+            assert len(broker._tables) == 0
+
+
+def _table_segment_names(broker):
+    return {key: [shm.name for shm in tables._shms]
+            for key, (tables, _) in broker._tables.items()}
+
+
+def _wait_unmapped(pids, names, timeout=10.0):
+    """Poll until no pid's ``/proc/<pid>/maps`` lists any of ``names``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        mapped = []
+        for pid in pids:
+            with open(f"/proc/{pid}/maps") as fh:
+                maps = fh.read()
+            mapped += [n for n in names if n in maps]
+        if not mapped or time.monotonic() > deadline:
+            return mapped
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/<pid>/maps")
+class TestPublicationLifetime:
+    """PTZ-style churn: a publication lives exactly as long as its
+    sessions, is unmapped from every worker when the last one closes,
+    and a reopen publishes again."""
+
+    def _poses(self, small_sensor, small_lens, small_out):
+        from repro.core.mapping import perspective_map
+        return [perspective_map(small_sensor, small_lens, small_out,
+                                pitch=np.deg2rad(p), yaw=np.deg2rad(y))
+                for p, y in ((0, 0), (20, 0), (0, 25), (-15, -20))]
+
+    def test_ptz_churn_unpublishes_each_closed_calibration(
+            self, small_sensor, small_lens, small_out):
+        poses = self._poses(small_sensor, small_lens, small_out)
+        rng = np.random.default_rng(3)
+        frames = [rng.integers(0, 256, (SIZE, SIZE), dtype=np.uint8)
+                  for _ in range(2)]
+        cache = LUTCache()
+        with StreamBroker(workers=1, lut_cache=cache) as broker:
+            pids = [p.pid for p in broker._procs]
+            live = broker.open(_const_frames(0, 10_000), poses[0],
+                               name="live")
+            next(live)
+            for k, field in enumerate(poses[1:] + poses[:1]):
+                session = broker.open(iter(frames), field, name=f"ptz{k}")
+                own = [n for key, names in
+                       _table_segment_names(broker).items()
+                       if key == session._desc[0] for n in names]
+                assert own
+                out = list(session)  # exhaustion closes the session
+                lut = RemapLUT(field)
+                for got, src in zip(out, frames):
+                    np.testing.assert_array_equal(got, lut.apply(src))
+                assert len(broker._tables) <= broker.active_streams
+                if field is poses[0]:
+                    continue  # the live camera still holds this one
+                _assert_unlinked(own)
+                assert _wait_unmapped(pids, own) == []
+            live.close()
+            assert len(broker._tables) == 0
+            # 4 builds, the reopened pose came from the cache
+            assert cache.misses == 4
+
+    def test_reopen_publishes_again_and_matches_oracle(
+            self, small_sensor, small_lens, small_out):
+        poses = self._poses(small_sensor, small_lens, small_out)
+        rng = np.random.default_rng(4)
+        frames = [rng.integers(0, 256, (SIZE, SIZE, 3), dtype=np.uint8)
+                  for _ in range(3)]
+        cache = LUTCache()
+        with StreamBroker(workers=1, lut_cache=cache) as broker:
+            pids = [p.pid for p in broker._procs]
+            seen = []
+            for field in poses + poses[:2]:
+                session = broker.open(iter(frames), field)
+                seen.append(_table_segment_names(broker)[session._desc[0]])
+                out = list(session)
+                lut = RemapLUT(field)
+                assert len(out) == len(frames)
+                for got, src in zip(out, frames):
+                    np.testing.assert_array_equal(got, lut.apply(src))
+                assert len(broker._tables) == 0
+                _assert_unlinked(seen[-1])
+                assert _wait_unmapped(pids, seen[-1]) == []
+            assert cache.misses == len(poses)
+            # a republished calibration lives in fresh segments
+            assert not set(seen[0]) & set(seen[len(poses)])
+
+    def test_concurrent_churn_keeps_reference_counts(self, small_field,
+                                                     tilted_field):
+        """8 threads open/close sessions on 2 calibrations over 3
+        workers at a tiny switch interval: a lost reference update
+        would leave a publication behind or unlink a live one."""
+        import sys
+        errors, published = [], set()
+        frames = [np.full((SIZE, SIZE), 40, dtype=np.uint8)] * 2
+        oracle = {id(f): RemapLUT(f).apply(frames[0])
+                  for f in (small_field, tilted_field)}
+
+        with StreamBroker(workers=3, slot_budget=32) as broker:
+            def churn(k):
+                try:
+                    for i in range(6):
+                        field = (small_field, tilted_field)[(k + i) % 2]
+                        session = broker.open(iter(frames), field, depth=2)
+                        with broker._lock:
+                            published.update(
+                                n for names in
+                                _table_segment_names(broker).values()
+                                for n in names)
+                        got = next(session)
+                        np.testing.assert_array_equal(got, oracle[id(field)])
+                        session.close()
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=churn, args=(k,))
+                           for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(old)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert broker._tables == {}
+            assert broker.slots_used == 0
+            _assert_unlinked(published)
+
+    def test_failed_open_drops_its_reference(self, small_field, monkeypatch):
+        import repro.parallel.shmseg as shmseg
+
+        def no_slots(*args, **kwargs):
+            raise OSError("no space left on /dev/shm")
+
+        with StreamBroker(workers=1) as broker:
+            monkeypatch.setattr(shmseg, "FrameSegments", no_slots)
+            with pytest.raises(OSError):
+                broker.open(_const_frames(0, 1), small_field)
+            assert broker._tables == {}
+            assert broker.slots_used == 0
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +518,28 @@ class TestServeTelemetry:
         snap = tel.snapshot()
         assert snap["gauges"]["serve.active_streams"] == 0
         assert snap["gauges"]["serve.slots_used"] == 0
+
+    def test_table_gauges_follow_live_publications(self, small_field,
+                                                   tilted_field):
+        tel = Telemetry()
+        with scoped(tel):
+            with StreamBroker(workers=1) as broker:
+                sessions = [broker.open(_const_frames(0, 2), field)
+                            for field in (small_field, tilted_field,
+                                          small_field)]
+                gauges = tel.snapshot()["gauges"]
+                assert gauges["serve.table_publications"] == 2
+                # lean numpy bilinear publication: indices 16 + wtab 16
+                # + mask 1 bytes per output pixel, no fracs
+                assert gauges["serve.table_bytes"] == 2 * SIZE * SIZE * 33
+                sessions[0].close()
+                gauges = tel.snapshot()["gauges"]
+                assert gauges["serve.table_publications"] == 2
+                for s in sessions[1:]:
+                    s.close()
+                gauges = tel.snapshot()["gauges"]
+                assert gauges["serve.table_publications"] == 0
+                assert gauges["serve.table_bytes"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,87 @@ class TestSegmentGroups:
             tables.release()
 
 
+class TestLeanPublication:
+    """A publication holds indices, mask and the tier's one weight
+    table; ``fracs`` stays with the parent LUT."""
+
+    @pytest.mark.parametrize("tier", ["numpy", "fixed"])
+    @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
+    def test_attached_lut_reports_parent_sizes(self, tilted_field, method,
+                                               tier):
+        lut = RemapLUT(tilted_field, method=method).with_tier(tier)
+        tables = SharedTables(lut)
+        try:
+            weights = ({"qwtab"} if tier != "numpy"
+                       else set() if method == "nearest" else {"wtab"})
+            assert set(tables.spec) == {"indices", "mask"} | weights
+            segments, arrays, attached = attach_tables(tables.spec,
+                                                       tables.meta)
+            try:
+                assert attached.fracs is None
+                assert attached.entry_bytes() == lut.entry_bytes()
+                assert attached.nbytes == lut.nbytes
+                assert tables.nbytes == sum(a.nbytes for a in arrays.values())
+            finally:
+                del arrays, attached
+                for shm in segments:
+                    shm.close()
+        finally:
+            tables.release()
+
+    def test_publishing_leaves_the_parent_lut_unchanged(self, small_field):
+        lut = RemapLUT(small_field)
+        for tier in ("numpy", "fixed"):
+            SharedTables(lut.with_tier(tier)).release()
+        assert lut._wtab is None
+        assert lut._qwtab is None
+        assert lut._invalid is None
+
+    def test_q_tier_publication_refuses_float_frames(self, small_field):
+        from repro.errors import KernelTierError
+        tables = SharedTables(RemapLUT(small_field).with_tier("fixed"))
+        segments, _, attached = attach_tables(tables.spec, tables.meta)
+        try:
+            with pytest.raises(KernelTierError, match="float"):
+                attached.apply(np.zeros((64, 64), dtype=np.float32))
+        finally:
+            del attached
+            for shm in segments:
+                shm.close()
+            tables.release()
+
+    @pytest.mark.parametrize("tier", ["numpy", "fixed"])
+    def test_serve_bands_bit_exact_rgb(self, tilted_field, tier):
+        from repro.serve import StreamBroker
+        rng = np.random.default_rng(7)
+        frames = [rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
+                  for _ in range(3)]
+        lut = RemapLUT(tilted_field).with_tier(tier)
+        with StreamBroker(workers=2) as broker:
+            got = list(broker.open(iter(frames), tilted_field, kernel=tier))
+        assert len(got) == len(frames)
+        for g, f in zip(got, frames):
+            np.testing.assert_array_equal(g, lut.apply(f))
+
+    @pytest.mark.parametrize("tier", ["numpy", "fixed"])
+    def test_serve_bands_bit_exact_nv12(self, tilted_field, tier):
+        from repro.serve import StreamBroker
+        from repro.video.yuv import NV12Frame, YUVCorrector
+        rng = np.random.default_rng(8)
+        frames = [NV12Frame(rng.integers(0, 256, (64, 64), dtype=np.uint8),
+                            rng.integers(0, 256, (32, 32, 2), dtype=np.uint8))
+                  for _ in range(3)]
+        corr = YUVCorrector.from_field(tilted_field, kernel=tier)
+        with StreamBroker(workers=2) as broker:
+            got = list(broker.open(iter(frames), tilted_field, kernel=tier,
+                                   pixfmt="nv12"))
+        assert len(got) == len(frames)
+        for g, f in zip(got, frames):
+            want = corr.correct_nv12(f, copy=True)
+            np.testing.assert_array_equal(g.y, want.y)
+            np.testing.assert_array_equal(g.uv, want.uv)
+
+
 class TestExecutorLifecycle:
     @pytest.mark.parametrize("cls", [ProcessExecutor, SharedMemoryExecutor])
     def test_close_unlinks_every_segment(self, small_field, cls):
