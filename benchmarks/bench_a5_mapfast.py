@@ -11,7 +11,9 @@ def test_a5_map_construction(benchmark, record_table):
     rows = list(zip(table.column("builder"), table.column("samples"),
                     table.column("speedup"), table.column("max_err_px")))
     radial = [(n, s, e) for b, n, s, e in rows if b == "radial"]
-    # the radial builder is faster at every table size...
-    assert all(s > 1.5 for _, s, _ in radial)
-    # ...and error falls below 0.01 px from 256 samples on
+    # error falls below 0.01 px from 256 samples on...
     assert all(e < 0.01 for n, _, e in radial if n >= 256)
+    # ...and the verdict states what the speedup column measured, which
+    # may go either way (on a 2-core Xeon the exact builder is faster)
+    speedup = next(s for n, s, _ in radial if n == 256)
+    assert ("lower build cost" in table.notes[-1]) == (speedup > 1.0)

@@ -218,9 +218,17 @@ def a5_map_construction(res: str = "720p", sample_counts=(64, 256, 1024, 4096)) 
     out = CameraIntrinsics(fx=focal_out, fy=focal_out, cx=(w - 1) / 2.0,
                            cy=(h - 1) / 2.0, width=w, height=h)
 
-    t0 = time.perf_counter()
-    exact = perspective_map(sensor, lens, out)
-    exact_ms = (time.perf_counter() - t0) * 1e3
+    def timed(build):
+        """Best of three builds: (result, ms)."""
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            result = build()
+            ms = (time.perf_counter() - t0) * 1e3
+            best = ms if best is None else min(best, ms)
+        return result, best
+
+    exact, exact_ms = timed(lambda: perspective_map(sensor, lens, out))
 
     table = Table(
         f"A5: map construction, exact vs radial LUT ({res})",
@@ -230,15 +238,30 @@ def a5_map_construction(res: str = "720p", sample_counts=(64, 256, 1024, 4096)) 
     table.add_row("exact", "-", exact_ms, 1.0, 0.0)
     mask = exact.valid_mask()
     for n in sample_counts:
-        t0 = time.perf_counter()
-        approx = radial_perspective_map(sensor, lens, out, samples=n)
-        ms = (time.perf_counter() - t0) * 1e3
+        approx, ms = timed(lambda: radial_perspective_map(sensor, lens, out,
+                                                          samples=n))
         err = np.hypot(approx.map_x - exact.map_x, approx.map_y - exact.map_y)
         table.add_row("radial", n, ms, exact_ms / ms, float(np.nanmax(err[mask])))
-    table.notes.append("A few hundred profile samples reach sub-0.01 px error "
-                       "at ~5x lower build cost; rotated PTZ views still "
-                       "need the exact builder.")
+    table.notes.append(_a5_note(table))
     return table
+
+
+def _a5_note(table: Table) -> str:
+    """A5's verdict, read off the measured ``speedup`` column."""
+    rows = zip(table.column("builder"), table.column("samples"),
+               table.column("speedup"), table.column("max_err_px"))
+    accurate = [(n, s) for b, n, s, e in rows if b == "radial" and e < 0.01]
+    if not accurate:
+        return "No profile size reaches sub-0.01 px error."
+    n, speedup = accurate[0]
+    if speedup > 1.0:
+        return (f"{n} profile samples reach sub-0.01 px error at "
+                f"{speedup:.1f}x lower build cost than the exact builder; "
+                f"rotated PTZ views still need the exact builder.")
+    return (f"{n} profile samples reach sub-0.01 px error, but the radial LUT "
+            f"builds {1.0 / speedup:.1f}x slower than the exact builder: it "
+            f"does not pay here, and rotated PTZ views need the exact "
+            f"builder anyway.")
 
 
 def h1_host_scaling(res: str = "VGA", workers=(1, 2, 4), repeats: int = 5) -> Table:

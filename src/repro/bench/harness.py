@@ -3,8 +3,10 @@
 Each experiment in :mod:`repro.bench.experiments` needs the same
 setup: a fisheye sensor at some resolution, its correction field, and
 a :class:`~repro.accel.platform.Workload` around them.  Building a
-1080p field takes a second or two, so the harness memoizes by
-configuration — benchmarks that share a workload pay once.
+1080p field and measuring its workload each take tens of
+milliseconds, and a sweep asks for the same ones many times, so the
+harness memoizes by configuration — benchmarks that share a workload
+pay once.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from ..errors import MappingError
-from .interpolation import sample
+from .interpolation import bilinear_taps, sample, valid_mask
 from .mapping import RemapField
 
 __all__ = ["compose_fields", "crop_field", "affine_field",
@@ -59,11 +59,20 @@ def compose_fields(outer: RemapField, inner: RemapField) -> RemapField:
         raise MappingError(
             f"outer field samples a {outer.src_width}x{outer.src_height} frame "
             f"but inner produces {iw}x{ih}")
-    mx = sample(inner.map_x, outer.map_x, outer.map_y, method="bilinear",
-                border="constant", fill=np.nan)
-    my = sample(inner.map_y, outer.map_x, outer.map_y, method="bilinear",
-                border="constant", fill=np.nan)
-    return RemapField(mx, my, inner.src_width, inner.src_height)
+    # Both coordinate planes share outer's taps: resolve them once.
+    valid = valid_mask(outer.map_x, outer.map_y, iw, ih)
+    ix, iy, fx, fy = bilinear_taps(outer.map_x, outer.map_y)
+    x0, x1 = np.clip(ix, 0, iw - 1), np.clip(ix + 1, 0, iw - 1)
+    y0, y1 = np.clip(iy, 0, ih - 1) * iw, np.clip(iy + 1, 0, ih - 1) * iw
+    taps = (y0 + x0, y0 + x1, y1 + x0, y1 + x1)
+    gx, gy = 1.0 - fx, 1.0 - fy
+
+    def lerp(plane):
+        p00, p01, p10, p11 = (np.take(plane, t) for t in taps)
+        out = (p00 * gx + p01 * fx) * gy + (p10 * gx + p11 * fx) * fy
+        return np.where(valid, out, np.nan)
+    return RemapField(lerp(inner.map_x), lerp(inner.map_y),
+                      inner.src_width, inner.src_height)
 
 
 def crop_field(width: int, height: int, x0: float, y0: float,

@@ -9,9 +9,10 @@ expensive per-pixel trigonometry
 collapses to a 1-D profile ``scale(r_p) = r_s / r_p`` sampled once
 (``samples`` points) and linearly interpolated per pixel.  Map
 construction then costs one hypot, one table interpolation and two
-multiplies per pixel — an order of magnitude cheaper than the exact
-builder, with sub-pixel accuracy from a few hundred samples (the A5
-ablation quantifies the error/speed trade).
+multiplies per pixel, with sub-pixel accuracy from a few hundred
+samples.  The A5 ablation measures it against the exact builder of
+:mod:`repro.core.mapping`, which needs no per-pixel azimuth
+trigonometry either and builds about as fast or faster.
 
 Limitations (checked, not silent): the output view must be axis-aligned
 (no yaw/pitch/roll) with square pixels; rotated virtual-PTZ views break

@@ -186,14 +186,60 @@ class RemapField:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-def _source_coords_from_rays(rays, lens: LensModel, sensor: FisheyeIntrinsics):
-    """Shared tail: rays -> (theta, phi) -> fisheye sensor coordinates."""
-    theta, phi = geometry.angles_from_rays(rays)
-    with np.errstate(invalid="ignore"):
-        r = lens.angle_to_radius(theta)
-    map_x = sensor.cx + r * np.cos(phi)
-    map_y = sensor.cy + r * np.sin(phi)
-    return map_x, map_y
+#: Output rows evaluated per band.  The builders write straight into
+#: preallocated maps, and a band's dozen float64 temporaries (160 KB
+#: each at 2560 px wide) stay in L2.
+_BAND_ROWS = 8
+
+
+def _rotate_rays(x_n, y_n, rot):
+    """Components of the rotated, un-normalized rays ``(x_n, y_n, 1)``.
+
+    Each is ``rot[i, 0] x_n + rot[i, 1] y_n + rot[i, 2]``: for a row
+    vector ``x_n`` and a column vector ``y_n`` a broadcast of two 1-D
+    vectors, with no ray stack, matmul or normalization.
+    """
+    return tuple(rot[i, 0] * x_n + (rot[i, 1] * y_n + rot[i, 2])
+                 for i in range(3))
+
+
+def _rays_to_sensor(dx, dy, dz, lens: LensModel, sensor: FisheyeIntrinsics,
+                    map_x, map_y) -> None:
+    """Shared tail: rays of any length -> fisheye sensor coordinates.
+
+    The field angle ``theta = atan2(rho, dz)``, ``rho = |(dx, dy)|``,
+    and the azimuth are both invariant to a ray's length, so rays need
+    no normalization, and the azimuth enters only as ``(cos phi, sin
+    phi) = (dx, dy) / rho`` — no ``atan2``/``cos``/``sin`` of it.  On
+    the axis (``rho == 0``) the azimuth is 0: ``(cx + r, cy)``.
+    Writes ``map_x``/``map_y`` (the broadcast shape of the components)
+    in place.
+    """
+    rho = np.sqrt(dx * dx + dy * dy)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = lens.angle_to_radius(np.arctan2(rho, dz))
+        scale = r / rho
+        np.multiply(dx, scale, out=map_x)
+        np.multiply(dy, scale, out=map_y)
+    if not np.all(rho):
+        axis = rho == 0.0
+        map_x[axis] = r[axis]
+        map_y[axis] = 0.0 * r[axis]
+    map_x += sensor.cx
+    map_y += sensor.cy
+
+
+def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
+            width: int, rays) -> RemapField:
+    """Build a field band by band from ``rays(r0, r1) -> (dx, dy, dz)``,
+    the (broadcastable) ray components of output rows ``r0:r1``."""
+    map_x = np.empty((height, width))
+    map_y = np.empty((height, width))
+    for r0 in range(0, height, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, height)
+        _rays_to_sensor(*rays(r0, r1), lens, sensor,
+                        map_x[r0:r1], map_y[r0:r1])
+    return RemapField(map_x, map_y, sensor.width, sensor.height)
 
 
 def perspective_map(sensor: FisheyeIntrinsics, lens: LensModel,
@@ -212,7 +258,7 @@ def perspective_map(sensor: FisheyeIntrinsics, lens: LensModel,
         benchmarks).
     out:
         Intrinsics of the desired perspective output (size, focal =
-        zoom, principal point).
+        zoom, principal point, skew).
     yaw, pitch, roll:
         Virtual pan/tilt/roll of the output view (radians).
 
@@ -220,11 +266,21 @@ def perspective_map(sensor: FisheyeIntrinsics, lens: LensModel,
     -------
     RemapField
     """
-    xs, ys = geometry.pixel_grid(out.height, out.width)
     rot = geometry.rotation_matrix_ypr(yaw, pitch, roll)
-    rays = geometry.rays_from_pixels(xs, ys, out.fx, out.fy, out.cx, out.cy, rotation=rot)
-    map_x, map_y = _source_coords_from_rays(rays, lens, sensor)
-    return RemapField(map_x, map_y, sensor.width, sensor.height)
+    xs = np.arange(out.width, dtype=np.float64)
+    ys = np.arange(out.height, dtype=np.float64)[:, None]
+    if out.skew:
+        def rays(r0, r1):
+            return _rotate_rays(*out.normalize(xs, ys[r0:r1]), rot)
+    else:
+        # Unskewed, x_n depends on the column alone (bit for bit what
+        # out.normalize computes), so every band is rank-1.
+        x_n = (xs - out.cx) / out.fx
+        y_n = (ys - out.cy) / out.fy
+
+        def rays(r0, r1):
+            return _rotate_rays(x_n, y_n[r0:r1], rot)
+    return _banded(sensor, lens, out.height, out.width, rays)
 
 
 def cylindrical_map(sensor: FisheyeIntrinsics, lens: LensModel,
@@ -241,12 +297,10 @@ def cylindrical_map(sensor: FisheyeIntrinsics, lens: LensModel,
     if not 0 < hfov <= 2 * np.pi or not 0 < vfov < np.pi:
         raise MappingError(f"invalid panorama FOV: hfov={hfov}, vfov={vfov}")
     psi = np.linspace(-hfov / 2.0, hfov / 2.0, out_width)
-    v = np.linspace(-np.tan(vfov / 2.0), np.tan(vfov / 2.0), out_height)
-    psi_g, v_g = np.meshgrid(psi, v)
-    rays = np.stack([np.sin(psi_g), v_g, np.cos(psi_g)], axis=-1)
-    rays = geometry.normalize_rows(rays)
-    map_x, map_y = _source_coords_from_rays(rays, lens, sensor)
-    return RemapField(map_x, map_y, sensor.width, sensor.height)
+    v = np.linspace(-np.tan(vfov / 2.0), np.tan(vfov / 2.0), out_height)[:, None]
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+    return _banded(sensor, lens, out_height, out_width,
+                   lambda r0, r1: (sin_psi, v[r0:r1], cos_psi))
 
 
 def equirectangular_map(sensor: FisheyeIntrinsics, lens: LensModel,
@@ -256,12 +310,12 @@ def equirectangular_map(sensor: FisheyeIntrinsics, lens: LensModel,
     if out_width <= 0 or out_height <= 0:
         raise MappingError(f"output size must be positive: {out_width}x{out_height}")
     lon = np.linspace(-hfov / 2.0, hfov / 2.0, out_width)
-    lat = np.linspace(-vfov / 2.0, vfov / 2.0, out_height)
-    lon_g, lat_g = np.meshgrid(lon, lat)
-    cos_lat = np.cos(lat_g)
-    rays = np.stack([cos_lat * np.sin(lon_g), np.sin(lat_g), cos_lat * np.cos(lon_g)], axis=-1)
-    map_x, map_y = _source_coords_from_rays(rays, lens, sensor)
-    return RemapField(map_x, map_y, sensor.width, sensor.height)
+    lat = np.linspace(-vfov / 2.0, vfov / 2.0, out_height)[:, None]
+    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
+    cos_lat, sin_lat = np.cos(lat), np.sin(lat)
+    return _banded(sensor, lens, out_height, out_width,
+                   lambda r0, r1: (cos_lat[r0:r1] * sin_lon, sin_lat[r0:r1],
+                                   cos_lat[r0:r1] * cos_lon))
 
 
 def fisheye_forward_map(scene: CameraIntrinsics, lens: LensModel,
@@ -326,7 +380,12 @@ def chroma_half_field(field: RemapField) -> RemapField:
         raise MappingError(
             f"4:2:0 source size must be even, got "
             f"{field.src_width}x{field.src_height}")
-    mx = field.map_x.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-    my = field.map_y.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-    return RemapField((mx - 0.5) / 2.0, (my - 0.5) / 2.0,
+    def half(m):
+        # the 2x2 block mean as a strided four-term sum, then c' = (c - 0.5) / 2
+        c = (m[0::2, 0::2] + m[0::2, 1::2]) + (m[1::2, 0::2] + m[1::2, 1::2])
+        c /= 4.0
+        c -= 0.5
+        c /= 2.0
+        return c
+    return RemapField(half(field.map_x), half(field.map_y),
                       field.src_width // 2, field.src_height // 2)

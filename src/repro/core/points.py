@@ -25,6 +25,7 @@ from ..errors import GeometryError
 from . import geometry
 from .intrinsics import CameraIntrinsics, FisheyeIntrinsics
 from .lens import LensModel
+from .mapping import _rays_to_sensor, _rotate_rays
 
 __all__ = ["distort_points", "undistort_points"]
 
@@ -43,20 +44,19 @@ def distort_points(xs, ys, sensor: FisheyeIntrinsics, lens: LensModel,
     """Perspective-view pixel coordinates -> fisheye sensor coordinates.
 
     This is the per-point form of
-    :func:`repro.core.mapping.perspective_map`; the two agree exactly
-    on grid points.
+    :func:`repro.core.mapping.perspective_map`: both run the same
+    kernel, so the two agree exactly on grid points.
 
     Returns ``(xs_s, ys_s)`` with ``nan`` where the view ray leaves the
     lens's representable field.
     """
     xs, ys = _check_points(xs, ys)
     rot = geometry.rotation_matrix_ypr(yaw, pitch, roll)
-    rays = geometry.rays_from_pixels(xs, ys, out.fx, out.fy, out.cx, out.cy,
-                                     rotation=rot)
-    theta, phi = geometry.angles_from_rays(rays)
-    with np.errstate(invalid="ignore"):
-        r = lens.angle_to_radius(theta)
-    return sensor.cx + r * np.cos(phi), sensor.cy + r * np.sin(phi)
+    map_x = np.empty(xs.shape)
+    map_y = np.empty(xs.shape)
+    _rays_to_sensor(*_rotate_rays(*out.normalize(xs, ys), rot), lens, sensor,
+                    map_x, map_y)
+    return map_x[()], map_y[()]
 
 
 def undistort_points(xs, ys, sensor: FisheyeIntrinsics, lens: LensModel,
