@@ -23,8 +23,8 @@ elsewhere.  Measurements land in ``BENCH_kernels.json`` with the host
 core count and numba version in the metadata.
 
 The streaming gate runs the same 1080p bilinear workload through the
-fork-join :class:`SharedMemoryExecutor` and the persistent-worker
-:class:`RingEngine` and requires the ring to win by
+fork-join :class:`SharedMemoryExecutor` and the persistent-worker ring
+(one :class:`StreamBroker` session) and requires the ring to win by
 ``STREAM_SPEEDUP_MIN`` (1.3x).  That ratio is only meaningful with
 real cores, so the full gate is enforced when ``os.cpu_count() >= 4``
 (the CI reference machine); on smaller hosts — and always under
@@ -195,8 +195,9 @@ def bench_stream(full: bool) -> dict:
     per-frame fork-join barriers vs persistent workers with frame-level
     overlap.
     """
+    from repro.core.lutcache import LUTCache
     from repro.parallel.procpool import SharedMemoryExecutor
-    from repro.parallel.ring import RingEngine
+    from repro.serve import StreamBroker
     from repro.video.stream import panning_crops
 
     if full:
@@ -205,7 +206,9 @@ def bench_stream(full: bool) -> dict:
         res, frames_n, workers, depth = "VGA", 12, 2, 2
     w, h = resolution(res)
     field = standard_field(w, h)
-    lut = RemapLUT(field, method="bilinear")
+    # the ring session fetches this same LUT from the cache
+    cache = LUTCache()
+    lut = cache.get(field, method="bilinear")
     world = synth.urban(w + 128, h + 128)
 
     def source():
@@ -224,19 +227,19 @@ def bench_stream(full: bool) -> dict:
     finally:
         ex.close()
 
-    engine = RingEngine(lut, (h, w), np.uint8, workers=workers, depth=depth,
-                        schedule="dynamic")
-    try:
+    # the ring: one broker session, as ring_stream runs it; the open
+    # (table publication, slot allocation) is timed with the stream
+    with StreamBroker(workers=workers, slot_budget=depth, schedule="dynamic",
+                      lut_cache=cache) as broker:
         first = None
         delivered = 0
         t0 = time.perf_counter()
-        for corrected in engine.stream(source()):
+        session = broker.open(source(), field, depth=depth, copy=False)
+        for corrected in session:
             if first is None:
                 first = corrected.copy()
             delivered += 1
         ring_s = time.perf_counter() - t0
-    finally:
-        engine.close()
 
     return {
         "mode": "full" if full else "smoke",
@@ -250,7 +253,7 @@ def bench_stream(full: bool) -> dict:
         "forkjoin_fps": frames_n / forkjoin_s,
         "ring_fps": delivered / ring_s,
         "ring_speedup": forkjoin_s / ring_s,
-        "ring_max_in_flight": engine.max_in_flight,
+        "ring_max_in_flight": session.max_in_flight,
         "delivered": delivered,
         "first_frame_exact": bool(np.array_equal(first, reference)),
         "speedup_gate": STREAM_SPEEDUP_MIN if full else None,

@@ -14,13 +14,14 @@ Commands
     Run evaluation experiments by id (``T1``, ``F1``.. ``A3``, ``all``).
 ``stream``
     Drive a synthetic camera stream through a correction engine
-    (``seq``, ``pipelined`` threads, or the ``ring`` persistent-worker
-    shared-memory engine) and report throughput; with ``--trace`` the
-    ring engine's decode/remap/deliver overlap is visible per worker.
+    (``seq``, ``pipelined`` threads, or the ``ring``: one session on a
+    persistent-worker stream broker) and report throughput; with
+    ``--trace`` the ring's feed/band/deliver overlap is visible per
+    worker.
     ``--serve-metrics PORT`` exposes ``/metrics`` / ``/health`` /
     ``/snapshot`` live while the stream runs; ``--deadline-ms`` and
-    ``--stall-timeout`` arm the ring engine's per-frame SLO check and
-    stall watchdog.
+    ``--stall-timeout`` arm the broker's per-frame SLO check and stall
+    watchdog.
 ``serve``
     Multiplex several synthetic camera streams onto one shared
     persistent worker fleet (:mod:`repro.serve`): admission-controlled

@@ -276,10 +276,11 @@ class FisheyeCorrector:
             yielded frame owns its buffer.
         ``"ring"``
             :func:`repro.parallel.ring.ring_stream` — persistent
-            worker processes over a shared-memory frame ring;
+            worker processes over a shared-memory frame ring (a
+            one-session :class:`~repro.serve.broker.StreamBroker`);
             ``engine_kwargs`` (``workers``, ``depth``, ``schedule``,
-            ``chunk``, ``context``, ``copy``) configure the
-            :class:`~repro.parallel.ring.RingEngine`.
+            ``chunk``, ``context``, ``copy``, ``deadline_s``,
+            ``stall_timeout_s``) configure it.
         """
         if engine == "sync":
             if engine_kwargs:

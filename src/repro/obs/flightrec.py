@@ -18,7 +18,7 @@ attribute), so the artefact survives the process that produced it.
 Dump format (one JSON object)::
 
     {
-      "reason":   "worker crash" | "stall watchdog" | ...,
+      "reason":   "worker-crash" | "stall",
       "error":    "<stringified exception, if any>",
       "pid":      1234,
       "time":     1700000000.0,        # wall clock of the dump
@@ -26,15 +26,16 @@ Dump format (one JSON object)::
       "recorded": 2048,                # events ever recorded
       "dropped":  1536,                # recorded - retained
       "events": [                      # oldest -> newest, <= capacity
-        {"t": ..., "kind": "decode", "frame_id": 7, "slot": 1},
-        {"t": ..., "kind": "span", "name": "ring.band", "ts": ...,
-         "dur": ..., "pid": ..., "tid": "ring-worker-0",
-         "args": {"frame_id": 7, ...}},
-        {"t": ..., "kind": "stall", "idle_s": 2.1, ...}
+        {"t": ..., "kind": "decode", "stream": "cam0", "frame_id": 7,
+         "slot": 1},
+        {"t": ..., "kind": "span", "name": "serve.band", "ts": ...,
+         "dur": ..., "pid": ..., "tid": "serve-worker-0",
+         "args": {"frame_id": 7, "stream": "cam0", ...}},
+        {"t": ..., "kind": "stall", "waited_s": 2.1, ...}
       ]
     }
 
-Each process records into its own recorder; the ring engine's workers
+Each process records into its own recorder; the stream broker's workers
 ship their spans back with every completed band (the normal telemetry
 delta channel), so the parent-side recorder also holds the last spans
 of a worker that subsequently dies.
@@ -53,7 +54,7 @@ from ..errors import TelemetryError
 
 __all__ = ["FlightRecorder", "DEFAULT_FLIGHT_CAPACITY"]
 
-#: default event-ring capacity; ~a few seconds of ring activity at VGA.
+#: event-ring capacity; ~a few seconds of streaming activity at VGA.
 DEFAULT_FLIGHT_CAPACITY = 512
 
 

@@ -2,7 +2,7 @@
 
 The PR-2 telemetry layer is *passive* — snapshots are written when a
 run exits.  Real-time correction pipelines are judged while they run
-(sustained frame deadlines, ring occupancy, stall counters), so this
+(sustained frame deadlines, slot occupancy, stall counters), so this
 module puts the same registry behind a tiny HTTP surface that any
 Prometheus scraper, load balancer or ``curl`` can hit mid-stream:
 
@@ -10,8 +10,8 @@ Prometheus scraper, load balancer or ``curl`` can hit mid-stream:
     Prometheus text exposition (the PR-2 exporter, rendered from a
     live snapshot on every request).
 ``/health``
-    JSON liveness: uptime, pid, ring depth / in-flight occupancy,
-    frames delivered, stall and deadline-miss counters.  ``status``
+    JSON liveness: uptime, pid, the stream broker's fleet and slot
+    occupancy, frames delivered, stall and deadline-miss counters.  ``status``
     degrades from ``"ok"`` to ``"stalled"`` once the stream watchdog
     has fired.
 ``/snapshot``
@@ -60,14 +60,11 @@ def health_summary(snap: dict, uptime_s: float | None = None) -> dict:
     body = {
         "status": "stalled" if stalls else "ok",
         "pid": snap.get("meta", {}).get("pid", os.getpid()),
-        "frames": counters.get("stream.frames",
-                               counters.get("ring.frames", 0)),
+        "frames": counters.get("stream.frames", 0),
         "stalls": stalls,
         "deadline_misses": counters.get("stream.deadline_miss", 0),
-        "ring": {
-            "depth": gauges.get("ring.depth"),
-            "in_flight": gauges.get("ring.in_flight"),
-        },
+        "serve": {key: gauges.get(f"serve.{key}") for key in
+                  ("workers", "slot_budget", "slots_used", "active_streams")},
     }
     if uptime_s is not None:
         body["uptime_s"] = round(float(uptime_s), 3)

@@ -6,16 +6,17 @@
   static/dynamic/guided loop schedules,
 - :mod:`~repro.parallel.threadpool` / :mod:`~repro.parallel.procpool`
   — real shared-memory executors for the remap kernel,
-- :mod:`~repro.parallel.ring` — the persistent-worker streaming engine
-  (shared-memory frame ring, frame-level double buffering, dynamic
-  band scheduling),
-- :mod:`~repro.parallel.shmseg` — the shared-segment plumbing both
+- :mod:`~repro.parallel.ring` — band planning and the single-stream
+  ring (one stream on a one-session :class:`~repro.serve.broker
+  .StreamBroker`: frame-level double buffering, dynamic band
+  scheduling),
+- :mod:`~repro.parallel.shmseg` — the shared-segment plumbing the
   process back ends are built on,
 - :mod:`~repro.parallel.simd` — the SIMD vectorization model.
 """
 
 from .partition import Tile, blocks, row_bands, row_bands_weighted, tile_weights
-from .ring import MAX_RING_DEPTH, RING_SCHEDULES, RingEngine, plan_bands, ring_stream
+from .ring import MAX_RING_DEPTH, RING_SCHEDULES, plan_bands, ring_stream
 from .schedule import SCHEDULES, Assignment, cyclic_chunks, simulate, static_chunks
 from .simd import AVX2, SPU, SSE2, VectorISA, apply_lanewise, simd_speedup
 from .stream import MAX_STREAM_DEPTH, pipelined_stream
@@ -41,7 +42,6 @@ __all__ = [
     "ThreadedExecutor",
     "pipelined_stream",
     "MAX_STREAM_DEPTH",
-    "RingEngine",
     "ring_stream",
     "plan_bands",
     "MAX_RING_DEPTH",

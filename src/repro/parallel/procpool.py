@@ -1,37 +1,28 @@
-"""Process-based executors: the no-shared-GIL configurations.
+"""Process-based fork-join executor: the paper's per-frame baseline.
 
-Two tile-parallel process executors mirror
-:class:`repro.parallel.threadpool.ThreadedExecutor`:
+:class:`SharedMemoryExecutor` mirrors
+:class:`repro.parallel.threadpool.ThreadedExecutor` without a shared
+GIL.  Everything — source frame, output frame *and the LUT tables*
+(int32 indices, validity mask, derived weight rows) — lives in named
+shared-memory segments that workers attach to by name.  Nothing large
+is ever pickled, the table exists once in physical memory no matter
+the worker count, and the setup works under any multiprocessing start
+method (``fork`` or ``spawn``).  Workers run the fused
+:meth:`~repro.core.remap.RemapLUT.apply_rows_into` kernel straight
+into the shared output, so a steady-state frame costs one frame-copy
+in, the remap, and one frame-copy out — the communication/computation
+split the Cell BE model prices as DMA.
 
-:class:`ProcessExecutor`
-    Frames travel through POSIX shared memory
-    (``multiprocessing.shared_memory``); the LUT itself reaches the
-    workers once, through fork inheritance of the initializer
-    arguments.  Workers return row blocks by writing the shared output
-    segment directly.
-
-:class:`SharedMemoryExecutor`
-    Everything — source frame, output frame *and the LUT tables*
-    (int32 indices, fraction table, validity mask, derived weight
-    rows) — lives in named shared-memory segments that workers attach
-    to by name.  Nothing large is ever pickled, the table exists once
-    in physical memory no matter the worker count, and the setup works
-    under any multiprocessing start method (``fork`` or ``spawn``).
-    Workers run the fused :meth:`~repro.core.remap.RemapLUT
-    .apply_rows_into` kernel straight into the shared output, so a
-    steady-state frame costs one frame-copy in, the remap, and one
-    frame-copy out — the communication/computation split the Cell BE
-    model prices as DMA.
-
-Both are *fork-join* executors: ``run`` dispatches one frame's bands
-and waits for all of them before returning.  The streaming engine in
-:mod:`repro.parallel.ring` removes that barrier (frame *k+1*'s bands
-start while frame *k* drains); it shares this module's segment and
-worker-bootstrap plumbing via :mod:`repro.parallel.shmseg`, which also
-hardens the segment lifecycle: every parent-owned segment group is
-finalizer/atexit-backed, so dropping an executor without ``close()``
-(or crashing a worker mid-run) cannot leak named segments or provoke
-``resource_tracker`` warnings.
+It is a *fork-join* executor: ``run`` dispatches one frame's bands and
+waits for all of them before returning.  The streaming broker
+(:mod:`repro.serve.broker`, single-stream via
+:func:`repro.parallel.ring.ring_stream`) removes that barrier (frame
+*k+1*'s bands start while frame *k* drains).  Both share the segment
+and worker-bootstrap plumbing of :mod:`repro.parallel.shmseg`, which
+also hardens the segment lifecycle: every parent-owned segment group
+is finalizer/atexit-backed, so dropping an executor without
+``close()`` (or crashing a worker mid-run) cannot leak named segments
+or provoke ``resource_tracker`` warnings.
 """
 
 from __future__ import annotations
@@ -49,218 +40,19 @@ from .partition import row_bands
 from .shmseg import (
     FrameSegments,
     SharedTables,
-    attach_segment,
     attach_tables,
     init_worker_telemetry,
     worker_delta,
 )
 
-__all__ = ["ProcessExecutor", "SharedMemoryExecutor"]
+__all__ = ["SharedMemoryExecutor"]
 
 log = get_logger(__name__)
 
-# Worker-side globals, installed by the initializers in each child.
-_WORKER_LUT = None
-_WORKER_SRC = None
-_WORKER_DST = None
+# Worker-side state, installed by the initializer in each child.
 _SHM_STATE = None
 
 
-def _init_worker(lut, src_name, src_shape, src_dtype, dst_name, dst_shape,
-                 dst_dtype, telemetry_enabled=False):
-    """Attach this worker to the shared frame buffers."""
-    global _WORKER_LUT, _WORKER_SRC, _WORKER_DST
-    init_worker_telemetry(telemetry_enabled)
-    _WORKER_LUT = lut
-    src_shm = attach_segment(src_name)
-    dst_shm = attach_segment(dst_name)
-    _WORKER_SRC = (src_shm, np.ndarray(src_shape, dtype=src_dtype, buffer=src_shm.buf))
-    _WORKER_DST = (dst_shm, np.ndarray(dst_shape, dtype=dst_dtype, buffer=dst_shm.buf))
-
-
-def _run_tile(rows):
-    """Correct output rows [rows[0], rows[1]) into the shared output."""
-    row0, row1 = rows
-    src = _WORKER_SRC[1]
-    dst = _WORKER_DST[1]
-    tel = get_telemetry()
-    t0 = time.perf_counter() if tel.enabled else 0.0
-    dst[row0:row1] = _WORKER_LUT.apply_rows(src, row0, row1)
-    if tel.enabled:
-        tel.histogram("executor.band_seconds").observe(time.perf_counter() - t0)
-    return row1 - row0, worker_delta()
-
-
-class _BoundExecutorBase:
-    """Shared plumbing: fixed geometry, pool lifecycle, run validation."""
-
-    def __init__(self, lut: RemapLUT, frame_shape, frame_dtype, workers,
-                 bands_per_worker):
-        if workers < 1:
-            raise ScheduleError(f"workers must be >= 1, got {workers}")
-        if bands_per_worker < 1:
-            raise ScheduleError(f"bands_per_worker must be >= 1, got {bands_per_worker}")
-        frame_shape = tuple(frame_shape)
-        if frame_shape[:2] != lut.src_shape:
-            raise ScheduleError(
-                f"frame shape {frame_shape} does not match LUT source {lut.src_shape}")
-        self.lut = lut
-        self.workers = workers
-        self.bands_per_worker = bands_per_worker
-        self.frame_shape = frame_shape
-        self.frame_dtype = np.dtype(frame_dtype)
-        channels = frame_shape[2:] if len(frame_shape) == 3 else ()
-        self.out_shape = lut.out_shape + channels
-        self._pool = None
-        self._segment_groups = []
-        self._closed = False
-        self._frame_seq = 0  # lineage: frame_id carried on executor spans
-
-    # ------------------------------------------------------------------
-    def _release_segments(self):
-        """Unlink every owned segment group (idempotent).
-
-        Each group also carries its own :func:`weakref.finalize`
-        finalizer, so the same cleanup runs at GC or interpreter exit
-        if the executor is dropped without ``close()``.
-        """
-        self.src_view = None
-        self.dst_view = None
-        for group in self._segment_groups:
-            group.release()
-
-    def close(self):
-        """Terminate workers and release shared segments (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-        self._release_segments()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def _check_run(self, lut, image):
-        if self._closed:
-            raise ScheduleError("executor already closed")
-        if lut is not self.lut:
-            raise ScheduleError(
-                f"{type(self).__name__} is bound to the LUT given at construction")
-        image = np.asarray(image)
-        if image.shape != self.frame_shape or image.dtype != self.frame_dtype:
-            raise ScheduleError(
-                f"frame {image.shape}/{image.dtype} does not match bound geometry "
-                f"{self.frame_shape}/{self.frame_dtype}")
-        return image
-
-    def _band_ranges(self):
-        h, w = self.lut.out_shape
-        count = min(h, self.workers * self.bands_per_worker)
-        return [(t.row0, t.row1) for t in row_bands(h, w, count)]
-
-    def _run_bands(self, task):
-        """Fan one frame's bands out to the pool, with telemetry.
-
-        Parent-side: frame latency histogram + span, fan-out counters.
-        Worker-side deltas riding back on the task results are merged
-        into the parent registry here — the process-safe aggregation
-        path (workers never share registries; they ship snapshots).
-        """
-        tel = get_telemetry()
-        bands = self._band_ranges()
-        frame_id = self._frame_seq
-        self._frame_seq += 1
-        if not tel.enabled:
-            self._pool.map(task, bands)
-            return
-        t0 = time.perf_counter()
-        results = self._pool.map(task, bands)
-        dt = time.perf_counter() - t0
-        tel.counter("executor.frames").inc()
-        tel.counter("executor.bands").inc(len(bands))
-        tel.histogram("executor.frame_seconds").observe(dt)
-        tel.add_span("executor.frame", time.time() - dt, dt, cat=self.name,
-                     args={"frame_id": frame_id, "bands": len(bands),
-                           "workers": self.workers})
-        band_total = 0.0
-        for _, delta in results:
-            if delta:
-                h = delta.get("histograms", {}).get("executor.band_seconds")
-                if h:
-                    band_total += h["sum"]
-                tel.merge(delta)
-        tel.histogram("executor.fanout_seconds").observe(
-            max(0.0, dt - band_total / self.workers))
-
-
-class ProcessExecutor(_BoundExecutorBase):
-    """Tile-parallel LUT application on a process pool + shared frames.
-
-    Unlike the thread executor this one is bound to a fixed frame
-    geometry at construction (the shared segments are sized once);
-    ``run`` only accepts frames of that shape/dtype.
-
-    Parameters
-    ----------
-    lut:
-        The remap table (shipped to workers once, at pool start).
-    frame_shape, frame_dtype:
-        Geometry of the source frames.
-    workers:
-        Process count.
-    bands_per_worker:
-        Work units per worker.
-    """
-
-    name = "process"
-
-    def __init__(self, lut: RemapLUT, frame_shape, frame_dtype=np.uint8,
-                 workers: int = 2, bands_per_worker: int = 2):
-        super().__init__(lut, frame_shape, frame_dtype, workers, bands_per_worker)
-        self._frames = FrameSegments(self.frame_shape, self.frame_dtype,
-                                     self.out_shape)
-        self._segment_groups.append(self._frames)
-        self.src_view = self._frames.src_view
-        self.dst_view = self._frames.dst_view
-        ctx = mp.get_context("fork")
-        log.debug("starting %d fork workers (process executor)", self.workers)
-        self._pool = ctx.Pool(
-            processes=self.workers,
-            initializer=_init_worker,
-            initargs=(lut, self._frames.src_shm.name, self.frame_shape,
-                      self.frame_dtype, self._frames.dst_shm.name,
-                      self.out_shape, self.frame_dtype,
-                      get_telemetry().enabled),
-        )
-
-    # ------------------------------------------------------------------
-    def run(self, lut: RemapLUT, image, out=None):
-        """Correct one frame (``lut`` must be the bound LUT)."""
-        image = self._check_run(lut, image)
-        np.copyto(self._frames.src_view, image)
-        self._run_bands(_run_tile)
-        if out is not None:
-            np.copyto(out, self._frames.dst_view)
-            return out
-        return self._frames.dst_view.copy()
-
-
-# ----------------------------------------------------------------------
-# Fully shared-memory executor (frames + LUT tables)
-# ----------------------------------------------------------------------
 def _init_shm_worker(table_spec, lut_meta, telemetry_enabled=False):
     """Attach to every shared segment and rebuild a zero-copy LUT."""
     global _SHM_STATE
@@ -281,7 +73,7 @@ def _run_shm_band(rows):
     return row1 - row0, worker_delta()
 
 
-class SharedMemoryExecutor(_BoundExecutorBase):
+class SharedMemoryExecutor:
     """Tile-parallel correction with frames *and* LUT in shared memory.
 
     The tables the LUT's tier executes (indices, mask and the derived
@@ -294,8 +86,15 @@ class SharedMemoryExecutor(_BoundExecutorBase):
 
     Parameters
     ----------
-    lut, frame_shape, frame_dtype, workers, bands_per_worker:
-        As for :class:`ProcessExecutor`.
+    lut:
+        The remap table, published once into shared memory.
+    frame_shape, frame_dtype:
+        Geometry of the source frames (the segments are sized once;
+        ``run`` only accepts frames of that shape/dtype).
+    workers:
+        Process count.
+    bands_per_worker:
+        Work units per worker.
     context:
         Multiprocessing start method (``"fork"`` default; ``"spawn"``
         works because nothing relies on inherited memory).
@@ -306,11 +105,27 @@ class SharedMemoryExecutor(_BoundExecutorBase):
     def __init__(self, lut: RemapLUT, frame_shape, frame_dtype=np.uint8,
                  workers: int = 2, bands_per_worker: int = 2,
                  context: str = "fork"):
-        super().__init__(lut, frame_shape, frame_dtype, workers, bands_per_worker)
+        if workers < 1:
+            raise ScheduleError(f"workers must be >= 1, got {workers}")
+        if bands_per_worker < 1:
+            raise ScheduleError(f"bands_per_worker must be >= 1, got {bands_per_worker}")
+        frame_shape = tuple(frame_shape)
+        if frame_shape[:2] != lut.src_shape:
+            raise ScheduleError(
+                f"frame shape {frame_shape} does not match LUT source {lut.src_shape}")
+        self.lut = lut
+        self.workers = workers
+        self.bands_per_worker = bands_per_worker
+        self.frame_shape = frame_shape
+        self.frame_dtype = np.dtype(frame_dtype)
+        self.out_shape = lut.out_shape + frame_shape[2:]
+        self._pool = None
+        self._closed = False
+        self._frame_seq = 0  # lineage: frame_id carried on executor spans
         self._frames = FrameSegments(self.frame_shape, self.frame_dtype,
                                      self.out_shape)
         self._tables = SharedTables(lut)
-        self._segment_groups += [self._frames, self._tables]
+        self._segment_groups = [self._frames, self._tables]
         self.src_view = self._frames.src_view
         self.dst_view = self._frames.dst_view
 
@@ -329,12 +144,90 @@ class SharedMemoryExecutor(_BoundExecutorBase):
         )
 
     # ------------------------------------------------------------------
+    def close(self):
+        """Terminate workers and release shared segments (idempotent).
+
+        Each segment group also carries its own
+        :func:`weakref.finalize` finalizer, so the same cleanup runs at
+        GC or interpreter exit if the executor is dropped without
+        ``close()``.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._pool is not None:
+            self._pool.close()
+            self._pool.join()
+        self.src_view = None
+        self.dst_view = None
+        for group in self._segment_groups:
+            group.release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def __del__(self):  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # ------------------------------------------------------------------
     def run(self, lut: RemapLUT, image, out=None):
         """Correct one frame (``lut`` must be the bound LUT)."""
-        image = self._check_run(lut, image)
+        if self._closed:
+            raise ScheduleError("executor already closed")
+        if lut is not self.lut:
+            raise ScheduleError(
+                f"{type(self).__name__} is bound to the LUT given at construction")
+        image = np.asarray(image)
+        if image.shape != self.frame_shape or image.dtype != self.frame_dtype:
+            raise ScheduleError(
+                f"frame {image.shape}/{image.dtype} does not match bound geometry "
+                f"{self.frame_shape}/{self.frame_dtype}")
         np.copyto(self._frames.src_view, image)
-        self._run_bands(_run_shm_band)
+        self._run_bands()
         if out is not None:
             np.copyto(out, self._frames.dst_view)
             return out
         return self._frames.dst_view.copy()
+
+    def _run_bands(self):
+        """Fan one frame's bands out to the pool, with telemetry.
+
+        Parent-side: frame latency histogram + span, fan-out counters.
+        Worker-side deltas riding back on the task results are merged
+        into the parent registry here — the process-safe aggregation
+        path (workers never share registries; they ship snapshots).
+        """
+        tel = get_telemetry()
+        h, w = self.lut.out_shape
+        bands = [(t.row0, t.row1) for t in
+                 row_bands(h, w, min(h, self.workers * self.bands_per_worker))]
+        frame_id = self._frame_seq
+        self._frame_seq += 1
+        if not tel.enabled:
+            self._pool.map(_run_shm_band, bands)
+            return
+        t0 = time.perf_counter()
+        results = self._pool.map(_run_shm_band, bands)
+        dt = time.perf_counter() - t0
+        tel.counter("executor.frames").inc()
+        tel.counter("executor.bands").inc(len(bands))
+        tel.histogram("executor.frame_seconds").observe(dt)
+        tel.add_span("executor.frame", time.time() - dt, dt, cat=self.name,
+                     args={"frame_id": frame_id, "bands": len(bands),
+                           "workers": self.workers})
+        band_total = 0.0
+        for _, delta in results:
+            if delta:
+                h = delta.get("histograms", {}).get("executor.band_seconds")
+                if h:
+                    band_total += h["sum"]
+                tel.merge(delta)
+        tel.histogram("executor.fanout_seconds").observe(
+            max(0.0, dt - band_total / self.workers))

@@ -1,116 +1,44 @@
-"""Persistent-worker streaming engine: a shared-memory frame ring.
+"""The single-stream ring: one stream on a one-session broker.
 
 The paper's Cell BE result rests on double buffering — DMA of tile
 *k+1* overlaps computation of tile *k*.  The fork-join executors in
 :mod:`~repro.parallel.procpool` do not have that property at frame
 granularity: ``run`` dispatches one frame's bands, waits for all of
 them, and returns before the next frame may even be decoded.
-:class:`RingEngine` lifts the overlap into the shipping host pipeline:
+:func:`ring_stream` lifts the overlap into the shipping host pipeline
+by running the stream as the only session of a
+:class:`~repro.serve.broker.StreamBroker`: a bounded ring of ``depth``
+shared-memory frame slots (backpressure keeps memory at ``depth``
+frames however slow the consumer is), a decoder thread filling free
+slots, persistent workers pulling bands from one shared queue — frame
+*k+1*'s bands start the moment a worker frees up, so the
+``dynamic``/``guided`` policies that
+:func:`repro.parallel.schedule.simulate` models are executed, not
+simulated — and strictly in-order delivery.  The broker's metric
+families, stall watchdog, flight recorder and frame lineage (see
+:mod:`repro.serve.broker`) cover the ring like any other session.
 
-- a bounded **frame ring** of ``depth`` slots, each slot a named
-  shared-memory input frame + output buffer tagged with a sequence
-  number;
-- a **decoder thread** in the parent that pulls source frames, blocks
-  while the ring is full (backpressure: memory stays bounded at
-  ``depth`` frames no matter how slow the consumer is), copies each
-  frame into a free slot and enqueues its bands;
-- a pool of **persistent worker processes** that pull ``(slot, band)``
-  items from one shared queue — frame *k+1*'s bands start the moment a
-  worker frees up, with no barrier at frame edges, and the shared
-  queue makes band scheduling genuinely *dynamic* (the
-  ``dynamic``/``guided`` policies that
-  :func:`repro.parallel.schedule.simulate` models are executed here,
-  not simulated: :func:`plan_bands` only chooses the granularity);
-- an **in-order consumer**: the :meth:`RingEngine.stream` generator
-  tracks per-slot band completion and yields frames strictly in input
-  order while later frames keep computing behind it.
-
-Telemetry (when a :mod:`repro.obs` registry is enabled): ``ring.depth``
-/ ``ring.in_flight`` gauges, ``ring.slot_wait_seconds`` /
-``ring.band_seconds`` / ``ring.deliver_wait_seconds`` histograms,
-``ring.frames`` / ``ring.bands`` counters plus per-worker
-``ring.worker.<rank>.busy_seconds`` utilization counters, and spans on
-synthetic ``ring-decode`` / ``ring-worker-<rank>`` / ``ring-deliver``
-tracks, so a Chrome trace shows decode, remap and delivery overlapping
-across in-flight frames — the frame-level analogue of the modeled F5
-DMA-overlap experiment.
-
-Planar YUV420 rings (``chroma_lut=``): each slot is a
-:class:`~repro.parallel.shmseg.PlanarFrameSegments` (all three planes
-in one shared allocation per side) and the band queue carries
-``(seq, slot, plane, row0, row1)`` items — full-height Y bands plus
-half-height U/V bands — so the fleet interleaves planes and frames
-freely (a worker can gather Y bands of frame *N* while another
-finishes the chroma of frame *N-1*) while delivery stays strictly
-in order.  Workers then emit ``ring.bands{plane="y"|"u"|"v"}``
-labelled counters and their ``ring.band`` spans carry a ``plane``
-arg.
-
-Frame lineage: every span carries the frame's ``frame_id`` (the input
-sequence number) in its args, and each in-order delivery closes a
-``frame.lifecycle`` span on the synthetic ``ring-frames`` track
-spanning decode start to delivery — one Perfetto row shows each
-frame's full decode → bands → deliver path.  End-to-end latency feeds
-the ``frame.e2e_latency_seconds`` histogram.
-
-SLO enforcement: ``deadline_s`` counts deliveries whose end-to-end
-latency exceeded the per-frame deadline (``stream.deadline_miss``);
-``stall_timeout_s`` arms a watchdog in the consumer poll loop — when
-bands are outstanding but no band has completed for that long, it
-increments ``stream.stalls``, logs a structured warning and dumps the
-flight recorder.  The :class:`~repro.obs.flightrec.FlightRecorder`
-keeps the last N decode/band/delivery events (including the spans
-workers shipped back) and writes them to a timestamped JSON file on a
-worker crash or watchdog fire; the dump path travels on
-:attr:`~repro.errors.StreamError.flight_dump`.
+:func:`plan_bands` chooses the band granularity for every session.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
-import queue as _queue
-import threading
-import time
 from itertools import chain
 
-import numpy as np
-
-from ..errors import ScheduleError, StreamError
-from ..core.image import Frame
+from ..errors import ScheduleError
 from ..core.remap import RemapLUT
-from ..obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
-from ..obs.logsetup import get_logger
-from ..obs.telemetry import get_telemetry
-from ..video.yuv import NV12Frame, YUV420Frame, plane_names_for
 from .partition import row_bands
-from .shmseg import (
-    FrameSegments,
-    PlanarFrameSegments,
-    SharedTables,
-    attach_any_slot,
-    attach_planar_tables,
-    attach_tables,
-    init_worker_telemetry,
-    worker_delta,
-)
 
-__all__ = ["RingEngine", "ring_stream", "plan_bands", "MAX_RING_DEPTH",
-           "RING_SCHEDULES"]
-
-log = get_logger(__name__)
+__all__ = ["ring_stream", "plan_bands", "MAX_RING_DEPTH", "RING_SCHEDULES"]
 
 #: hard cap on ring depth — each slot holds a full input + output frame
 #: in shared memory, so unbounded depth is an unbounded allocation.
 MAX_RING_DEPTH = 32
 
-#: band-scheduling policies the ring executes (schedule.simulate models
+#: band-scheduling policies the fleet executes (schedule.simulate models
 #: the same three; ``static_cyclic`` is meaningless on a shared queue).
 RING_SCHEDULES = ("static", "dynamic", "guided")
-
-#: how long the consumer waits on the completion queue before checking
-#: worker liveness (seconds).
-_POLL_S = 0.2
 
 
 def plan_bands(height: int, workers: int, schedule: str = "dynamic",
@@ -157,577 +85,50 @@ def plan_bands(height: int, workers: int, schedule: str = "dynamic",
     return bands
 
 
-# ----------------------------------------------------------------------
-# worker process
-# ----------------------------------------------------------------------
-def _ring_worker_main(rank, task_q, done_q, table_spec, lut_meta, slot_spec,
-                      telemetry_enabled):
-    """Persistent worker: pull ``(seq, slot, plane, row0, row1)`` items.
+def ring_stream(lut: RemapLUT, frames, copy: bool = False, *,
+                workers: int = 2, depth: int = 2, schedule: str = "dynamic",
+                chunk: int | None = None, context: str = "fork",
+                stall_timeout_s: float | None = None, flight_dir=None,
+                chroma_lut: RemapLUT | None = None, pixfmt: str | None = None,
+                **session):
+    """Correct ``frames`` through a one-session broker; yield in order.
 
-    Attaches once to the LUT tables and every ring slot, then loops
-    until the poison pill (``None``).  A planar publication (spec with
-    a chroma LUT, planar slots) yields one LUT and one view pair per
-    plane; the non-planar ring is the one-plane special case of the
-    same loop.  Each completed band posts ``(seq, slot, rows, rank,
-    telemetry_delta)`` on the completion queue; the delta carries this
-    band's counters, histogram samples and its ``ring.band`` span (on
-    the ``ring-worker-<rank>`` track, with a ``plane`` arg on planar
-    rings) so the parent's merged trace shows true per-worker
-    utilization.
+    The broker gets ``workers`` processes and a slot budget of
+    ``depth`` (at most :data:`MAX_RING_DEPTH`); it starts on the first
+    frame, so an empty source costs nothing, and is closed when the
+    generator finishes or is abandoned.  ``copy=False`` (default)
+    yields zero-copy views of the slot buffers, recycled when the
+    consumer advances.  :class:`~repro.video.yuv.YUV420Frame` and
+    :class:`~repro.video.yuv.NV12Frame` sources (``pixfmt`` defaults
+    to the first frame's kind) need ``chroma_lut=`` and yield planar
+    frames.  ``session`` passes ``deadline_s`` and ``name`` on to the
+    session.
     """
-    init_worker_telemetry(telemetry_enabled)
-    planar = "chroma" in lut_meta
-    if planar:
-        segments, luts = attach_planar_tables(table_spec, lut_meta)
-    else:
-        segments, _, lut = attach_tables(table_spec, lut_meta)
-        luts = (lut,)
-    slots = []
-    for spec in slot_spec:
-        slot_segs, srcs, dsts = attach_any_slot(spec)
-        segments += slot_segs
-        slots.append((srcs, dsts))
-    track = f"ring-worker-{rank}"
-    plane_counters = None
-    try:
-        while True:
-            item = task_q.get()
-            if item is None:
-                break
-            seq, slot_idx, plane, row0, row1 = item
-            srcs, dsts = slots[slot_idx]
-            src, dst, lut = srcs[plane], dsts[plane], luts[plane]
-            tel = get_telemetry()
-            wall0 = time.time() if tel.enabled else 0.0
-            t0 = time.perf_counter() if tel.enabled else 0.0
-            lut.apply_rows_into(src, row0, row1, dst[row0:row1])
-            delta = None
-            if tel.enabled:
-                dt = time.perf_counter() - t0
-                tel.counter("ring.bands").inc()
-                tel.counter(f"ring.worker.{rank}.busy_seconds").inc(dt)
-                tel.histogram("ring.band_seconds").observe(dt)
-                args = {"frame_id": seq, "rows": row1 - row0,
-                        "tier": lut.tier}
-                if planar:
-                    if plane_counters is None:
-                        from ..obs.export import labeled
-                        names = plane_names_for(
-                            lut_meta.get("pixfmt", "yuv420"))
-                        plane_counters = [
-                            (n, labeled("ring.bands", plane=n)) for n in names]
-                    args["plane"] = plane_counters[plane][0]
-                    tel.counter(plane_counters[plane][1]).inc()
-                tel.add_span("ring.band", wall0, dt, cat="ring", tid=track,
-                             args=args)
-                delta = worker_delta()
-            done_q.put((seq, slot_idx, row1 - row0, rank, delta))
-    finally:
-        for shm in segments:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover
-                pass
+    if depth > MAX_RING_DEPTH:
+        raise ScheduleError(
+            f"depth {depth} exceeds MAX_RING_DEPTH ({MAX_RING_DEPTH}); "
+            f"each slot allocates a full frame pair in shared memory")
+    from ..serve.broker import StreamBroker
+    from ..video.yuv import NV12Frame, YUV420Frame
 
-
-# ----------------------------------------------------------------------
-# the engine
-# ----------------------------------------------------------------------
-class RingEngine:
-    """Bounded shared-memory frame ring with persistent band workers.
-
-    Parameters
-    ----------
-    lut:
-        The frozen remap table (published once into shared memory).
-    frame_shape, frame_dtype:
-        Geometry of the source frames (fixed for the engine's life —
-        the ring slots are sized once).
-    workers:
-        Persistent worker-process count.
-    depth:
-        Ring slots, i.e. maximum frames in flight (decode + compute +
-        undelivered).  ``depth=1`` degenerates to fork-join behaviour;
-        ``depth>=2`` gives frame-level double buffering.  Capped at
-        :data:`MAX_RING_DEPTH` since each slot owns a full input +
-        output frame of shared memory.
-    schedule, chunk:
-        Band-granularity policy; see :func:`plan_bands`.
-    context:
-        Multiprocessing start method (``fork`` default, ``spawn``
-        supported).
-    deadline_s:
-        Per-frame latency SLO: deliveries whose decode-to-delivery
-        latency exceeds this many seconds increment the
-        ``stream.deadline_miss`` counter.  ``None`` (default) disables
-        the check.
-    stall_timeout_s:
-        Watchdog: when bands are outstanding but none has completed
-        for this many seconds, increment ``stream.stalls``, log a
-        warning and dump the flight recorder (once per stall episode).
-        ``None`` (default) disables the watchdog.
-    flight_dir, flight_capacity:
-        Where crash/stall flight-recorder dumps land (default: the
-        system temp dir) and how many trailing events the recorder
-        keeps.
-
-    Use as a context manager, or call :meth:`close` — though dropping
-    an engine without closing it is safe too: every segment group
-    carries a GC/atexit finalizer (see :mod:`repro.parallel.shmseg`).
-    """
-
-    name = "ring"
-
-    def __init__(self, lut: RemapLUT, frame_shape, frame_dtype=np.uint8,
-                 workers: int = 2, depth: int = 2, schedule: str = "dynamic",
-                 chunk: int | None = None, context: str = "fork",
-                 deadline_s: float | None = None,
-                 stall_timeout_s: float | None = None,
-                 flight_dir=None,
-                 flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
-                 chroma_lut: RemapLUT | None = None,
-                 pixfmt: str = "yuv420"):
-        if workers < 1:
-            raise ScheduleError(f"workers must be >= 1, got {workers}")
-        if depth < 1:
-            raise ScheduleError(f"depth must be >= 1, got {depth}")
-        if deadline_s is not None and not deadline_s > 0:
-            raise ScheduleError(f"deadline_s must be > 0, got {deadline_s}")
-        if stall_timeout_s is not None and not stall_timeout_s > 0:
-            raise ScheduleError(
-                f"stall_timeout_s must be > 0, got {stall_timeout_s}")
-        if depth > MAX_RING_DEPTH:
-            raise ScheduleError(
-                f"depth {depth} exceeds MAX_RING_DEPTH ({MAX_RING_DEPTH}); "
-                f"each slot allocates a full frame pair in shared memory")
-        frame_shape = tuple(frame_shape)
-        if frame_shape[:2] != lut.src_shape:
-            raise ScheduleError(
-                f"frame shape {frame_shape} does not match LUT source {lut.src_shape}")
-        self.lut = lut
-        self.chroma_lut = chroma_lut
-        self.planar = chroma_lut is not None
-        self.workers = workers
-        self.depth = depth
-        self.schedule = schedule
-        self.deadline_s = deadline_s
-        self.stall_timeout_s = stall_timeout_s
-        self.flightrec = FlightRecorder(capacity=flight_capacity,
-                                        directory=flight_dir)
-        self.frame_shape = frame_shape
-        self.frame_dtype = np.dtype(frame_dtype)
-        channels = frame_shape[2:] if len(frame_shape) == 3 else ()
-        self.out_shape = lut.out_shape + channels
-        #: band items as ``(plane, row0, row1)`` — per-plane on planar
-        #: rings (Y bands over the full output height, chroma bands over
-        #: half), a single plane 0 otherwise.
-        self.bands = [(0, r0, r1) for r0, r1 in
-                      plan_bands(lut.out_shape[0], workers, schedule, chunk)]
-        #: high-water mark of simultaneously occupied slots (observable
-        #: backpressure witness; also exported as the ``ring.in_flight``
-        #: gauge).
-        self.max_in_flight = 0
-        self._closed = False
-        self._streaming = False
-
-        if self.planar:
-            if pixfmt not in ("yuv420", "nv12"):
-                raise ScheduleError(
-                    f"planar rings support yuv420/nv12, got {pixfmt!r}")
-            if len(frame_shape) != 2:
-                raise ScheduleError(
-                    f"planar rings take 2-D luma frame shapes, got {frame_shape}")
-            h, w = frame_shape
-            if h % 2 or w % 2:
-                raise ScheduleError(
-                    f"planar frame size must be even, got {w}x{h}")
-            if chroma_lut.src_shape != (h // 2, w // 2):
-                raise ScheduleError(
-                    f"chroma LUT source {chroma_lut.src_shape} is not half "
-                    f"the luma frame {frame_shape}")
-            oh, ow = lut.out_shape
-            if chroma_lut.out_shape != (oh // 2, ow // 2):
-                raise ScheduleError(
-                    f"chroma LUT output {chroma_lut.out_shape} is not half "
-                    f"the luma output {lut.out_shape}")
-            self.pixfmt = pixfmt
-            self._frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-            chroma_bands = plan_bands(oh // 2, workers, schedule,
-                                      None if chunk is None else max(1, chunk // 2))
-            # NV12 folds both chroma planes into one interleaved band
-            # set (plane 1); I420 schedules U and V separately (1, 2).
-            chroma_planes = (1,) if pixfmt == "nv12" else (1, 2)
-            self.bands += [(plane, r0, r1) for plane in chroma_planes
-                           for r0, r1 in chroma_bands]
-            self._slots = [
-                PlanarFrameSegments(self._frame_cls.plane_shapes(h, w),
-                                    self.frame_dtype,
-                                    self._frame_cls.plane_shapes(oh, ow))
-                for _ in range(depth)]
-            self._tables = SharedTables(lut, chroma=chroma_lut, pixfmt=pixfmt)
-        else:
-            self._slots = [FrameSegments(self.frame_shape, self.frame_dtype,
-                                         self.out_shape) for _ in range(depth)]
-            self._tables = SharedTables(lut)
-        self._segment_groups = list(self._slots) + [self._tables]
-        slot_spec = [s.spec for s in self._slots]
-
-        ctx = mp.get_context(context)
-        self._task_q = ctx.Queue()
-        self._done_q = ctx.Queue()
-        tel = get_telemetry()
-        tel.gauge("ring.depth").set(depth)
-        log.debug("starting %d persistent %s ring workers (depth %d, %s x%d bands)",
-                  workers, context, depth, schedule, len(self.bands))
-        self._procs = []
-        for rank in range(workers):
-            p = ctx.Process(
-                target=_ring_worker_main,
-                args=(rank, self._task_q, self._done_q, dict(self._tables.spec),
-                      self._tables.meta, slot_spec, tel.enabled),
-                daemon=True,
-                name=f"ring-worker-{rank}",
-            )
-            p.start()
-            self._procs.append(p)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self):
-        """Stop workers and unlink every shared segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        # Drop band tasks still queued (an aborted stream leaves a
-        # backlog) so every worker reaches its poison pill promptly
-        # instead of grinding through stale work against dying slots.
-        try:
-            while True:
-                self._task_q.get_nowait()
-        except (_queue.Empty, OSError, ValueError):
-            pass
-        for p in self._procs:
-            if p.is_alive():
-                try:
-                    self._task_q.put(None)
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
-        for p in self._procs:
-            p.join(timeout=2.0)
-        for p in self._procs:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=2.0)
-        for q in (self._task_q, self._done_q):
-            q.cancel_join_thread()
-            q.close()
-        for group in self._segment_groups:
-            group.release()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _check_workers(self):
-        for p in self._procs:
-            if not p.is_alive():
-                rank, code = p.name, p.exitcode
-                message = (
-                    f"{rank} died with exit code {code} mid-stream; "
-                    f"ring shut down and all shared segments released")
-                self.flightrec.record("worker_crash", worker=rank, exitcode=code)
-                dump = self.flightrec.dump("worker-crash", error=message)
-                self.close()
-                if dump:
-                    message += f" (flight recorder dump: {dump})"
-                raise StreamError(message, flight_dump=dump or None)
-
-    def _on_stall(self, tel, waited_s, outstanding, next_seq):
-        """Watchdog fired: count, warn and dump (once per episode)."""
-        self.flightrec.record("stall", waited_s=round(waited_s, 3),
-                              outstanding_bands=outstanding,
-                              next_frame_id=next_seq)
-        dump = self.flightrec.dump(
-            "stall",
-            error=f"no band completion for {waited_s:.2f}s "
-                  f"({outstanding} bands outstanding)")
-        if tel.enabled:
-            tel.counter("stream.stalls").inc()
-        log.warning(
-            "ring stall: no band completion for %.2fs with %d bands "
-            "outstanding (next frame %d); flight recorder dump: %s",
-            waited_s, outstanding, next_seq, dump or "<unwritable>")
-
-    # ------------------------------------------------------------------
-    # streaming
-    # ------------------------------------------------------------------
-    def stream(self, frames, copy: bool = False):
-        """Correct ``frames`` through the ring; yield strictly in order.
-
-        Parameters
-        ----------
-        frames:
-            Iterable of ndarrays or :class:`~repro.core.image.Frame`
-            matching the bound geometry.
-        copy:
-            When false (default) each yielded array aliases the slot's
-            shared output buffer, which is recycled when the consumer
-            advances — consume or copy before the next iteration, like
-            any zero-copy decoder API.  When true each frame owns its
-            data and the slot recycles immediately.
-
-        Raises
-        ------
-        StreamError
-            If a worker process dies mid-stream (all shared segments
-            are released first).
-        ScheduleError
-            On geometry mismatch or concurrent/closed use.
-        """
-        if self._closed:
-            raise ScheduleError("ring engine already closed")
-        if self._streaming:
-            raise ScheduleError("ring engine supports one active stream at a time")
-        self._streaming = True
-        try:
-            yield from self._stream(frames, copy)
-        finally:
-            self._streaming = False
-
-    def _stream(self, frames, copy):
-        tel = get_telemetry()
-        free: _queue.Queue = _queue.Queue()
-        for i in range(self.depth):
-            free.put(i)
-        pending = [0] * self.depth        # outstanding bands per slot
-        slot_items = [None] * self.depth  # original Frame per slot (or None)
-        completed = {}                    # seq -> slot index, bands done
-        decode_t0 = {}                    # seq -> decode-start wall time
-        abort = threading.Event()
-        state = {"produced": None, "error": None}
-        flightrec = self.flightrec
-
-        def producer():
-            """Decode thread: fill free slots, enqueue bands."""
-            seq = 0
-            it = iter(frames)
-            try:
-                while not abort.is_set():
-                    t_dec = time.time()
-                    t0 = time.perf_counter()
-                    try:
-                        item = next(it)
-                    except StopIteration:
-                        break
-                    if self.planar:
-                        if not isinstance(item, self._frame_cls):
-                            raise ScheduleError(
-                                f"planar ring expects "
-                                f"{self._frame_cls.__name__} items, "
-                                f"got {type(item).__name__}")
-                        if (item.y.shape != self.frame_shape
-                                or item.y.dtype != self.frame_dtype):
-                            raise ScheduleError(
-                                f"frame {item.y.shape}/{item.y.dtype} does not "
-                                f"match ring geometry "
-                                f"{self.frame_shape}/{self.frame_dtype}")
-                    else:
-                        data = item.data if isinstance(item, Frame) else np.asarray(item)
-                        if data.shape != self.frame_shape or data.dtype != self.frame_dtype:
-                            raise ScheduleError(
-                                f"frame {data.shape}/{data.dtype} does not match ring "
-                                f"geometry {self.frame_shape}/{self.frame_dtype}")
-                    t1 = time.perf_counter()
-                    while True:
-                        try:
-                            slot = free.get(timeout=_POLL_S)
-                            break
-                        except _queue.Empty:
-                            if abort.is_set():
-                                return
-                    t2 = time.perf_counter()
-                    if self.planar:
-                        for view, plane in zip(self._slots[slot].src_views,
-                                               item.planes):
-                            np.copyto(view, plane)
-                        slot_items[slot] = None
-                    else:
-                        np.copyto(self._slots[slot].src_view, data)
-                        slot_items[slot] = item if isinstance(item, Frame) else None
-                    pending[slot] = len(self.bands)
-                    decode_t0[seq] = t_dec
-                    in_flight = self.depth - free.qsize()
-                    self.max_in_flight = max(self.max_in_flight, in_flight)
-                    flightrec.record("decode", frame_id=seq, slot=slot)
-                    if tel.enabled:
-                        tel.counter("ring.frames").inc()
-                        tel.histogram("ring.slot_wait_seconds").observe(t2 - t1)
-                        tel.gauge("ring.in_flight").set(in_flight)
-                        tel.add_span("ring.decode", t_dec,
-                                     time.perf_counter() - t0, cat="ring",
-                                     tid="ring-decode", args={"frame_id": seq,
-                                                              "slot": slot})
-                    for plane, row0, row1 in self.bands:
-                        self._task_q.put((seq, slot, plane, row0, row1))
-                    seq += 1
-                state["produced"] = seq
-            except BaseException as exc:  # noqa: BLE001 - re-raised by consumer
-                state["error"] = exc
-                state["produced"] = seq
-
-        prod = threading.Thread(target=producer, name="ring-decode", daemon=True)
-        prod.start()
-
-        next_seq = 0
-        held_slot = None  # slot whose zero-copy view the consumer still sees
-        clean_exit = False
-        last_live_check = time.monotonic()
-        last_progress = time.monotonic()  # watchdog: last band completion
-        stalled = False                   # one warning+dump per episode
-        try:
-            while True:
-                # a dead worker must be noticed even while the healthy
-                # workers keep the completion queue busy (its in-flight
-                # band is lost, so its frame would stall forever)
-                if time.monotonic() - last_live_check > _POLL_S:
-                    self._check_workers()
-                    last_live_check = time.monotonic()
-                if held_slot is not None:
-                    # consumer advanced past the zero-copy view: recycle
-                    slot_items[held_slot] = None
-                    free.put(held_slot)
-                    held_slot = None
-                if state["error"] is not None:
-                    raise state["error"]
-                if next_seq in completed:
-                    slot = completed.pop(next_seq)
-                    if self.planar:
-                        result = self._frame_cls(*self._slots[slot].dst_views)
-                    else:
-                        result = self._slots[slot].dst_view
-                    item = slot_items[slot]
-                    if copy:
-                        result = result.copy()
-                        slot_items[slot] = None
-                        free.put(slot)
-                    else:
-                        held_slot = slot
-                    t_dec0 = decode_t0.pop(next_seq, None)
-                    if t_dec0 is not None:
-                        e2e = time.time() - t_dec0
-                        miss = (self.deadline_s is not None
-                                and e2e > self.deadline_s)
-                        flightrec.record("deliver", frame_id=next_seq,
-                                         slot=slot, e2e_s=round(e2e, 6))
-                        if miss:
-                            flightrec.record("deadline_miss",
-                                             frame_id=next_seq,
-                                             e2e_s=round(e2e, 6),
-                                             deadline_s=self.deadline_s)
-                        if tel.enabled:
-                            tel.histogram("frame.e2e_latency_seconds").observe(e2e)
-                            tel.add_span("frame.lifecycle", t_dec0, e2e,
-                                         cat="frame", tid="ring-frames",
-                                         args={"frame_id": next_seq,
-                                               "slot": slot})
-                            if miss:
-                                tel.counter("stream.deadline_miss").inc()
-                    next_seq += 1
-                    if tel.enabled:
-                        tel.gauge("ring.in_flight").set(self.depth - free.qsize())
-                    yield item.with_data(result) if item is not None else result
-                    continue
-                if state["produced"] is not None and next_seq >= state["produced"]:
-                    clean_exit = True
-                    return  # everything produced has been delivered
-                t_wait = time.time()
-                t0 = time.perf_counter()
-                try:
-                    seq, slot, rows, rank, delta = self._done_q.get(timeout=_POLL_S)
-                except _queue.Empty:
-                    self._check_workers()
-                    if (self.stall_timeout_s is not None and not stalled
-                            and sum(pending) > 0
-                            and time.monotonic() - last_progress
-                            > self.stall_timeout_s):
-                        stalled = True
-                        self._on_stall(tel, time.monotonic() - last_progress,
-                                       sum(pending), next_seq)
-                    continue
-                last_progress = time.monotonic()
-                stalled = False
-                flightrec.record("band_done", frame_id=seq, slot=slot,
-                                 rows=rows, worker=rank)
-                if delta:
-                    for span in delta.get("spans", ()):
-                        flightrec.record_span(span)
-                if tel.enabled:
-                    dt = time.perf_counter() - t0
-                    tel.histogram("ring.deliver_wait_seconds").observe(dt)
-                    if delta:
-                        tel.merge(delta)
-                    tel.add_span("ring.deliver", t_wait, dt, cat="ring",
-                                 tid="ring-deliver", args={"frame_id": seq})
-                pending[slot] -= 1  # one completion message per band
-                if pending[slot] == 0:
-                    completed[seq] = slot
-        finally:
-            abort.set()
-            prod.join(timeout=5.0)
-            if not clean_exit and not self._closed:
-                # abandoned or failed mid-stream: stale band tasks may
-                # still reference slots — the engine cannot be reused.
-                self.close()
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_stream(cls, lut: RemapLUT, first_frame, **kwargs) -> "RingEngine":
-        """Build an engine sized from the first frame of a stream.
-
-        A :class:`~repro.video.yuv.YUV420Frame` or
-        :class:`~repro.video.yuv.NV12Frame` first frame selects the
-        planar ring (pass ``chroma_lut=`` alongside); NV12 pins
-        ``pixfmt="nv12"`` so band scheduling uses the single
-        interleaved chroma plane.
-        """
-        if isinstance(first_frame, (YUV420Frame, NV12Frame)):
-            if kwargs.get("chroma_lut") is None:
-                raise ScheduleError(
-                    f"{type(first_frame).__name__} streams need a "
-                    "chroma_lut for the planar ring")
-            kwargs.setdefault(
-                "pixfmt",
-                "nv12" if isinstance(first_frame, NV12Frame) else "yuv420")
-            return cls(lut, first_frame.y.shape, first_frame.y.dtype, **kwargs)
-        data = first_frame.data if isinstance(first_frame, Frame) else np.asarray(first_frame)
-        return cls(lut, data.shape, data.dtype, **kwargs)
-
-
-def ring_stream(lut: RemapLUT, frames, copy: bool = False, **kwargs):
-    """One-shot helper: build a ring from the stream's first frame,
-    run the whole stream through it, and close the engine.
-
-    The geometry is taken from the first frame (the engine binds to
-    fixed shapes), so the source iterable may be a generator.  YUV420
-    and NV12 sources (with ``chroma_lut=``) run through the planar
-    ring and yield :class:`~repro.video.yuv.YUV420Frame` /
-    :class:`~repro.video.yuv.NV12Frame` results respectively.
-    """
     it = iter(frames)
-    try:
-        first = next(it)
-    except StopIteration:
+    first = next(it, None)
+    if first is None:
         return
-    engine = RingEngine.for_stream(lut, first, **kwargs)
-    with engine:
-        yield from engine.stream(chain([first], it), copy=copy)
+    if pixfmt is None:
+        pixfmt = {NV12Frame: "nv12", YUV420Frame: "yuv420"}.get(
+            type(first), "rgb")
+    if pixfmt != "rgb" and chroma_lut is None:
+        raise ScheduleError(
+            f"{pixfmt} streams need a chroma_lut for the planar ring")
+    broker = StreamBroker(workers=workers, slot_budget=depth,
+                          schedule=schedule, chunk=chunk, context=context,
+                          stall_timeout_s=stall_timeout_s,
+                          flight_dir=flight_dir)
+    try:
+        yield from broker._admit(chain([first], it),
+                                 lambda: (None, (lut, chroma_lut)),
+                                 depth=depth, copy=copy, pixfmt=pixfmt,
+                                 **session)
+    finally:
+        broker.close()

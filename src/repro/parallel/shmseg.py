@@ -1,8 +1,8 @@
-"""Shared-memory segment plumbing for the process-based executors.
+"""Shared-memory segment plumbing for the process-based engines.
 
-Everything the process executors and the streaming ring have in common
+Everything the fork-join executor and the stream broker have in common
 lives here, so :mod:`~repro.parallel.procpool` (per-frame fork-join)
-and :mod:`~repro.parallel.ring` (persistent-worker streaming) share one
+and :mod:`~repro.serve.broker` (persistent-worker streaming) share one
 implementation of the fragile parts:
 
 - **publication** of numpy arrays and whole LUT table sets into named
@@ -189,6 +189,16 @@ class FrameSegments(_SegmentGroup):
         (see :func:`attach_slot`)."""
         return (self.src_shm.name, self.frame_shape, self.dst_shm.name,
                 self.out_shape, self.dtype.str)
+
+    @property
+    def src_views(self):
+        """One-plane view tuples, shaped like
+        :class:`PlanarFrameSegments`' so engines index planes uniformly."""
+        return (self.src_view,)
+
+    @property
+    def dst_views(self):
+        return (self.dst_view,)
 
     def release(self):
         self.src_view = None

@@ -11,8 +11,8 @@ are live at once — the same memory/overlap trade the Cell model's
 double buffering prices.  ``depth`` is therefore capped at
 :data:`MAX_STREAM_DEPTH`: past that point the "pipeline" is just an
 unbounded frame allocator.  (For process-level parallelism with
-*bounded* shared-memory buffers, see :class:`repro.parallel.ring
-.RingEngine`.)
+*bounded* shared-memory buffers, see
+:func:`repro.parallel.ring.ring_stream`.)
 
 When a :mod:`repro.obs` registry is enabled the stream reports the
 same surface as :func:`repro.video.stream.corrected_stream`:

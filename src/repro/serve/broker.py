@@ -1,10 +1,11 @@
-"""Multi-stream correction broker: N streams, one worker fleet.
+"""Stream broker: N streams, one worker fleet.
 
-The ring engine (:mod:`repro.parallel.ring`) corrects exactly one
-stream per worker fleet.  Production hosts serve many cameras at once
-— the multi-video batch workflows and the real-time multi-feed
-constraints in PAPERS.md — so this module multiplexes *sessions* onto
-one pool of persistent band workers:
+The broker is the one persistent-worker engine of the package.  It
+multiplexes *sessions* onto one pool of persistent band workers; the
+single-stream ring (:func:`repro.parallel.ring.ring_stream`) is a
+broker with one session, and many-camera hosts (the multi-video batch
+workflows and the real-time multi-feed constraints in PAPERS.md) admit
+as many sessions as their slot budget allows:
 
 - :class:`StreamBroker` owns the fleet.  Each admitted session gets a
   private ring of ``depth`` shared-memory frame slots; **admission
@@ -14,11 +15,16 @@ one pool of persistent band workers:
 - A per-session **feeder thread** decodes frames into free slots —
   when a session's consumer lags, its feeder blocks on its own free
   list (**per-stream backpressure**) without slowing anyone else.
-- A single **dispatcher thread** drains the sessions' band queues in
-  **weighted round-robin** order (:class:`_FairScheduler`): every
-  scheduling turn a stream may dispatch up to ``weight`` band items,
-  so a stalled or slow stream cannot starve the others, and priority
-  streams get proportionally more of the fleet.
+- **Band dispatch** drains the sessions' band queues in **weighted
+  round-robin** order (:class:`_FairScheduler`): every scheduling turn
+  a stream may dispatch up to ``weight`` band items, so a stalled or
+  slow stream cannot starve the others, and priority streams get
+  proportionally more of the fleet.  At most ``4 * workers`` bands are
+  in flight; a feeder that queues a frame, and the collector after
+  each completion, send whatever that cap allows.  Workers pull bands
+  from one shared queue, so frame *k+1*'s bands start the moment a
+  worker frees up — the frame-level analogue of the paper's Cell BE
+  double buffering.
 - Sessions sharing a calibration share one
   :class:`~repro.parallel.shmseg.SharedTables` publication (fed from
   one single-flight :class:`~repro.core.lutcache.LUTCache`), attached
@@ -30,13 +36,33 @@ one pool of persistent band workers:
   each :class:`StreamSession` yields its frames **strictly in input
   order** no matter how the fleet interleaved the bands.
 
+Planar sessions (``pixfmt="yuv420"``/``"nv12"``) schedule per-plane
+bands — full-height Y bands plus half-height chroma bands — so the
+fleet interleaves planes and frames freely while delivery stays in
+order.
+
 Telemetry: next to the aggregate ``stream.*`` series the broker emits
 per-stream labelled series (``stream.frames{stream="cam0"}``,
 ``frame.e2e_latency_seconds{stream="cam0"}``,
 ``stream.deadline_miss{stream="cam0"}`` — see
 :func:`repro.obs.export.labeled`) plus fleet-level ``serve.*``
-counters/gauges, all scrapeable live from a
-:class:`~repro.obs.live.MetricsServer`.
+counters/gauges (``serve.bands{plane=...}`` on planar sessions), all
+scrapeable live from a :class:`~repro.obs.live.MetricsServer`.  Every
+span carries its frame's ``frame_id`` and stream name: ``serve.feed``
+on the session's ``serve-feed-<name>`` track, ``serve.band`` on
+``serve-worker-<rank>``, ``serve.deliver`` on ``serve-deliver-<name>``
+and one ``frame.lifecycle`` span per delivered frame on
+``serve-frames-<name>``.
+
+Fault handling: ``stall_timeout_s`` arms a watchdog in the collector —
+when bands are outstanding but none has completed for that long, it
+increments ``stream.stalls``, logs a warning and dumps the
+:class:`~repro.obs.flightrec.FlightRecorder` (once per stall episode).
+The recorder keeps the last decode/band/delivery events and the worker
+spans shipped back with each band; when a worker dies, the broker
+dumps it, releases every slot and table segment, and fails every
+session with a :class:`~repro.errors.StreamError` whose
+``flight_dump`` names the file.
 """
 
 from __future__ import annotations
@@ -55,6 +81,7 @@ from ..core.kernel_tiers import resolve_tier
 from ..core.lutcache import LUTCache
 from ..errors import AdmissionError, ScheduleError, StreamError
 from ..obs.export import labeled
+from ..obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from ..obs.logsetup import get_logger
 from ..obs.telemetry import get_telemetry
 from ..parallel.ring import plan_bands
@@ -69,6 +96,11 @@ DEFAULT_SLOT_BUDGET = 16
 
 #: queue poll interval (seconds) shared by all broker threads.
 _POLL_S = 0.2
+
+#: dispatched-but-uncompleted bands allowed per worker: keeps the fleet
+#: queue short so round-robin fairness acts at band granularity instead
+#: of deep in a FIFO.
+_INFLIGHT_BANDS_PER_WORKER = 4
 
 
 # ----------------------------------------------------------------------
@@ -135,27 +167,29 @@ class _FairScheduler:
         return sum(len(q) for q in self._queues.values())
 
 
+
+
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
 def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
     """Fleet worker: pull ``(sid, seq, slot, plane, row0, row1, desc)``.
 
-    Unlike the single-stream ring worker, attachments are *lazy and
-    cached*: the first band of a session attaches its slots (and its
-    LUT tables — cached by **publication**, the name of the
-    publication's index segment, so sessions sharing one calibration
-    attach the tables once, and a calibration published again after a
-    drop can never reuse the dropped mapping).  Planar (yuv420/nv12)
-    sessions publish a chroma LUT next to the luma one; the worker
-    detects it from the table metadata, indexes both slot views and
-    LUTs by the band's ``plane``, and labels its spans with the
-    publication's plane names (``y``/``u``/``v`` or ``y``/``uv``).
-    ``ctrl_q`` broadcasts ``("forget", sid)`` when a session closes and
-    ``("drop", publication)`` when the last session of a calibration
-    has closed, so the worker unmaps both; a band whose segments are
-    already gone posts ``rows=-1`` and the collector decides whether
-    anyone still cares.
+    Attachments are *lazy and cached*: the first band of a session
+    attaches its slots (and its LUT tables — cached by
+    **publication**, the name of the publication's index segment, so
+    sessions sharing one calibration attach the tables once, and a
+    calibration published again after a drop can never reuse the
+    dropped mapping).  Planar (yuv420/nv12) sessions publish a chroma
+    LUT next to the luma one; the worker detects it from the table
+    metadata, indexes both slot views and LUTs by the band's
+    ``plane``, and labels its spans and ``serve.bands{plane=...}``
+    counter with the publication's plane names (``y``/``u``/``v`` or
+    ``y``/``uv``).  ``ctrl_q`` broadcasts ``("forget", sid)`` when a
+    session closes and ``("drop", publication)`` when the last session
+    of a calibration has closed, so the worker unmaps both; a band
+    whose segments are already gone posts ``rows=-1`` and the
+    collector decides whether anyone still cares.
     """
     from ..parallel.shmseg import (attach_any_slot, attach_planar_tables,
                                    attach_tables, init_worker_telemetry,
@@ -267,6 +301,7 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
                         "rows": rows, "tier": tier}
                 if plane_name is not None:
                     args["plane"] = plane_name
+                    tel.counter(labeled("serve.bands", plane=plane_name)).inc()
                 tel.add_span("serve.band", wall0, dt, cat="serve", tid=track,
                              args=args)
                 delta = worker_delta()
@@ -278,9 +313,22 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
             drop(pub)
 
 
+
 # ----------------------------------------------------------------------
 # session
 # ----------------------------------------------------------------------
+def _frame_planes(item, frame_cls, name):
+    """The planes of one source item: ``item.planes`` of a planar
+    ``frame_cls`` item, else a one-plane tuple of the packed array."""
+    if frame_cls is None:
+        return (item.data if isinstance(item, Frame) else np.asarray(item),)
+    if not isinstance(item, frame_cls):
+        raise ScheduleError(
+            f"planar stream {name!r} expects {frame_cls.__name__} items, "
+            f"got {type(item).__name__}")
+    return item.planes
+
+
 class StreamSession:
     """One admitted stream: iterate it for strictly in-order frames.
 
@@ -290,13 +338,13 @@ class StreamSession:
     (the default — the safe mode when several threads drain several
     sessions) every yielded frame owns its data; ``copy=False`` yields
     zero-copy views of the session's slot buffers that are recycled
-    when the consumer advances.
+    when the consumer advances.  ``max_in_flight`` is the high-water
+    mark of occupied slots, the observable backpressure witness.
     """
 
     def __init__(self, broker: "StreamBroker", sid: int, name: str,
                  source, depth: int, weight: int, copy: bool,
-                 deadline_s, bands, slots, desc, empty: bool = False,
-                 pixfmt: str = "rgb"):
+                 deadline_s, bands, slots, desc, frame_cls=None):
         self.broker = broker
         self.sid = sid
         self.name = name
@@ -305,17 +353,17 @@ class StreamSession:
         self.copy = copy
         self.deadline_s = deadline_s
         self.delivered = 0
-        self.pixfmt = pixfmt
+        self.max_in_flight = 0
         self._source = source
         self._bands = bands
         self._slots = slots
         self._desc = desc
-        self._planar = bool(slots) and hasattr(slots[0], "plane_shapes")
-        if self._planar:
-            from ..video.yuv import NV12Frame, YUV420Frame
-            self._frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-        else:
-            self._frame_cls = None
+        self._frame_cls = frame_cls
+        # geometry every frame must match: plane 0's shape and dtype
+        self._geometry = ((slots[0].src_views[0].shape,
+                           slots[0].src_views[0].dtype) if slots else None)
+        self._tracks = tuple(f"serve-{kind}-{name}"
+                             for kind in ("feed", "deliver", "frames"))
         self._cond = threading.Condition()
         self._free: _queue.Queue = _queue.Queue()
         for i in range(len(slots)):
@@ -325,19 +373,18 @@ class StreamSession:
         self._slot_items = [None] * len(slots)
         self._completed: dict = {}            # seq -> slot
         self._decode_t0: dict = {}            # seq -> decode wall time
-        self._produced = 0 if empty else None
+        self._produced = None if slots else 0
         self._error: BaseException | None = None
         self._closed = False
         self._next_seq = 0
         self._held_slot = None
         self._feeder = None
-        self._empty = empty
         self._exhausted = False
 
     def _start(self) -> None:
         """Launch the feeder — only after the broker has registered the
         session (scheduler + routing map), else early bands are lost."""
-        if self._empty or self._feeder is not None:
+        if not self._slots or self._feeder is not None:
             return
         self._feeder = threading.Thread(
             target=self._feed, name=f"serve-feed-{self.name}", daemon=True)
@@ -346,6 +393,7 @@ class StreamSession:
     # -- feeder thread -------------------------------------------------
     def _feed(self):
         broker = self.broker
+        tel = broker._tel
         seq = 0
         it = iter(self._source)
         try:
@@ -355,30 +403,14 @@ class StreamSession:
                 except StopIteration:
                     break
                 t_dec = time.time()
-                slot0 = self._slots[0]
-                if self._planar:
-                    if not isinstance(item, self._frame_cls):
-                        raise ScheduleError(
-                            f"planar stream {self.name!r} expects "
-                            f"{self._frame_cls.__name__} items, "
-                            f"got {type(item).__name__}")
-                    if (item.y.shape != slot0.plane_shapes[0]
-                            or item.y.dtype != slot0.dtype):
-                        raise ScheduleError(
-                            f"stream {self.name!r} frame "
-                            f"{item.y.shape}/{item.y.dtype} does not match "
-                            f"session geometry "
-                            f"{slot0.plane_shapes[0]}/{slot0.dtype}")
-                else:
-                    data = (item.data if isinstance(item, Frame)
-                            else np.asarray(item))
-                    if (data.shape != slot0.frame_shape
-                            or data.dtype != slot0.dtype):
-                        raise ScheduleError(
-                            f"stream {self.name!r} frame "
-                            f"{data.shape}/{data.dtype} "
-                            f"does not match session geometry "
-                            f"{slot0.frame_shape}/{slot0.dtype}")
+                t0 = time.perf_counter()
+                planes = _frame_planes(item, self._frame_cls, self.name)
+                shape, dtype = self._geometry
+                if planes[0].shape != shape or planes[0].dtype != dtype:
+                    raise ScheduleError(
+                        f"stream {self.name!r} frame "
+                        f"{planes[0].shape}/{planes[0].dtype} does not "
+                        f"match the session geometry {shape}/{dtype}")
                 while True:  # per-stream backpressure: block on OUR ring
                     try:
                         slot = self._free.get(timeout=_POLL_S)
@@ -388,16 +420,21 @@ class StreamSession:
                             return
                 if slot is None or self._closed:  # woken by close()
                     return
-                if self._planar:
-                    for view, plane in zip(self._slots[slot].src_views,
-                                           item.planes):
-                        np.copyto(view, plane)
-                else:
-                    np.copyto(self._slots[slot].src_view, data)
+                self.max_in_flight = max(self.max_in_flight,
+                                         self.depth - self._free.qsize())
+                for view, plane in zip(self._slots[slot].src_views, planes):
+                    np.copyto(view, plane)
                 with self._cond:
                     self._pending[slot] = len(self._bands)
                     self._slot_items[slot] = item if isinstance(item, Frame) else None
                     self._decode_t0[seq] = t_dec
+                broker.flightrec.record("decode", stream=self.name,
+                                        frame_id=seq, slot=slot)
+                if tel.enabled:
+                    tel.add_span("serve.feed", t_dec, time.perf_counter() - t0,
+                                 cat="serve", tid=self._tracks[0],
+                                 args={"frame_id": seq, "stream": self.name,
+                                       "slot": slot})
                 broker._push_bands(
                     self.sid,
                     [(seq, slot, p, r0, r1) for p, r0, r1 in self._bands])
@@ -454,8 +491,14 @@ class StreamSession:
                     break
                 self._cond.wait(min(left, _POLL_S))
 
-    def _fail(self, exc: BaseException):
+    def _fail(self, exc: BaseException, release: bool = False):
+        """Record the session's first error; ``release`` also unlinks
+        its slots first, so a consumer that sees ``exc`` finds them
+        gone (the worker-crash path)."""
         with self._cond:
+            if release:
+                for seg in self._slots:
+                    seg.release()
             if self._error is None:
                 self._error = exc
             self._cond.notify_all()
@@ -467,6 +510,7 @@ class StreamSession:
     def __next__(self):
         broker = self.broker
         tel = broker._tel
+        t_wait = time.time()
         with self._cond:
             if self._exhausted:
                 raise StopIteration
@@ -492,37 +536,48 @@ class StreamSession:
             exhausted = self._next_seq not in self._completed
             if exhausted:
                 self._exhausted = True
-            if not exhausted:
-                slot = self._completed.pop(self._next_seq)
-                if self._planar:
-                    result = self._frame_cls(*self._slots[slot].dst_views)
-                else:
-                    result = self._slots[slot].dst_view
+            else:
+                seq = self._next_seq
+                slot = self._completed.pop(seq)
+                views = self._slots[slot].dst_views
+                result = (self._frame_cls(*views) if self._frame_cls
+                          else views[0])
                 item = self._slot_items[slot]
                 if self.copy:
                     result = result.copy()
                     self._recycle(slot)
                 else:
                     self._held_slot = slot
-                t_dec0 = self._decode_t0.pop(self._next_seq, None)
+                t_dec0 = self._decode_t0.pop(seq)
                 self._next_seq += 1
                 self.delivered += 1
         if exhausted:
             self.close()
             raise StopIteration
-        if t_dec0 is not None:
-            e2e = time.time() - t_dec0
-            miss = self.deadline_s is not None and e2e > self.deadline_s
-            if tel.enabled:
-                tel.counter("stream.frames").inc()
-                tel.counter(labeled("stream.frames", stream=self.name)).inc()
-                tel.histogram("frame.e2e_latency_seconds").observe(e2e)
-                tel.histogram(labeled("frame.e2e_latency_seconds",
-                                      stream=self.name)).observe(e2e)
-                if miss:
-                    tel.counter("stream.deadline_miss").inc()
-                    tel.counter(labeled("stream.deadline_miss",
-                                        stream=self.name)).inc()
+        now = time.time()
+        e2e = now - t_dec0
+        miss = self.deadline_s is not None and e2e > self.deadline_s
+        rec = broker.flightrec
+        rec.record("deliver", stream=self.name, frame_id=seq, slot=slot,
+                   e2e_s=round(e2e, 6))
+        if miss:
+            rec.record("deadline_miss", stream=self.name, frame_id=seq,
+                       e2e_s=round(e2e, 6), deadline_s=self.deadline_s)
+        if tel.enabled:
+            tel.counter("stream.frames").inc()
+            tel.counter(labeled("stream.frames", stream=self.name)).inc()
+            tel.histogram("frame.e2e_latency_seconds").observe(e2e)
+            tel.histogram(labeled("frame.e2e_latency_seconds",
+                                  stream=self.name)).observe(e2e)
+            if miss:
+                tel.counter("stream.deadline_miss").inc()
+                tel.counter(labeled("stream.deadline_miss",
+                                    stream=self.name)).inc()
+            args = {"frame_id": seq, "stream": self.name, "slot": slot}
+            tel.add_span("serve.deliver", t_wait, now - t_wait, cat="serve",
+                         tid=self._tracks[1], args=args)
+            tel.add_span("frame.lifecycle", t_dec0, e2e, cat="frame",
+                         tid=self._tracks[2], args=args)
         return item.with_data(result) if item is not None else result
 
     def _recycle(self, slot):
@@ -592,7 +647,8 @@ class StreamBroker:
         Band-granularity policy applied per session (see
         :func:`repro.parallel.ring.plan_bands`).
     context:
-        Multiprocessing start method (``fork`` default).
+        Multiprocessing start method (``fork`` default, ``spawn``
+        supported).
     lut_cache:
         Optional shared :class:`~repro.core.lutcache.LUTCache`; one is
         created when omitted.  Sessions opened against the same
@@ -600,10 +656,14 @@ class StreamBroker:
         built LUT *and* one shared-memory table publication; the
         publication lives as long as its sessions (a reopen publishes
         again from the cache).
-    max_inflight_bands:
-        Cap on dispatched-but-uncompleted band items (default
-        ``4 * workers``); keeps the fleet queue short so round-robin
-        fairness acts at band granularity instead of deep in a FIFO.
+    stall_timeout_s:
+        Watchdog: when bands are outstanding but none has completed
+        for this many seconds, increment ``stream.stalls``, log a
+        warning and dump the flight recorder (once per stall episode).
+        ``None`` (default) disables the watchdog.
+    flight_dir:
+        Where crash/stall flight-recorder dumps land (default: the
+        system temp dir).
 
     Telemetry is captured at construction time
     (:func:`~repro.obs.telemetry.get_telemetry`), as worker processes
@@ -613,19 +673,22 @@ class StreamBroker:
     def __init__(self, workers: int = 2, slot_budget: int = DEFAULT_SLOT_BUDGET,
                  schedule: str = "dynamic", chunk: int | None = None,
                  context: str = "fork", lut_cache: LUTCache | None = None,
-                 max_inflight_bands: int | None = None):
+                 stall_timeout_s: float | None = None, flight_dir=None):
         if workers < 1:
             raise ScheduleError(f"workers must be >= 1, got {workers}")
         if slot_budget < 1:
             raise ScheduleError(f"slot_budget must be >= 1, got {slot_budget}")
-        if max_inflight_bands is not None and max_inflight_bands < 1:
+        if stall_timeout_s is not None and not stall_timeout_s > 0:
             raise ScheduleError(
-                f"max_inflight_bands must be >= 1, got {max_inflight_bands}")
+                f"stall_timeout_s must be > 0, got {stall_timeout_s}")
         self.workers = workers
         self.slot_budget = slot_budget
         self.schedule = schedule
         self.chunk = chunk
+        self.stall_timeout_s = stall_timeout_s
         self.lut_cache = lut_cache if lut_cache is not None else LUTCache()
+        self.flightrec = FlightRecorder(capacity=DEFAULT_FLIGHT_CAPACITY,
+                                        directory=flight_dir)
         self.sessions_admitted = 0
         self.admission_rejects = 0
         self._tel = get_telemetry()
@@ -638,10 +701,9 @@ class StreamBroker:
         self._closed = False
         self._abort = threading.Event()
         self._sched = _FairScheduler()
-        self._sched_cond = threading.Condition()
-        self._inflight_sem = threading.Semaphore(
-            max_inflight_bands if max_inflight_bands is not None
-            else 4 * workers)
+        self._sched_lock = threading.Lock()
+        self._inflight = 0  # bands sent to the fleet, not yet back
+        self._max_inflight = _INFLIGHT_BANDS_PER_WORKER * workers
 
         from ..parallel.shmseg import ensure_resource_tracker
         ensure_resource_tracker()  # workers must inherit ONE tracker
@@ -663,11 +725,8 @@ class StreamBroker:
                 daemon=True, name=f"serve-worker-{rank}")
             p.start()
             self._procs.append(p)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, name="serve-dispatch", daemon=True)
         self._collector = threading.Thread(
             target=self._collect, name="serve-collect", daemon=True)
-        self._dispatcher.start()
         self._collector.start()
 
     # ------------------------------------------------------------------
@@ -684,11 +743,10 @@ class StreamBroker:
         :class:`~repro.errors.AdmissionError` when ``depth`` slots do
         not fit the remaining budget.
 
-        The first frame is pulled eagerly to size the session's slots
-        (like :meth:`RingEngine.for_stream`), then corrected like the
-        rest.  ``weight`` sets the session's share of the fleet under
-        backlog (weighted round-robin); ``deadline_s`` arms the
-        per-frame latency SLO counted by
+        The first frame is pulled eagerly to size the session's slots,
+        then corrected like the rest.  ``weight`` sets the session's
+        share of the fleet under backlog (weighted round-robin);
+        ``deadline_s`` arms the per-frame latency SLO counted by
         ``stream.deadline_miss{stream="<name>"}``.
 
         ``pixfmt="yuv420"`` admits a planar session: ``frames`` must
@@ -712,24 +770,90 @@ class StreamBroker:
         traffic scales with the delivered size, and concurrent opens
         of the same composition build the table once.
         """
-        from ..parallel.shmseg import (FrameSegments, PlanarFrameSegments,
-                                       SharedTables)
-
-        if depth < 1:
-            raise ScheduleError(f"depth must be >= 1, got {depth}")
         if pixfmt not in ("rgb", "yuv420", "nv12"):
             raise ScheduleError(
                 f"unknown pixfmt {pixfmt!r}; known: rgb, yuv420, nv12")
-        planar = pixfmt in ("yuv420", "nv12")
         if out_size is not None:
-            ow_, oh_ = int(out_size[0]), int(out_size[1])
-            if ow_ < 2 or oh_ < 2:
+            ow, oh = int(out_size[0]), int(out_size[1])
+            if ow < 2 or oh < 2:
                 raise ScheduleError(
-                    f"out_size must be at least 2x2, got {ow_}x{oh_}")
-            if planar and (ow_ % 2 or oh_ % 2):
+                    f"out_size must be at least 2x2, got {ow}x{oh}")
+            if pixfmt != "rgb" and (ow % 2 or oh % 2):
                 raise ScheduleError(
-                    f"planar out_size must be even, got {ow_}x{oh_}")
+                    f"planar out_size must be even, got {ow}x{oh}")
+            out_size = (ow, oh)
         tier = resolve_tier(kernel)
+        return self._admit(
+            frames,
+            lambda: self._resolve(field, method, border, fill, tier, pixfmt,
+                                  out_size),
+            name=name, depth=depth, weight=weight, copy=copy,
+            deadline_s=deadline_s, pixfmt=pixfmt)
+
+    def _resolve(self, field, method, border, fill, tier, pixfmt, out_size):
+        """Field to ``(publication key, (luma LUT, chroma LUT or None))``.
+
+        Single-flight through the shared cache: concurrent opens on one
+        calibration build exactly once, and the key names the
+        calibration so they share one publication too.
+        """
+        planar = pixfmt != "rgb"
+        key = (self.lut_cache.key_for(field, method, border, fill)
+               + f"|{tier}" + (f"|{pixfmt}" if planar else "")
+               + (f"|fused{out_size[0]}x{out_size[1]}" if out_size else ""))
+        chroma = None
+        if out_size is not None:
+            from ..core.compose import downscale_field
+            ow, oh = out_size
+            fh, fw = field.shape
+            # prefilter=False: the streaming path always runs the plain
+            # 4-tap fused table (exact 2x2 box at 2:1, the headline
+            # 4K->1080p case; see docs/kernel.md).
+            lut = self.lut_cache.get_composed(
+                downscale_field(ow, oh, fw, fh, prefilter=False), field,
+                method=method, border=border, fill=fill)
+            if planar:
+                from ..core.mapping import chroma_half_field
+                chroma = self.lut_cache.get_composed(
+                    downscale_field(ow // 2, oh // 2, fw // 2, fh // 2,
+                                    prefilter=False),
+                    chroma_half_field(field),
+                    method="bilinear", border=border, fill=128.0)
+        elif planar:
+            from ..video.yuv import YUVCorrector
+            corr = YUVCorrector.from_field(
+                field, method=method, border=border, fill=fill,
+                lut_cache=self.lut_cache, kernel=tier)
+            return key, (corr.luma_lut, corr.chroma_lut)
+        else:
+            lut = self.lut_cache.get(field, method=method, border=border,
+                                     fill=fill)
+        if tier != "numpy":
+            lut = lut.with_tier(tier)
+            chroma = chroma.with_tier(tier) if chroma is not None else None
+        return key, (lut, chroma)
+
+    def _admit(self, frames, resolve, *, name: str | None = None,
+               depth: int = 2, weight: int = 1, copy: bool = True,
+               deadline_s: float | None = None,
+               pixfmt: str = "rgb") -> StreamSession:
+        """The one admission path: a session over built plane LUTs.
+
+        ``resolve()`` returns ``(key, (luma LUT, chroma LUT or None))``
+        and runs once the session's slots are reserved, so a refused
+        open builds nothing.  Sessions with equal keys share one table
+        publication; ``key=None`` gives the session a publication of
+        its own (callers that bring their own LUT objects).
+        """
+        from ..parallel.shmseg import (FrameSegments, PlanarFrameSegments,
+                                       SharedTables)
+        from ..video.yuv import NV12Frame, YUV420Frame
+
+        if depth < 1:
+            raise ScheduleError(f"depth must be >= 1, got {depth}")
+        if deadline_s is not None and not deadline_s > 0:
+            raise ScheduleError(f"deadline_s must be > 0, got {deadline_s}")
+        frame_cls = {"yuv420": YUV420Frame, "nv12": NV12Frame}.get(pixfmt)
         with self._lock:
             if self._closed:
                 raise ScheduleError("stream broker already closed")
@@ -748,118 +872,61 @@ class StreamBroker:
                     f"({len(self._sessions)} active sessions)")
             self._slots_used += depth
 
-        session = None
-        ref_key = None  # set once this open holds a table reference
+        ref_key = None  # set once this admission holds a table reference
         try:
-            # single-flight shared build: concurrent opens on one
-            # calibration build (and publish) exactly once
-            chroma_lut = None
-            if out_size is not None:
-                from ..core.compose import downscale_field
-                fh, fw = field.shape
-                # prefilter=False: the streaming path always runs the
-                # plain 4-tap fused table (exact 2x2 box at 2:1, the
-                # headline 4K->1080p case; see docs/kernel.md).
-                outer = downscale_field(ow_, oh_, fw, fh, prefilter=False)
-                lut = self.lut_cache.get_composed(
-                    outer, field, method=method, border=border, fill=fill)
-                if planar:
-                    from ..core.mapping import chroma_half_field
-                    outer_c = downscale_field(ow_ // 2, oh_ // 2,
-                                              fw // 2, fh // 2,
-                                              prefilter=False)
-                    chroma_lut = self.lut_cache.get_composed(
-                        outer_c, chroma_half_field(field),
-                        method="bilinear", border=border, fill=128.0)
-                if tier != "numpy":
-                    lut = lut.with_tier(tier)
-                    if chroma_lut is not None:
-                        chroma_lut = chroma_lut.with_tier(tier)
-            elif planar:
-                from ..video.yuv import YUVCorrector
-                corr = YUVCorrector.from_field(
-                    field, method=method, border=border, fill=fill,
-                    lut_cache=self.lut_cache, kernel=kernel)
-                lut, chroma_lut = corr.luma_lut, corr.chroma_lut
-            else:
-                lut = self.lut_cache.get(field, method=method, border=border,
-                                         fill=fill)
-                if tier != "numpy":
-                    lut = lut.with_tier(tier)
-            lut_key = (self.lut_cache.key_for(field, method, border, fill)
-                       + f"|{tier}" + (f"|{pixfmt}" if planar else "")
-                       + (f"|fused{ow_}x{oh_}" if out_size is not None
-                          else ""))
+            key, (lut, chroma) = resolve()
+            if key is None:
+                key = f"private-{sid}"
             it = iter(frames)
-            try:
-                first = next(it)
-            except StopIteration:
-                first = None
-            if first is None:
-                session = StreamSession(self, sid, name, iter(()), depth,
-                                        weight, copy, deadline_s,
-                                        bands=[], slots=[], desc=None,
-                                        empty=True, pixfmt=pixfmt)
-            elif planar:
-                from ..video.yuv import NV12Frame, YUV420Frame
-                frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-                if not isinstance(first, frame_cls):
+            first = next(it, None)
+            bands, slots, desc = [], [], None
+            if first is not None:
+                plane0 = _frame_planes(first, frame_cls, name)[0]
+                if plane0.shape[:2] != lut.src_shape:
                     raise ScheduleError(
-                        f"planar stream {name!r} expects "
-                        f"{frame_cls.__name__} items, "
-                        f"got {type(first).__name__}")
-                if first.y.shape != lut.src_shape:
-                    raise ScheduleError(
-                        f"stream {name!r} luma shape {first.y.shape} does "
-                        f"not match LUT source {lut.src_shape}")
+                        f"stream {name!r} frame {plane0.shape} does not "
+                        f"match the LUT source geometry {lut.src_shape}")
                 oh, ow = lut.out_shape
-                tables = self._ref_tables(lut_key, lambda: SharedTables(
-                    lut, chroma=chroma_lut, pixfmt=pixfmt))
-                ref_key = lut_key
-                slots = [PlanarFrameSegments(
-                            frame_cls.plane_shapes(*first.y.shape),
-                            first.y.dtype,
-                            frame_cls.plane_shapes(oh, ow))
-                         for _ in range(depth)]
-                cchunk = (None if self.chunk is None
-                          else max(1, self.chunk // 2))
-                chroma_planes = (1,) if pixfmt == "nv12" else (1, 2)
-                bands = ([(0, r0, r1) for r0, r1 in
-                          plan_bands(oh, self.workers, self.schedule,
-                                     self.chunk)]
-                         + [(p, r0, r1) for p in chroma_planes for r0, r1 in
-                            plan_bands(oh // 2, self.workers, self.schedule,
-                                       cchunk)])
-                desc = (lut_key, name,
-                        tuple(sorted(tables.spec.items())),
-                        tuple(sorted(tables.meta.items())),
-                        tuple(s.spec for s in slots))
-            else:
-                data = (first.data if isinstance(first, Frame)
-                        else np.asarray(first))
-                if data.shape[:2] != lut.src_shape:
+                if frame_cls is not None and (
+                        chroma.src_shape != (lut.src_shape[0] // 2,
+                                             lut.src_shape[1] // 2)
+                        or chroma.out_shape != (oh // 2, ow // 2)):
                     raise ScheduleError(
-                        f"stream {name!r} frame shape {data.shape} does not "
-                        f"match LUT source {lut.src_shape}")
-                channels = data.shape[2:] if data.ndim == 3 else ()
-                out_shape = lut.out_shape + channels
-                tables = self._ref_tables(lut_key,
-                                          lambda: SharedTables(lut))
-                ref_key = lut_key
-                slots = [FrameSegments(data.shape, data.dtype, out_shape)
-                         for _ in range(depth)]
-                bands = [(0, r0, r1) for r0, r1 in
-                         plan_bands(lut.out_shape[0], self.workers,
-                                    self.schedule, self.chunk)]
-                desc = (lut_key, name,
+                        f"chroma LUT {chroma.src_shape} -> "
+                        f"{chroma.out_shape} is not half the luma LUT "
+                        f"{lut.src_shape} -> {lut.out_shape}")
+                tables = self._ref_tables(key, lambda: SharedTables(
+                    lut, chroma=chroma, pixfmt=pixfmt))
+                ref_key = key
+                if frame_cls is None:
+                    slots = [FrameSegments(plane0.shape, plane0.dtype,
+                                           lut.out_shape + plane0.shape[2:])
+                             for _ in range(depth)]
+                else:
+                    slots = [PlanarFrameSegments(
+                                frame_cls.plane_shapes(*plane0.shape),
+                                plane0.dtype, frame_cls.plane_shapes(oh, ow))
+                             for _ in range(depth)]
+                # Y bands over the full output height, chroma bands over
+                # half of it: NV12 folds both chroma planes into one
+                # interleaved band set (plane 1), I420 schedules U and V
+                # separately (1, 2)
+                bands = [(0, r0, r1) for r0, r1 in plan_bands(
+                    oh, self.workers, self.schedule, self.chunk)]
+                if frame_cls is not None:
+                    chunk = (None if self.chunk is None
+                             else max(1, self.chunk // 2))
+                    bands += [(p, r0, r1)
+                              for p in ((1,) if pixfmt == "nv12" else (1, 2))
+                              for r0, r1 in plan_bands(
+                                  oh // 2, self.workers, self.schedule, chunk)]
+                desc = (key, name,
                         tuple(sorted(tables.spec.items())),
                         tuple(sorted(tables.meta.items())),
                         tuple(s.spec for s in slots))
-            if session is None:
-                session = StreamSession(
-                    self, sid, name, itertools.chain([first], it), depth,
-                    weight, copy, deadline_s, bands=bands, slots=slots,
-                    desc=desc, pixfmt=pixfmt)
+                it = itertools.chain([first], it)
+            session = StreamSession(self, sid, name, it, depth, weight, copy,
+                                    deadline_s, bands, slots, desc, frame_cls)
         except BaseException:
             with self._lock:
                 self._slots_used -= depth
@@ -869,7 +936,7 @@ class StreamBroker:
         with self._lock:
             self._sessions[sid] = session
             self.sessions_admitted += 1
-        with self._sched_cond:
+        with self._sched_lock:
             self._sched.add_stream(sid, weight)
         session._start()  # feeder may push bands from here on
         self._tel.gauge("serve.active_streams").set(len(self._sessions))
@@ -884,53 +951,86 @@ class StreamBroker:
     # internals: scheduling + collection
     # ------------------------------------------------------------------
     def _push_bands(self, sid, bands) -> None:
-        with self._sched_cond:
+        with self._sched_lock:
             if sid not in self._sched._queues:
                 return  # session removed while its feeder raced us
             for band in bands:
                 self._sched.push(sid, band)
-            self._sched_cond.notify_all()
+        self._dispatch()
 
-    def _dispatch(self):
+    def _dispatch(self) -> None:
+        """Send scheduled bands to the fleet while the in-flight cap
+        allows.  Runs on whichever thread made work or room: a feeder
+        after queueing a frame's bands, the collector after each band
+        completion — so no band waits while the fleet has room."""
         while not self._abort.is_set():
-            with self._sched_cond:
+            with self._sched_lock:
+                if self._inflight >= self._max_inflight:
+                    return
                 picked = self._sched.pop()
                 if picked is None:
-                    self._sched_cond.wait(_POLL_S)
-                    continue
-            sid, (seq, slot, plane, row0, row1) = picked
-            while not self._inflight_sem.acquire(timeout=_POLL_S):
-                if self._abort.is_set():
                     return
+                self._inflight += 1
+            sid, (seq, slot, plane, row0, row1) = picked
             with self._lock:
                 session = self._sessions.get(sid)
             if session is None or not session._take_dispatch():
-                self._inflight_sem.release()
+                with self._sched_lock:
+                    self._inflight -= 1
                 continue
             try:
                 self._task_q.put((sid, seq, slot, plane, row0, row1,
                                   session._desc))
             except Exception:  # pragma: no cover - queue torn down
-                self._inflight_sem.release()
+                with self._sched_lock:
+                    self._inflight -= 1
                 session._band_returned(seq, slot, False)
                 return
 
     def _collect(self):
-        last_live_check = time.monotonic()
+        last_check = last_progress = time.monotonic()
+        stalled = False  # one warning + dump per stall episode
         while not self._abort.is_set():
             try:
                 sid, seq, slot, rows, rank, delta = self._done_q.get(
                     timeout=_POLL_S)
             except _queue.Empty:
-                if time.monotonic() - last_live_check > _POLL_S:
-                    self._check_workers()
-                    last_live_check = time.monotonic()
+                sid = None
+            now = time.monotonic()
+            # a dead worker must be noticed even while the healthy ones
+            # keep the completion queue busy (its band is lost, so its
+            # frame would wait forever)
+            if now - last_check > _POLL_S:
+                last_check = now
+                if self._check_workers():
+                    return
+            if sid is None:
+                if self.stall_timeout_s is None:
+                    continue
+                with self._lock:
+                    outstanding = sum(s._dispatched
+                                      for s in self._sessions.values())
+                if not outstanding:
+                    last_progress, stalled = now, False
+                elif (not stalled
+                        and now - last_progress > self.stall_timeout_s):
+                    stalled = True
+                    self._on_stall(now - last_progress, outstanding)
                 continue
-            self._inflight_sem.release()
-            if delta and self._tel.enabled:
-                self._tel.merge(delta)
+            last_progress, stalled = now, False
+            with self._sched_lock:
+                self._inflight -= 1
+            self._dispatch()
             with self._lock:
                 session = self._sessions.get(sid)
+            self.flightrec.record(
+                "band_done", stream=session.name if session else sid,
+                frame_id=seq, slot=slot, rows=rows, worker=rank)
+            if delta:
+                for span in delta.get("spans", ()):
+                    self.flightrec.record_span(span)
+                if self._tel.enabled:
+                    self._tel.merge(delta)
             if session is None:
                 continue  # closed session's stale band: nobody cares
             session._band_returned(seq, slot, rows >= 0)
@@ -939,20 +1039,46 @@ class StreamBroker:
                     f"band ({seq}, slot {slot}) of stream {session.name!r} "
                     f"failed in serve-worker-{rank}"))
 
-    def _check_workers(self):
-        for p in self._procs:
-            if not p.is_alive():
-                exc = StreamError(
-                    f"{p.name} died with exit code {p.exitcode}; "
-                    f"broker shut down and all shared segments released")
-                log.error("%s", exc)
-                self._error = exc
-                with self._lock:
-                    sessions = list(self._sessions.values())
-                for s in sessions:
-                    s._fail(exc)
-                self._abort.set()
-                return
+    def _on_stall(self, waited_s: float, outstanding: int) -> None:
+        """Watchdog fired: count, warn and dump (once per episode)."""
+        self.flightrec.record("stall", waited_s=round(waited_s, 3),
+                              outstanding_bands=outstanding)
+        dump = self.flightrec.dump(
+            "stall", error=f"no band completion for {waited_s:.2f}s "
+                           f"({outstanding} bands outstanding)")
+        if self._tel.enabled:
+            self._tel.counter("stream.stalls").inc()
+        log.warning(
+            "broker stall: no band completion for %.2fs with %d bands "
+            "outstanding; flight recorder dump: %s",
+            waited_s, outstanding, dump or "<unwritable>")
+
+    def _check_workers(self) -> bool:
+        """On a dead worker: dump the flight recorder, release every
+        slot and table segment and fail every session; True if so."""
+        dead = next((p for p in self._procs if not p.is_alive()), None)
+        if dead is None:
+            return False
+        self._abort.set()
+        message = (f"{dead.name} died with exit code {dead.exitcode} "
+                   f"mid-stream; broker shut down and all shared segments "
+                   f"released")
+        self.flightrec.record("worker_crash", worker=dead.name,
+                              exitcode=dead.exitcode)
+        dump = self.flightrec.dump("worker-crash", error=message)
+        if dump:
+            message += f" (flight recorder dump: {dump})"
+        exc = StreamError(message, flight_dump=dump or None)
+        log.error("%s", exc)
+        with self._lock:
+            sessions = list(self._sessions.values())
+            tables = [entry[0] for entry in self._tables.values()]
+        for group in tables:
+            group.release()
+        for s in sessions:
+            s._fail(exc, release=True)
+        self._error = exc
+        return True
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -964,7 +1090,7 @@ class StreamBroker:
                 self._slots_used -= session.depth
         if not existed:
             return
-        with self._sched_cond:
+        with self._sched_lock:
             self._sched.remove_stream(session.sid)
         # unlink before telling the workers: a stale band that reaches
         # a worker after the message can then no longer re-attach
@@ -1068,8 +1194,7 @@ class StreamBroker:
         for s in sessions:
             s.close()
         self._abort.set()
-        for t in (self._dispatcher, self._collector):
-            t.join(timeout=2.0)
+        self._collector.join(timeout=2.0)
         try:  # drop stale band items so pills are reached promptly
             while True:
                 self._task_q.get_nowait()

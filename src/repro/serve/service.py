@@ -23,7 +23,7 @@ import threading
 
 from ..core.lutcache import LUTCache
 from ..obs.telemetry import get_telemetry
-from .broker import DEFAULT_SLOT_BUDGET, StreamBroker, StreamSession
+from .broker import _POLL_S, DEFAULT_SLOT_BUDGET, StreamBroker, StreamSession
 
 __all__ = ["MultiStreamCorrector"]
 
@@ -110,24 +110,39 @@ class MultiStreamCorrector:
         One pump thread per session feeds a single queue, so a slow
         stream never blocks delivery of the others (order across
         streams is arrival order; order *within* each stream stays
-        strict).  The generator owns the drain: on early close it
-        closes every session so their slots return to the budget.
-        Sessions must use ``copy=True`` (the default) — frames cross
-        threads here.
+        strict).  Each pump pulls its next frame only once its last one
+        has been yielded, so at most ``len(sessions)`` frames wait in
+        the queue and a slow consumer backpressures every session.
+        The generator owns the drain: on early close it closes every
+        session so their slots return to the budget, and every pump
+        exits.  Sessions must use ``copy=True`` (the default) — frames
+        cross threads here.
         """
         sessions = list(sessions)
-        out: _queue.Queue = _queue.Queue()
+        out: _queue.SimpleQueue = _queue.SimpleQueue()
+        stop = threading.Event()
 
-        def pump(s: StreamSession):
+        def pump(s: StreamSession, ready: threading.Semaphore):
+            it = iter(s)
             try:
-                for frame in s:
-                    out.put((s.name, frame, None))
+                while True:
+                    while not ready.acquire(timeout=_POLL_S):
+                        if stop.is_set():
+                            return
+                    if stop.is_set():
+                        return
+                    try:
+                        frame = next(it)
+                    except StopIteration:
+                        return
+                    out.put((s.name, frame, None, ready))
             except BaseException as exc:  # noqa: BLE001 - re-raised below
-                out.put((s.name, None, exc))
+                out.put((s.name, None, exc, None))
             finally:
-                out.put((s.name, _DONE, None))
+                out.put((s.name, _DONE, None, None))
 
-        threads = [threading.Thread(target=pump, args=(s,),
+        threads = [threading.Thread(target=pump,
+                                    args=(s, threading.Semaphore(1)),
                                     name=f"serve-drain-{s.name}", daemon=True)
                    for s in sessions]
         for t in threads:
@@ -135,14 +150,16 @@ class MultiStreamCorrector:
         active = len(sessions)
         try:
             while active:
-                name, frame, exc = out.get()
+                name, frame, exc, ready = out.get()
                 if exc is not None:
                     raise exc
                 if frame is _DONE:
                     active -= 1
                     continue
                 yield name, frame
+                ready.release()  # this stream may pull its next frame
         finally:
+            stop.set()
             for s in sessions:
                 s.close()
             for t in threads:

@@ -62,7 +62,7 @@ def panning_crops(world: np.ndarray, width: int, height: int, frames: int,
 
 
 def _stream_telemetry(inner: Iterator, label: str | None = None,
-                      fused: bool = False) -> Iterator:
+                      fused: bool = False, counted: bool = False) -> Iterator:
     """Wrap a delegated engine with the standard stream metric surface.
 
     ``label`` additionally emits the per-stream labelled series
@@ -73,6 +73,9 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
     per-plane ``stream.frames{plane=...}`` counters (``y``/``u``/``v``
     or ``y``/``uv``), and ``fused=True`` (a correct+downscale composed
     table on the path) ticks ``stream.frames{fused="true"}``.
+    ``counted=True`` skips ``stream.frames`` and its ``stream=`` twin
+    for engines that count their deliveries themselves (a broker
+    session), so every frame is counted once.
     Closing the wrapper (consumer ``break`` / ``GeneratorExit``)
     explicitly closes ``inner`` so a delegated engine tears down even
     when the generator chain is kept alive by a reference cycle.
@@ -85,11 +88,15 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
             return
         from ..obs.export import labeled
         from .yuv import NV12_PLANE_NAMES, NV12Frame, PLANE_NAMES, YUV420Frame
-        frames_name = labeled("stream.frames", stream=label) if label \
-            else "stream.frames"
+        frames_names = []
+        if not counted:
+            frames_names.append("stream.frames")
+            if label:
+                frames_names.append(labeled("stream.frames", stream=label))
+        if fused:
+            frames_names.append(labeled("stream.frames", fused="true"))
         fps_name = labeled("stream.fps", stream=label) if label \
             else "stream.fps"
-        fused_name = labeled("stream.frames", fused="true") if fused else None
         plane_names = [labeled("stream.frames", plane=p) for p in PLANE_NAMES]
         nv12_plane_names = [labeled("stream.frames", plane=p)
                             for p in NV12_PLANE_NAMES]
@@ -103,11 +110,8 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
                 return
             now = time.perf_counter()
             frames_done += 1
-            tel.counter("stream.frames").inc()
-            if label:
-                tel.counter(frames_name).inc()
-            if fused_name:
-                tel.counter(fused_name).inc()
+            for name in frames_names:
+                tel.counter(name).inc()
             if isinstance(item, NV12Frame):
                 for name in nv12_plane_names:
                     tel.counter(name).inc()
@@ -164,10 +168,12 @@ def corrected_stream(frames: Iterable, field: RemapField,
         shared-table metadata, so every band runs the same arithmetic.
     engine:
         ``"sync"`` (default) runs the fused kernel inline;
-        ``"ring"`` routes the stream through a
-        :class:`~repro.parallel.ring.RingEngine` of persistent worker
+        ``"ring"`` routes the stream through
+        :func:`~repro.parallel.ring.ring_stream`, a one-session
+        :class:`~repro.serve.broker.StreamBroker` of persistent worker
         processes (``engine_kwargs``: ``workers``, ``depth``,
-        ``schedule``, ``chunk``, ``context``), keeping decode, remap
+        ``schedule``, ``chunk``, ``context``, ``deadline_s``,
+        ``stall_timeout_s``, ``flight_dir``), keeping decode, remap
         and delivery overlapped across in-flight frames.  Both engines
         report the same ``stream.*`` metric surface.
     serve_metrics:
@@ -184,7 +190,7 @@ def corrected_stream(frames: Iterable, field: RemapField,
         ``stream.fps{stream="..."}`` — see
         :func:`repro.obs.export.labeled`) are emitted next to the
         aggregate ones, matching what :mod:`repro.serve` reports for
-        each multiplexed session.
+        each multiplexed session (the ring names its session after it).
     pixfmt:
         ``"rgb"`` (default) treats every item as a packed 2-D/3-D
         array remapped channel-interleaved.  ``"yuv420"`` takes the
@@ -255,29 +261,29 @@ def _fused_lut(field, out_size, method, border, fill, lut_cache):
 def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
                       engine, kernel, tel, stream_label=None, pixfmt="rgb",
                       out_size=None, **engine_kwargs):
-    if pixfmt in ("yuv420", "nv12"):
-        yield from _planar_stream(frames, field, method, border, fill,
-                                  lut_cache, copy, engine, kernel,
-                                  stream_label, pixfmt, out_size,
-                                  **engine_kwargs)
-        return
     fused = out_size is not None
-    if fused:
-        lut = _fused_lut(field, out_size, method, border, fill, lut_cache)
-    elif lut_cache is not None:
-        lut = lut_cache.get(field, method=method, border=border, fill=fill)
+    chroma_lut = None
+    if pixfmt in ("yuv420", "nv12"):
+        lut, chroma_lut = _planar_luts(field, method, border, fill,
+                                       lut_cache, kernel, out_size)
     else:
-        lut = RemapLUT(field, method=method, border=border, fill=fill)
-    tier = resolve_tier(kernel)
-    if tier != "numpy":
-        lut = lut.with_tier(tier)  # non-mutating clone; cache stays neutral
+        if fused:
+            lut = _fused_lut(field, out_size, method, border, fill, lut_cache)
+        elif lut_cache is not None:
+            lut = lut_cache.get(field, method=method, border=border, fill=fill)
+        else:
+            lut = RemapLUT(field, method=method, border=border, fill=fill)
+        tier = resolve_tier(kernel)
+        if tier != "numpy":
+            lut = lut.with_tier(tier)  # non-mutating clone; cache stays neutral
     if engine == "ring":
         # lazy import: keeps repro.video free of the parallel layer
         # unless the ring engine is actually requested
         from ..parallel.ring import ring_stream
         yield from _stream_telemetry(
-            ring_stream(lut, frames, copy=copy, **engine_kwargs),
-            label=stream_label, fused=fused)
+            ring_stream(lut, frames, copy=copy, chroma_lut=chroma_lut,
+                        pixfmt=pixfmt, name=stream_label, **engine_kwargs),
+            label=stream_label, fused=fused, counted=True)
         return
     if engine != "sync":
         raise ScheduleError(
@@ -285,6 +291,11 @@ def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
     if engine_kwargs:
         raise ScheduleError(
             f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
+    if chroma_lut is not None:
+        yield from _stream_telemetry(
+            _planar_sync(frames, lut, chroma_lut, pixfmt, copy),
+            label=stream_label, fused=fused)
+        return
     buffer: Optional[np.ndarray] = None
     stream_t0 = time.perf_counter() if tel.enabled else 0.0
     frames_done = 0
@@ -360,51 +371,29 @@ def _planar_luts(field, method, border, fill, lut_cache, kernel, out_size):
     return luma, chroma
 
 
-def _planar_stream(frames, field, method, border, fill, lut_cache, copy,
-                   engine, kernel, stream_label, pixfmt="yuv420",
-                   out_size=None, **engine_kwargs):
-    """``pixfmt="yuv420"``/``"nv12"`` body: per-plane remap, no RGB leg."""
+def _planar_sync(frames, luma_lut, chroma_lut, pixfmt, copy):
+    """``pixfmt="yuv420"``/``"nv12"`` inline body: per-plane remap, no
+    RGB leg."""
     from .yuv import NV12Frame, YUV420Frame
-    fused = out_size is not None
-    luma_lut, chroma_lut = _planar_luts(field, method, border, fill,
-                                        lut_cache, kernel, out_size)
-    if engine == "ring":
-        from ..parallel.ring import ring_stream
-        yield from _stream_telemetry(
-            ring_stream(luma_lut, frames, copy=copy,
-                        chroma_lut=chroma_lut, pixfmt=pixfmt,
-                        **engine_kwargs),
-            label=stream_label, fused=fused)
-        return
-    if engine != "sync":
-        raise ScheduleError(
-            f"unknown stream engine {engine!r}; known: sync, ring")
-    if engine_kwargs:
-        raise ScheduleError(
-            f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
     frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
-
-    def inline():
-        pool = None
-        for item in frames:
-            if not isinstance(item, frame_cls):
-                raise ImageFormatError(
-                    f"pixfmt={pixfmt!r} streams expect "
-                    f"{frame_cls.__name__} items, got {type(item).__name__}")
-            if pool is None:
-                oh, ow = luma_lut.out_shape
-                pool = tuple(np.empty(s, dtype=item.y.dtype)
-                             for s in frame_cls.plane_shapes(oh, ow))
-            luma_lut.apply_into(item.y, pool[0])
-            if pixfmt == "nv12":
-                chroma_lut.apply_into(item.uv, pool[1])
-            else:
-                chroma_lut.apply_into(item.u, pool[1])
-                chroma_lut.apply_into(item.v, pool[2])
-            result = frame_cls(*pool)
-            yield result.copy() if copy else result
-
-    yield from _stream_telemetry(inline(), label=stream_label, fused=fused)
+    pool = None
+    for item in frames:
+        if not isinstance(item, frame_cls):
+            raise ImageFormatError(
+                f"pixfmt={pixfmt!r} streams expect "
+                f"{frame_cls.__name__} items, got {type(item).__name__}")
+        if pool is None:
+            oh, ow = luma_lut.out_shape
+            pool = tuple(np.empty(s, dtype=item.y.dtype)
+                         for s in frame_cls.plane_shapes(oh, ow))
+        luma_lut.apply_into(item.y, pool[0])
+        if pixfmt == "nv12":
+            chroma_lut.apply_into(item.uv, pool[1])
+        else:
+            chroma_lut.apply_into(item.u, pool[1])
+            chroma_lut.apply_into(item.v, pool[2])
+        result = frame_cls(*pool)
+        yield result.copy() if copy else result
 
 
 @dataclass

@@ -65,3 +65,21 @@ def random_image(rng):
 @pytest.fixture()
 def rgb_image(rng):
     return rng.integers(0, 256, size=(SIZE, SIZE, 3), dtype=np.uint8)
+
+
+@pytest.fixture()
+def brokers(monkeypatch):
+    """Every :class:`~repro.serve.broker.StreamBroker` built while the
+    test runs, in construction order — how a test reaches the one-session
+    broker that ``ring_stream`` builds internally."""
+    from repro.serve.broker import StreamBroker
+
+    built = []
+    init = StreamBroker.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamBroker, "__init__", spy)
+    return built

@@ -131,7 +131,7 @@ class TestStream:
         assert "engine=ring workers=1 depth=2 schedule=guided" in out
 
     def test_ring_trace_has_overlapping_tracks(self, tmp_path, capsys):
-        trace = str(tmp_path / "ring.trace.json")
+        trace = str(tmp_path / "stream.trace.json")
         assert main(["--trace", trace, "stream", "--engine", "ring",
                      "--workers", "1", "--depth", "2", "--frames", "6",
                      "--width", "64", "--height", "64"]) == 0
@@ -142,9 +142,9 @@ class TestStream:
         if isinstance(events, dict):
             events = events["traceEvents"]
         names = {e["name"] for e in events if e.get("ph") == "X"}
-        assert {"ring.decode", "ring.deliver"} <= names
+        assert {"serve.feed", "serve.deliver", "frame.lifecycle"} <= names
         # band spans carry the kernel tier in their rendered name
-        assert any(n.startswith("ring.band [") for n in names)
+        assert any(n.startswith("serve.band [") for n in names)
 
     def test_ring_depth_overflow_is_clean_error(self, capsys):
         assert main(["stream", "--engine", "ring", "--depth", "99"]

@@ -65,52 +65,6 @@ class TestThreadedExecutor:
                 np.testing.assert_array_equal(par.correct(f), seq.correct(f))
 
 
-class TestProcessExecutor:
-    def test_matches_sequential(self, small_field, random_image):
-        from repro.parallel.procpool import ProcessExecutor
-
-        lut = RemapLUT(small_field)
-        expected = lut.apply(random_image)
-        with ProcessExecutor(lut, random_image.shape, np.uint8, workers=2) as ex:
-            out = ex.run(lut, random_image)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_multiple_frames(self, small_field, rng):
-        from repro.parallel.procpool import ProcessExecutor
-
-        lut = RemapLUT(small_field)
-        frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8) for _ in range(3)]
-        with ProcessExecutor(lut, (64, 64), np.uint8, workers=2) as ex:
-            for f in frames:
-                np.testing.assert_array_equal(ex.run(lut, f), lut.apply(f))
-
-    def test_wrong_lut_rejected(self, small_field, tilted_field, random_image):
-        from repro.parallel.procpool import ProcessExecutor
-
-        lut = RemapLUT(small_field)
-        other = RemapLUT(tilted_field)
-        with ProcessExecutor(lut, (64, 64), np.uint8, workers=1) as ex:
-            with pytest.raises(ScheduleError):
-                ex.run(other, random_image)
-
-    def test_wrong_frame_rejected(self, small_field):
-        from repro.parallel.procpool import ProcessExecutor
-
-        lut = RemapLUT(small_field)
-        with ProcessExecutor(lut, (64, 64), np.uint8, workers=1) as ex:
-            with pytest.raises(ScheduleError):
-                ex.run(lut, np.zeros((64, 64), dtype=np.float32))
-
-    def test_closed_executor_rejects_work(self, small_field, random_image):
-        from repro.parallel.procpool import ProcessExecutor
-
-        lut = RemapLUT(small_field)
-        ex = ProcessExecutor(lut, (64, 64), np.uint8, workers=1)
-        ex.close()
-        with pytest.raises(ScheduleError):
-            ex.run(lut, random_image)
-
-
 class TestSharedMemoryExecutor:
     @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
     def test_matches_sequential(self, method, small_field, random_image):
@@ -172,6 +126,17 @@ class TestSharedMemoryExecutor:
         ex.close()
         with pytest.raises(ScheduleError):
             ex.run(lut, random_image)
+
+    def test_wrong_lut_or_frame_rejected(self, small_field, tilted_field,
+                                         random_image):
+        from repro.parallel.procpool import SharedMemoryExecutor
+
+        lut = RemapLUT(small_field)
+        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=1) as ex:
+            with pytest.raises(ScheduleError, match="bound to the LUT"):
+                ex.run(RemapLUT(tilted_field), random_image)
+            with pytest.raises(ScheduleError, match="bound geometry"):
+                ex.run(lut, np.zeros((64, 64), dtype=np.float32))
 
 
 class TestSIMDModel:

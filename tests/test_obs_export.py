@@ -150,7 +150,7 @@ class TestPrometheusFormatRules:
         tel = Telemetry(pid=1234)
         tel.counter("stream.frames").inc(2)
         tel.gauge("stream.fps").set(0.0)      # explicit zero: present
-        tel.gauge("ring.in_flight")           # registered, never set: absent
+        tel.gauge("serve.slots_used")           # registered, never set: absent
         h = tel.histogram("frame.e2e_latency_seconds", buckets=(0.01, 0.1))
         h.observe(0.004)
         h.observe(5.0)                        # lands in the +Inf bucket

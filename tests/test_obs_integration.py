@@ -169,7 +169,7 @@ class TestCrossProcessMerge:
         snap = tel.snapshot()
         assert snap["counters"]["parent.marker"] == 1
         assert [s["name"] for s in snap["spans"]].count("parent.setup") == 1
-        assert snap["counters"]["ring.bands"] >= 4  # worker deltas merged
+        assert snap["counters"]["serve.bands"] >= 4  # worker deltas merged
 
     def test_disabled_executor_records_nothing(self, small_field, gradient_image):
         lut = RemapLUT(small_field, method="bilinear")

@@ -1,7 +1,8 @@
 """Tests: the live observability plane.
 
 MetricsServer endpoints, the flight recorder, frame lineage through
-the ring engine, the per-frame deadline SLO and the stall watchdog.
+the stream broker (one-session ring and multi-session), the per-frame
+deadline SLO, the stall watchdog and the worker-crash dump.
 """
 
 import json
@@ -20,7 +21,8 @@ from repro.obs.export import parse_prometheus_text, slo_summary
 from repro.obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.live import MetricsServer, health_summary
 from repro.obs.telemetry import Telemetry, scoped
-from repro.parallel.ring import RingEngine
+from repro.parallel.ring import ring_stream
+from repro.serve import StreamBroker
 
 pytestmark = pytest.mark.tier1
 
@@ -32,6 +34,21 @@ def lut(small_field):
 
 def _frames(rng, n, shape=(64, 64)):
     return [rng.integers(0, 255, shape, dtype=np.uint8) for _ in range(n)]
+
+
+def _endless():
+    k = 0
+    while True:  # only a crash or a close ends this stream
+        yield np.full((64, 64), k % 251, dtype=np.uint8)
+        k += 1
+
+
+def _segment_names(broker):
+    """Every slot and table segment the broker currently owns."""
+    names = [shm.name for s in broker._sessions.values()
+             for group in s._slots for shm in group._shms]
+    return names + [shm.name for tables, _ in broker._tables.values()
+                    for shm in tables._shms]
 
 
 def _get(url):
@@ -55,10 +72,10 @@ class TestFlightRecorder:
 
     def test_record_span_and_clear(self):
         rec = FlightRecorder(capacity=8)
-        rec.record_span({"name": "ring.band", "ts": 1.0, "dur": 0.5,
+        rec.record_span({"name": "serve.band", "ts": 1.0, "dur": 0.5,
                          "args": {"frame_id": 0}})
         assert rec.events()[0]["kind"] == "span"
-        assert rec.events()[0]["name"] == "ring.band"
+        assert rec.events()[0]["name"] == "serve.band"
         rec.clear()
         assert rec.events() == []
 
@@ -92,21 +109,25 @@ class TestFlightRecorder:
 class TestHealthSummary:
     def test_ok_and_stalled(self):
         snap = {"counters": {"stream.frames": 7, "stream.deadline_miss": 2},
-                "gauges": {"ring.depth": 2.0, "ring.in_flight": 1.0},
+                "gauges": {"serve.workers": 2.0, "serve.slot_budget": 4.0,
+                           "serve.slots_used": 2.0,
+                           "serve.active_streams": 1.0},
                 "meta": {"pid": 42}}
         body = health_summary(snap, uptime_s=1.5)
         assert body["status"] == "ok"
         assert body["pid"] == 42
         assert body["frames"] == 7
         assert body["deadline_misses"] == 2
-        assert body["ring"] == {"depth": 2.0, "in_flight": 1.0}
+        assert body["serve"] == {"workers": 2.0, "slot_budget": 4.0,
+                                 "slots_used": 2.0, "active_streams": 1.0}
         assert body["uptime_s"] == 1.5
         snap["counters"]["stream.stalls"] = 1
         assert health_summary(snap)["status"] == "stalled"
 
-    def test_falls_back_to_ring_frames(self):
-        body = health_summary({"counters": {"ring.frames": 3}})
-        assert body["frames"] == 3
+    def test_frames_default_to_zero(self):
+        body = health_summary({"counters": {}})
+        assert body["frames"] == 0
+        assert body["serve"]["slots_used"] is None
 
 
 class TestMetricsServer:
@@ -162,40 +183,58 @@ class TestMetricsServer:
 
 
 # ----------------------------------------------------------------------
-# frame lineage + SLO through the ring engine
+# frame lineage + SLO through the stream broker
 # ----------------------------------------------------------------------
+def _check_lineage(spans, streams, n):
+    """Every broker span names its frame and stream; one lifecycle span
+    per frame per stream, on the stream's own track, starting where the
+    frame's feed span starts."""
+    by_name = {}
+    for s in spans:
+        by_name.setdefault(s["name"], []).append(s)
+    for name in ("serve.feed", "serve.band", "serve.deliver",
+                 "frame.lifecycle"):
+        assert name in by_name, f"missing {name} spans"
+        for s in by_name[name]:
+            args = s["args"] or {}
+            assert "frame_id" in args, f"{name} lacks frame_id"
+            assert args["stream"] in streams, f"{name} lacks its stream"
+    for stream in streams:
+        life = sorted((s for s in by_name["frame.lifecycle"]
+                       if s["args"]["stream"] == stream),
+                      key=lambda s: s["args"]["frame_id"])
+        assert [s["args"]["frame_id"] for s in life] == list(range(n))
+        assert {s["tid"] for s in life} == {f"serve-frames-{stream}"}
+        feed0 = next(s for s in by_name["serve.feed"]
+                     if s["args"]["stream"] == stream
+                     and s["args"]["frame_id"] == 0)
+        assert life[0]["ts"] == pytest.approx(feed0["ts"], abs=1e-6)
+        assert life[0]["dur"] >= feed0["dur"] * 0.5
+
+
 class TestRingLineage:
     def test_frame_id_threads_through_every_span(self, lut, rng):
         frames = _frames(rng, 4)
         tel = Telemetry()
         with scoped(tel):
-            with RingEngine(lut, (64, 64), workers=1, depth=2) as engine:
-                list(engine.stream(frames, copy=True))
-        by_name = {}
-        for s in tel.spans:
-            by_name.setdefault(s["name"], []).append(s)
-        for name in ("ring.decode", "ring.band", "ring.deliver",
-                     "frame.lifecycle"):
-            assert name in by_name, f"missing {name} spans"
-            for s in by_name[name]:
-                assert "frame_id" in (s["args"] or {}), f"{name} lacks frame_id"
-        # one lifecycle span per frame, on its own track, spanning
-        # decode start -> delivery
-        life = sorted(by_name["frame.lifecycle"],
-                      key=lambda s: s["args"]["frame_id"])
-        assert [s["args"]["frame_id"] for s in life] == [0, 1, 2, 3]
-        assert {s["tid"] for s in life} == {"ring-frames"}
-        decode0 = next(s for s in by_name["ring.decode"]
-                       if s["args"]["frame_id"] == 0)
-        assert life[0]["ts"] == pytest.approx(decode0["ts"], abs=1e-6)
-        assert life[0]["dur"] >= decode0["dur"] * 0.5
+            list(ring_stream(lut, frames, copy=True, workers=1, depth=2))
+        _check_lineage(tel.spans, {"stream-0"}, 4)
+
+    def test_lineage_on_two_session_broker(self, small_field, rng):
+        tel = Telemetry()
+        with scoped(tel):
+            with StreamBroker(workers=2, slot_budget=4) as broker:
+                sessions = [broker.open(_frames(rng, 3), small_field,
+                                        name=f"cam{i}") for i in range(2)]
+                for s in sessions:
+                    assert len(list(s)) == 3
+        _check_lineage(tel.spans, {"cam0", "cam1"}, 3)
 
     def test_e2e_latency_histogram(self, lut, rng):
         frames = _frames(rng, 5)
         tel = Telemetry()
         with scoped(tel):
-            with RingEngine(lut, (64, 64), workers=2, depth=2) as engine:
-                list(engine.stream(frames, copy=True))
+            list(ring_stream(lut, frames, copy=True, workers=2, depth=2))
         snap = tel.snapshot()
         h = snap["histograms"]["frame.e2e_latency_seconds"]
         assert h["count"] == 5
@@ -207,105 +246,164 @@ class TestRingLineage:
         frames = _frames(rng, 4)
         tel = Telemetry()
         with scoped(tel):
-            with RingEngine(lut, (64, 64), workers=1, depth=2,
-                            deadline_s=1e-9) as engine:
-                list(engine.stream(frames, copy=True))
+            list(ring_stream(lut, frames, copy=True, workers=1, depth=2,
+                             deadline_s=1e-9))
         snap = tel.snapshot()
         assert snap["counters"]["stream.deadline_miss"] == 4
         slo = slo_summary(snap)
         assert slo["deadline_misses"] == 4
         assert slo["miss_rate"] == 1.0
 
-    def test_deadline_validation(self, lut):
+    def test_deadline_validation(self, lut, rng):
         with pytest.raises(ScheduleError):
-            RingEngine(lut, (64, 64), deadline_s=0)
+            list(ring_stream(lut, _frames(rng, 1), deadline_s=0))
         with pytest.raises(ScheduleError):
-            RingEngine(lut, (64, 64), stall_timeout_s=-1)
+            list(ring_stream(lut, _frames(rng, 1), stall_timeout_s=-1))
+        with pytest.raises(ScheduleError):
+            StreamBroker(workers=1, stall_timeout_s=0)
 
 
 # ----------------------------------------------------------------------
 # crash flight recorder + stall watchdog
 # ----------------------------------------------------------------------
+def _assert_crash_dump(err, tmp_path):
+    """The StreamError carries a dump whose trailing events include the
+    crashed stream's decode/band/deliver events and the band spans the
+    workers shipped back."""
+    dump = err.flight_dump
+    assert dump is not None
+    assert str(tmp_path) in dump
+    assert dump in str(err)
+    payload = json.loads(open(dump).read())
+    assert payload["reason"] == "worker-crash"
+    kinds = [e["kind"] for e in payload["events"]]
+    assert "decode" in kinds
+    assert "band_done" in kinds
+    assert "deliver" in kinds
+    assert kinds[-1] == "worker_crash"
+    band_spans = [e for e in payload["events"]
+                  if e["kind"] == "span" and e["name"] == "serve.band"]
+    assert band_spans, "dump lacks the workers' serve.band spans"
+    assert all("frame_id" in e["args"] for e in band_spans)
+
+
+def _assert_unlinked(names):
+    from multiprocessing import shared_memory
+    assert names
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
+def _stall_and_resume(pid, consume):
+    """SIGSTOP ``pid``, resume it 1.2 s later, and ``consume()``."""
+    os.kill(pid, signal.SIGSTOP)
+    resume = threading.Timer(1.2, os.kill, (pid, signal.SIGCONT))
+    resume.start()
+    try:
+        return consume()
+    finally:
+        resume.cancel()
+        try:
+            os.kill(pid, signal.SIGCONT)  # idempotent safety
+        except ProcessLookupError:
+            pass  # the fleet already stopped with its stream
+
+
+def _assert_stall_dump(tel, tmp_path):
+    snap = tel.snapshot()
+    assert snap["counters"]["stream.stalls"] >= 1
+    assert slo_summary(snap)["stalls"] >= 1
+    dumps = list(tmp_path.glob("repro-flightrec-*.json"))
+    assert dumps, "watchdog fired without writing a dump"
+    payload = json.loads(dumps[0].read_text())
+    assert payload["reason"] == "stall"
+    assert payload["events"][-1]["kind"] == "stall"
+
+
 class TestCrashAndStall:
-    def test_worker_crash_dumps_flight_recorder(self, lut, rng, tmp_path):
+    def test_worker_crash_dumps_flight_recorder(self, lut, tmp_path,
+                                                brokers):
         """Kill a worker after frame 0 delivers: the StreamError carries
-        a dump whose trailing events include the crashed stream's
-        decode/band events and the band spans workers shipped back."""
+        the dump and every slot and table segment is unlinked."""
         tel = Telemetry()
         with scoped(tel):
-            engine = RingEngine(lut, (64, 64), workers=2, depth=2,
-                                flight_dir=tmp_path)
-
-            def source():
-                k = 0
-                while True:  # endless: only the crash ends this stream
-                    yield np.full((64, 64), k % 251, dtype=np.uint8)
-                    k += 1
-
             with pytest.raises(StreamError) as err:
-                stream = engine.stream(source())
+                stream = ring_stream(lut, _endless(), workers=2, depth=2,
+                                     flight_dir=tmp_path)
                 # frame 0 delivered in full: its band completions and
                 # the workers' shipped-back spans are on record
                 next(stream)
-                engine._procs[0].terminate()
+                names = _segment_names(brokers[0])
+                brokers[0]._procs[0].kill()
                 for _ in stream:
                     pass
-        dump = err.value.flight_dump
-        assert dump is not None
-        assert str(tmp_path) in dump
-        assert dump in str(err.value)
-        payload = json.loads(open(dump).read())
-        assert payload["reason"] == "worker-crash"
-        kinds = [e["kind"] for e in payload["events"]]
-        assert "decode" in kinds
-        assert "band_done" in kinds
-        assert "deliver" in kinds
-        assert kinds[-1] == "worker_crash"
-        band_spans = [e for e in payload["events"]
-                      if e["kind"] == "span" and e["name"] == "ring.band"]
-        assert band_spans, "dump lacks the workers' ring.band spans"
-        assert all("frame_id" in e["args"] for e in band_spans)
+        _assert_crash_dump(err.value, tmp_path)
+        _assert_unlinked(names)
 
-    def test_stall_watchdog_fires_and_recovers(self, lut, rng, tmp_path):
+    def test_worker_crash_on_two_session_broker(self, small_field,
+                                                tmp_path):
+        """One crash fails every session with the same dump and
+        releases every session's slots and the shared tables."""
+        tel = Telemetry()
+        with scoped(tel):
+            with StreamBroker(workers=2, slot_budget=4,
+                              flight_dir=tmp_path) as broker:
+                sessions = [broker.open(_endless(), small_field,
+                                        name=f"cam{i}") for i in range(2)]
+                for s in sessions:
+                    next(s)
+                names = _segment_names(broker)
+                broker._procs[0].kill()
+                errors = []
+                for s in sessions:
+                    with pytest.raises(StreamError) as err:
+                        for _ in s:
+                            pass
+                    errors.append(err.value)
+        assert errors[0].flight_dump == errors[1].flight_dump
+        _assert_crash_dump(errors[0], tmp_path)
+        _assert_unlinked(names)
+
+    def test_stall_watchdog_fires_and_recovers(self, lut, rng, tmp_path,
+                                               brokers):
         """SIGSTOP the only worker mid-stream: the watchdog must count a
         stall and dump the recorder, then the stream completes normally
         once the worker is resumed."""
         frames = _frames(rng, 3)
         tel = Telemetry()
         with scoped(tel):
-            with RingEngine(lut, (64, 64), workers=1, depth=2,
-                            stall_timeout_s=0.3,
-                            flight_dir=tmp_path) as engine:
-                stream = engine.stream(frames, copy=True)
-                first = next(stream)
-                pid = engine._procs[0].pid
-                os.kill(pid, signal.SIGSTOP)
-                resume = threading.Timer(1.2, os.kill, (pid, signal.SIGCONT))
-                resume.start()
-                try:
-                    rest = list(stream)
-                finally:
-                    resume.cancel()
-                    os.kill(pid, signal.SIGCONT)  # idempotent safety
+            stream = ring_stream(lut, frames, copy=True, workers=1, depth=2,
+                                 stall_timeout_s=0.3, flight_dir=tmp_path)
+            first = next(stream)
+            rest = _stall_and_resume(brokers[0]._procs[0].pid,
+                                     lambda: list(stream))
         assert first.shape == lut.out_shape
         assert len(rest) == 2
-        snap = tel.snapshot()
-        assert snap["counters"]["stream.stalls"] >= 1
-        assert slo_summary(snap)["stalls"] >= 1
-        dumps = list(tmp_path.glob("repro-flightrec-*.json"))
-        assert dumps, "watchdog fired without writing a dump"
-        payload = json.loads(dumps[0].read_text())
-        assert payload["reason"] == "stall"
-        assert payload["events"][-1]["kind"] == "stall"
+        _assert_stall_dump(tel, tmp_path)
+
+    def test_stall_watchdog_on_two_session_broker(self, small_field, rng,
+                                                  tmp_path):
+        tel = Telemetry()
+        with scoped(tel):
+            with StreamBroker(workers=1, slot_budget=4, stall_timeout_s=0.3,
+                              flight_dir=tmp_path) as broker:
+                sessions = [broker.open(_frames(rng, 3), small_field,
+                                        name=f"cam{i}") for i in range(2)]
+                for s in sessions:
+                    next(s)
+                rest = _stall_and_resume(
+                    broker._procs[0].pid,
+                    lambda: [len(list(s)) for s in sessions])
+        assert rest == [2, 2]
+        _assert_stall_dump(tel, tmp_path)
 
     def test_no_stall_counted_on_healthy_stream(self, lut, rng, tmp_path):
         frames = _frames(rng, 4)
         tel = Telemetry()
         with scoped(tel):
-            with RingEngine(lut, (64, 64), workers=2, depth=2,
-                            stall_timeout_s=30.0,
-                            flight_dir=tmp_path) as engine:
-                list(engine.stream(frames, copy=True))
+            list(ring_stream(lut, frames, copy=True, workers=2, depth=2,
+                             stall_timeout_s=30.0, flight_dir=tmp_path))
         assert "stream.stalls" not in tel.snapshot()["counters"]
         assert not list(tmp_path.glob("repro-flightrec-*.json"))
 

@@ -258,12 +258,12 @@ class TestEmitPhaseSpans:
 class TestGaugeUnset:
     def test_never_set_is_distinguishable_from_zero(self):
         tel = Telemetry()
-        g = tel.gauge("ring.in_flight")
+        g = tel.gauge("serve.slots_used")
         assert not g.is_set
-        assert tel.snapshot()["gauges"]["ring.in_flight"] is None
+        assert tel.snapshot()["gauges"]["serve.slots_used"] is None
         g.set(0)
         assert g.is_set
-        assert tel.snapshot()["gauges"]["ring.in_flight"] == 0.0
+        assert tel.snapshot()["gauges"]["serve.slots_used"] == 0.0
 
     def test_merge_preserves_unset(self):
         parent, child = Telemetry(), Telemetry()

@@ -1,4 +1,5 @@
-"""Tests: the persistent-worker shared-memory frame ring."""
+"""Tests: the shared-memory frame ring — one stream on a one-session
+:class:`~repro.serve.broker.StreamBroker`."""
 
 import time
 from multiprocessing import shared_memory
@@ -14,10 +15,12 @@ from repro.obs.telemetry import Telemetry, scoped
 from repro.parallel.ring import (
     MAX_RING_DEPTH,
     RING_SCHEDULES,
-    RingEngine,
     plan_bands,
     ring_stream,
 )
+from repro.serve import StreamBroker
+from repro.video.stream import corrected_stream
+from repro.video.yuv import NV12Frame, YUV420Frame
 
 pytestmark = pytest.mark.tier1
 
@@ -29,6 +32,21 @@ def lut(small_field):
 
 def _frames(rng, n, shape=(64, 64)):
     return [rng.integers(0, 255, shape, dtype=np.uint8) for _ in range(n)]
+
+
+def _segment_names(broker):
+    """Every slot and table segment the broker currently owns."""
+    names = [shm.name for s in broker._sessions.values()
+             for group in s._slots for shm in group._shms]
+    return names + [shm.name for tables, _ in broker._tables.values()
+                    for shm in tables._shms]
+
+
+def _assert_unlinked(names):
+    assert names
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 class TestPlanBands:
@@ -83,11 +101,13 @@ class TestPlanBands:
 
 
 class TestRingEngine:
+    """The ring is a one-session broker: ``ring_stream`` for the stream
+    itself, :class:`StreamBroker` where a test needs the session."""
+
     def test_matches_sequential_kernel(self, lut, rng):
         frames = _frames(rng, 8)
         expected = [lut.apply(f) for f in frames]
-        with RingEngine(lut, (64, 64), workers=2, depth=3) as engine:
-            got = [f.copy() for f in engine.stream(frames)]
+        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=3)]
         assert len(got) == 8
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
@@ -98,117 +118,134 @@ class TestRingEngine:
         consumer must still see strictly increasing sequence numbers."""
         frames = [np.full((64, 64), 10 * k, dtype=np.uint8) for k in range(10)]
         expected = [lut.apply(f) for f in frames]
-        with RingEngine(lut, (64, 64), workers=2, depth=4,
-                        schedule="dynamic", chunk=3) as engine:
-            got = [f.copy() for f in engine.stream(frames)]
+        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=4,
+                                             schedule="dynamic", chunk=3)]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_copy_true_yields_owned_buffers(self, lut, rng):
         frames = _frames(rng, 4)
-        with RingEngine(lut, (64, 64), workers=1, depth=2) as engine:
-            got = list(engine.stream(frames, copy=True))
+        got = list(ring_stream(lut, frames, copy=True, workers=1, depth=2))
         assert len({id(g) for g in got}) == 4
-        # all still valid after the engine is closed
-        for g in got:
-            assert g.shape == lut.out_shape
+        # all still valid after the broker is closed
+        for g, f in zip(got, frames):
+            np.testing.assert_array_equal(g, lut.apply(f))
 
     def test_frame_objects_pass_through(self, lut, random_image):
         frames = [Frame(random_image, GRAY8, index=i, timestamp=i / 30.0)
                   for i in range(3)]
-        with RingEngine(lut, (64, 64), workers=1, depth=2) as engine:
-            outs = list(engine.stream(frames, copy=True))
+        outs = list(ring_stream(lut, frames, copy=True, workers=1, depth=2))
         assert [f.index for f in outs] == [0, 1, 2]
         assert all(isinstance(f, Frame) for f in outs)
 
-    def test_engine_reuse_across_streams(self, lut, rng):
+    def test_engine_reuse_across_streams(self, small_field, lut, rng):
         frames = _frames(rng, 3)
         expected = [lut.apply(f) for f in frames]
-        with RingEngine(lut, (64, 64), workers=1, depth=2) as engine:
-            first = [f.copy() for f in engine.stream(frames)]
-            second = [f.copy() for f in engine.stream(frames)]
+        with StreamBroker(workers=1, slot_budget=2) as broker:
+            first = [f.copy() for f in broker.open(frames, small_field,
+                                                   copy=False)]
+            second = [f.copy() for f in broker.open(frames, small_field,
+                                                    copy=False)]
         for e, a, b in zip(expected, first, second):
             np.testing.assert_array_equal(e, a)
             np.testing.assert_array_equal(e, b)
 
-    def test_backpressure_bounds_in_flight(self, lut, rng):
-        """A slow consumer must not let the producer run ahead of the
+    def test_backpressure_bounds_in_flight(self, small_field, lut, rng):
+        """A slow consumer must not let the feeder run ahead of the
         ring: in-flight frames stay <= depth even for a long stream."""
         frames = _frames(rng, 12)
-        with RingEngine(lut, (64, 64), workers=2, depth=2,
-                        schedule="dynamic", chunk=8) as engine:
+        with StreamBroker(workers=2, slot_budget=2, schedule="dynamic",
+                          chunk=8) as broker:
+            session = broker.open(frames, small_field, depth=2, copy=False)
             n = 0
-            for _ in engine.stream(frames):
+            for _ in session:
                 time.sleep(0.01)  # consumer slower than the workers
                 n += 1
         assert n == 12
-        assert 1 <= engine.max_in_flight <= 2
+        assert 1 <= session.max_in_flight <= 2
+        # the same bound seen from the source through ring_stream: the
+        # feeder holds at most one pulled frame beyond the depth slots
+        pulled = []
 
-    def test_generator_source_and_empty_stream(self, lut, rng):
-        with RingEngine(lut, (64, 64), workers=1, depth=2) as engine:
-            assert list(engine.stream(iter([]))) == []
-            frames = _frames(rng, 2)
-            got = list(engine.stream((f for f in frames), copy=True))
+        def source():
+            for f in frames:
+                pulled.append(f)
+                yield f
+
+        ahead = []
+        for k, _ in enumerate(ring_stream(lut, source(), workers=2, depth=2)):
+            time.sleep(0.01)
+            ahead.append(len(pulled) - k)
+        assert len(ahead) == 12
+        assert max(ahead) <= 2 + 1
+
+    def test_generator_source_and_empty_stream(self, lut, rng, brokers):
+        assert list(ring_stream(lut, iter([]), workers=1, depth=2)) == []
+        assert brokers == []  # an empty source starts no fleet
+        frames = _frames(rng, 2)
+        got = list(ring_stream(lut, (f for f in frames), copy=True,
+                               workers=1, depth=2))
         assert len(got) == 2
 
-    def test_worker_crash_raises_and_releases_segments(self, lut, rng):
+    def test_worker_crash_raises_and_releases_segments(self, lut, brokers):
         """SIGKILL a worker mid-stream: the consumer gets a StreamError
         and every shared segment of the ring is unlinked."""
-        engine = RingEngine(lut, (64, 64), workers=2, depth=2)
-        names = [s.src_shm.name for s in engine._slots]
-        names += [s.dst_shm.name for s in engine._slots]
+        names = []
 
         def source():
             k = 0
             while True:  # endless: only the crash can end this stream
                 if k == 2:
-                    engine._procs[0].terminate()
+                    names.extend(_segment_names(brokers[0]))
+                    brokers[0]._procs[0].kill()
                 yield np.full((64, 64), k % 251, dtype=np.uint8)
                 k += 1
 
-        with pytest.raises(StreamError, match="died with exit code"):
-            for _ in engine.stream(source()):
+        with pytest.raises(StreamError, match="died with exit code") as err:
+            for _ in ring_stream(lut, source(), workers=2, depth=2):
                 pass
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert err.value.flight_dump
+        _assert_unlinked(names)
 
-    def test_geometry_mismatch_raises(self, lut):
-        with RingEngine(lut, (64, 64), workers=1, depth=2) as engine:
-            with pytest.raises(ScheduleError, match="geometry"):
-                list(engine.stream([np.zeros((10, 10), dtype=np.uint8)]))
+    def test_geometry_mismatch_raises(self, lut, random_image):
+        with pytest.raises(ScheduleError, match="geometry"):
+            list(ring_stream(lut, [np.zeros((10, 10), dtype=np.uint8)],
+                             workers=1, depth=2))
+        # a later frame is checked by the feeder against the first
+        with pytest.raises(ScheduleError, match="geometry"):
+            list(ring_stream(lut, [random_image,
+                                   np.zeros((64, 32), dtype=np.uint8)],
+                             workers=1, depth=2))
 
-    def test_validation(self, lut):
-        with pytest.raises(ScheduleError):
-            RingEngine(lut, (64, 64), workers=0)
-        with pytest.raises(ScheduleError):
-            RingEngine(lut, (64, 64), depth=0)
-        with pytest.raises(ScheduleError):
-            RingEngine(lut, (64, 64), depth=MAX_RING_DEPTH + 1)
-        with pytest.raises(ScheduleError):
-            RingEngine(lut, (32, 32))  # does not match LUT source
+    def test_validation(self, lut, rng):
+        for kwargs in ({"workers": 0}, {"depth": 0},
+                       {"depth": MAX_RING_DEPTH + 1},
+                       {"schedule": "cyclic"}, {"stall_timeout_s": -1}):
+            with pytest.raises(ScheduleError):
+                list(ring_stream(lut, _frames(rng, 1), **kwargs))
+        with pytest.raises(ScheduleError):  # does not match LUT source
+            list(ring_stream(lut, _frames(rng, 1, shape=(32, 32))))
 
-    def test_closed_engine_rejects_streams(self, lut, rng):
-        engine = RingEngine(lut, (64, 64), workers=1, depth=2)
-        engine.close()
-        engine.close()  # idempotent
+    def test_closed_engine_rejects_streams(self, small_field, rng):
+        broker = StreamBroker(workers=1, slot_budget=2)
+        broker.close()
+        broker.close()  # idempotent
         with pytest.raises(ScheduleError, match="closed"):
-            list(engine.stream(_frames(rng, 1)))
+            broker.open(_frames(rng, 1), small_field)
 
-    def test_abandoned_stream_closes_engine(self, lut, rng):
-        engine = RingEngine(lut, (64, 64), workers=1, depth=2)
-        stream = engine.stream(_frames(rng, 6))
+    def test_abandoned_stream_closes_engine(self, lut, rng, brokers):
+        stream = ring_stream(lut, _frames(rng, 6), workers=1, depth=2)
         next(stream)
         stream.close()  # consumer walks away mid-stream
-        assert engine._closed
+        assert brokers[0]._closed
+        assert not any(p.is_alive() for p in brokers[0]._procs)
 
     @pytest.mark.parametrize("schedule", RING_SCHEDULES)
     def test_every_schedule_is_exact(self, lut, rng, schedule):
         frames = _frames(rng, 4)
         expected = [lut.apply(f) for f in frames]
-        with RingEngine(lut, (64, 64), workers=2, depth=2,
-                        schedule=schedule) as engine:
-            got = [f.copy() for f in engine.stream(frames)]
+        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=2,
+                                             schedule=schedule)]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
@@ -217,41 +254,42 @@ class TestRingEngine:
         frames = [rng.integers(0, 255, (64, 64, 3), dtype=np.uint8)
                   for _ in range(3)]
         expected = [lut.apply(f) for f in frames]
-        with RingEngine(lut, (64, 64, 3), workers=2, depth=2) as engine:
-            got = [f.copy() for f in engine.stream(frames)]
+        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=2)]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_spawn_context(self, lut, rng):
         frames = _frames(rng, 3)
         expected = [lut.apply(f) for f in frames]
-        with RingEngine(lut, (64, 64), workers=1, depth=2,
-                        context="spawn") as engine:
-            got = [f.copy() for f in engine.stream(frames)]
+        got = [f.copy() for f in ring_stream(lut, frames, workers=1, depth=2,
+                                             context="spawn")]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_telemetry_counters_and_tracks(self, lut, rng):
         frames = _frames(rng, 4)
+        bands = len(plan_bands(64, 1, "dynamic", 16))
         tel = Telemetry()
         with scoped(tel):
-            with RingEngine(lut, (64, 64), workers=1, depth=2,
-                            schedule="dynamic", chunk=16) as engine:
-                list(engine.stream(frames, copy=True))
+            list(ring_stream(lut, frames, copy=True, workers=1, depth=2,
+                             schedule="dynamic", chunk=16, name="cam"))
         snap = tel.snapshot()
-        assert snap["counters"]["ring.frames"] == 4
-        assert snap["counters"]["ring.bands"] == 4 * len(engine.bands)
-        assert snap["counters"]["ring.worker.0.busy_seconds"] > 0
-        assert snap["gauges"]["ring.depth"] == 2.0
-        assert snap["histograms"]["ring.band_seconds"]["count"] == 16
+        assert snap["counters"]["stream.frames"] == 4
+        assert snap["counters"]['stream.frames{stream="cam"}'] == 4
+        assert snap["counters"]["serve.bands"] == 4 * bands
+        assert snap["counters"]["serve.worker.0.busy_seconds"] > 0
+        assert snap["gauges"]["serve.slot_budget"] == 2.0
+        assert snap["histograms"]["serve.band_seconds"]["count"] == 4 * bands
         assert snap["histograms"]["frame.e2e_latency_seconds"]["count"] == 4
         tracks = {s["tid"] for s in tel.spans}
-        assert {"ring-decode", "ring-deliver", "ring-worker-0",
-                "ring-frames"} <= tracks
-        # lineage: every ring span names the frame it belongs to
+        assert {"serve-feed-cam", "serve-deliver-cam", "serve-worker-0",
+                "serve-frames-cam"} <= tracks
+        # lineage: every broker span names the frame and stream it
+        # belongs to
         for s in tel.spans:
-            if s["name"].startswith(("ring.", "frame.")):
+            if s["name"].startswith(("serve.", "frame.")):
                 assert "frame_id" in s["args"]
+                assert s["args"]["stream"] == "cam"
 
 
 class TestRingStream:
@@ -300,3 +338,55 @@ class TestRingStream:
         snap = tel.snapshot()
         assert snap["counters"]["stream.frames"] == 4
         assert snap["gauges"]["stream.fps"] > 0
+
+
+# ----------------------------------------------------------------------
+# every front end, one oracle
+# ----------------------------------------------------------------------
+def _pixfmt_frames(pixfmt, rng, n=3):
+    if pixfmt == "rgb":
+        return [rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
+                for _ in range(n)]
+    if pixfmt == "nv12":
+        return [NV12Frame(rng.integers(0, 256, (64, 64), dtype=np.uint8),
+                          rng.integers(0, 256, (32, 32, 2), dtype=np.uint8))
+                for _ in range(n)]
+    return [YUV420Frame(rng.integers(0, 256, (64, 64), dtype=np.uint8),
+                        rng.integers(0, 256, (32, 32), dtype=np.uint8),
+                        rng.integers(0, 256, (32, 32), dtype=np.uint8))
+            for _ in range(n)]
+
+
+def _planes(frame):
+    return frame.planes if hasattr(frame, "planes") else (frame,)
+
+
+class TestEngineParity:
+    @pytest.mark.parametrize("out_size", [None, (32, 32)],
+                             ids=["full", "half"])
+    @pytest.mark.parametrize("pixfmt", ["rgb", "yuv420", "nv12"])
+    def test_sync_ring_broker_bit_exact(self, small_field, rng, pixfmt,
+                                        out_size):
+        """sync, ring and a broker session deliver identical frames, and
+        the ring counts each of its frames exactly once."""
+        frames = _pixfmt_frames(pixfmt, rng)
+        common = dict(pixfmt=pixfmt, out_size=out_size)
+        sync = list(corrected_stream(iter(frames), small_field, copy=True,
+                                     **common))
+        tel = Telemetry()
+        with scoped(tel):
+            ring = list(corrected_stream(iter(frames), small_field,
+                                         copy=True, engine="ring",
+                                         workers=2, depth=2,
+                                         stream_label="cam", **common))
+        with StreamBroker(workers=2) as broker:
+            served = list(broker.open(iter(frames), small_field, **common))
+        assert len(sync) == len(ring) == len(served) == len(frames)
+        for s, r, b in zip(sync, ring, served):
+            assert _planes(s)[0].shape[:2] == (out_size or (64, 64))
+            for ps, pr, pb in zip(_planes(s), _planes(r), _planes(b)):
+                np.testing.assert_array_equal(ps, pr)
+                np.testing.assert_array_equal(ps, pb)
+        counters = tel.snapshot()["counters"]
+        assert counters["stream.frames"] == len(frames)
+        assert counters['stream.frames{stream="cam"}'] == len(frames)

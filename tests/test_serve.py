@@ -243,6 +243,24 @@ class TestBackpressureAndFairness:
             assert elapsed < 20.0
             a.close()
 
+    def test_merged_slow_consumer_buffers_at_most_one_frame_per_session(
+            self, small_field):
+        """merged() must not buffer without limit: with a consumer
+        slower than the fleet, frames pulled from the sessions minus
+        frames yielded stays within len(sessions)."""
+        with MultiStreamCorrector(workers=2, slot_budget=8) as svc:
+            sessions = [svc.open_stream(_const_frames(i * 20, 12),
+                                        small_field, name=f"s{i}")
+                        for i in range(3)]
+            yielded = worst = 0
+            for _ in svc.merged(sessions):
+                yielded += 1
+                time.sleep(0.03)  # the fleet runs ahead meanwhile
+                pulled = sum(s.delivered for s in sessions)
+                worst = max(worst, pulled - yielded)
+        assert yielded == 36
+        assert 1 <= worst <= len(sessions)
+
     def test_close_wakes_feeder_blocked_on_its_ring(self, small_field,
                                                     monkeypatch):
         import repro.serve.broker as broker_mod
@@ -576,6 +594,22 @@ class TestTeardown:
             next(drain)
             drain.close()  # early consumer break
             assert all(s.closed for s in sessions)
+            assert svc.broker.slots_used == 0
+
+    def test_merged_close_joins_every_pump(self, small_field):
+        def pumps():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("serve-drain-")]
+
+        with MultiStreamCorrector(workers=1, slot_budget=8) as svc:
+            sessions = [svc.open_stream(_const_frames(i, 1000), small_field,
+                                        name=f"s{i}") for i in range(3)]
+            drain = svc.merged(sessions)
+            next(drain)
+            time.sleep(0.3)  # every pump now holds or waits on a frame
+            assert len(pumps()) == 3
+            drain.close()  # consumer stops mid-drain
+            assert pumps() == []
             assert svc.broker.slots_used == 0
 
     def test_worker_death_surfaces_stream_error(self, small_field):

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core.remap import RemapLUT
-from repro.parallel.procpool import ProcessExecutor, SharedMemoryExecutor
-from repro.parallel.ring import RingEngine
+from repro.parallel.procpool import SharedMemoryExecutor
+from repro.parallel.ring import ring_stream
 from repro.parallel.shmseg import (
     FrameSegments,
     SharedTables,
@@ -35,7 +35,16 @@ def _segment_names(executor):
             for shm in group._shms]
 
 
+def _broker_segment_names(broker):
+    """Every slot and table segment the broker currently owns."""
+    names = [shm.name for s in broker._sessions.values()
+             for group in s._slots for shm in group._shms]
+    return names + [shm.name for tables, _ in broker._tables.values()
+                    for shm in tables._shms]
+
+
 def _assert_unlinked(names):
+    assert names
     for name in names:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -156,7 +165,7 @@ class TestLeanPublication:
 
 
 class TestExecutorLifecycle:
-    @pytest.mark.parametrize("cls", [ProcessExecutor, SharedMemoryExecutor])
+    @pytest.mark.parametrize("cls", [SharedMemoryExecutor])
     def test_close_unlinks_every_segment(self, small_field, cls):
         lut = RemapLUT(small_field, method="bilinear")
         ex = cls(lut, (64, 64), workers=1)
@@ -174,12 +183,14 @@ class TestExecutorLifecycle:
         gc.collect()
         _assert_unlinked(names)
 
-    def test_ring_close_unlinks_every_segment(self, small_field):
+    def test_ring_close_unlinks_every_segment(self, small_field, brokers):
         lut = RemapLUT(small_field, method="bilinear")
-        engine = RingEngine(lut, (64, 64), workers=1, depth=2)
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
-        engine.close()
+        frames = [np.zeros((64, 64), dtype=np.uint8)] * 3
+        stream = ring_stream(lut, frames, workers=1, depth=2)
+        next(stream)
+        names = _broker_segment_names(brokers[0])
+        assert list(stream)  # exhaustion closes the ring
+        assert brokers[0]._closed
         _assert_unlinked(names)
 
 
@@ -230,19 +241,34 @@ names = [shm.name for group in ex._segment_groups for shm in group._shms]
 """
 
 _RING_BODY = """
-engine = RingEngine(lut, (SIZE, SIZE), workers=2, depth=2, context="{context}")
+from repro.serve.broker import StreamBroker
+
+brokers = []
+init = StreamBroker.__init__
+
+def spy(self, *args, **kwargs):
+    brokers.append(self)
+    init(self, *args, **kwargs)
+
+StreamBroker.__init__ = spy
 
 def endless():
     while True:  # only the crash can end this stream
         yield frame
 
+names = []
 try:
-    for k, _ in enumerate(engine.stream(endless())):
+    for k, _ in enumerate(ring_stream(lut, endless(), workers=2, depth=2,
+                                      context="{context}")):
         if k == 1:
-            engine._procs[0].terminate()
+            broker = brokers[0]
+            names = [shm.name for s in broker._sessions.values()
+                     for group in s._slots for shm in group._shms]
+            names += [shm.name for tables, _ in broker._tables.values()
+                      for shm in tables._shms]
+            broker._procs[0].kill()
 except Exception as exc:
     assert type(exc).__name__ == "StreamError", exc
-names = [shm.name for group in engine._segment_groups for shm in group._shms]
 """
 
 
@@ -273,7 +299,7 @@ class TestCrashedWorkerLeavesNoLeak:
     @pytest.mark.parametrize("context", ["fork", "spawn"])
     def test_ring_crash_no_tracker_warnings(self, context):
         names, stderr = _run_crash_script(
-            "ring", "RingEngine", _RING_BODY, context)
+            "ring", "ring_stream", _RING_BODY, context)
         assert "resource_tracker" not in stderr, stderr
         assert "leaked" not in stderr, stderr
         _assert_unlinked(names)
@@ -288,99 +314,80 @@ class TestEarlyStreamClose:
     shared segment linked until interpreter exit.
     """
 
-    def _engine_and_stream(self, small_field):
-        lut = RemapLUT(small_field, method="bilinear")
-        engine = RingEngine(lut, (64, 64), workers=2, depth=2)
+    @staticmethod
+    def _endless():
         frame = np.zeros((64, 64), dtype=np.uint8)
+        while True:
+            yield frame
 
-        def endless():
-            while True:
-                yield frame
+    def _stream(self, small_field):
+        lut = RemapLUT(small_field, method="bilinear")
+        return ring_stream(lut, self._endless(), workers=2, depth=2)
 
-        return engine, engine.stream(endless())
-
-    def test_generator_close_stops_workers_and_unlinks(self, small_field):
-        engine, gen = self._engine_and_stream(small_field)
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
+    def test_generator_close_stops_workers_and_unlinks(self, small_field,
+                                                       brokers):
+        gen = self._stream(small_field)
         next(gen)
         next(gen)
+        names = _broker_segment_names(brokers[0])
         gen.close()  # early abandon: consumer walks away mid-stream
-        assert engine._closed
-        for p in engine._procs:
+        assert brokers[0]._closed
+        for p in brokers[0]._procs:
             p.join(timeout=5.0)
             assert not p.is_alive()
         _assert_unlinked(names)
 
-    def test_break_out_of_for_loop_unlinks(self, small_field):
-        engine, gen = self._engine_and_stream(small_field)
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
+    def test_break_out_of_for_loop_unlinks(self, small_field, brokers):
+        gen = self._stream(small_field)
         for k, _ in enumerate(gen):
             if k == 1:
+                names = _broker_segment_names(brokers[0])
                 break
         del gen  # the for-loop's GeneratorExit path, then GC
         import gc
         gc.collect()
-        assert engine._closed
+        assert brokers[0]._closed
         _assert_unlinked(names)
 
     def test_corrected_stream_early_close_tears_down_ring(self, small_field,
-                                                          monkeypatch):
-        from repro.parallel import ring as ring_mod
+                                                          brokers):
         from repro.video.stream import corrected_stream
 
-        engines = []
-        real_for_stream = RingEngine.for_stream.__func__
-
-        def spy_for_stream(cls, lut, first_frame, **kwargs):
-            engine = real_for_stream(cls, lut, first_frame, **kwargs)
-            engines.append(engine)
-            return engine
-
-        monkeypatch.setattr(ring_mod.RingEngine, "for_stream",
-                            classmethod(spy_for_stream))
-        frame = np.zeros((64, 64), dtype=np.uint8)
-
-        def endless():
-            while True:
-                yield frame
-
-        gen = corrected_stream(endless(), small_field, engine="ring",
+        gen = corrected_stream(self._endless(), small_field, engine="ring",
                                workers=2, depth=2)
         next(gen)
         next(gen)
+        assert len(brokers) == 1
+        broker = brokers[0]
+        names = _broker_segment_names(broker)
         gen.close()
-        assert len(engines) == 1
-        engine = engines[0]
-        assert engine._closed
-        names = [shm.name for group in engine._segment_groups
-                 for shm in group._shms]
-        for p in engine._procs:
+        assert broker._closed
+        for p in broker._procs:
             p.join(timeout=5.0)
             assert not p.is_alive()
         _assert_unlinked(names)
 
     def test_exception_in_consumer_loop_unlinks(self, small_field):
+        from multiprocessing import active_children
+
         from repro.video.stream import corrected_stream
 
-        frame = np.zeros((64, 64), dtype=np.uint8)
+        def fleet():
+            return [p for p in active_children()
+                    if p.name.startswith("serve-worker-")]
 
-        def endless():
-            while True:
-                yield frame
-
-        gen = corrected_stream(endless(), small_field, engine="ring",
+        gen = corrected_stream(self._endless(), small_field, engine="ring",
                                workers=1, depth=2)
+        workers = []
         with pytest.raises(KeyboardInterrupt):
             for k, _ in enumerate(gen):
                 if k == 2:
+                    workers = fleet()
                     raise KeyboardInterrupt
+        assert workers, "the ring's fleet was not found by name"
         gen.close()
         import gc
         gc.collect()
-        leftover = [p for p in __import__("multiprocessing").active_children()
-                    if p.name.startswith("ring-worker-")]
-        for p in leftover:
+        for p in workers:
             p.join(timeout=5.0)
-        assert not [p for p in leftover if p.is_alive()]
+        assert not [p for p in workers if p.is_alive()]
