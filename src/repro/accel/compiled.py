@@ -5,8 +5,7 @@ This module is the ``compiled`` rung of the kernel-tier ladder
 gather-multiply-accumulate over the compact LUT tables — ``int32`` tap
 offsets plus Q-format ``int16`` quantized weights — that finally
 leaves numpy's per-ufunc dispatch overhead behind.  The arithmetic is
-the :class:`~repro.core.fixedpoint.FixedPointLUT` model made fast:
-wide-integer accumulate, ``+half`` then a single arithmetic shift,
+the ``fixed`` tier's Q-format model made fast: wide-integer accumulate, ``+half`` then a single arithmetic shift,
 clip, store.
 
 Numba is strictly optional (the ``repro[speed]`` extra).  Nothing here

@@ -116,8 +116,7 @@ def kernel_spec(method: str = "bilinear", mode: str = "lut",
         compact layout (int32 base offset + quantized per-axis
         fractions: 4 B nearest, 8 B bilinear, 12 B bicubic), from
         which tap weights are derived in-register.  Pass
-        ``RemapLUT(...).entry_bytes()`` or
-        ``FixedPointLUT(...).entry_bytes()`` to price the explicit
+        ``RemapLUT(...).entry_bytes()`` (any tier) to price the explicit
         tap/weight layouts this library materializes in host memory.
     """
     if method not in METHODS:

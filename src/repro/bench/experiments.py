@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import BenchmarkError, CapacityError
 from ..core.brown_conrady import fit_brown_conrady
-from ..core.fixedpoint import FixedPointLUT
+from ..core.fixedpoint import packed_entry_bytes
 from ..core.intrinsics import CameraIntrinsics
 from ..core.mapping import perspective_map
 from ..core.quality import (
@@ -552,14 +552,15 @@ def f12_fixed_point(res: str = "VGA", frac_bits=(2, 4, 6, 8, 10)) -> Table:
         ["frac_bits", "packed_entry_bytes", "psnr_vs_float_db", "max_abs_err", "cell_fps"],
     )
     for bits in frac_bits:
-        fp = FixedPointLUT(field, method="bilinear", frac_bits=bits)
-        out = fp.apply(frame).astype(np.float64)
+        fixed = float_lut.with_tier("fixed", frac_bits=bits)
+        out = fixed.apply(frame).astype(np.float64)
         q = psnr(reference, out, peak=255.0, mask=mask)
         err = float(np.abs(out - reference)[mask].max())
+        entry = packed_entry_bytes("bilinear", bits)
         workload = Workload.from_field(field, method="bilinear", mode="lut",
-                                       lut_entry_bytes=fp.packed_entry_bytes())
+                                       lut_entry_bytes=entry)
         rep = cell.simulate(workload)
-        table.add_row(bits, fp.packed_entry_bytes(), q, err, rep.fps)
+        table.add_row(bits, entry, q, err, rep.fps)
     table.notes.append("PSNR gains ~6 dB per extra fraction bit pair; the "
                        "DMA-bound Cell fps tracks the packed entry size.")
     return table

@@ -62,6 +62,14 @@ __all__ = ["main", "build_parser"]
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
+def _pixfmt(name):
+    """The pixel-format row of a ``--pixfmt`` choice (``gray`` is the
+    packed row)."""
+    from .video.pixfmt import get_pixfmt
+
+    return get_pixfmt({"gray": "rgb"}.get(name, name))
+
+
 def _parse_size(value):
     """Parse a ``WIDTHxHEIGHT`` CLI size (e.g. ``1280x720``)."""
     try:
@@ -189,7 +197,6 @@ def cmd_stream(args) -> int:
     """Run a synthetic camera stream through a correction engine."""
     import time
 
-    from .core.pipeline import StreamStats
     from .video.distort import FisheyeRenderer, scene_camera_for_sensor
     from .video.stream import SyntheticStream
     from .video.synth import urban
@@ -204,6 +211,7 @@ def cmd_stream(args) -> int:
     source = SyntheticStream(renderer, world, frames=args.frames, step=12)
 
     out_size = args.out_size
+    fmt = _pixfmt(args.pixfmt)
     corrector = FisheyeCorrector.for_sensor(
         sensor, lens, w, h, zoom=args.zoom, method=args.method,
         kernel=args.kernel, out_size=out_size)
@@ -224,7 +232,6 @@ def cmd_stream(args) -> int:
     own_tel = False
     server = None
     tel = obs.get_telemetry()
-    stats = StreamStats()
     frames = 0
     try:
         # everything owned by this run — the scrape server and any
@@ -240,22 +247,21 @@ def cmd_stream(args) -> int:
                                        port=args.serve_metrics).start()
             print(f"serving metrics on {server.url} "
                   f"(/metrics /health /snapshot)", file=sys.stderr)
-        if args.pixfmt in ("yuv420", "nv12"):
-            if engine not in ("sync", "ring"):
-                print(f"stream: --pixfmt {args.pixfmt} supports --engine "
-                      f"seq or ring", file=sys.stderr)
-                return 2
-            from .video.stream import corrected_stream
-            from .video.yuv import to_nv12_stream, to_yuv420_stream
-            wrap = (to_nv12_stream if args.pixfmt == "nv12"
-                    else to_yuv420_stream)
-            it = corrected_stream(
-                wrap(source), corrector.field,
-                method=args.method, kernel=args.kernel, engine=engine,
-                pixfmt=args.pixfmt, out_size=out_size, **engine_kwargs)
-        else:
-            it = corrector.correct_stream(source, stats=stats, engine=engine,
+        if len(fmt.planes) == 1:
+            # one packed plane: the corrector's own engines (seq,
+            # pipelined threads, ring) and its pipeline.* metrics
+            it = corrector.correct_stream(source, engine=engine,
                                           **engine_kwargs)
+        elif engine == "pipelined":
+            print(f"stream: --pixfmt {args.pixfmt} supports --engine "
+                  f"seq or ring", file=sys.stderr)
+            return 2
+        else:
+            from .video.stream import corrected_stream
+            it = corrected_stream(
+                fmt.adapt(source), corrector.field,
+                method=args.method, kernel=args.kernel, engine=engine,
+                pixfmt=fmt.name, out_size=out_size, **engine_kwargs)
         t0 = time.perf_counter()
         for _ in it:
             frames += 1
@@ -267,17 +273,15 @@ def cmd_stream(args) -> int:
             detail = (f" workers={args.workers} depth={args.depth} "
                       f"schedule={args.schedule}")
         ow, oh = out_size if out_size else (w, h)
-        if args.pixfmt in ("yuv420", "nv12"):
-            # planar: 1.5 samples per output pixel across the planes
-            mpx = frames * (ow * oh * 1.5) / wall / 1e6
-        else:
-            mpx = stats.mpixels_per_s
+        # output samples across the planes: 1 per pixel for gray,
+        # 1.5 for the 4:2:0 formats
+        mpx = frames * fmt.samples(oh, ow) / wall / 1e6
         fused_note = f" out={ow}x{oh} fused" if out_size else ""
         print(f"engine={args.engine}{detail} kernel={corrector.kernel} "
               f"pixfmt={args.pixfmt}{fused_note}: {frames} frames "
               f"{w}x{h} {args.method} in {wall:.3f}s "
               f"-> {frames / wall:.1f} fps end-to-end "
-              f"({mpx:.1f} Mpx/s in-engine)")
+              f"({mpx:.1f} Mpx/s)")
         if tel.enabled:
             slo = obs.slo_summary(tel.snapshot())
             if slo is not None:
@@ -335,13 +339,7 @@ def cmd_serve(args) -> int:
                   f"(/metrics /health /snapshot)", file=sys.stderr)
         deadline_s = args.deadline_ms / 1e3 if args.deadline_ms else None
         t0 = time.perf_counter()
-        pixfmt = {"gray": "rgb"}.get(args.pixfmt, args.pixfmt)
-        if pixfmt == "rgb":
-            def wrap(src):
-                return src
-        else:
-            from .video.yuv import to_nv12_stream, to_yuv420_stream
-            wrap = to_nv12_stream if pixfmt == "nv12" else to_yuv420_stream
+        fmt = _pixfmt(args.pixfmt)
         with MultiStreamCorrector(workers=args.workers,
                                   slot_budget=args.slot_budget,
                                   schedule=args.schedule, chunk=args.chunk,
@@ -349,11 +347,12 @@ def cmd_serve(args) -> int:
                                   serve_metrics=server) as svc:
             sessions = [
                 svc.open_stream(
-                    wrap(SyntheticStream(renderer, world, frames=args.frames,
-                                         step=8 + 3 * i)),
+                    fmt.adapt(SyntheticStream(renderer, world,
+                                              frames=args.frames,
+                                              step=8 + 3 * i)),
                     corrector.field, method=args.method, kernel=args.kernel,
                     name=f"s{i}", depth=args.depth, weight=weights[i],
-                    deadline_s=deadline_s, pixfmt=pixfmt,
+                    deadline_s=deadline_s, pixfmt=fmt.name,
                     out_size=args.out_size)
                 for i in range(args.streams)
             ]

@@ -9,7 +9,7 @@ distortion-correction kernel — implemented from scratch:
   map analyses the platform models consume,
 - :mod:`~repro.core.interpolation` / :mod:`~repro.core.remap` /
   :mod:`~repro.core.fixedpoint` — the sampling kernels (on-the-fly,
-  float LUT, fixed-point LUT),
+  float LUT, Q-format weight quantization for the fixed tier),
 - :mod:`~repro.core.calibration` / :mod:`~repro.core.quality` — lens
   parameter recovery and quantitative quality metrics,
 - :mod:`~repro.core.pipeline` — the high-level streaming API.
@@ -17,7 +17,6 @@ distortion-correction kernel — implemented from scratch:
 
 from .brown_conrady import BrownConrady, BrownConradyLens, fit_brown_conrady
 from .calibration import CalibrationResult, calibrate, detect_blobs, fit_focal, select_model
-from .fixedpoint import FixedPointLUT
 from .image import GRAY8, GRAY16, RGB8, RGBF32, Frame, PixelFormat
 from .intrinsics import CameraIntrinsics, FisheyeIntrinsics
 from .kannala import KannalaBrandtLens, fit_kannala_brandt
@@ -65,7 +64,6 @@ __all__ = [
     "detect_blobs",
     "fit_focal",
     "select_model",
-    "FixedPointLUT",
     "KERNEL_CHOICES",
     "KERNEL_TIERS",
     "available_tiers",

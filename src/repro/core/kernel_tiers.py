@@ -9,9 +9,9 @@ compact LUT tables (int32 tap offsets + per-axis fractions):
     float32 precision, one numpy ufunc dispatch per tap.
 ``fixed``
     Q-format integer arithmetic (quantized ``int16`` weights,
-    wide-integer accumulate, single-shift round) — the
-    :class:`~repro.core.fixedpoint.FixedPointLUT` model promoted to a
-    shipping execution path, vectorised with pooled scratch and a
+    wide-integer accumulate, single-shift round; weights from
+    :func:`~repro.core.fixedpoint.quantize_weights`) — the
+    accelerator arithmetic as a shipping execution path, vectorised with pooled scratch and a
     tile-blocked row walk so the per-tile accumulator and source
     working set stay cache-resident.  Bit-faithful to what a DSP/SPE
     kernel computes; integer frames only.
@@ -147,7 +147,7 @@ def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
     gather each tap into ``scratch``, multiply by its quantized weight
     column, accumulate in ``acc`` (int32 for 1-byte frames, int64
     wider), then round with ``+half`` and a single arithmetic shift —
-    bit-exact with :class:`~repro.core.fixedpoint.FixedPointLUT`.
+    the integer arithmetic a DSP or SPE fixed-point kernel performs.
 
     Parameters
     ----------

@@ -296,7 +296,7 @@ class FisheyeCorrector:
         elif engine == "ring":
             from ..parallel.ring import ring_stream
             yield from self._account(
-                ring_stream(self.lut, frames, **engine_kwargs), stats,
+                ring_stream((self.lut,), frames, **engine_kwargs), stats,
                 count=True)
         else:
             raise ScheduleError(

@@ -67,6 +67,7 @@ from ..errors import InterpolationError, KernelTierError, MappingError
 from ..obs.telemetry import Telemetry, get_telemetry, scoped
 from . import interpolation as interp
 from . import kernel_tiers
+from .fixedpoint import quantize_weights
 from .mapping import RemapField
 
 __all__ = ["remap", "RemapLUT", "remap_profiled", "StageProfile"]
@@ -393,8 +394,9 @@ class RemapLUT:
 
         This is the *expanded* form of the stored fractions (scratch, not
         part of the streamed table); rows of invalid output pixels are
-        zero.  Kept for consumers that need explicit weights, e.g.
-        :class:`~repro.core.fixedpoint.FixedPointLUT` quantization.
+        zero.  Kept for consumers that need explicit weights, e.g. an
+        independent check of the Q tiers'
+        :func:`~repro.core.fixedpoint.quantize_weights` tables.
         """
         return self._weight_table_full().T
 
@@ -526,8 +528,6 @@ class RemapLUT:
         return self._qwtab
 
     def _derive_qweight_table(self):
-        # lazy import: fixedpoint imports this module at its top
-        from .fixedpoint import quantize_weights
         wtab = (self._wtab if self._wtab is not None
                 else self._derive_weight_table())
         return np.ascontiguousarray(quantize_weights(wtab.T, self.frac_bits).T)
@@ -688,7 +688,7 @@ class RemapLUT:
         """The Q-format (fixed/compiled) execution paths.
 
         Both share the quantized ``(taps, N)`` int16 weight table and
-        the FixedPointLUT arithmetic contract: wide-int accumulate,
+        one Q-format arithmetic contract: wide-int accumulate,
         ``+half`` then one arithmetic shift, clip, fill.  The numpy
         ``fixed`` tier walks the output in row blocks
         (:data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS`) so the

@@ -40,6 +40,7 @@ from .partition import row_bands
 from .shmseg import (
     FrameSegments,
     SharedTables,
+    attach_slot,
     attach_tables,
     init_worker_telemetry,
     worker_delta,
@@ -53,12 +54,13 @@ log = get_logger(__name__)
 _SHM_STATE = None
 
 
-def _init_shm_worker(table_spec, lut_meta, telemetry_enabled=False):
+def _init_shm_worker(table_spec, lut_meta, slot_spec, telemetry_enabled=False):
     """Attach to every shared segment and rebuild a zero-copy LUT."""
     global _SHM_STATE
     init_worker_telemetry(telemetry_enabled)
-    segments, arrays, lut = attach_tables(table_spec, lut_meta)
-    _SHM_STATE = (segments, lut, arrays["src"], arrays["dst"])
+    segments, (lut,) = attach_tables(table_spec, lut_meta)
+    slot_segments, (src,), (dst,) = attach_slot(slot_spec)
+    _SHM_STATE = (segments + slot_segments, lut, src, dst)
 
 
 def _run_shm_band(rows):
@@ -122,25 +124,20 @@ class SharedMemoryExecutor:
         self._pool = None
         self._closed = False
         self._frame_seq = 0  # lineage: frame_id carried on executor spans
-        self._frames = FrameSegments(self.frame_shape, self.frame_dtype,
-                                     self.out_shape)
+        self._frames = FrameSegments([self.frame_shape], self.frame_dtype,
+                                     [self.out_shape])
         self._tables = SharedTables(lut)
         self._segment_groups = [self._frames, self._tables]
-        self.src_view = self._frames.src_view
-        self.dst_view = self._frames.dst_view
-
-        table_spec = dict(self._tables.spec)
-        table_spec["src"] = (self._frames.src_shm.name, self.frame_shape,
-                             self.frame_dtype.str)
-        table_spec["dst"] = (self._frames.dst_shm.name, self.out_shape,
-                             self.frame_dtype.str)
+        (self.src_view,) = self._frames.src_views
+        (self.dst_view,) = self._frames.dst_views
         ctx = mp.get_context(context)
         log.debug("starting %d %s workers (shared-memory executor)",
                   self.workers, context)
         self._pool = ctx.Pool(
             processes=self.workers,
             initializer=_init_shm_worker,
-            initargs=(table_spec, self._tables.meta, get_telemetry().enabled),
+            initargs=(self._tables.spec, self._tables.meta, self._frames.spec,
+                      get_telemetry().enabled),
         )
 
     # ------------------------------------------------------------------
@@ -189,12 +186,12 @@ class SharedMemoryExecutor:
             raise ScheduleError(
                 f"frame {image.shape}/{image.dtype} does not match bound geometry "
                 f"{self.frame_shape}/{self.frame_dtype}")
-        np.copyto(self._frames.src_view, image)
+        np.copyto(self.src_view, image)
         self._run_bands()
         if out is not None:
-            np.copyto(out, self._frames.dst_view)
+            np.copyto(out, self.dst_view)
             return out
-        return self._frames.dst_view.copy()
+        return self.dst_view.copy()
 
     def _run_bands(self):
         """Fan one frame's bands out to the pool, with telemetry.

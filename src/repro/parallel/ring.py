@@ -27,7 +27,6 @@ import math
 from itertools import chain
 
 from ..errors import ScheduleError
-from ..core.remap import RemapLUT
 from .partition import row_bands
 
 __all__ = ["ring_stream", "plan_bands", "MAX_RING_DEPTH", "RING_SCHEDULES"]
@@ -85,49 +84,46 @@ def plan_bands(height: int, workers: int, schedule: str = "dynamic",
     return bands
 
 
-def ring_stream(lut: RemapLUT, frames, copy: bool = False, *,
+def ring_stream(luts, frames, copy: bool = False, *,
                 workers: int = 2, depth: int = 2, schedule: str = "dynamic",
                 chunk: int | None = None, context: str = "fork",
                 stall_timeout_s: float | None = None, flight_dir=None,
-                chroma_lut: RemapLUT | None = None, pixfmt: str | None = None,
-                **session):
+                pixfmt: str | None = None, **session):
     """Correct ``frames`` through a one-session broker; yield in order.
 
-    The broker gets ``workers`` processes and a slot budget of
-    ``depth`` (at most :data:`MAX_RING_DEPTH`); it starts on the first
-    frame, so an empty source costs nothing, and is closed when the
-    generator finishes or is abandoned.  ``copy=False`` (default)
-    yields zero-copy views of the slot buffers, recycled when the
-    consumer advances.  :class:`~repro.video.yuv.YUV420Frame` and
-    :class:`~repro.video.yuv.NV12Frame` sources (``pixfmt`` defaults
-    to the first frame's kind) need ``chroma_lut=`` and yield planar
-    frames.  ``session`` passes ``deadline_s`` and ``name`` on to the
-    session.
+    ``luts`` is the tuple of the pixel format's distinct LUTs, by LUT
+    index (see :func:`~repro.video.pixfmt.plane_luts`): ``(lut,)`` for
+    packed frames, ``(luma, chroma)`` for
+    :class:`~repro.video.yuv.YUV420Frame` and
+    :class:`~repro.video.yuv.NV12Frame` sources.  ``pixfmt`` defaults
+    to the first frame's kind.  The broker gets ``workers`` processes
+    and a slot budget of ``depth`` (at most :data:`MAX_RING_DEPTH`); it
+    starts on the first frame, so an empty source costs nothing, and is
+    closed when the generator finishes or is abandoned.
+    ``copy=False`` (default) yields zero-copy views of the slot
+    buffers, recycled when the consumer advances.  ``session`` passes
+    ``deadline_s`` and ``name`` on to the session.
     """
     if depth > MAX_RING_DEPTH:
         raise ScheduleError(
             f"depth {depth} exceeds MAX_RING_DEPTH ({MAX_RING_DEPTH}); "
             f"each slot allocates a full frame pair in shared memory")
     from ..serve.broker import StreamBroker
-    from ..video.yuv import NV12Frame, YUV420Frame
+    from ..video.pixfmt import pixfmt_of
 
     it = iter(frames)
     first = next(it, None)
     if first is None:
         return
     if pixfmt is None:
-        pixfmt = {NV12Frame: "nv12", YUV420Frame: "yuv420"}.get(
-            type(first), "rgb")
-    if pixfmt != "rgb" and chroma_lut is None:
-        raise ScheduleError(
-            f"{pixfmt} streams need a chroma_lut for the planar ring")
+        pixfmt = pixfmt_of(first).name
+    luts = tuple(luts)
     broker = StreamBroker(workers=workers, slot_budget=depth,
                           schedule=schedule, chunk=chunk, context=context,
                           stall_timeout_s=stall_timeout_s,
                           flight_dir=flight_dir)
     try:
-        yield from broker._admit(chain([first], it),
-                                 lambda: (None, (lut, chroma_lut)),
+        yield from broker._admit(chain([first], it), lambda: (None, luts),
                                  depth=depth, copy=copy, pixfmt=pixfmt,
                                  **session)
     finally:

@@ -49,21 +49,12 @@ __all__ = [
     "release_segments",
     "ensure_resource_tracker",
     "FrameSegments",
-    "PlanarFrameSegments",
     "attach_slot",
-    "attach_planar_slot",
-    "attach_any_slot",
     "SharedTables",
     "attach_tables",
-    "attach_planar_tables",
     "init_worker_telemetry",
     "worker_delta",
 ]
-
-#: key prefix under which a chroma LUT's tables live inside a planar
-#: :class:`SharedTables` spec (one spec, two LUTs).
-_CHROMA_PREFIX = "c:"
-
 
 def ensure_resource_tracker() -> None:
     """Start the resource-tracker process now (idempotent).
@@ -166,62 +157,6 @@ class _SegmentGroup:
         self._finalizer()
 
 
-class FrameSegments(_SegmentGroup):
-    """Create/own one source + destination shared frame buffer pair."""
-
-    def __init__(self, frame_shape, frame_dtype, out_shape):
-        frame_dtype = np.dtype(frame_dtype)
-        self.frame_shape = tuple(frame_shape)
-        self.out_shape = tuple(out_shape)
-        self.dtype = frame_dtype
-        nbytes_src = int(np.prod(frame_shape)) * frame_dtype.itemsize
-        nbytes_dst = int(np.prod(out_shape)) * frame_dtype.itemsize
-        self.src_shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes_src))
-        self.dst_shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes_dst))
-        self.src_view = np.ndarray(frame_shape, dtype=frame_dtype, buffer=self.src_shm.buf)
-        self.dst_view = np.ndarray(out_shape, dtype=frame_dtype, buffer=self.dst_shm.buf)
-        super().__init__([self.src_shm, self.dst_shm])
-
-    @property
-    def spec(self):
-        """Picklable attach recipe: ``(src_name, frame_shape, dst_name,
-        out_shape, dtype_str)`` — what a worker needs to map this slot
-        (see :func:`attach_slot`)."""
-        return (self.src_shm.name, self.frame_shape, self.dst_shm.name,
-                self.out_shape, self.dtype.str)
-
-    @property
-    def src_views(self):
-        """One-plane view tuples, shaped like
-        :class:`PlanarFrameSegments`' so engines index planes uniformly."""
-        return (self.src_view,)
-
-    @property
-    def dst_views(self):
-        return (self.dst_view,)
-
-    def release(self):
-        self.src_view = None
-        self.dst_view = None
-        super().release()
-
-
-def attach_slot(spec):
-    """Worker side of :attr:`FrameSegments.spec`: map one frame slot.
-
-    Returns ``(segments, src_view, dst_view)``; the caller keeps
-    ``segments`` alive (and ``close()``\\ s them when done) — the parent
-    owns the unlink.
-    """
-    src_name, frame_shape, dst_name, out_shape, dtype_str = spec
-    dtype = np.dtype(dtype_str)
-    src_shm = attach_segment(src_name)
-    dst_shm = attach_segment(dst_name)
-    src = np.ndarray(tuple(frame_shape), dtype=dtype, buffer=src_shm.buf)
-    dst = np.ndarray(tuple(out_shape), dtype=dtype, buffer=dst_shm.buf)
-    return [src_shm, dst_shm], src, dst
-
-
 def _plane_views(buf, plane_shapes, dtype):
     """Carve per-plane views out of one packed segment buffer."""
     views = []
@@ -233,17 +168,21 @@ def _plane_views(buf, plane_shapes, dtype):
     return tuple(views)
 
 
-class PlanarFrameSegments(_SegmentGroup):
-    """One multi-plane source + destination shared buffer pair.
+def _packed_segment(plane_shapes, dtype):
+    nbytes = sum(int(np.prod(s)) for s in plane_shapes) * dtype.itemsize
+    return shared_memory.SharedMemory(create=True, size=max(1, nbytes))
 
-    The zero-copy YUV420 slot: all of a frame's planes (full-resolution
-    Y, half-resolution U and V) are packed into **one** shared-memory
-    allocation per side, laid out back to back in
-    :data:`~repro.video.yuv.PLANE_NAMES` order — one segment pair per
-    ring slot regardless of plane count, with per-plane views carved
-    out at fixed offsets.  Workers address ``(slot, plane)`` pairs, so
-    two workers can gather the Y band of frame *N* while a third
-    finishes the chroma of frame *N-1*.
+
+class FrameSegments(_SegmentGroup):
+    """One frame slot: a source + destination shared buffer pair.
+
+    All of a frame's planes are packed into **one** shared-memory
+    allocation per side, laid out back to back in plane order (see
+    :data:`~repro.video.pixfmt.PIXFMTS`) — one segment pair per slot
+    whatever the pixel format, with per-plane views carved out at fixed
+    offsets.  A packed RGB/gray frame is a one-plane slot.  Workers
+    address ``(slot, plane)`` pairs, so two workers can gather the Y
+    band of frame *N* while a third finishes the chroma of frame *N-1*.
     """
 
     def __init__(self, plane_shapes, frame_dtype, out_plane_shapes):
@@ -251,12 +190,8 @@ class PlanarFrameSegments(_SegmentGroup):
         self.plane_shapes = tuple(tuple(s) for s in plane_shapes)
         self.out_plane_shapes = tuple(tuple(s) for s in out_plane_shapes)
         self.dtype = frame_dtype
-        nbytes_src = sum(int(np.prod(s)) for s in self.plane_shapes) \
-            * frame_dtype.itemsize
-        nbytes_dst = sum(int(np.prod(s)) for s in self.out_plane_shapes) \
-            * frame_dtype.itemsize
-        self.src_shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes_src))
-        self.dst_shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes_dst))
+        self.src_shm = _packed_segment(self.plane_shapes, frame_dtype)
+        self.dst_shm = _packed_segment(self.out_plane_shapes, frame_dtype)
         self.src_views = _plane_views(self.src_shm.buf, self.plane_shapes,
                                       frame_dtype)
         self.dst_views = _plane_views(self.dst_shm.buf, self.out_plane_shapes,
@@ -265,10 +200,11 @@ class PlanarFrameSegments(_SegmentGroup):
 
     @property
     def spec(self):
-        """Picklable attach recipe (tagged ``"planar"`` so a worker can
-        distinguish it from a :attr:`FrameSegments.spec`)."""
-        return ("planar", self.src_shm.name, self.plane_shapes,
-                self.dst_shm.name, self.out_plane_shapes, self.dtype.str)
+        """Picklable attach recipe: ``(src_name, plane_shapes, dst_name,
+        out_plane_shapes, dtype_str)`` — what a worker needs to map this
+        slot (see :func:`attach_slot`)."""
+        return (self.src_shm.name, self.plane_shapes, self.dst_shm.name,
+                self.out_plane_shapes, self.dtype.str)
 
     def release(self):
         self.src_views = None
@@ -276,33 +212,20 @@ class PlanarFrameSegments(_SegmentGroup):
         super().release()
 
 
-def attach_planar_slot(spec):
-    """Worker side of :attr:`PlanarFrameSegments.spec`.
+def attach_slot(spec):
+    """Worker side of :attr:`FrameSegments.spec`: map one frame slot.
 
     Returns ``(segments, src_views, dst_views)`` with one view per
-    plane on each side.
+    plane on each side; the caller keeps ``segments`` alive (and
+    ``close()``\\ s them when done) — the parent owns the unlink.
     """
-    tag, src_name, plane_shapes, dst_name, out_plane_shapes, dtype_str = spec
-    if tag != "planar":
-        raise ValueError(f"not a planar slot spec: {spec!r}")
+    src_name, plane_shapes, dst_name, out_plane_shapes, dtype_str = spec
     dtype = np.dtype(dtype_str)
     src_shm = attach_segment(src_name)
     dst_shm = attach_segment(dst_name)
     src_views = _plane_views(src_shm.buf, plane_shapes, dtype)
     dst_views = _plane_views(dst_shm.buf, out_plane_shapes, dtype)
     return [src_shm, dst_shm], src_views, dst_views
-
-
-def attach_any_slot(spec):
-    """Attach either slot flavour; always returns per-plane view tuples.
-
-    Non-planar slots come back as one-plane tuples, so engine workers
-    can index ``views[plane]`` uniformly.
-    """
-    if spec and spec[0] == "planar":
-        return attach_planar_slot(spec)
-    segs, src, dst = attach_slot(spec)
-    return segs, (src,), (dst,)
 
 
 def _lut_meta(lut: RemapLUT) -> dict:
@@ -318,7 +241,7 @@ def _lut_meta(lut: RemapLUT) -> dict:
 
 
 class SharedTables(_SegmentGroup):
-    """The tables a LUT's kernel tier runs, published once into segments.
+    """The tables a set of LUTs' kernel tier runs, published once.
 
     Lean by design: only what a worker executes is published —
     ``indices``, ``mask`` and the tier's one weight table (``wtab`` on
@@ -329,100 +252,62 @@ class SharedTables(_SegmentGroup):
     parent (often a shared :class:`~repro.core.lutcache.LUTCache`
     entry).  ``nbytes`` totals the published arrays.
 
-    ``spec`` maps table keys to ``(segment_name, shape, dtype_str)``
-    triples and ``meta`` carries the scalar LUT parameters — together
-    they are everything a worker needs to rebuild a zero-copy
-    :class:`~repro.core.remap.RemapLUT` with :func:`attach_tables`.
-    ``spec["indices"][0]`` names the publication: unique while it
-    exists, so workers may cache their attachment under it.
-
-    With a ``chroma`` LUT the publication becomes *planar*: the chroma
-    tables join the same spec under :data:`_CHROMA_PREFIX`-prefixed
-    keys and ``meta["chroma"]`` carries the chroma LUT's scalars — one
-    spec, one segment group, two zero-copy LUTs on the worker side
-    (:func:`attach_planar_tables`).  ``pixfmt`` records which planar
-    layout the tables serve (``"yuv420"``: three planes, u/v sharing
-    the chroma LUT; ``"nv12"``: two planes, the chroma LUT applied
-    once to the interleaved UV view) so the worker side recovers the
-    right per-plane LUT tuple without guessing.
+    Each of ``luts`` — a pixel format's *distinct* LUTs, e.g. luma and
+    chroma for the 4:2:0 formats (see
+    :func:`~repro.video.pixfmt.plane_luts`) — is published once:
+    ``spec[i]`` maps LUT ``i``'s table keys to ``(segment_name, shape,
+    dtype_str)`` triples and ``meta[i]`` carries its scalar parameters,
+    everything a worker needs to rebuild the zero-copy LUT tuple with
+    :func:`attach_tables`.  Which plane reads which LUT is the
+    session's business, not the publication's.  :attr:`name` names the
+    publication: unique while it exists, so workers may cache their
+    attachment under it.
     """
 
-    def __init__(self, lut: RemapLUT, chroma: RemapLUT | None = None,
-                 pixfmt: str = "yuv420"):
+    def __init__(self, *luts: RemapLUT):
         shms = []
-        self.spec = {}
+        spec = []
         self.nbytes = 0
-
-        def publish_lut(lut, prefix=""):
+        for lut in luts:
+            tables = {}
             for key, arr in lut.kernel_tables().items():
                 shm, _ = share_array(arr)
                 shms.append(shm)
-                self.spec[prefix + key] = (shm.name, tuple(arr.shape),
-                                           arr.dtype.str)
+                tables[key] = (shm.name, tuple(arr.shape), arr.dtype.str)
                 self.nbytes += arr.nbytes
-
-        publish_lut(lut)
-        self.meta = _lut_meta(lut)
-        if chroma is not None:
-            publish_lut(chroma, _CHROMA_PREFIX)
-            self.meta["chroma"] = _lut_meta(chroma)
-            self.meta["pixfmt"] = pixfmt
+            spec.append(tables)
+        self.spec = tuple(spec)
+        self.meta = tuple(_lut_meta(lut) for lut in luts)
         super().__init__(shms)
 
-
-def _attach_lut(spec, meta, segments, prefix=""):
-    """Attach one LUT's tables out of a (possibly planar) spec."""
-    arrays = {}
-    for key, (name, shape, dtype_str) in spec.items():
-        if prefix:
-            if not key.startswith(prefix):
-                continue
-            key = key[len(prefix):]
-        elif key.startswith(_CHROMA_PREFIX):
-            continue
-        shm = attach_segment(name)
-        segments.append(shm)
-        arrays[key] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str),
-                                 buffer=shm.buf)
-    lut = RemapLUT.from_tables(
-        arrays["indices"], arrays.get("fracs"), arrays.get("mask"),
-        out_shape=meta["out_shape"], src_shape=meta["src_shape"],
-        method=meta["method"], border=meta["border"],
-        fill=meta["fill"], weight_table=arrays.get("wtab"),
-        tier=meta.get("tier", "numpy"),
-        frac_bits=meta.get("frac_bits", DEFAULT_FRAC_BITS),
-        qweight_table=arrays.get("qwtab"))
-    return arrays, lut
+    @property
+    def name(self) -> str:
+        """The publication's name: its first index segment's."""
+        return self.spec[0]["indices"][0]
 
 
 def attach_tables(spec, meta):
-    """Worker side of :class:`SharedTables`: rebuild a zero-copy LUT.
+    """Worker side of :class:`SharedTables`: rebuild the zero-copy LUTs.
 
-    Returns ``(segments, arrays, lut)``; the caller must keep
-    ``segments`` alive as long as the LUT is used.  Chroma-prefixed
-    keys of a planar publication are ignored here — use
-    :func:`attach_planar_tables` to get both LUTs.
+    Returns ``(segments, luts)`` with one LUT per published table set;
+    the caller must keep ``segments`` alive as long as the LUTs are
+    used.
     """
     segments = []
-    arrays, lut = _attach_lut(spec, meta, segments)
-    return segments, arrays, lut
-
-
-def attach_planar_tables(spec, meta):
-    """Attach a planar publication: both LUTs from one spec.
-
-    Returns ``(segments, luts)`` where ``luts`` is the per-plane LUT
-    tuple matching ``meta["pixfmt"]``: for ``"yuv420"`` (the default)
-    ``(luma, chroma, chroma)`` in :data:`~repro.video.yuv.PLANE_NAMES`
-    order, for ``"nv12"`` ``(luma, chroma)`` in
-    :data:`~repro.video.yuv.NV12_PLANE_NAMES` order — the single
-    chroma LUT serves the interleaved UV plane as one 2-channel apply.
-    """
-    if "chroma" not in meta:
-        raise ValueError("spec/meta carry no chroma publication")
-    segments = []
-    _, luma = _attach_lut(spec, meta, segments)
-    _, chroma = _attach_lut(spec, meta["chroma"], segments, _CHROMA_PREFIX)
-    if meta.get("pixfmt", "yuv420") == "nv12":
-        return segments, (luma, chroma)
-    return segments, (luma, chroma, chroma)
+    luts = []
+    for tables, lut_meta in zip(spec, meta):
+        arrays = {}
+        for key, (name, shape, dtype_str) in tables.items():
+            shm = attach_segment(name)
+            segments.append(shm)
+            arrays[key] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str),
+                                     buffer=shm.buf)
+        luts.append(RemapLUT.from_tables(
+            arrays["indices"], arrays.get("fracs"), arrays.get("mask"),
+            out_shape=lut_meta["out_shape"], src_shape=lut_meta["src_shape"],
+            method=lut_meta["method"], border=lut_meta["border"],
+            fill=lut_meta["fill"], weight_table=arrays.get("wtab"),
+            tier=lut_meta.get("tier", "numpy"),
+            frac_bits=lut_meta.get("frac_bits", DEFAULT_FRAC_BITS),
+            qweight_table=arrays.get("qwtab")))
+    return segments, tuple(luts)

@@ -36,10 +36,11 @@ as many sessions as their slot budget allows:
   each :class:`StreamSession` yields its frames **strictly in input
   order** no matter how the fleet interleaved the bands.
 
-Planar sessions (``pixfmt="yuv420"``/``"nv12"``) schedule per-plane
-bands — full-height Y bands plus half-height chroma bands — so the
-fleet interleaves planes and frames freely while delivery stays in
-order.
+Every session schedules per-plane bands from its pixel format's row
+in :data:`~repro.video.pixfmt.PIXFMTS` — one band set for a packed
+RGB/gray frame, full-height Y bands plus half-height chroma bands for
+the 4:2:0 formats — so the fleet interleaves planes and frames freely
+while delivery stays in order.
 
 Telemetry: next to the aggregate ``stream.*`` series the broker emits
 per-stream labelled series (``stream.frames{stream="cam0"}``,
@@ -85,6 +86,7 @@ from ..obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from ..obs.logsetup import get_logger
 from ..obs.telemetry import get_telemetry
 from ..parallel.ring import plan_bands
+from ..video.pixfmt import get_pixfmt, plane_luts
 
 __all__ = ["StreamBroker", "StreamSession", "DEFAULT_SLOT_BUDGET"]
 
@@ -177,28 +179,26 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
 
     Attachments are *lazy and cached*: the first band of a session
     attaches its slots (and its LUT tables — cached by
-    **publication**, the name of the publication's index segment, so
-    sessions sharing one calibration attach the tables once, and a
+    **publication**, :attr:`~repro.parallel.shmseg.SharedTables.name`,
+    so sessions sharing one calibration attach the tables once, and a
     calibration published again after a drop can never reuse the
-    dropped mapping).  Planar (yuv420/nv12) sessions publish a chroma
-    LUT next to the luma one; the worker detects it from the table
-    metadata, indexes both slot views and LUTs by the band's
-    ``plane``, and labels its spans and ``serve.bands{plane=...}``
-    counter with the publication's plane names (``y``/``u``/``v`` or
-    ``y``/``uv``).  ``ctrl_q`` broadcasts ``("forget", sid)`` when a
-    session closes and ``("drop", publication)`` when the last session
-    of a calibration has closed, so the worker unmaps both; a band
-    whose segments are already gone posts ``rows=-1`` and the
-    collector decides whether anyone still cares.
+    dropped mapping).  The session descriptor carries the plane map:
+    which of the publication's LUTs corrects each plane, and the plane
+    names that label the worker's spans and ``serve.bands{plane=...}``
+    counter (none for a one-plane format).  ``ctrl_q`` broadcasts
+    ``("forget", sid)`` when a session closes and ``("drop",
+    publication)`` when the last session of a calibration has closed,
+    so the worker unmaps both; a band whose segments are already gone
+    posts ``rows=-1`` and the collector decides whether anyone still
+    cares.
     """
-    from ..parallel.shmseg import (attach_any_slot, attach_planar_tables,
-                                   attach_tables, init_worker_telemetry,
-                                   worker_delta)
-    from ..video.yuv import plane_names_for
+    from ..parallel.shmseg import (attach_slot, attach_tables,
+                                   init_worker_telemetry, worker_delta)
 
     init_worker_telemetry(telemetry_enabled)
-    luts: dict = {}      # publication -> (segments, plane lut tuple, names)
-    sessions: dict = {}  # sid -> (segments, slot views, publication, label)
+    luts: dict = {}      # publication -> (segments, LUT tuple)
+    sessions: dict = {}  # sid -> (segments, slot views, publication,
+    #                              label, plane -> LUT map, plane names)
     track = f"serve-worker-{rank}"
 
     def unmap(cache, key):
@@ -223,24 +223,16 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
 
     def attach(sid, desc):
         """Map a session's slots, and its publication unless cached."""
-        _, label, table_spec, table_meta, slot_spec = desc
-        spec = dict(table_spec)
-        pub = spec["indices"][0]
+        _, label, table_spec, table_meta, slot_spec, plane_lut, names = desc
+        pub = table_spec[0]["indices"][0]
         if pub not in luts:
-            meta = dict(table_meta)
-            if "chroma" in meta:
-                segs, plane_luts = attach_planar_tables(spec, meta)
-                names = plane_names_for(meta.get("pixfmt", "yuv420"))
-            else:
-                segs, _, one = attach_tables(spec, meta)
-                plane_luts, names = (one,), ("y",)
-            luts[pub] = (segs, plane_luts, names)
+            luts[pub] = attach_tables(table_spec, table_meta)
         slots, slot_segs = [], []
         for slot in slot_spec:
-            segs, srcs, dsts = attach_any_slot(slot)
+            segs, srcs, dsts = attach_slot(slot)
             slot_segs += segs
             slots.append((srcs, dsts))
-        sessions[sid] = (slot_segs, slots, pub, label)
+        sessions[sid] = (slot_segs, slots, pub, label, plane_lut, names)
         return sessions[sid]
 
     def run_band(sid, slot_idx, plane, row0, row1, desc):
@@ -252,13 +244,11 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
         entry = sessions.get(sid)
         if entry is None:
             entry = attach(sid, desc)
-        _, slots, pub, label = entry
-        _, plane_luts, names = luts[pub]
+        _, slots, pub, label, plane_lut, names = entry
         srcs, dsts = slots[slot_idx]
-        lut = plane_luts[plane]
+        lut = luts[pub][1][plane_lut[plane]]
         lut.apply_rows_into(srcs[plane], row0, row1, dsts[plane][row0:row1])
-        return label, lut.tier, (names[plane] if len(plane_luts) > 1
-                                 else None)
+        return label, lut.tier, (names[plane] if names else None)
 
     try:
         while True:
@@ -317,18 +307,6 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
 # ----------------------------------------------------------------------
 # session
 # ----------------------------------------------------------------------
-def _frame_planes(item, frame_cls, name):
-    """The planes of one source item: ``item.planes`` of a planar
-    ``frame_cls`` item, else a one-plane tuple of the packed array."""
-    if frame_cls is None:
-        return (item.data if isinstance(item, Frame) else np.asarray(item),)
-    if not isinstance(item, frame_cls):
-        raise ScheduleError(
-            f"planar stream {name!r} expects {frame_cls.__name__} items, "
-            f"got {type(item).__name__}")
-    return item.planes
-
-
 class StreamSession:
     """One admitted stream: iterate it for strictly in-order frames.
 
@@ -344,7 +322,7 @@ class StreamSession:
 
     def __init__(self, broker: "StreamBroker", sid: int, name: str,
                  source, depth: int, weight: int, copy: bool,
-                 deadline_s, bands, slots, desc, frame_cls=None):
+                 deadline_s, bands, slots, desc, pixfmt: str = "rgb"):
         self.broker = broker
         self.sid = sid
         self.name = name
@@ -358,7 +336,7 @@ class StreamSession:
         self._bands = bands
         self._slots = slots
         self._desc = desc
-        self._frame_cls = frame_cls
+        self._fmt = get_pixfmt(pixfmt)
         # geometry every frame must match: plane 0's shape and dtype
         self._geometry = ((slots[0].src_views[0].shape,
                            slots[0].src_views[0].dtype) if slots else None)
@@ -404,7 +382,7 @@ class StreamSession:
                     break
                 t_dec = time.time()
                 t0 = time.perf_counter()
-                planes = _frame_planes(item, self._frame_cls, self.name)
+                planes = self._fmt.split(item)
                 shape, dtype = self._geometry
                 if planes[0].shape != shape or planes[0].dtype != dtype:
                     raise ScheduleError(
@@ -539,9 +517,7 @@ class StreamSession:
             else:
                 seq = self._next_seq
                 slot = self._completed.pop(seq)
-                views = self._slots[slot].dst_views
-                result = (self._frame_cls(*views) if self._frame_cls
-                          else views[0])
+                result = self._fmt.wrap(self._slots[slot].dst_views)
                 item = self._slot_items[slot]
                 if self.copy:
                     result = result.copy()
@@ -681,6 +657,8 @@ class StreamBroker:
         if stall_timeout_s is not None and not stall_timeout_s > 0:
             raise ScheduleError(
                 f"stall_timeout_s must be > 0, got {stall_timeout_s}")
+        if chunk is not None and chunk < 1:
+            raise ScheduleError(f"chunk must be >= 1, got {chunk}")
         self.workers = workers
         self.slot_budget = slot_budget
         self.schedule = schedule
@@ -749,111 +727,72 @@ class StreamBroker:
         ``deadline_s`` arms the per-frame latency SLO counted by
         ``stream.deadline_miss{stream="<name>"}``.
 
-        ``pixfmt="yuv420"`` admits a planar session: ``frames`` must
-        yield :class:`~repro.video.yuv.YUV420Frame` items whose luma
-        geometry matches ``field``; a half-resolution chroma LUT is
-        derived through the same shared
-        :class:`~repro.core.lutcache.LUTCache`, every frame is
-        scheduled as per-plane bands over the fleet, and the session
-        yields corrected :class:`YUV420Frame`\\ s with no RGB
-        conversion anywhere on the path.  ``pixfmt="nv12"`` is the
-        same planar pipeline over
-        :class:`~repro.video.yuv.NV12Frame` items — the interleaved
-        UV plane runs as one 2-channel band set (plane 1) against the
-        same half-resolution chroma tables.
+        ``pixfmt`` names a row of :data:`~repro.video.pixfmt.PIXFMTS`:
+        ``"rgb"`` (packed arrays), ``"yuv420"``
+        (:class:`~repro.video.yuv.YUV420Frame` items) or ``"nv12"``
+        (:class:`~repro.video.yuv.NV12Frame` items).  ``field``
+        describes the full-resolution (luma) geometry; the 4:2:0
+        formats derive their half-resolution chroma LUT through the
+        same shared :class:`~repro.core.lutcache.LUTCache`, every frame
+        is scheduled as per-plane bands over the fleet, and the session
+        yields items of the same format with no RGB conversion
+        anywhere on the path.  An unknown format or an ``out_size`` the
+        format cannot deliver raises
+        :class:`~repro.errors.ImageFormatError`.
 
         ``out_size=(width, height)`` delivers at a smaller size
         through a **fused** correct+downscale table: the area-style
-        downscale map is composed with ``field`` (per plane on planar
-        sessions) via :meth:`~repro.core.lutcache.LUTCache
-        .get_composed`, so every frame pays one gather pass whose
-        traffic scales with the delivered size, and concurrent opens
-        of the same composition build the table once.
+        downscale map is composed with ``field`` (per LUT) via
+        :meth:`~repro.core.lutcache.LUTCache.get_composed`, so every
+        frame pays one gather pass whose traffic scales with the
+        delivered size, and concurrent opens of the same composition
+        build the table once.
         """
-        if pixfmt not in ("rgb", "yuv420", "nv12"):
-            raise ScheduleError(
-                f"unknown pixfmt {pixfmt!r}; known: rgb, yuv420, nv12")
-        if out_size is not None:
-            ow, oh = int(out_size[0]), int(out_size[1])
-            if ow < 2 or oh < 2:
-                raise ScheduleError(
-                    f"out_size must be at least 2x2, got {ow}x{oh}")
-            if pixfmt != "rgb" and (ow % 2 or oh % 2):
-                raise ScheduleError(
-                    f"planar out_size must be even, got {ow}x{oh}")
-            out_size = (ow, oh)
+        fmt = get_pixfmt(pixfmt)
+        out_size = fmt.check_out_size(out_size)
         tier = resolve_tier(kernel)
         return self._admit(
             frames,
-            lambda: self._resolve(field, method, border, fill, tier, pixfmt,
+            lambda: self._resolve(field, method, border, fill, tier, fmt,
                                   out_size),
             name=name, depth=depth, weight=weight, copy=copy,
             deadline_s=deadline_s, pixfmt=pixfmt)
 
-    def _resolve(self, field, method, border, fill, tier, pixfmt, out_size):
-        """Field to ``(publication key, (luma LUT, chroma LUT or None))``.
+    def _resolve(self, field, method, border, fill, tier, fmt, out_size):
+        """Field to ``(publication key, the format's distinct LUTs)``.
 
         Single-flight through the shared cache: concurrent opens on one
-        calibration build exactly once, and the key names the
-        calibration so they share one publication too.
+        calibration build exactly once, and the key names the LUT set
+        (calibration, tier, delivery size and which LUTs the format
+        reads) so they share one publication too.
         """
-        planar = pixfmt != "rgb"
         key = (self.lut_cache.key_for(field, method, border, fill)
-               + f"|{tier}" + (f"|{pixfmt}" if planar else "")
-               + (f"|fused{out_size[0]}x{out_size[1]}" if out_size else ""))
-        chroma = None
-        if out_size is not None:
-            from ..core.compose import downscale_field
-            ow, oh = out_size
-            fh, fw = field.shape
-            # prefilter=False: the streaming path always runs the plain
-            # 4-tap fused table (exact 2x2 box at 2:1, the headline
-            # 4K->1080p case; see docs/kernel.md).
-            lut = self.lut_cache.get_composed(
-                downscale_field(ow, oh, fw, fh, prefilter=False), field,
-                method=method, border=border, fill=fill)
-            if planar:
-                from ..core.mapping import chroma_half_field
-                chroma = self.lut_cache.get_composed(
-                    downscale_field(ow // 2, oh // 2, fw // 2, fh // 2,
-                                    prefilter=False),
-                    chroma_half_field(field),
-                    method="bilinear", border=border, fill=128.0)
-        elif planar:
-            from ..video.yuv import YUVCorrector
-            corr = YUVCorrector.from_field(
-                field, method=method, border=border, fill=fill,
-                lut_cache=self.lut_cache, kernel=tier)
-            return key, (corr.luma_lut, corr.chroma_lut)
-        else:
-            lut = self.lut_cache.get(field, method=method, border=border,
-                                     fill=fill)
-        if tier != "numpy":
-            lut = lut.with_tier(tier)
-            chroma = chroma.with_tier(tier) if chroma is not None else None
-        return key, (lut, chroma)
+               + f"|{tier}"
+               + (f"|fused{out_size[0]}x{out_size[1]}" if out_size else "")
+               + "|luts" + "".join(map(str, fmt.luts)))
+        return key, plane_luts(fmt, field, out_size, self.lut_cache, tier,
+                               method=method, border=border, fill=fill)
 
     def _admit(self, frames, resolve, *, name: str | None = None,
                depth: int = 2, weight: int = 1, copy: bool = True,
                deadline_s: float | None = None,
                pixfmt: str = "rgb") -> StreamSession:
-        """The one admission path: a session over built plane LUTs.
+        """The one admission path: a session over built LUTs.
 
-        ``resolve()`` returns ``(key, (luma LUT, chroma LUT or None))``
-        and runs once the session's slots are reserved, so a refused
-        open builds nothing.  Sessions with equal keys share one table
-        publication; ``key=None`` gives the session a publication of
-        its own (callers that bring their own LUT objects).
+        ``resolve()`` returns ``(key, luts)`` — the distinct LUTs of
+        ``pixfmt``, by LUT index — and runs once the session's slots
+        are reserved, so a refused open builds nothing.  Sessions with
+        equal keys share one table publication; ``key=None`` gives the
+        session a publication of its own (callers that bring their own
+        LUT objects).
         """
-        from ..parallel.shmseg import (FrameSegments, PlanarFrameSegments,
-                                       SharedTables)
-        from ..video.yuv import NV12Frame, YUV420Frame
+        from ..parallel.shmseg import FrameSegments, SharedTables
 
+        fmt = get_pixfmt(pixfmt)
         if depth < 1:
             raise ScheduleError(f"depth must be >= 1, got {depth}")
         if deadline_s is not None and not deadline_s > 0:
             raise ScheduleError(f"deadline_s must be > 0, got {deadline_s}")
-        frame_cls = {"yuv420": YUV420Frame, "nv12": NV12Frame}.get(pixfmt)
         with self._lock:
             if self._closed:
                 raise ScheduleError("stream broker already closed")
@@ -874,59 +813,46 @@ class StreamBroker:
 
         ref_key = None  # set once this admission holds a table reference
         try:
-            key, (lut, chroma) = resolve()
+            key, luts = resolve()
+            if len(luts) != len(fmt.luts):
+                raise ScheduleError(
+                    f"{fmt.name} streams need {len(fmt.luts)} LUTs "
+                    f"(one per distinct plane table), got {len(luts)}")
             if key is None:
                 key = f"private-{sid}"
             it = iter(frames)
             first = next(it, None)
             bands, slots, desc = [], [], None
             if first is not None:
-                plane0 = _frame_planes(first, frame_cls, name)[0]
-                if plane0.shape[:2] != lut.src_shape:
-                    raise ScheduleError(
-                        f"stream {name!r} frame {plane0.shape} does not "
-                        f"match the LUT source geometry {lut.src_shape}")
-                oh, ow = lut.out_shape
-                if frame_cls is not None and (
-                        chroma.src_shape != (lut.src_shape[0] // 2,
-                                             lut.src_shape[1] // 2)
-                        or chroma.out_shape != (oh // 2, ow // 2)):
-                    raise ScheduleError(
-                        f"chroma LUT {chroma.src_shape} -> "
-                        f"{chroma.out_shape} is not half the luma LUT "
-                        f"{lut.src_shape} -> {lut.out_shape}")
-                tables = self._ref_tables(key, lambda: SharedTables(
-                    lut, chroma=chroma, pixfmt=pixfmt))
+                planes = fmt.split(first)
+                oh, ow = luts[fmt.planes[0].lut].out_shape
+                for p, plane in zip(fmt.planes, planes):
+                    lut = luts[p.lut]
+                    if (plane.shape[:2] != lut.src_shape or lut.out_shape
+                            != (oh // p.divisor, ow // p.divisor)):
+                        raise ScheduleError(
+                            f"stream {name!r} plane {p.name!r} "
+                            f"{plane.shape} does not match the LUT geometry "
+                            f"{lut.src_shape} -> {lut.out_shape}")
+                tables = self._ref_tables(key, lambda: SharedTables(*luts))
                 ref_key = key
-                if frame_cls is None:
-                    slots = [FrameSegments(plane0.shape, plane0.dtype,
-                                           lut.out_shape + plane0.shape[2:])
-                             for _ in range(depth)]
-                else:
-                    slots = [PlanarFrameSegments(
-                                frame_cls.plane_shapes(*plane0.shape),
-                                plane0.dtype, frame_cls.plane_shapes(oh, ow))
-                             for _ in range(depth)]
-                # Y bands over the full output height, chroma bands over
-                # half of it: NV12 folds both chroma planes into one
-                # interleaved band set (plane 1), I420 schedules U and V
-                # separately (1, 2)
-                bands = [(0, r0, r1) for r0, r1 in plan_bands(
-                    oh, self.workers, self.schedule, self.chunk)]
-                if frame_cls is not None:
+                slots = [FrameSegments([a.shape for a in planes],
+                                       planes[0].dtype,
+                                       fmt.out_shapes(luts, planes))
+                         for _ in range(depth)]
+                # each plane is cut into bands over its own output
+                # height; chunks scale with the plane's resolution
+                for i, p in enumerate(fmt.planes):
                     chunk = (None if self.chunk is None
-                             else max(1, self.chunk // 2))
-                    bands += [(p, r0, r1)
-                              for p in ((1,) if pixfmt == "nv12" else (1, 2))
-                              for r0, r1 in plan_bands(
-                                  oh // 2, self.workers, self.schedule, chunk)]
-                desc = (key, name,
-                        tuple(sorted(tables.spec.items())),
-                        tuple(sorted(tables.meta.items())),
-                        tuple(s.spec for s in slots))
+                             else max(1, self.chunk // p.divisor))
+                    bands += [(i, r0, r1) for r0, r1 in plan_bands(
+                        oh // p.divisor, self.workers, self.schedule, chunk)]
+                desc = (key, name, tables.spec, tables.meta,
+                        tuple(s.spec for s in slots), fmt.plane_lut,
+                        fmt.plane_labels)
                 it = itertools.chain([first], it)
             session = StreamSession(self, sid, name, it, depth, weight, copy,
-                                    deadline_s, bands, slots, desc, frame_cls)
+                                    deadline_s, bands, slots, desc, pixfmt)
         except BaseException:
             with self._lock:
                 self._slots_used -= depth
@@ -1149,9 +1075,8 @@ class StreamBroker:
             del self._tables[lut_key]
             self._table_gauges()
         tables = entry[0]
-        pub = tables.spec["indices"][0]
         tables.release()
-        self._broadcast("drop", pub)
+        self._broadcast("drop", tables.name)
 
     def _table_gauges(self) -> None:
         """``serve.table_*`` gauges; caller holds ``self._lock``."""

@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..errors import ImageFormatError, ScheduleError
 from ..obs.telemetry import get_telemetry
 from ..core.image import GRAY8, Frame
-from ..core.kernel_tiers import resolve_tier
 from ..core.mapping import RemapField
-from ..core.remap import RemapLUT
 from .distort import FisheyeRenderer
+from .pixfmt import get_pixfmt, plane_luts
 
 __all__ = ["SyntheticStream", "panning_crops", "corrected_stream"]
 
@@ -62,17 +61,18 @@ def panning_crops(world: np.ndarray, width: int, height: int, frames: int,
 
 
 def _stream_telemetry(inner: Iterator, label: str | None = None,
-                      fused: bool = False, counted: bool = False) -> Iterator:
-    """Wrap a delegated engine with the standard stream metric surface.
+                      fused: bool = False, counted: bool = False,
+                      planes: tuple = ()) -> Iterator:
+    """Wrap an engine with the standard stream metric surface.
 
+    ``stream.frame_seconds`` times each whole ``next()`` of ``inner``.
     ``label`` additionally emits the per-stream labelled series
     (``stream.frames{stream="..."}`` etc., see
     :func:`repro.obs.export.labeled`) next to the aggregate ones;
-    planar :class:`~repro.video.yuv.YUV420Frame` /
-    :class:`~repro.video.yuv.NV12Frame` items additionally tick the
-    per-plane ``stream.frames{plane=...}`` counters (``y``/``u``/``v``
-    or ``y``/``uv``), and ``fused=True`` (a correct+downscale composed
-    table on the path) ticks ``stream.frames{fused="true"}``.
+    ``planes`` (the format's plane labels, e.g. ``y``/``u``/``v`` or
+    ``y``/``uv``) ticks one ``stream.frames{plane=...}`` counter per
+    plane, and ``fused=True`` (a correct+downscale composed table on
+    the path) ticks ``stream.frames{fused="true"}``.
     ``counted=True`` skips ``stream.frames`` and its ``stream=`` twin
     for engines that count their deliveries themselves (a broker
     session), so every frame is counted once.
@@ -87,7 +87,6 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
             yield from it
             return
         from ..obs.export import labeled
-        from .yuv import NV12_PLANE_NAMES, NV12Frame, PLANE_NAMES, YUV420Frame
         frames_names = []
         if not counted:
             frames_names.append("stream.frames")
@@ -95,11 +94,9 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
                 frames_names.append(labeled("stream.frames", stream=label))
         if fused:
             frames_names.append(labeled("stream.frames", fused="true"))
+        frames_names += [labeled("stream.frames", plane=p) for p in planes]
         fps_name = labeled("stream.fps", stream=label) if label \
             else "stream.fps"
-        plane_names = [labeled("stream.frames", plane=p) for p in PLANE_NAMES]
-        nv12_plane_names = [labeled("stream.frames", plane=p)
-                            for p in NV12_PLANE_NAMES]
         stream_t0 = time.perf_counter()
         frames_done = 0
         while True:
@@ -112,12 +109,6 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
             frames_done += 1
             for name in frames_names:
                 tel.counter(name).inc()
-            if isinstance(item, NV12Frame):
-                for name in nv12_plane_names:
-                    tel.counter(name).inc()
-            elif isinstance(item, YUV420Frame):
-                for name in plane_names:
-                    tel.counter(name).inc()
             tel.histogram("stream.frame_seconds").observe(now - t0)
             if now > stream_t0:
                 fps = frames_done / (now - stream_t0)
@@ -146,8 +137,9 @@ def corrected_stream(frames: Iterable, field: RemapField,
     ----------
     frames:
         Iterable of ndarrays or :class:`~repro.core.image.Frame`
-        (``pixfmt="rgb"``), or of
-        :class:`~repro.video.yuv.YUV420Frame` (``pixfmt="yuv420"``).
+        (``pixfmt="rgb"``), or the frame class of ``pixfmt``
+        (:class:`~repro.video.yuv.YUV420Frame`,
+        :class:`~repro.video.yuv.NV12Frame`).
     field:
         Backward coordinate field shared by every frame.
     method, border, fill:
@@ -203,8 +195,11 @@ def corrected_stream(frames: Iterable, field: RemapField,
         bytes of the packed path.  ``"nv12"`` is the same planar
         pipeline over :class:`~repro.video.yuv.NV12Frame` items: the
         interleaved UV plane is corrected by one 2-channel apply of
-        the same chroma table.  Both engines support all three; the
-        ring engine schedules per-plane bands.
+        the same chroma table.  Each names a row of
+        :data:`~repro.video.pixfmt.PIXFMTS`; both engines support all
+        three, and the ring engine schedules per-plane bands.  An
+        unknown format, or an ``out_size`` the format cannot deliver,
+        raises :class:`~repro.errors.ImageFormatError`.
     out_size:
         Optional ``(width, height)`` to deliver at, through one
         **fused** correct+downscale composed table (per plane on
@@ -216,9 +211,8 @@ def corrected_stream(frames: Iterable, field: RemapField,
     ------
     Corrected frames, same kind as the input items.
     """
-    if pixfmt not in ("rgb", "yuv420", "nv12"):
-        raise ImageFormatError(
-            f"unknown pixfmt {pixfmt!r}; known: rgb, yuv420, nv12")
+    fmt = get_pixfmt(pixfmt)
+    out_size = fmt.check_out_size(out_size)
     tel = get_telemetry()
     server = None
     own_server = False
@@ -234,56 +228,29 @@ def corrected_stream(frames: Iterable, field: RemapField,
             own_server = True
     try:
         yield from _corrected_stream(frames, field, method, border, fill,
-                                     lut_cache, copy, engine, kernel, tel,
-                                     stream_label, pixfmt, out_size,
+                                     lut_cache, copy, engine, kernel,
+                                     stream_label, fmt, out_size,
                                      **engine_kwargs)
     finally:
         if own_server:
             server.close()
 
 
-def _fused_lut(field, out_size, method, border, fill, lut_cache):
-    """The fused correct+downscale table of the streaming hot path.
-
-    Always the plain 4-tap composed table (``prefilter=False`` —
-    exact 2x2 box at the headline 2:1 ratio), so it shares the remap
-    kernel, the shared-memory publication format and the LUT cache's
-    content-hash keying with plain tables.
-    """
-    from ..core.compose import composed_lut, downscale_field
-    fh, fw = field.shape
-    outer = downscale_field(int(out_size[0]), int(out_size[1]), fw, fh,
-                            prefilter=False)
-    return composed_lut(outer, field, method=method, border=border,
-                        fill=fill, cache=lut_cache)
-
-
 def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
-                      engine, kernel, tel, stream_label=None, pixfmt="rgb",
-                      out_size=None, **engine_kwargs):
-    fused = out_size is not None
-    chroma_lut = None
-    if pixfmt in ("yuv420", "nv12"):
-        lut, chroma_lut = _planar_luts(field, method, border, fill,
-                                       lut_cache, kernel, out_size)
-    else:
-        if fused:
-            lut = _fused_lut(field, out_size, method, border, fill, lut_cache)
-        elif lut_cache is not None:
-            lut = lut_cache.get(field, method=method, border=border, fill=fill)
-        else:
-            lut = RemapLUT(field, method=method, border=border, fill=fill)
-        tier = resolve_tier(kernel)
-        if tier != "numpy":
-            lut = lut.with_tier(tier)  # non-mutating clone; cache stays neutral
+                      engine, kernel, stream_label, fmt, out_size,
+                      **engine_kwargs):
+    luts = plane_luts(fmt, field, out_size, lut_cache, kernel, method=method,
+                      border=border, fill=fill)
+    labels = dict(label=stream_label, fused=out_size is not None,
+                  planes=fmt.plane_labels)
     if engine == "ring":
         # lazy import: keeps repro.video free of the parallel layer
         # unless the ring engine is actually requested
         from ..parallel.ring import ring_stream
         yield from _stream_telemetry(
-            ring_stream(lut, frames, copy=copy, chroma_lut=chroma_lut,
-                        pixfmt=pixfmt, name=stream_label, **engine_kwargs),
-            label=stream_label, fused=fused, counted=True)
+            ring_stream(luts, frames, copy=copy, pixfmt=fmt.name,
+                        name=stream_label, **engine_kwargs),
+            counted=True, **labels)
         return
     if engine != "sync":
         raise ScheduleError(
@@ -291,109 +258,19 @@ def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
     if engine_kwargs:
         raise ScheduleError(
             f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
-    if chroma_lut is not None:
-        yield from _stream_telemetry(
-            _planar_sync(frames, lut, chroma_lut, pixfmt, copy),
-            label=stream_label, fused=fused)
-        return
-    buffer: Optional[np.ndarray] = None
-    stream_t0 = time.perf_counter() if tel.enabled else 0.0
-    frames_done = 0
-    frames_name = fps_name = fused_name = None
-    if tel.enabled:
-        from ..obs.export import labeled
-        if stream_label:
-            frames_name = labeled("stream.frames", stream=stream_label)
-            fps_name = labeled("stream.fps", stream=stream_label)
-        if fused:
-            fused_name = labeled("stream.frames", fused="true")
-    for item in frames:
-        t0 = time.perf_counter() if tel.enabled else 0.0
-        data = item.data if isinstance(item, Frame) else np.asarray(item)
-        shape = lut.out_shape + data.shape[2:]
-        if buffer is None or buffer.shape != shape or buffer.dtype != data.dtype:
-            buffer = np.empty(shape, dtype=data.dtype)
-        lut.apply_into(data, buffer)
-        result = buffer.copy() if copy else buffer
-        if tel.enabled:
-            now = time.perf_counter()
-            frames_done += 1
-            tel.counter("stream.frames").inc()
-            if frames_name:
-                tel.counter(frames_name).inc()
-            if fused_name:
-                tel.counter(fused_name).inc()
-            tel.histogram("stream.frame_seconds").observe(now - t0)
-            # end-to-end rate including the producer's time between frames
-            if now > stream_t0:
-                fps = frames_done / (now - stream_t0)
-                tel.gauge("stream.fps").set(fps)
-                if fps_name:
-                    tel.gauge(fps_name).set(fps)
-        if isinstance(item, Frame):
-            yield item.with_data(result)
-        else:
-            yield result
+    yield from _stream_telemetry(_sync_stream(frames, luts, fmt, copy),
+                                 **labels)
 
 
-def _planar_luts(field, method, border, fill, lut_cache, kernel, out_size):
-    """Per-plane (luma, chroma) LUTs of a planar stream.
-
-    With ``out_size`` both tables are fused correct+downscale
-    compositions built at the delivered geometry (the chroma outer map
-    is the half-resolution twin of the luma one).
-    """
-    if out_size is None:
-        from .yuv import YUVCorrector
-        corr = YUVCorrector.from_field(field, method=method, border=border,
-                                       fill=fill, lut_cache=lut_cache,
-                                       kernel=kernel)
-        return corr.luma_lut, corr.chroma_lut
-    from ..core.compose import composed_lut, downscale_field
-    from ..core.mapping import chroma_half_field
-    ow, oh = int(out_size[0]), int(out_size[1])
-    if ow % 2 or oh % 2:
-        raise ImageFormatError(
-            f"planar out_size must be even, got {ow}x{oh}")
-    fh, fw = field.shape
-    outer = downscale_field(ow, oh, fw, fh, prefilter=False)
-    outer_c = downscale_field(ow // 2, oh // 2, fw // 2, fh // 2,
-                              prefilter=False)
-    luma = composed_lut(outer, field, method=method, border=border,
-                        fill=fill, cache=lut_cache)
-    chroma = composed_lut(outer_c, chroma_half_field(field),
-                          method="bilinear", border=border, fill=128.0,
-                          cache=lut_cache)
-    tier = resolve_tier(kernel)
-    if tier != "numpy":
-        luma = luma.with_tier(tier)
-        chroma = chroma.with_tier(tier)
-    return luma, chroma
-
-
-def _planar_sync(frames, luma_lut, chroma_lut, pixfmt, copy):
-    """``pixfmt="yuv420"``/``"nv12"`` inline body: per-plane remap, no
-    RGB leg."""
-    from .yuv import NV12Frame, YUV420Frame
-    frame_cls = NV12Frame if pixfmt == "nv12" else YUV420Frame
+def _sync_stream(frames, luts, fmt, copy):
+    """The inline engine: every plane through its LUT into one reused
+    output pool."""
     pool = None
     for item in frames:
-        if not isinstance(item, frame_cls):
-            raise ImageFormatError(
-                f"pixfmt={pixfmt!r} streams expect "
-                f"{frame_cls.__name__} items, got {type(item).__name__}")
-        if pool is None:
-            oh, ow = luma_lut.out_shape
-            pool = tuple(np.empty(s, dtype=item.y.dtype)
-                         for s in frame_cls.plane_shapes(oh, ow))
-        luma_lut.apply_into(item.y, pool[0])
-        if pixfmt == "nv12":
-            chroma_lut.apply_into(item.uv, pool[1])
-        else:
-            chroma_lut.apply_into(item.u, pool[1])
-            chroma_lut.apply_into(item.v, pool[2])
-        result = frame_cls(*pool)
-        yield result.copy() if copy else result
+        result, pool = fmt.apply(luts, item, pool)
+        if copy:
+            result = result.copy()
+        yield item.with_data(result) if isinstance(item, Frame) else result
 
 
 @dataclass

@@ -12,31 +12,34 @@ builds the two coordinate fields once and streams frames through both
 with pooled output planes (zero per-frame allocations, like
 :func:`~repro.video.stream.corrected_stream`).  The chroma map is
 *derived* from the luma map with
-:func:`~repro.core.mapping.chroma_half_field`, so every consumer of a
+:func:`~repro.core.mapping.chroma_half_field`, and every consumer of a
 calibration — this corrector, ``corrected_stream(pixfmt="yuv420")``
-and :meth:`repro.serve.StreamBroker.open` — resolves to the same two
-:class:`~repro.core.lutcache.LUTCache` entries.
+and :meth:`repro.serve.StreamBroker.open` — resolves its tables with
+:func:`~repro.video.pixfmt.plane_luts`, so all of them share the same
+two :class:`~repro.core.lutcache.LUTCache` entries.  Which plane reads
+which table is data: the format rows of
+:data:`~repro.video.pixfmt.PIXFMTS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ImageFormatError, MappingError
 from ..core.intrinsics import CameraIntrinsics, FisheyeIntrinsics
-from ..core.kernel_tiers import resolve_tier
 from ..core.lens import LensModel
 from ..core.mapping import RemapField, chroma_half_field, perspective_map
 from ..core.remap import RemapLUT
 
 __all__ = ["YUV420Frame", "NV12Frame", "YUVCorrector", "PLANE_NAMES",
-           "NV12_PLANE_NAMES", "plane_names_for", "to_yuv420_stream",
-           "to_nv12_stream"]
+           "NV12_PLANE_NAMES", "to_yuv420_stream", "to_nv12_stream"]
 
 #: canonical plane order/naming used by the planar engines and the
-#: ``plane=`` labelled telemetry series.
+#: ``plane=`` labelled telemetry series (the ``yuv420`` row of
+#: :data:`~repro.video.pixfmt.PIXFMTS`).
 PLANE_NAMES = ("y", "u", "v")
 
 #: NV12 keeps full-resolution luma but interleaves both chroma planes
@@ -44,13 +47,22 @@ PLANE_NAMES = ("y", "u", "v")
 NV12_PLANE_NAMES = ("y", "uv")
 
 
-def plane_names_for(pixfmt: str) -> tuple:
-    """Plane order/labels of a planar pixel format."""
-    if pixfmt == "yuv420":
-        return PLANE_NAMES
-    if pixfmt == "nv12":
-        return NV12_PLANE_NAMES
-    raise ImageFormatError(f"not a planar pixel format: {pixfmt!r}")
+def _row(frame_cls):
+    """The :data:`~repro.video.pixfmt.PIXFMTS` row of a frame class."""
+    from .pixfmt import PIXFMTS
+
+    return next(f for f in PIXFMTS.values() if f.frame_cls is frame_cls)
+
+
+def _check_planes(frame) -> None:
+    """Validate a frame's planes against its format row."""
+    fmt = _row(type(frame))
+    if frame.y.ndim != 2:
+        raise ImageFormatError(f"{fmt.name} luma plane must be 2-D")
+    want = fmt.plane_shapes(*frame.y.shape)
+    got = tuple(p.shape for p in frame.planes)
+    if got != want:
+        raise ImageFormatError(f"{fmt.name} planes must be {want}, got {got}")
 
 
 @dataclass
@@ -65,15 +77,7 @@ class YUV420Frame:
         self.y = np.asarray(self.y)
         self.u = np.asarray(self.u)
         self.v = np.asarray(self.v)
-        if self.y.ndim != 2 or self.u.ndim != 2 or self.v.ndim != 2:
-            raise ImageFormatError("YUV420 planes must be 2-D")
-        h, w = self.y.shape
-        if h % 2 or w % 2:
-            raise ImageFormatError(f"luma size must be even, got {w}x{h}")
-        if self.u.shape != (h // 2, w // 2) or self.v.shape != (h // 2, w // 2):
-            raise ImageFormatError(
-                f"chroma planes must be {w // 2}x{h // 2}, got "
-                f"{self.u.shape}/{self.v.shape}")
+        _check_planes(self)
 
     @property
     def width(self) -> int:
@@ -95,11 +99,7 @@ class YUV420Frame:
     @staticmethod
     def plane_shapes(height: int, width: int) -> tuple:
         """Plane shapes of a ``width x height`` 4:2:0 frame."""
-        if height % 2 or width % 2:
-            raise ImageFormatError(
-                f"luma size must be even, got {width}x{height}")
-        half = (height // 2, width // 2)
-        return ((height, width), half, half)
+        return _row(YUV420Frame).plane_shapes(height, width)
 
     def copy(self) -> "YUV420Frame":
         return YUV420Frame(self.y.copy(), self.u.copy(), self.v.copy())
@@ -145,14 +145,7 @@ class NV12Frame:
     def __post_init__(self):
         self.y = np.asarray(self.y)
         self.uv = np.asarray(self.uv)
-        if self.y.ndim != 2:
-            raise ImageFormatError("NV12 luma plane must be 2-D")
-        h, w = self.y.shape
-        if h % 2 or w % 2:
-            raise ImageFormatError(f"luma size must be even, got {w}x{h}")
-        if self.uv.shape != (h // 2, w // 2, 2):
-            raise ImageFormatError(
-                f"uv plane must be ({h // 2}, {w // 2}, 2), got {self.uv.shape}")
+        _check_planes(self)
 
     @property
     def width(self) -> int:
@@ -179,10 +172,7 @@ class NV12Frame:
     @staticmethod
     def plane_shapes(height: int, width: int) -> tuple:
         """Plane shapes of a ``width x height`` NV12 frame."""
-        if height % 2 or width % 2:
-            raise ImageFormatError(
-                f"luma size must be even, got {width}x{height}")
-        return ((height, width), (height // 2, width // 2, 2))
+        return _row(NV12Frame).plane_shapes(height, width)
 
     def copy(self) -> "NV12Frame":
         return NV12Frame(self.y.copy(), self.uv.copy())
@@ -284,9 +274,9 @@ class YUVCorrector:
                    kernel: str = "numpy") -> "YUVCorrector":
         """Build a corrector around an existing luma coordinate field.
 
-        The chroma field is derived from it; this is the constructor
-        the streaming paths use, so any field (perspective,
-        cylindrical, composed) can drive a planar pipeline.
+        The chroma field is derived from it, so any field
+        (perspective, cylindrical, composed) can drive a planar
+        corrector.
         """
         self = cls.__new__(cls)
         self._bind(field, method=method, border=border, fill=fill,
@@ -295,52 +285,47 @@ class YUVCorrector:
 
     def _bind(self, luma_field: RemapField, *, method, fill, chroma_fill,
               lut_cache, kernel, border="constant") -> None:
+        from .pixfmt import plane_luts
+
         self.luma_field = luma_field
-        self.chroma_field = chroma_half_field(luma_field)
-        if lut_cache is not None:
-            luma_lut = lut_cache.get(luma_field, method=method, border=border,
-                                     fill=fill)
-            chroma_lut = lut_cache.get(self.chroma_field, method="bilinear",
-                                       border=border, fill=chroma_fill)
-        else:
-            luma_lut = RemapLUT(luma_field, method=method, border=border,
-                                fill=fill)
-            chroma_lut = RemapLUT(self.chroma_field, method="bilinear",
-                                  border=border, fill=chroma_fill)
-        tier = resolve_tier(kernel)
-        if tier != "numpy":
-            luma_lut = luma_lut.with_tier(tier)
-            chroma_lut = chroma_lut.with_tier(tier)
-        self._luma_lut = luma_lut
-        self._chroma_lut = chroma_lut
+        self._luts = plane_luts(_row(YUV420Frame), luma_field, cache=lut_cache,
+                                tier=kernel, method=method, border=border,
+                                fill=fill, chroma_fill=chroma_fill)
         self.out_shape = luma_field.shape
-        self._pool = None  # pooled output planes, sized on first frame
+        self._pools: dict = {}  # frame class -> pooled output planes
 
     # ------------------------------------------------------------------
+    @cached_property
+    def chroma_field(self) -> RemapField:
+        """The derived half-resolution chroma field (LUT 1's geometry)."""
+        return chroma_half_field(self.luma_field)
+
     @property
     def luma_lut(self) -> RemapLUT:
-        return self._luma_lut
+        return self._luts[0]
 
     @property
     def chroma_lut(self) -> RemapLUT:
-        return self._chroma_lut
+        return self._luts[1]
 
     @property
     def plane_luts(self) -> tuple:
         """Per-plane LUTs in :data:`PLANE_NAMES` order (u and v share)."""
-        return (self._luma_lut, self._chroma_lut, self._chroma_lut)
-
-    @property
-    def nv12_plane_luts(self) -> tuple:
-        """Per-plane LUTs in :data:`NV12_PLANE_NAMES` order.
-
-        The single chroma LUT serves the interleaved UV plane as one
-        2-channel apply — same tables as the I420 path, one fewer
-        kernel launch per frame.
-        """
-        return (self._luma_lut, self._chroma_lut)
+        return tuple(self._luts[i] for i in _row(YUV420Frame).plane_lut)
 
     # ------------------------------------------------------------------
+    def _correct(self, frame_cls, frame, copy: bool):
+        """The one pooled per-plane apply behind :meth:`correct` and
+        :meth:`correct_nv12`."""
+        if (frame.height, frame.width) != (self.luma_field.src_height,
+                                           self.luma_field.src_width):
+            raise MappingError(
+                f"frame {frame.width}x{frame.height} does not match corrector "
+                f"source {self.luma_field.src_width}x{self.luma_field.src_height}")
+        result, self._pools[frame_cls] = _row(frame_cls).apply(
+            self._luts, frame, self._pools.get(frame_cls))
+        return result.copy() if copy else result
+
     def correct(self, frame: YUV420Frame, copy: bool = False) -> YUV420Frame:
         """Correct one planar frame (all three planes, one geometry).
 
@@ -351,23 +336,7 @@ class YUVCorrector:
         copy before the next ``correct``, like any zero-copy decoder
         API); ``copy=True`` returns an owning frame.
         """
-        if (frame.height, frame.width) != (self.luma_field.src_height,
-                                           self.luma_field.src_width):
-            raise MappingError(
-                f"frame {frame.width}x{frame.height} does not match corrector "
-                f"source {self.luma_field.src_width}x{self.luma_field.src_height}")
-        pool = self._pool
-        if pool is None or pool[0].dtype != frame.y.dtype:
-            h, w = self.out_shape
-            shapes = YUV420Frame.plane_shapes(h, w)
-            pool = self._pool = tuple(
-                np.empty(s, dtype=frame.y.dtype) for s in shapes)
-        self._luma_lut.apply_into(frame.y, pool[0])
-        self._chroma_lut.apply_into(frame.u, pool[1])
-        self._chroma_lut.apply_into(frame.v, pool[2])
-        if copy:
-            return YUV420Frame(pool[0].copy(), pool[1].copy(), pool[2].copy())
-        return YUV420Frame(*pool)
+        return self._correct(YUV420Frame, frame, copy)
 
     def correct_nv12(self, frame: NV12Frame, copy: bool = False) -> NV12Frame:
         """Correct one NV12 frame: two applies, not three.
@@ -379,50 +348,24 @@ class YUVCorrector:
         correcting the de-interleaved U and V planes separately.
         Pooled like :meth:`correct`: ``copy=False`` aliases the pool.
         """
-        if (frame.height, frame.width) != (self.luma_field.src_height,
-                                           self.luma_field.src_width):
-            raise MappingError(
-                f"frame {frame.width}x{frame.height} does not match corrector "
-                f"source {self.luma_field.src_width}x{self.luma_field.src_height}")
-        pool = self._nv12_pool = getattr(self, "_nv12_pool", None)
-        if pool is None or pool[0].dtype != frame.y.dtype:
-            h, w = self.out_shape
-            shapes = NV12Frame.plane_shapes(h, w)
-            pool = self._nv12_pool = tuple(
-                np.empty(s, dtype=frame.y.dtype) for s in shapes)
-        self._luma_lut.apply_into(frame.y, pool[0])
-        self._chroma_lut.apply_into(frame.uv, pool[1])
-        if copy:
-            return NV12Frame(pool[0].copy(), pool[1].copy())
-        return NV12Frame(*pool)
+        return self._correct(NV12Frame, frame, copy)
 
     def work_pixels(self) -> int:
-        """Output pixels remapped per frame (luma + both chroma planes).
+        """Output samples remapped per frame (luma + both chroma planes).
 
         4:2:0 planes cost 1.5x the luma pixel count — versus 3x for an
         RGB-converted pipeline; this ratio is the bench-visible saving.
         """
-        h, w = self.out_shape
-        return h * w + 2 * (h // 2) * (w // 2)
+        return _row(YUV420Frame).samples(*self.out_shape)
 
     def traffic_per_frame(self) -> dict:
-        """Summed per-frame host byte ledger over all three planes.
+        """Summed per-frame host byte ledger over the three I420 planes.
 
-        Gather + LUT-entry + output bytes per plane (see
-        :meth:`~repro.core.remap.RemapLUT.traffic_per_frame`), the
-        measured-side counterpart of the Cell model's
-        :func:`~repro.accel.cellbe.planar_dma_profile`.
+        See :meth:`~repro.video.pixfmt.PlaneSet.traffic_per_frame`;
+        ``PIXFMTS["nv12"].traffic_per_frame((corr.luma_lut,
+        corr.chroma_lut))`` is the NV12 ledger of the same tables.
         """
-        ledgers = {
-            "y": self._luma_lut.traffic_per_frame(),
-            "u": self._chroma_lut.traffic_per_frame(),
-            "v": self._chroma_lut.traffic_per_frame(),
-        }
-        total = {key: sum(l[key] for l in ledgers.values())
-                 for key in ("pixels", "gather_bytes", "lut_bytes",
-                             "out_bytes", "total_bytes")}
-        total["planes"] = ledgers
-        return total
+        return _row(YUV420Frame).traffic_per_frame(self._luts)
 
 
 def to_yuv420_stream(frames):
@@ -435,23 +378,22 @@ def to_yuv420_stream(frames):
     --pixfmt yuv420`` to drive the zero-copy planar pipeline from the
     synthetic renderer.
     """
-    chroma = None
+    shape = u = v = None
     for item in frames:
         data = getattr(item, "data", item)
         data = np.asarray(data)
         if data.ndim != 2:
             raise ImageFormatError(
                 f"to_yuv420_stream expects 2-D gray frames, got {data.shape}")
-        if chroma is None or chroma[0].shape[0] * 2 != data.shape[0] \
-                or chroma[0].shape[1] * 2 != data.shape[1]:
+        if data.shape != shape:
+            shape = data.shape
             hh, hw = data.shape[0] // 2, data.shape[1] // 2
             xs = np.linspace(96, 160, hw, dtype=np.float64)
             ys = np.linspace(96, 160, hh, dtype=np.float64)
             u = np.broadcast_to(np.rint(xs).astype(data.dtype), (hh, hw)).copy()
             v = np.broadcast_to(np.rint(ys).astype(data.dtype)[:, None],
                                 (hh, hw)).copy()
-            chroma = (u, v)
-        yield YUV420Frame(data, chroma[0], chroma[1])
+        yield YUV420Frame(data, u, v)
 
 
 def to_nv12_stream(frames):

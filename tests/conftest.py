@@ -83,3 +83,34 @@ def brokers(monkeypatch):
 
     monkeypatch.setattr(StreamBroker, "__init__", spy)
     return built
+
+
+def _q_reference(lut, image, bits, row0=0, row1=None):
+    """Independent Q-format oracle for the fixed and compiled tiers.
+
+    Quantize the LUT's float weights with ``quantize_weights``, gather
+    the integer taps over ``lut.indices``, accumulate in int64, round
+    with ``+half >> bits``, clip to the frame dtype and fill invalid
+    pixels — written out here, sharing no code with the kernels.
+    """
+    from repro.core.fixedpoint import quantize_weights
+
+    image = np.asarray(image)
+    h, w = lut.out_shape
+    row1 = h if row1 is None else row1
+    sl = slice(row0 * w, row1 * w)
+    q = quantize_weights(lut.weights[sl], bits).astype(np.int64)
+    flat = image.reshape(image.shape[0] * image.shape[1], -1).astype(np.int64)
+    taps = flat[lut.indices[sl]]                     # (n, taps, channels)
+    acc = np.einsum("nt,ntc->nc", q, taps)
+    out = (acc + (1 << (bits - 1))) >> bits
+    info = np.iinfo(image.dtype)
+    out = np.clip(out, info.min, info.max)
+    if lut.mask is not None:
+        out[~lut.mask.reshape(-1)[sl]] = int(round(lut.fill))
+    return out.astype(image.dtype).reshape((row1 - row0, w) + image.shape[2:])
+
+
+@pytest.fixture(scope="session")
+def q_reference():
+    return _q_reference

@@ -1,10 +1,12 @@
-"""Fixed-point LUT tests: quantization invariants and integer kernel."""
+"""Fixed-point LUT tests: quantization invariants and the fixed tier's
+integer kernel, checked against an independent Q-format reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fixedpoint import FixedPointLUT, max_abs_weight_error, quantize_weights
+from repro.core.fixedpoint import (max_abs_weight_error, packed_entry_bytes,
+                                   quantize_weights)
 from repro.core.quality import psnr
 from repro.core.remap import RemapLUT
 from repro.errors import InterpolationError, MappingError
@@ -53,64 +55,75 @@ class TestQuantizeWeights:
         assert (q < 0).any()
 
 
+def _fixed(field, frac_bits=8, **kwargs):
+    """The Q-format fixed tier at ``frac_bits`` (8, the F12 midpoint)."""
+    return RemapLUT(field, **kwargs).with_tier("fixed", frac_bits=frac_bits)
+
+
 class TestFixedPointLUT:
+    """The fixed-point LUT is ``RemapLUT(tier="fixed")``: its integer
+    kernel's behaviours."""
+
     def test_matches_float_lut_at_high_precision(self, small_field, random_image):
         float_out = RemapLUT(small_field).apply(random_image).astype(int)
-        fp_out = FixedPointLUT(small_field, frac_bits=12).apply(random_image).astype(int)
+        fp_out = _fixed(small_field, frac_bits=12).apply(random_image).astype(int)
         assert np.abs(float_out - fp_out).max() <= 1
 
     def test_error_monotone_in_bits(self, small_field, random_image):
         reference = RemapLUT(small_field).apply(random_image).astype(np.float64)
         errs = []
         for bits in (2, 4, 8):
-            out = FixedPointLUT(small_field, frac_bits=bits).apply(random_image)
+            out = _fixed(small_field, frac_bits=bits).apply(random_image)
             errs.append(float(np.abs(out.astype(np.float64) - reference).mean()))
         assert errs[0] >= errs[1] >= errs[2]
 
     def test_rejects_float_frames(self, small_field):
-        fp = FixedPointLUT(small_field)
-        with pytest.raises(MappingError):
-            fp.apply(np.zeros((64, 64), dtype=np.float32))
+        """Q arithmetic is integer-only: a float frame never reaches the
+        fixed kernel but runs on the float (numpy) kernel instead."""
+        from repro.obs.telemetry import Telemetry, scoped
+
+        frame = np.zeros((64, 64), dtype=np.float32)
+        tel = Telemetry()
+        with scoped(tel):
+            out = _fixed(small_field).apply(frame)
+        counters = tel.snapshot()["counters"]
+        assert out.dtype == np.float32
+        assert counters["kernel.tier.numpy"] == 1
+        assert "kernel.tier.fixed" not in counters
 
     def test_rejects_wrong_geometry(self, small_field):
-        fp = FixedPointLUT(small_field)
         with pytest.raises(MappingError):
-            fp.apply(np.zeros((32, 32), dtype=np.uint8))
+            _fixed(small_field).apply(np.zeros((32, 32), dtype=np.uint8))
 
     def test_nearest_is_exact(self, small_field, random_image):
         # nearest has a single weight of exactly 1.0: quantization is lossless
-        fp = FixedPointLUT(small_field, method="nearest", frac_bits=4)
+        fp = _fixed(small_field, method="nearest", frac_bits=4)
         flt = RemapLUT(small_field, method="nearest")
         np.testing.assert_array_equal(fp.apply(random_image), flt.apply(random_image))
 
-    def test_index_dtype_capacity_checked(self, small_field):
-        with pytest.raises(MappingError):
-            FixedPointLUT(small_field, index_dtype=np.int8)
-
     def test_masked_pixels_filled(self, tilted_field, random_image):
-        fp = FixedPointLUT(tilted_field, fill=9)
-        out = fp.apply(random_image)
+        out = _fixed(tilted_field, fill=9).apply(random_image)
         invalid = ~tilted_field.valid_mask()
         np.testing.assert_array_equal(out[invalid], 9)
 
     def test_packed_entry_bytes_layouts(self, small_field):
-        near = FixedPointLUT(small_field, method="nearest", frac_bits=8)
-        bil = FixedPointLUT(small_field, method="bilinear", frac_bits=8)
-        assert near.packed_entry_bytes() == 4.0
-        assert bil.packed_entry_bytes() == 6.0
-        assert bil.entry_bytes() > bil.packed_entry_bytes()
+        assert packed_entry_bytes("nearest", 8) == 4.0
+        assert packed_entry_bytes("bilinear", 8) == 6.0
+        assert packed_entry_bytes("bicubic", 10) == 6.5
+        # the host layout (explicit taps + weights) is the larger one
+        assert _fixed(small_field).entry_bytes() > packed_entry_bytes("bilinear", 8)
 
     def test_uint16_frames(self, small_field, rng):
         frame = rng.integers(0, 65535, size=(64, 64), dtype=np.uint16)
-        out = FixedPointLUT(small_field, frac_bits=10).apply(frame)
+        out = _fixed(small_field, frac_bits=10).apply(frame)
         assert out.dtype == np.uint16
 
     def test_multichannel(self, small_field, rgb_image):
-        out = FixedPointLUT(small_field).apply(rgb_image)
+        out = _fixed(small_field).apply(rgb_image)
         assert out.shape == (64, 64, 3)
 
     def test_apply_into_writes_buffer(self, small_field, random_image):
-        fp = FixedPointLUT(small_field, frac_bits=12)
+        fp = _fixed(small_field, frac_bits=12)
         out = np.empty(fp.out_shape, dtype=random_image.dtype)
         returned = fp.apply_into(random_image, out)
         assert returned is out
@@ -118,16 +131,16 @@ class TestFixedPointLUT:
 
     def test_apply_into_requires_buffer(self, small_field, random_image):
         with pytest.raises(MappingError):
-            FixedPointLUT(small_field).apply_into(random_image, None)
+            _fixed(small_field).apply_into(random_image, None)
 
     def test_apply_into_validates_buffer(self, small_field, random_image):
-        fp = FixedPointLUT(small_field)
+        fp = _fixed(small_field)
         wrong = np.empty((32, 32), dtype=random_image.dtype)
         with pytest.raises(MappingError):
             fp.apply_into(random_image, wrong)
 
     def test_apply_rows_into_matches_full(self, small_field, random_image):
-        fp = FixedPointLUT(small_field, frac_bits=10)
+        fp = _fixed(small_field, frac_bits=10)
         full = fp.apply(random_image)
         out = np.zeros_like(full)
         h = fp.out_shape[0]
@@ -136,7 +149,7 @@ class TestFixedPointLUT:
         np.testing.assert_array_equal(out, full)
 
     def test_apply_rows_into_masked_bands(self, tilted_field, random_image):
-        fp = FixedPointLUT(tilted_field, fill=7)
+        fp = _fixed(tilted_field, fill=7)
         full = fp.apply(random_image)
         h = fp.out_shape[0]
         out = np.zeros_like(full)
@@ -145,7 +158,7 @@ class TestFixedPointLUT:
         np.testing.assert_array_equal(out, full)
 
     def test_apply_rows_into_rejects_bad_range(self, small_field, random_image):
-        fp = FixedPointLUT(small_field)
+        fp = _fixed(small_field)
         out = np.empty((10, 64), dtype=random_image.dtype)
         with pytest.raises(MappingError):
             fp.apply_rows_into(random_image, 30, 20, out)
@@ -174,20 +187,24 @@ class TestQualityLadder:
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_flat_frame_exact_through_fixed_tier(self, small_field):
-        """Brightness preservation via the RemapLUT execution path (the
-        FixedPointLUT property test covers the other entry point)."""
+        """Brightness preservation at the shipping precisions (the
+        property test below sweeps 2..12 bits on a perturbed map)."""
         frame = np.full((64, 64), 201, dtype=np.uint8)
         for bits in (4, 8, 12):
             out = RemapLUT(small_field).with_tier("fixed", frac_bits=bits).apply(frame)
             np.testing.assert_array_equal(out, 201)
 
-    def test_lut_and_fixedpoint_bit_exact(self, tilted_field, random_image):
-        """The two Q-format entry points execute identical arithmetic."""
-        for bits in (6, 12):
-            a = FixedPointLUT(tilted_field, frac_bits=bits, fill=3).apply(random_image)
-            b = RemapLUT(tilted_field, fill=3).with_tier(
-                "fixed", frac_bits=bits).apply(random_image)
-            np.testing.assert_array_equal(a, b)
+    def test_lut_and_fixedpoint_bit_exact(self, tilted_field, random_image,
+                                          q_reference):
+        """The fixed tier computes exactly the written-out fixed-point
+        reference at every precision and interpolation method."""
+        for method in ("nearest", "bilinear", "bicubic"):
+            base = RemapLUT(tilted_field, method=method, fill=3)
+            for bits in (2, 6, 8, 12, 14):
+                got = base.with_tier("fixed", frac_bits=bits).apply(random_image)
+                np.testing.assert_array_equal(
+                    got, q_reference(base, random_image, bits),
+                    err_msg=f"{method} Q{bits}")
 
 
 @given(bits=st.integers(2, 12))
@@ -209,5 +226,5 @@ def test_property_brightness_preserved_on_flat_frames(bits):
     f.map_y = np.clip(f.map_y, 0, 14.9)
     field = type(f)(f.map_x, f.map_y, 16, 16)
     frame = np.full((16, 16), 173, dtype=np.uint8)
-    out = FixedPointLUT(field, frac_bits=bits).apply(frame)
+    out = _fixed(field, frac_bits=bits).apply(frame)
     np.testing.assert_array_equal(out, 173)

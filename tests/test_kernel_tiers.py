@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core import kernel_tiers
-from repro.core.fixedpoint import FixedPointLUT
 from repro.core.pipeline import FisheyeCorrector
 from repro.core.remap import RemapLUT
 from repro.errors import KernelTierError
@@ -88,11 +87,27 @@ class TestRegistry:
 
 
 class TestRemapTierDispatch:
-    def test_fixed_tier_bit_exact_with_fixedpoint(self, tilted_field, random_image):
-        fixed = RemapLUT(tilted_field, fill=5).with_tier("fixed")
-        model = FixedPointLUT(tilted_field, frac_bits=fixed.frac_bits, fill=5)
-        np.testing.assert_array_equal(fixed.apply(random_image),
-                                      model.apply(random_image))
+    def test_fixed_tier_bit_exact_with_fixedpoint(self, tilted_field, rng,
+                                                  q_reference):
+        """The Q tiers against the independent fixed-point reference
+        (``conftest._q_reference``): gray and RGB frames, whole frames
+        and the rows path, compiled too when numba is installed."""
+        base = RemapLUT(tilted_field, fill=5)
+        tiers = ["fixed"] + (["compiled"] if HAS_NUMBA else [])
+        frames = [rng.integers(0, 256, (64, 64), dtype=np.uint8),
+                  rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)]
+        for tier in tiers:
+            lut = base.with_tier(tier)
+            for frame in frames:
+                want = q_reference(base, frame, lut.frac_bits)
+                np.testing.assert_array_equal(lut.apply(frame), want)
+                out = np.zeros_like(want)
+                for row0, row1 in ((0, 23), (23, 64)):
+                    lut.apply_rows_into(frame, row0, row1, out[row0:row1])
+                    np.testing.assert_array_equal(
+                        out[row0:row1],
+                        q_reference(base, frame, lut.frac_bits, row0, row1))
+                np.testing.assert_array_equal(out, want)
 
     def test_with_tier_shares_tables(self, small_field):
         base = RemapLUT(small_field)
@@ -195,10 +210,10 @@ class TestPipelineIntegration:
         lut = RemapLUT(small_field).with_tier("fixed")
         st = SharedTables(lut)
         try:
-            assert "qwtab" in st.spec
-            assert st.meta["tier"] == "fixed"
-            assert st.meta["frac_bits"] == lut.frac_bits
-            segments, _, worker_lut = attach_tables(st.spec, st.meta)
+            assert "qwtab" in st.spec[0]
+            assert st.meta[0]["tier"] == "fixed"
+            assert st.meta[0]["frac_bits"] == lut.frac_bits
+            segments, (worker_lut,) = attach_tables(st.spec, st.meta)
             try:
                 assert worker_lut.tier == "fixed"
                 np.testing.assert_array_equal(worker_lut.apply(random_image),
@@ -213,8 +228,8 @@ class TestPipelineIntegration:
         from repro.parallel.shmseg import SharedTables
         st = SharedTables(RemapLUT(small_field))
         try:
-            assert "qwtab" not in st.spec
-            assert st.meta["tier"] == "numpy"
+            assert "qwtab" not in st.spec[0]
+            assert st.meta[0]["tier"] == "numpy"
         finally:
             st.release()
 

@@ -19,8 +19,9 @@ from repro.core.mapping import chroma_half_field
 from repro.core.remap import RemapLUT
 from repro.errors import ImageFormatError
 from repro.video.stream import corrected_stream
+from repro.video.pixfmt import PIXFMTS
 from repro.video.yuv import (NV12_PLANE_NAMES, NV12Frame, YUV420Frame,
-                             YUVCorrector, plane_names_for, to_nv12_stream)
+                             YUVCorrector, to_nv12_stream)
 
 
 def _frames(rng, n, h=64, w=64):
@@ -36,7 +37,7 @@ def _frames(rng, n, h=64, w=64):
 class TestNV12Frame:
     def test_plane_shapes(self):
         assert NV12Frame.plane_shapes(16, 12) == ((16, 12), (8, 6, 2))
-        assert plane_names_for("nv12") == NV12_PLANE_NAMES == ("y", "uv")
+        assert PIXFMTS["nv12"].names == NV12_PLANE_NAMES == ("y", "uv")
 
     def test_odd_size_rejected(self):
         with pytest.raises(ImageFormatError):
@@ -106,9 +107,25 @@ class TestCorrectNV12:
 
     def test_nv12_plane_luts_order(self, small_field):
         corr = YUVCorrector.from_field(small_field)
-        luma, chroma = corr.nv12_plane_luts
+        luts = (corr.luma_lut, corr.chroma_lut)
+        luma, chroma = (luts[i] for i in PIXFMTS["nv12"].plane_lut)
         assert luma is corr.luma_lut
         assert chroma is corr.chroma_lut
+
+    def test_traffic_ledger_reads_chroma_table_once(self, small_field):
+        """NV12 gathers what I420 gathers, but its one 2-channel chroma
+        plane reads the chroma table once instead of twice."""
+        corr = YUVCorrector.from_field(small_field)
+        nv12 = PIXFMTS["nv12"].traffic_per_frame(
+            (corr.luma_lut, corr.chroma_lut))
+        i420 = corr.traffic_per_frame()
+        assert set(nv12["planes"]) == set(NV12_PLANE_NAMES)
+        assert nv12["gather_bytes"] == i420["gather_bytes"]
+        assert nv12["out_bytes"] == i420["out_bytes"]
+        chroma_lut_bytes = (i420["planes"]["u"]["lut_bytes"]
+                            + i420["planes"]["v"]["lut_bytes"])
+        assert nv12["planes"]["uv"]["lut_bytes"] * 2 == chroma_lut_bytes
+        assert nv12["planes"]["y"] == i420["planes"]["y"]
 
     def test_to_nv12_stream_adapts_gray(self):
         gray = [np.full((16, 16), k, dtype=np.uint8) for k in range(3)]

@@ -107,7 +107,7 @@ class TestRingEngine:
     def test_matches_sequential_kernel(self, lut, rng):
         frames = _frames(rng, 8)
         expected = [lut.apply(f) for f in frames]
-        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=3)]
+        got = [f.copy() for f in ring_stream((lut,), frames, workers=2, depth=3)]
         assert len(got) == 8
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
@@ -118,14 +118,14 @@ class TestRingEngine:
         consumer must still see strictly increasing sequence numbers."""
         frames = [np.full((64, 64), 10 * k, dtype=np.uint8) for k in range(10)]
         expected = [lut.apply(f) for f in frames]
-        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=4,
+        got = [f.copy() for f in ring_stream((lut,), frames, workers=2, depth=4,
                                              schedule="dynamic", chunk=3)]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_copy_true_yields_owned_buffers(self, lut, rng):
         frames = _frames(rng, 4)
-        got = list(ring_stream(lut, frames, copy=True, workers=1, depth=2))
+        got = list(ring_stream((lut,), frames, copy=True, workers=1, depth=2))
         assert len({id(g) for g in got}) == 4
         # all still valid after the broker is closed
         for g, f in zip(got, frames):
@@ -134,7 +134,7 @@ class TestRingEngine:
     def test_frame_objects_pass_through(self, lut, random_image):
         frames = [Frame(random_image, GRAY8, index=i, timestamp=i / 30.0)
                   for i in range(3)]
-        outs = list(ring_stream(lut, frames, copy=True, workers=1, depth=2))
+        outs = list(ring_stream((lut,), frames, copy=True, workers=1, depth=2))
         assert [f.index for f in outs] == [0, 1, 2]
         assert all(isinstance(f, Frame) for f in outs)
 
@@ -173,17 +173,17 @@ class TestRingEngine:
                 yield f
 
         ahead = []
-        for k, _ in enumerate(ring_stream(lut, source(), workers=2, depth=2)):
+        for k, _ in enumerate(ring_stream((lut,), source(), workers=2, depth=2)):
             time.sleep(0.01)
             ahead.append(len(pulled) - k)
         assert len(ahead) == 12
         assert max(ahead) <= 2 + 1
 
     def test_generator_source_and_empty_stream(self, lut, rng, brokers):
-        assert list(ring_stream(lut, iter([]), workers=1, depth=2)) == []
+        assert list(ring_stream((lut,), iter([]), workers=1, depth=2)) == []
         assert brokers == []  # an empty source starts no fleet
         frames = _frames(rng, 2)
-        got = list(ring_stream(lut, (f for f in frames), copy=True,
+        got = list(ring_stream((lut,), (f for f in frames), copy=True,
                                workers=1, depth=2))
         assert len(got) == 2
 
@@ -202,18 +202,18 @@ class TestRingEngine:
                 k += 1
 
         with pytest.raises(StreamError, match="died with exit code") as err:
-            for _ in ring_stream(lut, source(), workers=2, depth=2):
+            for _ in ring_stream((lut,), source(), workers=2, depth=2):
                 pass
         assert err.value.flight_dump
         _assert_unlinked(names)
 
     def test_geometry_mismatch_raises(self, lut, random_image):
         with pytest.raises(ScheduleError, match="geometry"):
-            list(ring_stream(lut, [np.zeros((10, 10), dtype=np.uint8)],
+            list(ring_stream((lut,), [np.zeros((10, 10), dtype=np.uint8)],
                              workers=1, depth=2))
         # a later frame is checked by the feeder against the first
         with pytest.raises(ScheduleError, match="geometry"):
-            list(ring_stream(lut, [random_image,
+            list(ring_stream((lut,), [random_image,
                                    np.zeros((64, 32), dtype=np.uint8)],
                              workers=1, depth=2))
 
@@ -222,9 +222,9 @@ class TestRingEngine:
                        {"depth": MAX_RING_DEPTH + 1},
                        {"schedule": "cyclic"}, {"stall_timeout_s": -1}):
             with pytest.raises(ScheduleError):
-                list(ring_stream(lut, _frames(rng, 1), **kwargs))
+                list(ring_stream((lut,), _frames(rng, 1), **kwargs))
         with pytest.raises(ScheduleError):  # does not match LUT source
-            list(ring_stream(lut, _frames(rng, 1, shape=(32, 32))))
+            list(ring_stream((lut,), _frames(rng, 1, shape=(32, 32))))
 
     def test_closed_engine_rejects_streams(self, small_field, rng):
         broker = StreamBroker(workers=1, slot_budget=2)
@@ -234,7 +234,7 @@ class TestRingEngine:
             broker.open(_frames(rng, 1), small_field)
 
     def test_abandoned_stream_closes_engine(self, lut, rng, brokers):
-        stream = ring_stream(lut, _frames(rng, 6), workers=1, depth=2)
+        stream = ring_stream((lut,), _frames(rng, 6), workers=1, depth=2)
         next(stream)
         stream.close()  # consumer walks away mid-stream
         assert brokers[0]._closed
@@ -244,7 +244,7 @@ class TestRingEngine:
     def test_every_schedule_is_exact(self, lut, rng, schedule):
         frames = _frames(rng, 4)
         expected = [lut.apply(f) for f in frames]
-        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=2,
+        got = [f.copy() for f in ring_stream((lut,), frames, workers=2, depth=2,
                                              schedule=schedule)]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
@@ -254,14 +254,14 @@ class TestRingEngine:
         frames = [rng.integers(0, 255, (64, 64, 3), dtype=np.uint8)
                   for _ in range(3)]
         expected = [lut.apply(f) for f in frames]
-        got = [f.copy() for f in ring_stream(lut, frames, workers=2, depth=2)]
+        got = [f.copy() for f in ring_stream((lut,), frames, workers=2, depth=2)]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_spawn_context(self, lut, rng):
         frames = _frames(rng, 3)
         expected = [lut.apply(f) for f in frames]
-        got = [f.copy() for f in ring_stream(lut, frames, workers=1, depth=2,
+        got = [f.copy() for f in ring_stream((lut,), frames, workers=1, depth=2,
                                              context="spawn")]
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
@@ -271,7 +271,7 @@ class TestRingEngine:
         bands = len(plan_bands(64, 1, "dynamic", 16))
         tel = Telemetry()
         with scoped(tel):
-            list(ring_stream(lut, frames, copy=True, workers=1, depth=2,
+            list(ring_stream((lut,), frames, copy=True, workers=1, depth=2,
                              schedule="dynamic", chunk=16, name="cam"))
         snap = tel.snapshot()
         assert snap["counters"]["stream.frames"] == 4
@@ -296,13 +296,13 @@ class TestRingStream:
     def test_one_shot_helper(self, lut, rng):
         frames = _frames(rng, 5)
         expected = [lut.apply(f) for f in frames]
-        got = list(ring_stream(lut, (f for f in frames), copy=True,
+        got = list(ring_stream((lut,), (f for f in frames), copy=True,
                                workers=2, depth=2))
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_empty_source(self, lut):
-        assert list(ring_stream(lut, [])) == []
+        assert list(ring_stream((lut,), [])) == []
 
     def test_corrector_engine_param(self, small_field, rng):
         corrector = FisheyeCorrector(small_field)
@@ -361,16 +361,25 @@ def _planes(frame):
     return frame.planes if hasattr(frame, "planes") else (frame,)
 
 
+# every format on both kernel tiers; the default (numpy) tier keeps the
+# bare format id
+_FORMAT_TIERS = [pytest.param(pixfmt, kernel, id=pixfmt if kernel == "numpy"
+                              else f"{pixfmt}-{kernel}")
+                 for kernel in ("numpy", "fixed")
+                 for pixfmt in ("rgb", "yuv420", "nv12")]
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("out_size", [None, (32, 32)],
                              ids=["full", "half"])
-    @pytest.mark.parametrize("pixfmt", ["rgb", "yuv420", "nv12"])
+    @pytest.mark.parametrize("pixfmt,kernel", _FORMAT_TIERS)
     def test_sync_ring_broker_bit_exact(self, small_field, rng, pixfmt,
-                                        out_size):
-        """sync, ring and a broker session deliver identical frames, and
-        the ring counts each of its frames exactly once."""
+                                        kernel, out_size):
+        """sync, ring and a broker session deliver identical frames on
+        each kernel tier, the ring's bands run on that tier, and the
+        ring counts each of its frames exactly once."""
         frames = _pixfmt_frames(pixfmt, rng)
-        common = dict(pixfmt=pixfmt, out_size=out_size)
+        common = dict(pixfmt=pixfmt, out_size=out_size, kernel=kernel)
         sync = list(corrected_stream(iter(frames), small_field, copy=True,
                                      **common))
         tel = Telemetry()
@@ -388,5 +397,6 @@ class TestEngineParity:
                 np.testing.assert_array_equal(ps, pr)
                 np.testing.assert_array_equal(ps, pb)
         counters = tel.snapshot()["counters"]
+        assert counters[f"kernel.tier.{kernel}"] > 0
         assert counters["stream.frames"] == len(frames)
         assert counters['stream.frames{stream="cam"}'] == len(frames)

@@ -52,7 +52,7 @@ def _assert_unlinked(names):
 
 class TestSegmentGroups:
     def test_release_is_idempotent(self):
-        seg = FrameSegments((8, 8), np.uint8, (8, 8))
+        seg = FrameSegments([(8, 8)], np.uint8, [(8, 8)])
         name = seg.src_shm.name
         seg.release()
         assert seg.released
@@ -60,7 +60,7 @@ class TestSegmentGroups:
         _assert_unlinked([name])
 
     def test_gc_releases_segments(self):
-        seg = FrameSegments((8, 8), np.uint8, (8, 8))
+        seg = FrameSegments([(8, 8)], np.uint8, [(8, 8)])
         names = [seg.src_shm.name, seg.dst_shm.name]
         del seg
         _assert_unlinked(names)
@@ -73,7 +73,7 @@ class TestSegmentGroups:
     def test_shared_tables_roundtrip(self, small_field, random_image):
         lut = RemapLUT(small_field, method="bilinear")
         tables = SharedTables(lut)
-        segments, _, attached = attach_tables(tables.spec, tables.meta)
+        segments, (attached,) = attach_tables(tables.spec, tables.meta)
         try:
             np.testing.assert_array_equal(attached.apply(random_image),
                                           lut.apply(random_image))
@@ -96,16 +96,16 @@ class TestLeanPublication:
         try:
             weights = ({"qwtab"} if tier != "numpy"
                        else set() if method == "nearest" else {"wtab"})
-            assert set(tables.spec) == {"indices", "mask"} | weights
-            segments, arrays, attached = attach_tables(tables.spec,
-                                                       tables.meta)
+            assert set(tables.spec[0]) == {"indices", "mask"} | weights
+            segments, (attached,) = attach_tables(tables.spec, tables.meta)
             try:
                 assert attached.fracs is None
                 assert attached.entry_bytes() == lut.entry_bytes()
                 assert attached.nbytes == lut.nbytes
-                assert tables.nbytes == sum(a.nbytes for a in arrays.values())
+                assert tables.nbytes == sum(
+                    a.nbytes for a in lut.kernel_tables().values())
             finally:
-                del arrays, attached
+                del attached
                 for shm in segments:
                     shm.close()
         finally:
@@ -122,7 +122,7 @@ class TestLeanPublication:
     def test_q_tier_publication_refuses_float_frames(self, small_field):
         from repro.errors import KernelTierError
         tables = SharedTables(RemapLUT(small_field).with_tier("fixed"))
-        segments, _, attached = attach_tables(tables.spec, tables.meta)
+        segments, (attached,) = attach_tables(tables.spec, tables.meta)
         try:
             with pytest.raises(KernelTierError, match="float"):
                 attached.apply(np.zeros((64, 64), dtype=np.float32))
@@ -186,7 +186,7 @@ class TestExecutorLifecycle:
     def test_ring_close_unlinks_every_segment(self, small_field, brokers):
         lut = RemapLUT(small_field, method="bilinear")
         frames = [np.zeros((64, 64), dtype=np.uint8)] * 3
-        stream = ring_stream(lut, frames, workers=1, depth=2)
+        stream = ring_stream((lut,), frames, workers=1, depth=2)
         next(stream)
         names = _broker_segment_names(brokers[0])
         assert list(stream)  # exhaustion closes the ring
@@ -258,7 +258,7 @@ def endless():
 
 names = []
 try:
-    for k, _ in enumerate(ring_stream(lut, endless(), workers=2, depth=2,
+    for k, _ in enumerate(ring_stream((lut,), endless(), workers=2, depth=2,
                                       context="{context}")):
         if k == 1:
             broker = brokers[0]
@@ -322,7 +322,7 @@ class TestEarlyStreamClose:
 
     def _stream(self, small_field):
         lut = RemapLUT(small_field, method="bilinear")
-        return ring_stream(lut, self._endless(), workers=2, depth=2)
+        return ring_stream((lut,), self._endless(), workers=2, depth=2)
 
     def test_generator_close_stops_workers_and_unlinks(self, small_field,
                                                        brokers):

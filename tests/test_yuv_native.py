@@ -200,81 +200,46 @@ class TestChromaCacheKeys:
 # planar shared-memory slots and table publication
 # ----------------------------------------------------------------------
 class TestPlanarSegments:
-    def test_roundtrip_through_attached_views(self):
-        from repro.parallel.shmseg import (PlanarFrameSegments,
-                                           attach_any_slot)
+    @pytest.mark.parametrize("pixfmt", ["rgb", "yuv420", "nv12"])
+    def test_slot_and_table_roundtrip(self, small_field, pixfmt):
+        """Every format is one packed slot plus one publication of its
+        distinct LUTs; the worker side sees the parent's planes and
+        corrects them into views the parent reads."""
+        from repro.parallel.shmseg import (FrameSegments, SharedTables,
+                                           attach_slot, attach_tables)
+        from repro.video.pixfmt import PIXFMTS, plane_luts
+        from repro.video.yuv import NV12Frame
 
-        shapes = YUV420Frame.plane_shapes(16, 12)
-        seg = PlanarFrameSegments(shapes, np.uint8, shapes)
+        fmt = PIXFMTS[pixfmt]
+        rng = np.random.default_rng(5)
+        (i420,) = list(_frames(rng, 1))
+        item = {"rgb": rng.integers(0, 256, (64, 64, 3), dtype=np.uint8),
+                "yuv420": i420,
+                "nv12": NV12Frame.from_yuv420(i420)}[pixfmt]
+        luts = plane_luts(fmt, small_field)
+        planes = fmt.split(item)
+        seg = FrameSegments([a.shape for a in planes], np.uint8,
+                            fmt.out_shapes(luts, planes))
+        tables = SharedTables(*luts)
         try:
-            rng = np.random.default_rng(5)
-            planes = [rng.integers(0, 256, s, dtype=np.uint8)
-                      for s in shapes]
+            assert len(tables.spec) == len(fmt.luts)
             for view, plane in zip(seg.src_views, planes):
                 np.copyto(view, plane)
-            segs, srcs, dsts = attach_any_slot(seg.spec)
+            slot_segs, srcs, dsts = attach_slot(seg.spec)
+            table_segs, attached = attach_tables(tables.spec, tables.meta)
             try:
-                assert len(srcs) == len(dsts) == 3
-                for got, want in zip(srcs, planes):
-                    assert np.array_equal(got, want)
+                assert len(srcs) == len(dsts) == len(fmt.planes)
+                for p, src, dst, plane in zip(fmt.planes, srcs, dsts, planes):
+                    assert np.array_equal(src, plane)
+                    attached[p.lut].apply_into(src, dst)
+                for p, got, plane in zip(fmt.planes, seg.dst_views, planes):
+                    assert np.array_equal(got, luts[p.lut].apply(plane))
             finally:
-                for s in segs:
-                    s.close()
+                del srcs, dsts, attached
+                for shm in slot_segs + table_segs:
+                    shm.close()
         finally:
             seg.release()
-
-    def test_attach_any_slot_wraps_flat_slots(self, small_field):
-        from repro.parallel.shmseg import FrameSegments, attach_any_slot
-
-        lut = RemapLUT(small_field)
-        seg = FrameSegments(lut.src_shape, np.uint8, lut.out_shape)
-        try:
-            segs, srcs, dsts = attach_any_slot(seg.spec)
-            try:
-                assert len(srcs) == len(dsts) == 1
-                assert srcs[0].shape == lut.src_shape
-            finally:
-                for s in segs:
-                    s.close()
-        finally:
-            seg.release()
-
-    def test_planar_tables_publish_both_luts(self, small_field):
-        from repro.parallel.shmseg import SharedTables, attach_planar_tables
-
-        corr = YUVCorrector.from_field(small_field)
-        tables = SharedTables(corr.luma_lut, chroma=corr.chroma_lut)
-        try:
-            assert "chroma" in tables.meta
-            segs, luts = attach_planar_tables(tables.spec, tables.meta)
-            try:
-                assert len(luts) == 3
-                assert luts[1] is luts[2]
-                rng = np.random.default_rng(6)
-                (f,) = list(_frames(rng, 1))
-                assert np.array_equal(luts[0].apply(f.y),
-                                      corr.luma_lut.apply(f.y))
-                assert np.array_equal(luts[1].apply(f.u),
-                                      corr.chroma_lut.apply(f.u))
-            finally:
-                for s in segs:
-                    s.close()
-        finally:
-            tables.release()
-
-    def test_flat_attach_ignores_chroma_keys(self, small_field):
-        from repro.parallel.shmseg import SharedTables, attach_tables
-
-        corr = YUVCorrector.from_field(small_field)
-        tables = SharedTables(corr.luma_lut, chroma=corr.chroma_lut)
-        try:
-            segs, _, lut = attach_tables(tables.spec, tables.meta)
-            try:
-                assert lut.out_shape == corr.luma_lut.out_shape
-            finally:
-                for s in segs:
-                    s.close()
-        finally:
             tables.release()
 
 
@@ -303,7 +268,7 @@ class TestPlanarRing:
         lut = RemapLUT(small_field)
         rng = np.random.default_rng(8)
         with pytest.raises(ScheduleError):
-            list(ring_stream(lut, _frames(rng, 1), workers=1, depth=1))
+            list(ring_stream((lut,), _frames(rng, 1), workers=1, depth=1))
 
 
 # ----------------------------------------------------------------------
@@ -363,15 +328,36 @@ class TestPixfmtFrontEnds:
 
         gray = [np.zeros((64, 64), dtype=np.uint8)]
         with StreamBroker(workers=1, slot_budget=4) as broker:
-            with pytest.raises(ScheduleError):
+            with pytest.raises(ImageFormatError):
                 broker.open(iter(gray), small_field, pixfmt="yuv420")
 
     def test_broker_rejects_unknown_pixfmt(self, small_field):
         from repro.serve.broker import StreamBroker
 
         with StreamBroker(workers=1, slot_budget=4) as broker:
-            with pytest.raises(ScheduleError):
+            with pytest.raises(ImageFormatError):
                 broker.open(iter(()), small_field, pixfmt="bogus")
+
+    @pytest.mark.parametrize("engine", ["sync", "ring", "serve"])
+    def test_format_errors_are_image_format_errors(self, small_field,
+                                                   engine):
+        """An unknown pixfmt and an out_size the format cannot deliver
+        fail the same way on every front end."""
+        from repro.serve.broker import StreamBroker
+
+        rng = np.random.default_rng(12)
+        for request in (dict(pixfmt="bogus"),
+                        dict(pixfmt="yuv420", out_size=(33, 32)),
+                        dict(pixfmt="nv12", out_size=(32, 31)),
+                        dict(pixfmt="rgb", out_size=(1, 32))):
+            frames = _frames(rng, 1)
+            with pytest.raises(ImageFormatError):
+                if engine == "serve":
+                    with StreamBroker(workers=1, slot_budget=2) as broker:
+                        broker.open(frames, small_field, **request)
+                else:
+                    list(corrected_stream(frames, small_field, engine=engine,
+                                          **request))
 
     def test_to_yuv420_stream_adapts_gray(self):
         gray = [np.full((16, 16), k, dtype=np.uint8) for k in range(3)]
