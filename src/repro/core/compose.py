@@ -25,7 +25,11 @@ fractional targets.  Out-of-range at either stage propagates to
 delivery, and :func:`composed_lut` collapses a composition into one
 gather table — memoized through :meth:`repro.core.lutcache.LUTCache
 .get_composed` under a key derived from the *constituent* field
-content hashes, so composed maps warm-start like plain ones.
+content hashes, so composed maps warm-start like plain ones.  The
+table is built from the composition one band of output rows at a time
+(:meth:`~repro.core.remap.RemapLUT.from_rows`), so the composed
+float64 field is never materialized; :func:`compose_fields` runs the
+same band lerp into a stored field for callers that want one.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 from ..errors import MappingError
 from .interpolation import bilinear_taps, sample, valid_mask
 from .mapping import RemapField
+from .remap import _BUILD_ROWS, RemapLUT
 
 __all__ = ["compose_fields", "crop_field", "affine_field",
            "downscale_field", "composed_lut"]
@@ -48,31 +53,63 @@ def _require_finite(label: str, *values) -> None:
             raise MappingError(f"{label} must be finite, got {v!r}")
 
 
-def compose_fields(outer: RemapField, inner: RemapField) -> RemapField:
-    """Field of ``inner`` applied after ``outer`` (see module docs).
+def _composed_rows(outer: RemapField, inner: RemapField):
+    """Band evaluator of ``inner after outer`` (the one composition lerp).
 
-    ``outer`` must map into ``inner``'s output domain: its source size
-    must equal ``inner``'s output shape.
+    Returns ``rows(r0, r1) -> (map_x, map_y)``: the composed float64
+    coordinates of output rows ``r0:r1``, every temporary band-sized.
+    Both coordinate planes share ``outer``'s taps, resolved once per
+    band.
     """
     ih, iw = inner.shape
     if (outer.src_width, outer.src_height) != (iw, ih):
         raise MappingError(
             f"outer field samples a {outer.src_width}x{outer.src_height} frame "
             f"but inner produces {iw}x{ih}")
-    # Both coordinate planes share outer's taps: resolve them once.
-    valid = valid_mask(outer.map_x, outer.map_y, iw, ih)
-    ix, iy, fx, fy = bilinear_taps(outer.map_x, outer.map_y)
-    x0, x1 = np.clip(ix, 0, iw - 1), np.clip(ix + 1, 0, iw - 1)
-    y0, y1 = np.clip(iy, 0, ih - 1) * iw, np.clip(iy + 1, 0, ih - 1) * iw
-    taps = (y0 + x0, y0 + x1, y1 + x0, y1 + x1)
-    gx, gy = 1.0 - fx, 1.0 - fy
 
-    def lerp(plane):
-        p00, p01, p10, p11 = (np.take(plane, t) for t in taps)
-        out = (p00 * gx + p01 * fx) * gy + (p10 * gx + p11 * fx) * fy
-        return np.where(valid, out, np.nan)
-    return RemapField(lerp(inner.map_x), lerp(inner.map_y),
-                      inner.src_width, inner.src_height)
+    def rows(r0, r1):
+        ox, oy = outer.map_x[r0:r1], outer.map_y[r0:r1]
+        valid = valid_mask(ox, oy, iw, ih)
+        ix, iy, fx, fy = bilinear_taps(ox, oy)
+        x0, x1 = np.clip(ix, 0, iw - 1), np.clip(ix + 1, 0, iw - 1)
+        y0, y1 = np.clip(iy, 0, ih - 1) * iw, np.clip(iy + 1, 0, ih - 1) * iw
+        taps = (y0 + x0, y0 + x1, y1 + x0, y1 + x1)
+        gx, gy = 1.0 - fx, 1.0 - fy
+
+        def lerp(plane):
+            p00, p01, p10, p11 = (np.take(plane, t) for t in taps)
+            out = (p00 * gx + p01 * fx) * gy + (p10 * gx + p11 * fx) * fy
+            return np.where(valid, out, np.nan)
+        return lerp(inner.map_x), lerp(inner.map_y)
+    return rows
+
+
+def compose_fields(outer: RemapField, inner: RemapField) -> RemapField:
+    """Field of ``inner`` applied after ``outer`` (see module docs).
+
+    ``outer`` must map into ``inner``'s output domain: its source size
+    must equal ``inner``'s output shape.  The serving path never
+    materializes this field: :func:`composed_lut` builds its table from
+    the same band evaluator directly.
+    """
+    rows = _composed_rows(outer, inner)
+    h, w = outer.shape
+    map_x = np.empty((h, w))
+    map_y = np.empty((h, w))
+    for r0 in range(0, h, _BUILD_ROWS):
+        r1 = min(r0 + _BUILD_ROWS, h)
+        map_x[r0:r1], map_y[r0:r1] = rows(r0, r1)
+    return RemapField(map_x, map_y, inner.src_width, inner.src_height)
+
+
+def _composed_table(outer: RemapField, inner: RemapField, method: str,
+                    border: str, fill: float) -> RemapLUT:
+    """The fused table of ``inner after outer``, built band by band
+    without materializing the composed field."""
+    rows = _composed_rows(outer, inner)
+    return RemapLUT.from_rows(rows, outer.shape,
+                              (inner.src_height, inner.src_width),
+                              method=method, border=border, fill=fill)
 
 
 def crop_field(width: int, height: int, x0: float, y0: float,
@@ -213,6 +250,4 @@ def composed_lut(outer: RemapField, inner: RemapField, *,
     if cache is not None:
         return cache.get_composed(outer, inner, method=method,
                                   border=border, fill=fill)
-    from .remap import RemapLUT
-    return RemapLUT(compose_fields(outer, inner), method=method,
-                    border=border, fill=fill)
+    return _composed_table(outer, inner, method, border, fill)

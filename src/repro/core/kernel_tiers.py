@@ -140,20 +140,21 @@ def resolve_tier(requested: str, *, quiet: bool = False) -> str:
 # the numpy Q-format block engine
 # ----------------------------------------------------------------------
 def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
-                  out_flat, acc, scratch):
+                  out_flat, acc, product, raw):
     """Fixed-point gather-MAC over one output block (numpy tier).
 
     The integer twin of ``RemapLUT._accumulate`` + store epilogue:
-    gather each tap into ``scratch``, multiply by its quantized weight
-    column, accumulate in ``acc`` (int32 for 1-byte frames, int64
-    wider), then round with ``+half`` and a single arithmetic shift —
-    the integer arithmetic a DSP or SPE fixed-point kernel performs.
+    gather each tap's raw samples into ``raw``, widen them in the
+    multiply by its quantized weight column, accumulate in ``acc``
+    (int32 for 1-byte frames, int64 wider), then round with ``+half``
+    and a single arithmetic shift — the integer arithmetic a DSP or
+    SPE fixed-point kernel performs.
 
     Parameters
     ----------
     flat:
-        ``(H*W, channels)`` source, already cast to the accumulator
-        dtype (the one conversion pass a wide-int kernel needs).
+        ``(H*W, channels)`` source samples at their own dtype (a view of
+        the frame; nothing is converted ahead of the gather).
     idx:
         ``(n, taps)`` int32 flat tap offsets for this block.
     qw_t:
@@ -169,16 +170,20 @@ def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
         the float epilogue).
     out_flat:
         ``(n, channels)`` destination view (output dtype).
-    acc, scratch:
+    acc, product:
         Pooled ``(n, channels)`` accumulator-dtype work buffers.
+    raw:
+        Pooled ``(n, channels)`` gather buffer of ``flat``'s dtype.
     """
     taps = idx.shape[1]
-    flat.take(idx[:, 0], axis=0, out=scratch, mode="clip")
-    np.multiply(scratch, qw_t[0][:, None], out=acc)
-    for k in range(1, taps):
-        flat.take(idx[:, k], axis=0, out=scratch, mode="clip")
-        np.multiply(scratch, qw_t[k][:, None], out=scratch)
-        np.add(acc, scratch, out=acc)
+    for k in range(taps):
+        flat.take(idx[:, k], axis=0, out=raw, mode="clip")
+        # dtype= forces the wide loop: numpy's own uint8 x int16 loop
+        # is int16, where 255 * 16384 wraps to -16384
+        np.multiply(raw, qw_t[k][:, None], out=acc if k == 0 else product,
+                    dtype=acc.dtype)
+        if k:
+            np.add(acc, product, out=acc)
     np.add(acc, acc.dtype.type(1 << (frac_bits - 1)), out=acc)
     np.right_shift(acc, frac_bits, out=acc)
     np.clip(acc, lo, hi, out=acc)

@@ -188,13 +188,12 @@ class LUTCache:
         opens against the same composition single-flights into exactly
         one build (``lutcache.builds`` increments once).
         """
-        from .compose import compose_fields
+        from .compose import _composed_table
 
         key = self.key_for_composed(outer, inner, method, border, fill)
 
         def build() -> RemapLUT:
-            field = compose_fields(outer, inner)
-            return RemapLUT(field, method=method, border=border, fill=fill)
+            return _composed_table(outer, inner, method, border, fill)
 
         return self._get_by_key(key, build)
 

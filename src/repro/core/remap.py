@@ -21,6 +21,18 @@ nearest), from which the per-tap weight vectors are derived — the same
 entry the paper DMAs to a Cell SPE or streams through a GPU texture
 path.  :meth:`RemapLUT.entry_bytes` prices exactly this layout.
 
+Both halves allocate only band-sized intermediates at the sample's
+native width, as a Cell SPE only ever holds its own band:
+
+- the table build walks the field :data:`_BUILD_ROWS` output rows at a
+  time and writes each band straight into the final ``int32`` /
+  ``float32`` / ``bool`` tables — no full-size int64 taps or float64
+  fractions, and :meth:`RemapLUT.from_rows` builds from a band
+  evaluator (a composed table) without any stored field;
+- a frame apply gathers each tap's *raw* samples (``uint8`` for camera
+  frames) into pooled scratch of the frame's dtype and widens them in
+  the multiply, never converting the whole source plane.
+
 Frame application is a fused gather-multiply-accumulate
 (:meth:`RemapLUT.apply`) that reuses pooled scratch buffers, so
 steady-state streaming performs **zero allocations**:
@@ -39,7 +51,8 @@ all three against the scalar oracle.
 
 When a :mod:`repro.obs` registry is enabled the kernel reports
 ``remap.frames`` / ``remap.bands`` / ``remap.pixels`` /
-``remap.bytes_gathered`` counters and ``remap.apply_seconds`` /
+``remap.bytes_gathered`` (the bytes the gather reads, at the frame's
+own sample width) counters and ``remap.apply_seconds`` /
 ``remap.band_seconds`` latency histograms; the disabled registry costs
 one branch per call (never per pixel), which the overhead gate in
 ``benchmarks/check_regression.py`` enforces.
@@ -101,6 +114,58 @@ def _resolve_border(idx, size, border):
     return interp.resolve_indices(idx, size, mode)
 
 
+#: Output rows resolved per band of a table build.  The band's int64
+#: taps and float64 fractions stay a few hundred KB at 2560 px wide, so
+#: a build allocates its final tables and nothing else of frame size.
+_BUILD_ROWS = 8
+
+#: Stored fractions per output pixel, by method.
+_FRAC_FLOATS = {"nearest": 0, "bilinear": 2, "bicubic": 8}
+
+
+def _table_band(mx, my, method, border, w, h, idx, fracs, mask):
+    """Resolve one band of coordinates into its rows of the final tables.
+
+    ``mx``/``my`` are the band's float64 source coordinates (any shape);
+    ``idx`` (int32 offsets), ``fracs`` (float32, ``None`` for nearest)
+    and ``mask`` (bool, ``None`` unless ``constant``) are the band's
+    rows of the LUT's tables and are written in place.  Every
+    temporary is band-sized.
+    """
+    mx = mx.ravel()
+    my = my.ravel()
+    if mask is not None:
+        mask[:] = interp.valid_mask(mx, my, w, h)
+    if method == "nearest":
+        ix = np.rint(np.where(np.isfinite(mx), mx, 0.0)).astype(np.int64)
+        iy = np.rint(np.where(np.isfinite(my), my, 0.0)).astype(np.int64)
+        idx[:, 0] = (_resolve_border(iy, h, border) * w
+                     + _resolve_border(ix, w, border))
+    elif method == "bilinear":
+        ix, iy, fx, fy = interp.bilinear_taps(mx, my)
+        x0 = _resolve_border(ix, w, border)
+        x1 = _resolve_border(ix + 1, w, border)
+        y0 = _resolve_border(iy, h, border) * w
+        y1 = _resolve_border(iy + 1, h, border) * w
+        for k, (row, col) in enumerate(((y0, x0), (y0, x1), (y1, x0), (y1, x1))):
+            np.add(row, col, out=idx[:, k], casting="unsafe")
+        fracs[:, 0] = fx
+        fracs[:, 1] = fy
+    else:  # bicubic
+        ix, iy, wx, wy = interp.bicubic_taps(mx, my)
+        cols = [_resolve_border(ix - 1 + i, w, border) for i in range(4)]
+        for j in range(4):
+            row = _resolve_border(iy - 1 + j, h, border) * w
+            for i in range(4):
+                np.add(row, cols[i], out=idx[:, j * 4 + i], casting="unsafe")
+        fracs[:, :4] = wx
+        fracs[:, 4:] = wy
+    if mask is not None:
+        # Invalid output pixels contribute nothing; keep their taps at 0
+        # so the gather stays in-bounds and branch-free.
+        idx[~mask] = 0
+
+
 def _check_frac_bits(frac_bits: int) -> int:
     """Validate the Q-format precision at LUT build time (fail fast)."""
     frac_bits = int(frac_bits)
@@ -136,12 +201,15 @@ class StageProfile:
 
 
 class _ScratchPool:
-    """Thread-safe pool of (accumulator, gather) scratch buffer pairs.
+    """Thread-safe pool of per-call kernel scratch buffers.
 
-    The fused kernel borrows a pair per call and returns it afterwards,
-    so a steady-state stream touches the allocator only on its first
-    frame.  Keys are ``(rows, channels, dtype)`` — concurrent tile
-    workers with equal band sizes each get their own pair.
+    A set is ``(acc, product, raw)``: the accumulator, a product scratch
+    of the accumulator dtype and a gather scratch of the frame's own
+    dtype (the product scratch itself when the two dtypes agree).  The
+    fused kernel borrows a set per call and returns it afterwards, so a
+    steady-state stream touches the allocator only on its first frame.
+    Keys are ``(rows, channels, acc dtype, sample dtype)`` — concurrent
+    tile workers with equal band sizes each get their own set.
     """
 
     _MAX_PER_KEY = 8  # bound idle memory under bursty concurrency
@@ -150,22 +218,29 @@ class _ScratchPool:
         self._lock = threading.Lock()
         self._free = {}
 
-    def acquire(self, n: int, channels: int, dtype):
-        key = (n, channels, np.dtype(dtype).str)
+    @staticmethod
+    def _key(n, channels, dtype, raw_dtype):
+        return (n, channels, np.dtype(dtype).str, np.dtype(raw_dtype).str)
+
+    def acquire(self, n: int, channels: int, dtype, raw_dtype):
+        key = self._key(n, channels, dtype, raw_dtype)
         with self._lock:
             stack = self._free.get(key)
             if stack:
                 return stack.pop()
-        return (np.empty((n, channels), dtype=dtype),
-                np.empty((n, channels), dtype=dtype))
+        acc = np.empty((n, channels), dtype=dtype)
+        product = np.empty((n, channels), dtype=dtype)
+        raw = (product if np.dtype(raw_dtype) == acc.dtype
+               else np.empty((n, channels), dtype=raw_dtype))
+        return acc, product, raw
 
-    def release(self, pair):
-        acc = pair[0]
-        key = (acc.shape[0], acc.shape[1], acc.dtype.str)
+    def release(self, bufs):
+        acc, _, raw = bufs
+        key = self._key(acc.shape[0], acc.shape[1], acc.dtype, raw.dtype)
         with self._lock:
             stack = self._free.setdefault(key, [])
             if len(stack) < self._MAX_PER_KEY:
-                stack.append(pair)
+                stack.append(bufs)
 
 
 def _store_epilogue(acc, invalid, fill, dtype, out_shape, squeeze,
@@ -235,6 +310,32 @@ class RemapLUT:
                  border: str = "constant", fill: float = 0.0,
                  tier: str = "numpy",
                  frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS):
+        self._build(field.shape, (field.src_height, field.src_width),
+                    lambda r0, r1: (field.map_x[r0:r1], field.map_y[r0:r1]),
+                    method, border, fill, tier, frac_bits)
+
+    @classmethod
+    def from_rows(cls, rows, out_shape, src_shape, method: str = "bilinear",
+                  border: str = "constant", fill: float = 0.0) -> "RemapLUT":
+        """Build a LUT from a band evaluator instead of a stored field.
+
+        ``rows(r0, r1)`` returns the ``(map_x, map_y)`` float64 source
+        coordinates of output rows ``r0:r1`` (shape ``(r1 - r0, W_out)``);
+        ``out_shape`` is ``(H_out, W_out)`` and ``src_shape``
+        ``(H_src, W_src)``.  The tables equal ``RemapLUT(field)`` of the
+        field those bands make up, which is never materialized — how a
+        composed table is built (:func:`~repro.core.compose.composed_lut`).
+        The LUT runs on the numpy tier; :meth:`with_tier` re-tiers it.
+        """
+        self = cls.__new__(cls)
+        self._build(tuple(out_shape), tuple(src_shape), rows, method, border,
+                    fill, "numpy", kernel_tiers.DEFAULT_FRAC_BITS)
+        return self
+
+    def _build(self, out_shape, src_shape, rows, method, border, fill, tier,
+               frac_bits):
+        """The one table builder: walk the output in :data:`_BUILD_ROWS`
+        bands and write each into the final int32/float32/bool tables."""
         if method not in interp.METHODS:
             raise InterpolationError(
                 f"unknown interpolation method {method!r}; known: {interp.METHODS}")
@@ -246,55 +347,26 @@ class RemapLUT:
         self.fill = float(fill)
         self.tier = kernel_tiers.resolve_tier(tier)
         self.frac_bits = _check_frac_bits(frac_bits)
-        self.out_shape = field.shape
-        self.src_shape = (field.src_height, field.src_width)
-        h, w = self.src_shape
+        self.out_shape = out_shape
+        self.src_shape = src_shape
+        h, w = src_shape
         if h * w - 1 > np.iinfo(np.int32).max:
             raise MappingError(
                 f"source frame {w}x{h} exceeds the int32 index range of the "
                 f"compact LUT layout")
-        self.mask = field.valid_mask().ravel() if border == "constant" else None
-
-        if method == "nearest":
-            mx = np.where(np.isfinite(field.map_x), field.map_x, 0.0)
-            my = np.where(np.isfinite(field.map_y), field.map_y, 0.0)
-            ix = np.rint(mx).astype(np.int64).ravel()
-            iy = np.rint(my).astype(np.int64).ravel()
-            ix = _resolve_border(ix, w, border)
-            iy = _resolve_border(iy, h, border)
-            self.indices = (iy * w + ix).reshape(-1, 1).astype(np.int32)
-            self.fracs = None
-        elif method == "bilinear":
-            ix, iy, fx, fy = interp.bilinear_taps(field.map_x, field.map_y)
-            ix, iy = ix.ravel(), iy.ravel()
-            x0 = _resolve_border(ix, w, border)
-            x1 = _resolve_border(ix + 1, w, border)
-            y0 = _resolve_border(iy, h, border)
-            y1 = _resolve_border(iy + 1, h, border)
-            self.indices = np.stack(
-                [y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=1
-            ).astype(np.int32)
-            self.fracs = np.stack(
-                [fx.ravel(), fy.ravel()], axis=1).astype(np.float32)
-        else:  # bicubic
-            ix, iy, wx, wy = interp.bicubic_taps(field.map_x, field.map_y)
-            ix, iy = ix.ravel(), iy.ravel()
-            cols = [_resolve_border(ix - 1 + i, w, border) for i in range(4)]
-            rows = [_resolve_border(iy - 1 + j, h, border) for j in range(4)]
-            idx = np.empty((ix.size, 16), dtype=np.int32)
-            for j in range(4):
-                base = rows[j] * w
-                for i in range(4):
-                    idx[:, j * 4 + i] = base + cols[i]
-            self.indices = idx
-            self.fracs = np.concatenate(
-                [wx.reshape(-1, 4), wy.reshape(-1, 4)], axis=1).astype(np.float32)
-
-        if self.mask is not None:
-            # Invalid output pixels contribute nothing; keep their taps at 0
-            # so the gather stays in-bounds and branch-free.
-            self.indices[~self.mask] = 0
-
+        h_out, w_out = out_shape
+        n = h_out * w_out
+        self.indices = np.empty((n, interp.footprint(method)), dtype=np.int32)
+        self.fracs = (None if method == "nearest" else
+                      np.empty((n, _FRAC_FLOATS[method]), dtype=np.float32))
+        self.mask = np.empty(n, dtype=bool) if border == "constant" else None
+        for r0 in range(0, h_out, _BUILD_ROWS):
+            r1 = min(r0 + _BUILD_ROWS, h_out)
+            sl = slice(r0 * w_out, r1 * w_out)
+            mx, my = rows(r0, r1)
+            _table_band(mx, my, method, border, w, h, self.indices[sl],
+                        None if self.fracs is None else self.fracs[sl],
+                        None if self.mask is None else self.mask[sl])
         self._invalid = None       # lazily ~mask
         self._wtab = None          # lazily derived (taps, N) weight table
         self._qwtab = None         # lazily derived (taps, N) int16 Q weights
@@ -431,8 +503,7 @@ class RemapLUT:
             raise InterpolationError(
                 f"unknown interpolation method {method!r}; known: {interp.METHODS}")
         taps = interp.footprint(method)
-        frac_floats = {"nearest": 0, "bilinear": 2, "bicubic": 8}[method]
-        return 4 * taps + 4 * frac_floats + (1 if border == "constant" else 0)
+        return 4 * taps + 4 * _FRAC_FLOATS[method] + (1 if border == "constant" else 0)
 
     def traffic_per_frame(self, channels: int = 1,
                           pixel_bytes: int = 1) -> dict:
@@ -489,35 +560,50 @@ class RemapLUT:
 
         Uncached: :meth:`_weight_table_full` keeps the result on the
         LUT, :meth:`kernel_tables` hands it out without keeping it.
+        Derived band by band, so the only frame-sized allocation is the
+        table itself.
         """
-        n = self.indices.shape[0]
-        if self.method == "nearest":
-            wtab = np.ones((1, n), dtype=np.float32)
-        elif self.fracs is None:
+        self._require_fracs()
+        wtab = np.empty((self.taps, self.indices.shape[0]), dtype=np.float32)
+        for sl in self._row_bands():
+            self._weight_band(sl, wtab[:, sl])
+        return wtab
+
+    def _require_fracs(self):
+        if self.method != "nearest" and self.fracs is None:
             raise KernelTierError(
                 f"this {self.method} LUT was rebuilt from tables without "
                 f"float weights (a {self.tier}-tier publication); float "
                 f"frames need a numpy-tier publication")
+
+    def _row_bands(self):
+        """Table-row slices of :data:`_BUILD_ROWS` output rows each."""
+        n = self.indices.shape[0]
+        step = _BUILD_ROWS * self.out_shape[1]
+        return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+    def _weight_band(self, sl, out):
+        """Write the float32 weights of table rows ``sl`` into the
+        ``(taps, len)`` block ``out``; rows of invalid pixels are 0."""
+        if self.method == "nearest":
+            out[...] = 1.0
         elif self.method == "bilinear":
-            fx = self.fracs[:, 0]
-            fy = self.fracs[:, 1]
+            fx = self.fracs[sl, 0]
+            fy = self.fracs[sl, 1]
             one = np.float32(1.0)
-            wtab = np.empty((4, n), dtype=np.float32)
-            wtab[0] = (one - fx) * (one - fy)
-            wtab[1] = fx * (one - fy)
-            wtab[2] = (one - fx) * fy
-            wtab[3] = fx * fy
+            gx = one - fx
+            gy = one - fy
+            np.multiply(gx, gy, out=out[0])
+            np.multiply(fx, gy, out=out[1])
+            np.multiply(gx, fy, out=out[2])
+            np.multiply(fx, fy, out=out[3])
         else:  # bicubic
-            wx = self.fracs[:, :4]
-            wy = self.fracs[:, 4:]
-            wtab = np.empty((16, n), dtype=np.float32)
+            fr = self.fracs[sl]
             for j in range(4):
                 for i in range(4):
-                    wtab[j * 4 + i] = wy[:, j] * wx[:, i]
+                    np.multiply(fr[:, 4 + j], fr[:, i], out=out[j * 4 + i])
         if self.mask is not None:
-            inv = self._invalid if self._invalid is not None else ~self.mask
-            wtab[:, inv] = 0.0
-        return wtab
+            out[:, ~self.mask[sl]] = 0.0
 
     def _qweight_table(self):
         """``(taps, N)`` int16 Q-format weights for the fixed/compiled
@@ -528,9 +614,19 @@ class RemapLUT:
         return self._qwtab
 
     def _derive_qweight_table(self):
-        wtab = (self._wtab if self._wtab is not None
-                else self._derive_weight_table())
-        return np.ascontiguousarray(quantize_weights(wtab.T, self.frac_bits).T)
+        """Quantize the float weights band by band into a fresh
+        ``(taps, N)`` int16 table (uncached, like the float table)."""
+        if self._wtab is None:
+            self._require_fracs()
+        qwtab = np.empty((self.taps, self.indices.shape[0]), dtype=np.int16)
+        for sl in self._row_bands():
+            if self._wtab is not None:
+                wt = self._wtab[:, sl]
+            else:
+                wt = np.empty((self.taps, sl.stop - sl.start), dtype=np.float32)
+                self._weight_band(sl, wt)
+            qwtab[:, sl] = quantize_weights(wt.T, self.frac_bits).T
+        return qwtab
 
     def kernel_tables(self) -> dict:
         """The arrays this LUT's tier reads per frame, by table name.
@@ -566,57 +662,66 @@ class RemapLUT:
                 f"frame {image.shape[:2]} does not match LUT source {self.src_shape}")
         squeeze = image.ndim == 2
         n_src = self.src_shape[0] * self.src_shape[1]
+        # A view of the frame as (pixels, channels): every tier gathers
+        # the raw samples of one band and widens only what it gathered,
+        # never the whole plane.
+        flat = image.reshape(n_src, -1)
         if tier == "numpy":
             # Accumulate in float32 (the embedded-precision baseline)
             # except for float64 frames, which keep their native
             # precision instead of a lossy float32 round-trip.
             acc_dtype = np.float64 if image.dtype == np.float64 else np.float32
-            flat = image.reshape(n_src, -1).astype(acc_dtype, copy=False)
+            if not np.issubdtype(image.dtype, np.integer):
+                # float frames gather at the accumulator dtype (a no-op
+                # conversion for float32/float64 frames)
+                flat = flat.astype(acc_dtype, copy=False)
         else:
             # Q tiers: int32 accumulate covers 1-byte samples at Q14
             # with 16 taps; wider samples need int64.
             acc_dtype = np.int64 if image.dtype.itemsize > 1 else np.int32
             if tier == "compiled":
-                # the jitted kernel gathers the raw samples — no
-                # conversion pass over the source at all
-                flat = np.ascontiguousarray(image.reshape(n_src, -1))
-            else:
-                flat = image.reshape(n_src, -1).astype(acc_dtype, copy=False)
+                # the jitted kernel reads the samples in place
+                flat = np.ascontiguousarray(flat)
         return image, flat, squeeze, acc_dtype
 
-    def _accumulate(self, flat, idx, wtab, acc, scratch, tel=None):
+    def _accumulate(self, flat, idx, wtab, acc, product, raw, tel=None):
         """Fused gather-multiply-accumulate into preallocated ``acc``.
 
+        Each tap gathers raw samples of ``flat``'s dtype into ``raw``
+        and widens only those, with one casting copy into the
+        accumulator-dtype scratch (the cast a whole-plane ``astype``
+        made, band-sized), then multiplies at the accumulator dtype.
+        Measured on uint8 frames, the separate copy beats widening
+        inside the multiply, whose buffered casting loop runs one short
+        channel row at a time on packed RGB.
         ``tel`` is a stage-detail telemetry registry (or ``None`` on the
         shipping fast path): when present each gather/interpolate stage
         is wrapped in a span — the profiled path times exactly this
         kernel, never a re-implementation.
         """
-        if wtab is None:  # nearest: one unweighted gather, straight into acc
-            if tel is None:
-                flat.take(idx[:, 0], axis=0, out=acc, mode="clip")
-            else:
-                with tel.span("remap.gather", cat="kernel"):
-                    flat.take(idx[:, 0], axis=0, out=acc, mode="clip")
-            return
+        def gather(k):
+            flat.take(idx[:, k], axis=0, out=raw, mode="clip")
+
+        def madd(k):
+            dst = acc if k == 0 else product
+            if raw is not dst:
+                np.copyto(dst, raw)
+            if wtab is not None:
+                np.multiply(dst, wtab[k][:, None], out=dst)
+            if k:
+                np.add(acc, product, out=acc)
+
         taps = idx.shape[1]
         if tel is None:
-            flat.take(idx[:, 0], axis=0, out=scratch, mode="clip")
-            np.multiply(scratch, wtab[0][:, None], out=acc)
-            for k in range(1, taps):
-                flat.take(idx[:, k], axis=0, out=scratch, mode="clip")
-                np.multiply(scratch, wtab[k][:, None], out=scratch)
-                np.add(acc, scratch, out=acc)
+            for k in range(taps):
+                gather(k)
+                madd(k)
             return
         for k in range(taps):
             with tel.span("remap.gather", cat="kernel"):
-                flat.take(idx[:, k], axis=0, out=scratch, mode="clip")
+                gather(k)
             with tel.span("remap.interpolate", cat="kernel"):
-                if k == 0:
-                    np.multiply(scratch, wtab[0][:, None], out=acc)
-                else:
-                    np.multiply(scratch, wtab[k][:, None], out=scratch)
-                    np.add(acc, scratch, out=acc)
+                madd(k)
 
     def _run(self, image, row0=None, row1=None, out=None):
         """Shared implementation of apply/apply_rows/profiled apply."""
@@ -654,15 +759,16 @@ class RemapLUT:
             wtab = self._weight_table()
             if wtab is not None and row0 is not None:
                 wtab = wtab[:, sl]
-            pair = self._pool.acquire(n, channels, acc_dtype)
+            bufs = self._pool.acquire(n, channels, acc_dtype, flat.dtype)
             try:
-                acc, scratch = pair
+                acc, product, raw = bufs
                 detail = tel if tel.stage_detail else None
-                self._accumulate(flat, idx, wtab, acc, scratch, tel=detail)
+                self._accumulate(flat, idx, wtab, acc, product, raw,
+                                 tel=detail)
                 result = _store_epilogue(acc, invalid, self.fill, image.dtype,
                                          shape2d, squeeze, out=out, tel=detail)
             finally:
-                self._pool.release(pair)
+                self._pool.release(bufs)
         else:
             result = self._run_q(tier, flat, idx, sl, invalid, image.dtype,
                                  shape2d, squeeze, channels, acc_dtype,
@@ -719,15 +825,16 @@ class RemapLUT:
         tile = kernel_tiers.DEFAULT_TILE_ROWS * w_out
         for b0 in range(0, n, tile):
             b1 = min(b0 + tile, n)
-            pair = self._pool.acquire(b1 - b0, channels, acc_dtype)
+            bufs = self._pool.acquire(b1 - b0, channels, acc_dtype,
+                                      flat.dtype)
             try:
                 kernel_tiers.q_apply_block(
                     flat, idx[b0:b1], qw[:, b0:b1], self.frac_bits,
                     info.min, info.max,
                     invalid[b0:b1] if invalid is not None else None,
-                    fill, out_flat[b0:b1], pair[0], pair[1])
+                    fill, out_flat[b0:b1], *bufs)
             finally:
-                self._pool.release(pair)
+                self._pool.release(bufs)
         return result
 
     # ------------------------------------------------------------------

@@ -114,3 +114,97 @@ def _q_reference(lut, image, bits, row0=0, row1=None):
 @pytest.fixture(scope="session")
 def q_reference():
     return _q_reference
+
+
+def _reference_tables(field, method="bilinear", border="constant",
+                      bits=12):
+    """Whole-array reference of the LUT table build.
+
+    The table construction as it stood before the banded builder: every
+    tap, fraction and weight array is made at full frame size with
+    int64/float64 intermediates, then narrowed.  Returns the
+    ``indices``/``fracs``/``mask`` tables and the derived ``wtab``
+    (float32) and ``qwtab`` (int16 Q-format) weights, frozen here so the
+    banded builder can be held bit-identical to it.
+    """
+    from repro.core import interpolation as interp
+    from repro.core.fixedpoint import quantize_weights
+
+    def resolve(idx, size):
+        return interp.resolve_indices(
+            idx, size, "replicate" if border == "constant" else border)
+
+    h, w = field.src_height, field.src_width
+    mask = field.valid_mask().ravel() if border == "constant" else None
+    if method == "nearest":
+        mx = np.where(np.isfinite(field.map_x), field.map_x, 0.0)
+        my = np.where(np.isfinite(field.map_y), field.map_y, 0.0)
+        ix = resolve(np.rint(mx).astype(np.int64).ravel(), w)
+        iy = resolve(np.rint(my).astype(np.int64).ravel(), h)
+        indices = (iy * w + ix).reshape(-1, 1).astype(np.int32)
+        fracs = None
+    elif method == "bilinear":
+        ix, iy, fx, fy = interp.bilinear_taps(field.map_x, field.map_y)
+        ix, iy = ix.ravel(), iy.ravel()
+        x0, x1 = resolve(ix, w), resolve(ix + 1, w)
+        y0, y1 = resolve(iy, h), resolve(iy + 1, h)
+        indices = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0,
+                            y1 * w + x1], axis=1).astype(np.int32)
+        fracs = np.stack([fx.ravel(), fy.ravel()], axis=1).astype(np.float32)
+    else:
+        ix, iy, wx, wy = interp.bicubic_taps(field.map_x, field.map_y)
+        ix, iy = ix.ravel(), iy.ravel()
+        cols = [resolve(ix - 1 + i, w) for i in range(4)]
+        rows = [resolve(iy - 1 + j, h) for j in range(4)]
+        indices = np.empty((ix.size, 16), dtype=np.int32)
+        for j in range(4):
+            for i in range(4):
+                indices[:, j * 4 + i] = rows[j] * w + cols[i]
+        fracs = np.concatenate([wx.reshape(-1, 4), wy.reshape(-1, 4)],
+                               axis=1).astype(np.float32)
+    if mask is not None:
+        indices[~mask] = 0
+
+    n = indices.shape[0]
+    one = np.float32(1.0)
+    if method == "nearest":
+        wtab = np.ones((1, n), dtype=np.float32)
+    elif method == "bilinear":
+        fx, fy = fracs[:, 0], fracs[:, 1]
+        wtab = np.stack([(one - fx) * (one - fy), fx * (one - fy),
+                         (one - fx) * fy, fx * fy])
+    else:
+        wtab = np.stack([fracs[:, 4 + j] * fracs[:, i]
+                         for j in range(4) for i in range(4)])
+    if mask is not None:
+        wtab[:, ~mask] = 0.0
+    qwtab = np.ascontiguousarray(quantize_weights(wtab.T, bits).T)
+    return {"indices": indices, "fracs": fracs, "mask": mask,
+            "wtab": wtab, "qwtab": qwtab}
+
+
+@pytest.fixture(scope="session")
+def reference_tables():
+    return _reference_tables
+
+
+def _assert_tables_match(lut, ref):
+    """``lut``'s tables and derived weights equal ``ref`` bit for bit."""
+    for name in ("indices", "fracs", "mask"):
+        got, want = getattr(lut, name), ref[name]
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    # Q weights straight from the fractions, then from the cached float
+    # weights (the two derivation paths)
+    np.testing.assert_array_equal(
+        lut.with_tier("fixed").kernel_tables()["qwtab"], ref["qwtab"])
+    np.testing.assert_array_equal(lut.weights.T, ref["wtab"])
+    np.testing.assert_array_equal(lut._derive_qweight_table(), ref["qwtab"])
+
+
+@pytest.fixture(scope="session")
+def assert_tables_match():
+    return _assert_tables_match

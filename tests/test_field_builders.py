@@ -9,6 +9,7 @@ nanopixel, with identical out-of-FOV masks, and the gather tables
 built from them must produce bit-identical frames.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,14 +17,16 @@ import pytest
 
 from repro.bench.harness import standard_sensor
 from repro.core import geometry, mapping
-from repro.core.compose import compose_fields, composed_lut, downscale_field
+from repro.core.compose import (affine_field, compose_fields, composed_lut,
+                                crop_field, downscale_field)
 from repro.core.intrinsics import CameraIntrinsics
-from repro.core.interpolation import sample
+from repro.core.interpolation import BORDER_MODES, METHODS, sample
 from repro.core.lens import LENS_MODELS
+from repro.core.lutcache import LUTCache
 from repro.core.mapping import (RemapField, chroma_half_field, cylindrical_map,
                                 equirectangular_map, perspective_map)
 from repro.core.points import distort_points
-from repro.core.remap import RemapLUT
+from repro.core.remap import _BUILD_ROWS, RemapLUT
 
 pytestmark = pytest.mark.tier1
 
@@ -289,3 +292,118 @@ def test_fused_nv12_tables_give_identical_frames():
         composed_lut(chroma, chroma_half_field(new), fill=128.0),
         composed_lut(chroma, chroma_half_field(old), fill=128.0),
         rng.integers(0, 256, (720, 1280, 2), dtype=np.uint8))
+
+
+# ----------------------------------------------------------------------
+# the banded table builder: bit-identical to the whole-array reference
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _builder_fields():
+    """Every field the tests above build, except the benchmark-size
+    views, too large to run the reference over every method and
+    border."""
+    fields = []
+    for lens_name in sorted(LENS_MODELS):
+        sensor, lens = standard_sensor(96, 72, lens_name)
+        for size in SIZES:
+            for zoom in (0.5, 1.0):
+                out = view(*size, lens, zoom)
+                for pose in POSES:
+                    yaw, pitch, roll = (math.radians(a) for a in pose)
+                    fields.append(perspective_map(sensor, lens, out, yaw=yaw,
+                                                  pitch=pitch, roll=roll))
+        for fov in [(np.pi, np.pi / 2.0), (2 * np.pi, 2.5)]:
+            fields.append(cylindrical_map(sensor, lens, 65, 43, *fov))
+        for fov in [(np.pi, np.pi), (2 * np.pi, np.pi)]:
+            fields.append(equirectangular_map(sensor, lens, 65, 43, *fov))
+        fields.append(perspective_map(
+            sensor, lens, CameraIntrinsics(fx=1.0, fy=1.0, cx=-np.sin(np.pi),
+                                           cy=3.0, width=5, height=7),
+            yaw=np.pi))
+    sensor, lens = standard_sensor(96, 72)
+    fields.append(perspective_map(sensor, lens, view(65, 43, lens, 0.5,
+                                                     skew=4.0),
+                                  yaw=math.radians(25.0)))
+    fields.append(chroma_half_field(perspective_map(
+        sensor, lens, view(64, 48, lens, 1.0), pitch=math.radians(50.0))))
+    inner = perspective_map(sensor, lens, view(96, 72, lens, 1.0),
+                            yaw=math.radians(30.0))
+    fields.append(compose_fields(
+        downscale_field(48, 36, 96, 72, prefilter=False), inner))
+    fields.append(compose_fields(
+        RemapField(*np.meshgrid(np.linspace(-3, 99, 41),
+                                np.linspace(-2, 75, 29)), 96, 72), inner))
+    return tuple(fields)
+
+
+@pytest.mark.parametrize("border", BORDER_MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_banded_tables_match_reference(method, border, reference_tables,
+                                       assert_tables_match):
+    for field in _builder_fields():
+        assert_tables_match(RemapLUT(field, method=method, border=border),
+                            reference_tables(field, method, border))
+
+
+@pytest.mark.parametrize("rows", [1, _BUILD_ROWS - 1, _BUILD_ROWS,
+                                  _BUILD_ROWS + 1, 2 * _BUILD_ROWS + 1])
+@pytest.mark.parametrize("method", METHODS)
+def test_band_edges_match_reference(rows, method, reference_tables,
+                                    assert_tables_match):
+    """Fields of one row, and of a band height and one row either side."""
+    sensor, lens = standard_sensor(96, 72)
+    field = perspective_map(sensor, lens, view(37, rows, lens, 0.7),
+                            pitch=math.radians(70.0))
+    for border in BORDER_MODES:
+        assert_tables_match(RemapLUT(field, method=method, border=border),
+                            reference_tables(field, method, border))
+
+
+def _composition_cases():
+    """(outer, inner) pairs: 2:1, 3:1 and 2.4:1 downscales, a zoom-in
+    crop and an affine outer that leaves the inner frame, over a plain
+    and a partly out-of-FOV inner field."""
+    sensor, lens = standard_sensor(96, 72)
+    inners = [perspective_map(sensor, lens, view(96, 72, lens, 1.0),
+                              yaw=math.radians(30.0)),
+              perspective_map(sensor, lens, view(96, 72, lens, 0.5),
+                              pitch=math.radians(60.0))]
+    outers = [downscale_field(48, 36, 96, 72, prefilter=False),
+              downscale_field(32, 24, 96, 72, prefilter=False),
+              downscale_field(40, 30, 96, 72, prefilter=False),
+              crop_field(50, 41, 10.0, 8.0, 96, 72, scale=0.5),
+              affine_field(60, 45, [[1.2, 0.25, -12.0], [-0.2, 1.1, -6.0]],
+                           96, 72)]
+    return [(o, i) for i in inners for o in outers]
+
+
+@pytest.mark.parametrize("border", BORDER_MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_composed_tables_match_reference(method, border, reference_tables,
+                                         assert_tables_match):
+    """The banded composition equals ``RemapLUT(compose_fields(...))``
+    and the whole-array reference of the composed field."""
+    for outer, inner in _composition_cases():
+        field = compose_fields(outer, inner)
+        ref = reference_tables(field, method, border)
+        fused = composed_lut(outer, inner, method=method, border=border,
+                             fill=7.0, antialias=False)
+        assert fused.out_shape == outer.shape
+        assert_tables_match(fused, ref)
+        assert_tables_match(RemapLUT(field, method=method, border=border),
+                            ref)
+
+
+def test_cached_composed_tables_match_reference(tmp_path, reference_tables,
+                                                assert_tables_match):
+    """``LUTCache.get_composed``: a built (memory-tier) entry and the
+    same entry loaded back from the disk tier."""
+    for k, (outer, inner) in enumerate(_composition_cases()):
+        ref = reference_tables(compose_fields(outer, inner))
+        built = LUTCache(cache_dir=str(tmp_path)).get_composed(outer, inner)
+        assert_tables_match(built, ref)
+        cache = LUTCache(cache_dir=str(tmp_path))
+        loaded = cache.get_composed(outer, inner)
+        assert cache.disk_hits == 1
+        assert_tables_match(loaded, ref)
+        assert cache.get_composed(outer, inner) is loaded
