@@ -1,10 +1,11 @@
-"""Ablation experiments beyond the reconstructed core set (A1..A3).
+"""Ablation experiments beyond the reconstructed core set (A1..A4).
 
 A1 — energy per corrected frame across the machine park (the era's
      performance-per-watt argument).
 A2 — output supersampling: peripheral aliasing vs cost.
 A3 — does a hardware stream prefetcher rescue the row-major gather
      traversal that F6 showed needs a 4x bigger cache?
+A4 — the kernel inside the whole capture->correct->encode application.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from ..accel.energy import energy_report
 from ..accel.presets import all_platforms
-from ..core.intrinsics import CameraIntrinsics
 from ..core.antialias import SupersampledLUT, minification_map
 from ..core.quality import psnr
 from ..core.remap import RemapLUT
@@ -28,7 +28,7 @@ from .harness import resolution, standard_field, standard_sensor
 from .report import Table
 
 __all__ = ["a1_energy", "a2_antialias", "a3_prefetch", "a4_application",
-           "a5_map_construction", "h1_host_scaling", "h2_model_validation"]
+           "h1_host_scaling", "h2_model_validation"]
 
 
 def a1_energy(res: str = "720p", method: str = "bilinear") -> Table:
@@ -199,69 +199,6 @@ def a4_application(res: str = "720p", method: str = "bilinear",
                        "the application: kernel speedups compress toward the "
                        "pipeline's host-bound ceiling (system-level Amdahl).")
     return table
-
-
-def a5_map_construction(res: str = "720p", sample_counts=(64, 256, 1024, 4096)) -> Table:
-    """Map construction: exact trigonometric builder vs radial LUT.
-
-    The sequential-optimization rung: measures host build time and the
-    worst-case geometric error of the radial-profile approximation as
-    its table grows.
-    """
-    from ..core.intrinsics import CameraIntrinsics
-    from ..core.mapfast import radial_perspective_map
-    from ..core.mapping import perspective_map
-
-    w, h = resolution(res)
-    sensor, lens = standard_sensor(w, h)
-    focal_out = float(lens.magnification(1e-4)) * 0.5
-    out = CameraIntrinsics(fx=focal_out, fy=focal_out, cx=(w - 1) / 2.0,
-                           cy=(h - 1) / 2.0, width=w, height=h)
-
-    def timed(build):
-        """Best of three builds: (result, ms)."""
-        best = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            result = build()
-            ms = (time.perf_counter() - t0) * 1e3
-            best = ms if best is None else min(best, ms)
-        return result, best
-
-    exact, exact_ms = timed(lambda: perspective_map(sensor, lens, out))
-
-    table = Table(
-        f"A5: map construction, exact vs radial LUT ({res})",
-        ["builder", "samples", "build_ms", "speedup", "max_err_px"],
-        float_fmt="{:.4f}",
-    )
-    table.add_row("exact", "-", exact_ms, 1.0, 0.0)
-    mask = exact.valid_mask()
-    for n in sample_counts:
-        approx, ms = timed(lambda: radial_perspective_map(sensor, lens, out,
-                                                          samples=n))
-        err = np.hypot(approx.map_x - exact.map_x, approx.map_y - exact.map_y)
-        table.add_row("radial", n, ms, exact_ms / ms, float(np.nanmax(err[mask])))
-    table.notes.append(_a5_note(table))
-    return table
-
-
-def _a5_note(table: Table) -> str:
-    """A5's verdict, read off the measured ``speedup`` column."""
-    rows = zip(table.column("builder"), table.column("samples"),
-               table.column("speedup"), table.column("max_err_px"))
-    accurate = [(n, s) for b, n, s, e in rows if b == "radial" and e < 0.01]
-    if not accurate:
-        return "No profile size reaches sub-0.01 px error."
-    n, speedup = accurate[0]
-    if speedup > 1.0:
-        return (f"{n} profile samples reach sub-0.01 px error at "
-                f"{speedup:.1f}x lower build cost than the exact builder; "
-                f"rotated PTZ views still need the exact builder.")
-    return (f"{n} profile samples reach sub-0.01 px error, but the radial LUT "
-            f"builds {1.0 / speedup:.1f}x slower than the exact builder: it "
-            f"does not pay here, and rotated PTZ views need the exact "
-            f"builder anyway.")
 
 
 def h1_host_scaling(res: str = "VGA", workers=(1, 2, 4), repeats: int = 5) -> Table:

@@ -581,7 +581,6 @@ EXPERIMENTS = {
     "A2": lambda **kw: _ablation("a2_antialias")(**kw),
     "A3": lambda **kw: _ablation("a3_prefetch")(**kw),
     "A4": lambda **kw: _ablation("a4_application")(**kw),
-    "A5": lambda **kw: _ablation("a5_map_construction")(**kw),
     "H1": lambda **kw: _ablation("h1_host_scaling")(**kw),
     "H2": lambda **kw: _ablation("h2_model_validation")(**kw),
     "T1": t1_platforms,

@@ -11,7 +11,7 @@ Commands
     Estimate the lens (family + focal + centre) from a rendered
     circle-grid target and print the fit.
 ``bench``
-    Run evaluation experiments by id (``T1``, ``F1``.. ``A3``, ``all``).
+    Run evaluation experiments by id (``T1``, ``F1``.. ``A4``, ``all``).
 ``stream``
     Drive a synthetic camera stream through a correction engine
     (``seq``, ``pipelined`` threads, or the ``ring``: one session on a
@@ -198,7 +198,7 @@ def cmd_stream(args) -> int:
     import time
 
     from .video.distort import FisheyeRenderer, scene_camera_for_sensor
-    from .video.stream import SyntheticStream
+    from .video.stream import SyntheticStream, corrected_stream
     from .video.synth import urban
 
     w, h = args.width, args.height
@@ -214,7 +214,7 @@ def cmd_stream(args) -> int:
     fmt = _pixfmt(args.pixfmt)
     corrector = FisheyeCorrector.for_sensor(
         sensor, lens, w, h, zoom=args.zoom, method=args.method,
-        kernel=args.kernel, out_size=out_size)
+        kernel=args.kernel)
     engine = {"seq": "sync"}.get(args.engine, args.engine)
     engine_kwargs = {}
     if engine == "pipelined":
@@ -247,21 +247,10 @@ def cmd_stream(args) -> int:
                                        port=args.serve_metrics).start()
             print(f"serving metrics on {server.url} "
                   f"(/metrics /health /snapshot)", file=sys.stderr)
-        if len(fmt.planes) == 1:
-            # one packed plane: the corrector's own engines (seq,
-            # pipelined threads, ring) and its pipeline.* metrics
-            it = corrector.correct_stream(source, engine=engine,
-                                          **engine_kwargs)
-        elif engine == "pipelined":
-            print(f"stream: --pixfmt {args.pixfmt} supports --engine "
-                  f"seq or ring", file=sys.stderr)
-            return 2
-        else:
-            from .video.stream import corrected_stream
-            it = corrected_stream(
-                fmt.adapt(source), corrector.field,
-                method=args.method, kernel=args.kernel, engine=engine,
-                pixfmt=fmt.name, out_size=out_size, **engine_kwargs)
+        it = corrected_stream(
+            fmt.adapt(source), corrector.field,
+            method=args.method, kernel=args.kernel, engine=engine,
+            pixfmt=fmt.name, out_size=out_size, **engine_kwargs)
         t0 = time.perf_counter()
         for _ in it:
             frames += 1
@@ -304,7 +293,7 @@ def cmd_serve(args) -> int:
 
     from .serve import MultiStreamCorrector
     from .video.distort import FisheyeRenderer, scene_camera_for_sensor
-    from .video.stream import SyntheticStream
+    from .video.stream import SyntheticStream, corrected_stream
     from .video.synth import urban
 
     w, h = args.width, args.height
@@ -521,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run evaluation experiments")
     p.add_argument("ids", nargs="+", metavar="ID",
-                   help="experiment ids (T1, F1..F12, A1..A3) or 'all'")
+                   help="experiment ids (T1, F1..F12, A1..A4) or 'all'")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stream",
@@ -555,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the corrector; yuv420 wraps the stream as planar "
                         "YUV 4:2:0 and corrects all three planes natively; "
                         "nv12 is the same with one interleaved UV plane "
-                        "(no RGB conversion, engines seq/ring)")
+                        "(no RGB conversion, every engine)")
     p.add_argument("--out-size", type=_parse_size, metavar="WxH", default=None,
                    help="deliver at this size through one fused "
                         "correct+downscale composed table (e.g. 1280x720); "

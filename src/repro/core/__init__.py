@@ -49,7 +49,7 @@ from .antialias import SupersampledLUT, minification_map, supersample_field
 from .lutcache import LUTCache, field_fingerprint
 from .compose import affine_field, compose_fields, crop_field
 from .multiview import ViewSpec, compose_views, quad_view
-from .pipeline import FisheyeCorrector, SequentialExecutor, StreamStats
+from .pipeline import FisheyeCorrector, StreamStats
 from .points import distort_points, undistort_points
 from .quality import center_scale, fov_retention, line_straightness, psnr, ssim
 from .remap import RemapLUT, StageProfile, remap, remap_profiled
@@ -94,7 +94,6 @@ __all__ = [
     "fisheye_forward_map",
     "identity_map",
     "FisheyeCorrector",
-    "SequentialExecutor",
     "StreamStats",
     "RemapLUT",
     "LUTCache",

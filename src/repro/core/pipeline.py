@@ -12,22 +12,25 @@ once, then stream frames through it — behind a small API:
     for out in corrector.correct_stream(frames):  # streaming mode
         ...
 
-Execution is pluggable: any object implementing
-:class:`RemapExecutor` (``run(lut, image, out=None)``) can be passed,
-so the tiled thread-pool and process-pool executors in
-:mod:`repro.parallel` and the simulated platforms drop in without the
-caller changing shape.
+Streaming goes through the one stream front end,
+:func:`repro.video.stream.corrected_stream`: ``correct_stream`` hands
+this corrector's table to the same ``sync``/``pipelined``/``ring``
+engine dispatch, so the table is resolved once (by
+:func:`~repro.video.pixfmt.plane_luts`, the resolver every front end
+shares) and every engine reports the same ``stream.*`` metrics.  For
+tiled or multi-process execution of single frames, the executors in
+:mod:`repro.parallel` run ``corrector.lut`` directly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ..errors import MappingError, ScheduleError
+from ..errors import MappingError
 from ..obs.telemetry import get_telemetry
 from .image import Frame
 from .intrinsics import CameraIntrinsics, FisheyeIntrinsics
@@ -36,24 +39,7 @@ from .mapping import RemapField, perspective_map
 from . import kernel_tiers
 from .remap import RemapLUT
 
-__all__ = ["RemapExecutor", "SequentialExecutor", "StreamStats", "FisheyeCorrector"]
-
-
-class RemapExecutor(Protocol):
-    """Anything that can apply a prepared LUT to one frame."""
-
-    def run(self, lut: RemapLUT, image: np.ndarray, out: Optional[np.ndarray] = None
-            ) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
-
-class SequentialExecutor:
-    """Single-threaded executor: apply the LUT in one shot."""
-
-    name = "sequential"
-
-    def run(self, lut: RemapLUT, image, out=None):
-        return lut.apply(image, out=out)
+__all__ = ["StreamStats", "FisheyeCorrector"]
 
 
 @dataclass
@@ -93,9 +79,6 @@ class FisheyeCorrector:
         :func:`~repro.core.kernel_tiers.resolve_tier` and applied to
         the LUT with :meth:`~repro.core.remap.RemapLUT.with_tier`, so
         cache-shared tables are never mutated.
-    executor:
-        Optional :class:`RemapExecutor`; defaults to
-        :class:`SequentialExecutor`.
     lut_cache:
         Optional :class:`~repro.core.lutcache.LUTCache`.  When given,
         the remap table is fetched through it instead of being built
@@ -104,10 +87,10 @@ class FisheyeCorrector:
         stage.
     out_size:
         Optional ``(width, height)`` to deliver at.  Builds one
-        **fused** correct+downscale table
-        (:func:`~repro.core.compose.composed_lut` over an area-style
-        :func:`~repro.core.compose.downscale_field`): every frame pays
-        a single gather pass whose traffic scales with the delivered
+        **fused** correct+downscale table (the plain 4-tap composition
+        :func:`~repro.video.pixfmt.plane_luts` builds for every stream
+        front end, so every engine can publish it): every frame pays a
+        single gather pass whose traffic scales with the delivered
         size, not the correction's intermediate.  With a ``lut_cache``
         the fused table is keyed by the constituent fields' content
         hashes, so it warm-starts like a plain one.
@@ -115,24 +98,18 @@ class FisheyeCorrector:
 
     def __init__(self, field: RemapField, method: str = "bilinear",
                  border: str = "constant", fill: float = 0.0,
-                 executor: Optional[RemapExecutor] = None,
                  lut_cache=None, kernel: str = "numpy",
                  out_size: Optional[tuple] = None):
+        from ..video.pixfmt import PIXFMTS
+
         self.field = field
         self.method = method
         self.border = border
         self.fill = fill
         self.kernel = kernel_tiers.resolve_tier(kernel)
-        self.executor = executor or SequentialExecutor()
         self.lut_cache = lut_cache
-        if out_size is not None:
-            from .compose import downscale_field
-            fh, fw = field.shape
-            self._outer = downscale_field(int(out_size[0]), int(out_size[1]),
-                                          fw, fh)
-        else:
-            self._outer = None
-        self.fused = self._outer is not None
+        self.out_size = PIXFMTS["rgb"].check_out_size(out_size)
+        self.fused = self.out_size is not None
         self._lut: Optional[RemapLUT] = None
         self._frames_corrected = 0
         self._cache_hits = 0
@@ -146,9 +123,7 @@ class FisheyeCorrector:
                    out_width: int, out_height: int, zoom: float = 1.0,
                    yaw: float = 0.0, pitch: float = 0.0, roll: float = 0.0,
                    method: str = "bilinear", border: str = "constant",
-                   fill: float = 0.0,
-                   executor: Optional[RemapExecutor] = None,
-                   lut_cache=None, kernel: str = "numpy",
+                   fill: float = 0.0, lut_cache=None, kernel: str = "numpy",
                    out_size: Optional[tuple] = None) -> "FisheyeCorrector":
         """Build a perspective-view corrector for a fisheye sensor.
 
@@ -169,40 +144,28 @@ class FisheyeCorrector:
             width=out_width, height=out_height,
         )
         field = perspective_map(sensor, lens, out, yaw=yaw, pitch=pitch, roll=roll)
-        return cls(field, method=method, border=border, fill=fill, executor=executor,
+        return cls(field, method=method, border=border, fill=fill,
                    lut_cache=lut_cache, kernel=kernel, out_size=out_size)
 
     # ------------------------------------------------------------------
     @property
     def lut(self) -> RemapLUT:
-        """The frozen remap table (built lazily, reused across frames)."""
+        """The frozen remap table (built lazily, reused across frames):
+        the packed-format table of :func:`~repro.video.pixfmt.plane_luts`,
+        the same one :func:`~repro.video.stream.corrected_stream` builds
+        for this field."""
         if self._lut is None:
-            if self._outer is not None:
-                from .compose import composed_lut
-                if self.lut_cache is not None:
-                    hits0 = self.lut_cache.hits
-                    misses0 = self.lut_cache.misses
-                self._lut = composed_lut(self._outer, self.field,
-                                         method=self.method,
-                                         border=self.border, fill=self.fill,
-                                         cache=self.lut_cache)
-                if self.lut_cache is not None:
-                    self._cache_hits += self.lut_cache.hits - hits0
-                    self._cache_misses += self.lut_cache.misses - misses0
-            elif self.lut_cache is not None:
-                hits0, misses0 = self.lut_cache.hits, self.lut_cache.misses
-                self._lut = self.lut_cache.get(self.field, method=self.method,
-                                               border=self.border, fill=self.fill)
-                self._cache_hits += self.lut_cache.hits - hits0
-                self._cache_misses += self.lut_cache.misses - misses0
-            else:
-                self._lut = RemapLUT(self.field, method=self.method,
-                                     border=self.border, fill=self.fill)
-            if self.kernel != "numpy" and hasattr(self._lut, "with_tier"):
-                # non-mutating: cache-fetched tables stay tier-neutral
-                # (a supersampled fused table has no Q-format twin and
-                # keeps the numpy path)
-                self._lut = self._lut.with_tier(self.kernel)
+            from ..video.pixfmt import PIXFMTS, plane_luts
+
+            cache = self.lut_cache
+            if cache is not None:
+                hits0, misses0 = cache.hits, cache.misses
+            self._lut = plane_luts(PIXFMTS["rgb"], self.field, self.out_size,
+                                   cache, self.kernel, method=self.method,
+                                   border=self.border, fill=self.fill)[0]
+            if cache is not None:
+                self._cache_hits += cache.hits - hits0
+                self._cache_misses += cache.misses - misses0
         return self._lut
 
     def stats(self) -> dict:
@@ -231,7 +194,9 @@ class FisheyeCorrector:
 
     @property
     def out_shape(self):
-        return self._outer.shape if self._outer is not None else self.field.shape
+        if self.out_size is None:
+            return self.field.shape
+        return self.out_size[1], self.out_size[0]
 
     def coverage(self) -> float:
         """Fraction of output pixels with source data."""
@@ -247,9 +212,9 @@ class FisheyeCorrector:
         tel = get_telemetry()
         t0 = time.perf_counter() if tel.enabled else 0.0
         if isinstance(image, Frame):
-            result = image.with_data(self.executor.run(self.lut, image.data, out=out))
+            result = image.with_data(self.lut.apply(image.data, out=out))
         else:
-            result = self.executor.run(self.lut, np.asarray(image), out=out)
+            result = self.lut.apply(np.asarray(image), out=out)
         self._frames_corrected += 1
         if tel.enabled:
             tel.counter("pipeline.frames").inc()
@@ -258,90 +223,37 @@ class FisheyeCorrector:
 
     def correct_stream(self, frames: Iterable, stats: Optional[StreamStats] = None,
                        engine: str = "sync", **engine_kwargs) -> Iterator:
-        """Correct a frame stream lazily, reusing one output buffer.
+        """Correct a frame stream lazily through this corrector's table.
 
-        Pass a :class:`StreamStats` to accumulate throughput numbers
-        while the stream drains.  Buffer reuse means each yielded
-        array aliases the previous one — consume (or copy) each frame
-        before advancing, as with any zero-copy decoder API.
-
-        ``engine`` selects the execution strategy:
-
-        ``"sync"``
-            This corrector's own executor, one frame at a time
-            (default; honours ``self.executor``).
-        ``"pipelined"``
-            :func:`repro.parallel.stream.pipelined_stream` — ``depth``
-            worker threads keep that many frames in flight; each
-            yielded frame owns its buffer.
-        ``"ring"``
-            :func:`repro.parallel.ring.ring_stream` — persistent
-            worker processes over a shared-memory frame ring (a
-            one-session :class:`~repro.serve.broker.StreamBroker`);
-            ``engine_kwargs`` (``workers``, ``depth``, ``schedule``,
-            ``chunk``, ``context``, ``copy``, ``deadline_s``,
-            ``stall_timeout_s``) configure it.
+        A caller of :func:`repro.video.stream.corrected_stream`'s engine
+        dispatch (``engine`` is ``"sync"``, ``"pipelined"`` or
+        ``"ring"``, ``engine_kwargs`` as documented there, plus
+        ``copy``), so it reports the same ``stream.*`` metrics.  Pass a
+        :class:`StreamStats` to accumulate throughput numbers while the
+        stream drains.  The ``sync`` and ``ring`` engines reuse output
+        buffers unless ``copy=True`` — consume (or copy) each frame
+        before advancing, as with any zero-copy decoder API;
+        ``pipelined`` frames each own their buffer.
         """
-        if engine == "sync":
-            if engine_kwargs:
-                raise ScheduleError(
-                    f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
-            yield from self._sync_stream(frames, stats)
-        elif engine == "pipelined":
-            # lazy import: repro.parallel imports this module
-            from ..parallel.stream import pipelined_stream
-            yield from self._account(
-                pipelined_stream(self, frames, **engine_kwargs), stats,
-                count=False)  # correct() already counts each frame
-        elif engine == "ring":
-            from ..parallel.ring import ring_stream
-            yield from self._account(
-                ring_stream((self.lut,), frames, **engine_kwargs), stats,
-                count=True)
-        else:
-            raise ScheduleError(
-                f"unknown stream engine {engine!r}; known: sync, pipelined, ring")
+        from ..video.pixfmt import PIXFMTS
+        from ..video.stream import _run_engine
 
-    def _account(self, inner: Iterator, stats: Optional[StreamStats],
-                 count: bool) -> Iterator:
-        """Fold a delegated engine's output into this corrector's stats."""
-        it = iter(inner)
-        while True:
-            t0 = time.perf_counter()
-            try:
-                item = next(it)
-            except StopIteration:
-                return
-            elapsed = time.perf_counter() - t0
-            if count:
+        copy = engine_kwargs.pop("copy", False)
+        it = _run_engine((self.lut,), PIXFMTS["rgb"], frames, copy, engine,
+                         fused=self.fused, **engine_kwargs)
+        pixels = int(np.prod(self.out_shape))
+        try:
+            while True:
+                t0 = time.perf_counter()
+                try:
+                    item = next(it)
+                except StopIteration:
+                    return
                 self._frames_corrected += 1
-            if stats is not None:
-                stats.frames += 1
-                stats.pixels += int(np.prod(self.out_shape))
-                stats.seconds += elapsed
-            yield item
-
-    def _sync_stream(self, frames: Iterable, stats: Optional[StreamStats]
-                     ) -> Iterator:
-        tel = get_telemetry()
-        buffer = None
-        for item in frames:
-            data = item.data if isinstance(item, Frame) else np.asarray(item)
-            if buffer is None or buffer.shape[: 2] != self.out_shape or buffer.dtype != data.dtype:
-                shape = self.out_shape + data.shape[2:]
-                buffer = np.empty(shape, dtype=data.dtype)
-            t0 = time.perf_counter()
-            result = self.executor.run(self.lut, data, out=buffer)
-            elapsed = time.perf_counter() - t0
-            self._frames_corrected += 1
-            if stats is not None:
-                stats.frames += 1
-                stats.pixels += int(np.prod(self.out_shape))
-                stats.seconds += elapsed
-            if tel.enabled:
-                tel.counter("pipeline.frames").inc()
-                tel.histogram("pipeline.frame_seconds").observe(elapsed)
-            if isinstance(item, Frame):
-                yield item.with_data(result)
-            else:
-                yield result
+                if stats is not None:
+                    stats.frames += 1
+                    stats.pixels += pixels
+                    stats.seconds += time.perf_counter() - t0
+                yield item
+        finally:
+            it.close()

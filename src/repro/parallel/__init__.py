@@ -19,7 +19,6 @@ from .partition import Tile, blocks, row_bands, row_bands_weighted, tile_weights
 from .ring import MAX_RING_DEPTH, RING_SCHEDULES, plan_bands, ring_stream
 from .schedule import SCHEDULES, Assignment, cyclic_chunks, simulate, static_chunks
 from .simd import AVX2, SPU, SSE2, VectorISA, apply_lanewise, simd_speedup
-from .stream import MAX_STREAM_DEPTH, pipelined_stream
 from .threadpool import ThreadedExecutor
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "simd_speedup",
     "apply_lanewise",
     "ThreadedExecutor",
-    "pipelined_stream",
-    "MAX_STREAM_DEPTH",
     "ring_stream",
     "plan_bands",
     "MAX_RING_DEPTH",

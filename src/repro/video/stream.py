@@ -7,18 +7,26 @@ camera feed, exercising exactly the per-frame code path (the remap)
 while the per-stream work (map/LUT construction) is amortized, as in
 the paper's real-time scenario.
 
-:func:`corrected_stream` is the matching output side: it freezes the
-remap table once (optionally through a
+:func:`corrected_stream` is the matching output side and the one stream
+front end: it freezes the remap tables once
+(:func:`~repro.video.pixfmt.plane_luts`, optionally through a
 :class:`~repro.core.lutcache.LUTCache`, so stream *restarts* skip the
-build entirely) and then drives every frame through the fused
-:meth:`~repro.core.remap.RemapLUT.apply_into` kernel with one reused
-output buffer — the steady state performs zero per-frame allocations.
+build entirely) and then hands the frames to one of three engines —
+``sync`` (the fused :meth:`~repro.core.remap.RemapLUT.apply_into`
+kernel inline, one reused output buffer, zero per-frame allocations in
+the steady state), ``pipelined`` (worker threads, ``depth`` frames in
+flight) or ``ring`` (persistent worker processes over shared memory).
+:meth:`~repro.core.pipeline.FisheyeCorrector.correct_stream` streams
+through the same dispatch, so every engine reports the same
+``stream.*`` metrics whichever front end started it.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,7 +38,13 @@ from ..core.mapping import RemapField
 from .distort import FisheyeRenderer
 from .pixfmt import get_pixfmt, plane_luts
 
-__all__ = ["SyntheticStream", "panning_crops", "corrected_stream"]
+__all__ = ["SyntheticStream", "panning_crops", "corrected_stream",
+           "MAX_STREAM_DEPTH"]
+
+#: hard cap on in-flight frames of the ``pipelined`` engine — each one
+#: owns a full output buffer, so depth is a memory budget, not a free
+#: throughput knob.
+MAX_STREAM_DEPTH = 64
 
 
 def panning_crops(world: np.ndarray, width: int, height: int, frames: int,
@@ -160,14 +174,17 @@ def corrected_stream(frames: Iterable, field: RemapField,
         shared-table metadata, so every band runs the same arithmetic.
     engine:
         ``"sync"`` (default) runs the fused kernel inline;
-        ``"ring"`` routes the stream through
+        ``"pipelined"`` keeps ``depth`` frames (``engine_kwargs``,
+        default 2, at most :data:`MAX_STREAM_DEPTH`) in flight on
+        worker threads, each yielded frame owning its buffer whatever
+        ``copy`` says; ``"ring"`` routes the stream through
         :func:`~repro.parallel.ring.ring_stream`, a one-session
         :class:`~repro.serve.broker.StreamBroker` of persistent worker
         processes (``engine_kwargs``: ``workers``, ``depth``,
         ``schedule``, ``chunk``, ``context``, ``deadline_s``,
         ``stall_timeout_s``, ``flight_dir``), keeping decode, remap
-        and delivery overlapped across in-flight frames.  Both engines
-        report the same ``stream.*`` metric surface.
+        and delivery overlapped across in-flight frames.  Every engine
+        reports the same ``stream.*`` metric surface.
     serve_metrics:
         Live scrape surface for the duration of the stream.  An ``int``
         port starts a :class:`~repro.obs.live.MetricsServer` bound to
@@ -196,7 +213,7 @@ def corrected_stream(frames: Iterable, field: RemapField,
         pipeline over :class:`~repro.video.yuv.NV12Frame` items: the
         interleaved UV plane is corrected by one 2-channel apply of
         the same chroma table.  Each names a row of
-        :data:`~repro.video.pixfmt.PIXFMTS`; both engines support all
+        :data:`~repro.video.pixfmt.PIXFMTS`; every engine supports all
         three, and the ring engine schedules per-plane bands.  An
         unknown format, or an ``out_size`` the format cannot deliver,
         raises :class:`~repro.errors.ImageFormatError`.
@@ -227,22 +244,26 @@ def corrected_stream(frames: Iterable, field: RemapField,
                                    port=int(serve_metrics)).start()
             own_server = True
     try:
-        yield from _corrected_stream(frames, field, method, border, fill,
-                                     lut_cache, copy, engine, kernel,
-                                     stream_label, fmt, out_size,
-                                     **engine_kwargs)
+        luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
+                          method=method, border=border, fill=fill)
+        yield from _run_engine(luts, fmt, frames, copy, engine,
+                               stream_label, out_size is not None,
+                               **engine_kwargs)
     finally:
         if own_server:
             server.close()
 
 
-def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
-                      engine, kernel, stream_label, fmt, out_size,
-                      **engine_kwargs):
-    luts = plane_luts(fmt, field, out_size, lut_cache, kernel, method=method,
-                      border=border, fill=fill)
-    labels = dict(label=stream_label, fused=out_size is not None,
-                  planes=fmt.plane_labels)
+def _run_engine(luts, fmt, frames, copy, engine, stream_label=None,
+                fused=False, **engine_kwargs):
+    """Drive ``frames`` of ``fmt`` through ``engine`` over the resolved
+    ``luts``, wrapped in the standard ``stream.*`` metric surface.
+
+    The one stream dispatch: :func:`corrected_stream` and
+    :meth:`~repro.core.pipeline.FisheyeCorrector.correct_stream` both
+    end here once their tables are resolved.
+    """
+    labels = dict(label=stream_label, fused=fused, planes=fmt.plane_labels)
     if engine == "ring":
         # lazy import: keeps repro.video free of the parallel layer
         # unless the ring engine is actually requested
@@ -252,14 +273,17 @@ def _corrected_stream(frames, field, method, border, fill, lut_cache, copy,
                         name=stream_label, **engine_kwargs),
             counted=True, **labels)
         return
-    if engine != "sync":
+    if engine == "pipelined":
+        inner = _pipelined_stream(luts, fmt, frames, **engine_kwargs)
+    elif engine == "sync":
+        if engine_kwargs:
+            raise ScheduleError(
+                f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
+        inner = _sync_stream(frames, luts, fmt, copy)
+    else:
         raise ScheduleError(
-            f"unknown stream engine {engine!r}; known: sync, ring")
-    if engine_kwargs:
-        raise ScheduleError(
-            f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
-    yield from _stream_telemetry(_sync_stream(frames, luts, fmt, copy),
-                                 **labels)
+            f"unknown stream engine {engine!r}; known: sync, pipelined, ring")
+    yield from _stream_telemetry(inner, **labels)
 
 
 def _sync_stream(frames, luts, fmt, copy):
@@ -271,6 +295,37 @@ def _sync_stream(frames, luts, fmt, copy):
         if copy:
             result = result.copy()
         yield item.with_data(result) if isinstance(item, Frame) else result
+
+
+def _pipelined_stream(luts, fmt, frames, depth: int = 2):
+    """The thread engine: ``depth`` worker threads keep that many frames
+    in flight, delivered in order.  Each in-flight frame owns its
+    output, so ``depth`` is a memory budget and is capped at
+    :data:`MAX_STREAM_DEPTH`."""
+    if depth < 1:
+        raise ScheduleError(f"depth must be >= 1, got {depth}")
+    if depth > MAX_STREAM_DEPTH:
+        raise ScheduleError(
+            f"depth {depth} exceeds MAX_STREAM_DEPTH ({MAX_STREAM_DEPTH}); "
+            f"each in-flight frame owns a full output buffer")
+    from concurrent.futures import ThreadPoolExecutor
+
+    def work(item):
+        result, _ = fmt.apply(luts, item, None)
+        return item.with_data(result) if isinstance(item, Frame) else result
+
+    source = iter(frames)
+    with ThreadPoolExecutor(max_workers=depth,
+                            thread_name_prefix="stream") as pool:
+        pending = deque(pool.submit(work, item)
+                        for item in islice(source, depth))
+        while pending:
+            result = pending.popleft().result()
+            # refill before delivering: the workers keep correcting
+            # while the consumer holds this frame
+            pending.extend(pool.submit(work, item)
+                           for item in islice(source, 1))
+            yield result
 
 
 @dataclass

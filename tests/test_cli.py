@@ -256,7 +256,7 @@ class TestStats:
         assert main(["stats", path]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
-        assert "pipeline.frames" in out
+        assert "stream.frames" in out
         assert "p50" in out and "p95" in out and "p99" in out
 
     def test_diff_two_snapshots(self, tmp_path, capsys):

@@ -58,11 +58,11 @@ class TestThreadedExecutor:
         from repro.core.pipeline import FisheyeCorrector
 
         frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8) for _ in range(3)]
-        seq = FisheyeCorrector(small_field)
+        corrector = FisheyeCorrector(small_field)
         with ThreadedExecutor(workers=2) as ex:
-            par = FisheyeCorrector(small_field, executor=ex)
             for f in frames:
-                np.testing.assert_array_equal(par.correct(f), seq.correct(f))
+                np.testing.assert_array_equal(ex.run(corrector.lut, f),
+                                              corrector.correct(f))
 
 
 class TestSharedMemoryExecutor:

@@ -18,7 +18,7 @@ class TestRegistry:
     def test_all_ids_present(self):
         assert set(exp.EXPERIMENTS) == {
             "T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6",
-            "F7", "F8", "F9", "F10", "F11", "F12", "A1", "A2", "A3", "A4", "A5", "H1", "H2",
+            "F7", "F8", "F9", "F10", "F11", "F12", "A1", "A2", "A3", "A4", "H1", "H2",
         }
 
     def test_unknown_id_rejected(self):

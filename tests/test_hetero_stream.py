@@ -1,4 +1,5 @@
-"""Tests: end-to-end pipeline model and the software-pipelined stream."""
+"""Tests: end-to-end pipeline model and the software-pipelined stream
+engine (``corrected_stream(engine="pipelined")``)."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from repro.accel.hetero import PipelineModel, Stage, gpu_application_pipeline
 from repro.accel.platform import Workload
 from repro.accel.presets import gtx280
 from repro.core.pipeline import FisheyeCorrector
-from repro.parallel.stream import pipelined_stream
+from repro.video.stream import MAX_STREAM_DEPTH, corrected_stream
 from repro.errors import PlatformError, ScheduleError
+from repro.obs.telemetry import Telemetry, scoped
 
 
 class TestPipelineModel:
@@ -87,26 +89,28 @@ class TestGPUApplication:
             gpu_application_pipeline(gtx280(), workload, decode_ns=-1, encode_ns=0)
 
 
+def _pipelined(frames, field, depth):
+    return corrected_stream(frames, field, engine="pipelined", depth=depth)
+
+
 class TestPipelinedStream:
     def test_matches_sequential_results(self, small_field, rng):
         corrector = FisheyeCorrector(small_field)
         frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8)
                   for _ in range(6)]
         expected = [corrector.correct(f) for f in frames]
-        got = list(pipelined_stream(corrector, frames, depth=3))
+        got = list(_pipelined(frames, small_field, depth=3))
         assert len(got) == 6
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_order_preserved_with_generator_source(self, small_field, rng):
-        corrector = FisheyeCorrector(small_field)
-
         def source():
             for i in range(5):
                 frame = np.full((64, 64), i * 40, dtype=np.uint8)
                 yield frame
 
-        outs = list(pipelined_stream(corrector, source(), depth=2))
+        outs = list(_pipelined(source(), small_field, depth=2))
         # constant frames correct to (nearly) constant frames: order is
         # recoverable from the values
         levels = [int(np.median(o)) for o in outs]
@@ -115,56 +119,43 @@ class TestPipelinedStream:
     def test_frame_objects_pass_through(self, small_field, random_image):
         from repro.core.image import GRAY8, Frame
 
-        corrector = FisheyeCorrector(small_field)
         frames = [Frame(random_image, GRAY8, index=i) for i in range(3)]
-        outs = list(pipelined_stream(corrector, frames, depth=2))
+        outs = list(_pipelined(frames, small_field, depth=2))
         assert [f.index for f in outs] == [0, 1, 2]
 
     def test_buffers_are_independent(self, small_field, rng):
-        corrector = FisheyeCorrector(small_field)
         frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8)
                   for _ in range(4)]
-        outs = list(pipelined_stream(corrector, frames, depth=2))
+        outs = list(_pipelined(frames, small_field, depth=2))
         assert len({id(o) for o in outs}) == 4  # no buffer reuse
 
     def test_depth_one_works(self, small_field, random_image):
-        corrector = FisheyeCorrector(small_field)
-        outs = list(pipelined_stream(corrector, [random_image], depth=1))
+        outs = list(_pipelined([random_image], small_field, depth=1))
         assert len(outs) == 1
 
     def test_empty_stream(self, small_field):
-        corrector = FisheyeCorrector(small_field)
-        assert list(pipelined_stream(corrector, [], depth=2)) == []
+        assert list(_pipelined([], small_field, depth=2)) == []
 
     def test_validation(self, small_field):
-        corrector = FisheyeCorrector(small_field)
         with pytest.raises(ScheduleError):
-            list(pipelined_stream(corrector, [], depth=0))
+            list(_pipelined([], small_field, depth=0))
 
     def test_depth_capped(self, small_field):
-        from repro.parallel.stream import MAX_STREAM_DEPTH
-
-        corrector = FisheyeCorrector(small_field)
         with pytest.raises(ScheduleError, match="MAX_STREAM_DEPTH"):
-            list(pipelined_stream(corrector, [], depth=MAX_STREAM_DEPTH + 1))
+            list(_pipelined([], small_field, depth=MAX_STREAM_DEPTH + 1))
         # the cap itself is fine
-        outs = list(pipelined_stream(corrector, [], depth=MAX_STREAM_DEPTH))
-        assert outs == []
+        assert list(_pipelined([], small_field, depth=MAX_STREAM_DEPTH)) == []
 
     def test_telemetry_matches_corrected_stream_surface(self, small_field, rng):
-        from repro.obs.telemetry import Telemetry, scoped
-
-        corrector = FisheyeCorrector(small_field)
         frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8)
                   for _ in range(4)]
         tel = Telemetry()
         with scoped(tel):
-            list(pipelined_stream(corrector, frames, depth=2))
+            list(_pipelined(frames, small_field, depth=2))
         snap = tel.snapshot()
         assert snap["counters"]["stream.frames"] == 4
         assert snap["histograms"]["stream.frame_seconds"]["count"] == 4
         assert snap["gauges"]["stream.fps"] > 0
-        assert sum(1 for s in tel.spans if s["name"] == "stream.frame") == 4
 
     def test_corrector_engine_pipelined(self, small_field, rng):
         from repro.core.pipeline import StreamStats
@@ -174,14 +165,16 @@ class TestPipelinedStream:
                   for _ in range(5)]
         expected = [corrector.correct(f) for f in frames]
         stats = StreamStats()
-        got = list(corrector.correct_stream(frames, stats=stats,
-                                            engine="pipelined", depth=2))
+        tel = Telemetry()
+        with scoped(tel):
+            got = list(corrector.correct_stream(frames, stats=stats,
+                                                engine="pipelined", depth=2))
         assert stats.frames == 5
+        assert tel.snapshot()["counters"]["stream.frames"] == 5
         for e, g in zip(expected, got):
             np.testing.assert_array_equal(e, g)
 
     def test_worker_exception_propagates(self, small_field):
-        corrector = FisheyeCorrector(small_field)
         frames = [np.zeros((10, 10), dtype=np.uint8)]  # wrong geometry
         with pytest.raises(Exception):
-            list(pipelined_stream(corrector, frames, depth=2))
+            list(_pipelined(frames, small_field, depth=2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.image import GRAY8, Frame
-from repro.core.pipeline import FisheyeCorrector, SequentialExecutor, StreamStats
+from repro.core.pipeline import FisheyeCorrector, StreamStats
 from repro.core.remap import RemapLUT
 from repro.errors import MappingError
 
@@ -51,18 +51,6 @@ class TestCorrect:
         c = FisheyeCorrector(small_field, method="bicubic")
         direct = RemapLUT(small_field, method="bicubic").apply(random_image)
         np.testing.assert_array_equal(c.correct(random_image), direct)
-
-    def test_executor_injection(self, small_field, random_image):
-        calls = []
-
-        class SpyExecutor:
-            def run(self, lut, image, out=None):
-                calls.append(image.shape)
-                return SequentialExecutor().run(lut, image, out)
-
-        c = FisheyeCorrector(small_field, executor=SpyExecutor())
-        c.correct(random_image)
-        assert calls == [(64, 64)]
 
     def test_tilted_view_fill(self, tilted_field, random_image):
         c = FisheyeCorrector(tilted_field, fill=17.0)

@@ -370,32 +370,46 @@ _FORMAT_TIERS = [pytest.param(pixfmt, kernel, id=pixfmt if kernel == "numpy"
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("out_size", [None, (32, 32)],
-                             ids=["full", "half"])
+    @pytest.mark.parametrize("out_size", [None, (32, 32), (16, 16)],
+                             ids=["full", "half", "quarter"])
     @pytest.mark.parametrize("pixfmt,kernel", _FORMAT_TIERS)
     def test_sync_ring_broker_bit_exact(self, small_field, rng, pixfmt,
                                         kernel, out_size):
-        """sync, ring and a broker session deliver identical frames on
-        each kernel tier, the ring's bands run on that tier, and the
+        """sync, pipelined, ring, a broker session and (packed frames)
+        every engine of the corrector's stream deliver identical frames
+        on each kernel tier, the ring's bands run on that tier, and the
         ring counts each of its frames exactly once."""
         frames = _pixfmt_frames(pixfmt, rng)
         common = dict(pixfmt=pixfmt, out_size=out_size, kernel=kernel)
         sync = list(corrected_stream(iter(frames), small_field, copy=True,
                                      **common))
+        others = [list(corrected_stream(iter(frames), small_field,
+                                        engine="pipelined", depth=2,
+                                        **common))]
         tel = Telemetry()
         with scoped(tel):
             ring = list(corrected_stream(iter(frames), small_field,
                                          copy=True, engine="ring",
                                          workers=2, depth=2,
                                          stream_label="cam", **common))
+        others.append(ring)
         with StreamBroker(workers=2) as broker:
-            served = list(broker.open(iter(frames), small_field, **common))
-        assert len(sync) == len(ring) == len(served) == len(frames)
-        for s, r, b in zip(sync, ring, served):
-            assert _planes(s)[0].shape[:2] == (out_size or (64, 64))
-            for ps, pr, pb in zip(_planes(s), _planes(r), _planes(b)):
-                np.testing.assert_array_equal(ps, pr)
-                np.testing.assert_array_equal(ps, pb)
+            others.append(list(broker.open(iter(frames), small_field,
+                                           **common)))
+        if pixfmt == "rgb":
+            engines = {"sync": {}, "pipelined": dict(depth=2),
+                       "ring": dict(workers=2, depth=2, copy=True)}
+            for engine, options in engines.items():
+                corrector = FisheyeCorrector(small_field, kernel=kernel,
+                                             out_size=out_size)
+                others.append([np.copy(f) for f in corrector.correct_stream(
+                    iter(frames), engine=engine, **options)])
+        for got in others:
+            assert len(got) == len(sync) == len(frames)
+            for s, g in zip(sync, got):
+                assert _planes(s)[0].shape[:2] == (out_size or (64, 64))
+                for ps, pg in zip(_planes(s), _planes(g)):
+                    np.testing.assert_array_equal(ps, pg)
         counters = tel.snapshot()["counters"]
         assert counters[f"kernel.tier.{kernel}"] > 0
         assert counters["stream.frames"] == len(frames)
