@@ -244,7 +244,7 @@ class CellModel(PlatformModel):
         Both sides are profiled with their own feasible tilings and
         the ledgers compared: ``savings_ratio`` is staged/fused total
         bytes — the modeled counterpart of the measured
-        ``bytes_gathered`` ratio gated by ``check_fused`` in
+        ``bytes_gathered`` ratio held by the ``fused`` gate of
         ``benchmarks/check_regression.py``.
         """
         fused = self.dma_profile(fused_workload, tile_rows=tile_rows,

@@ -11,7 +11,8 @@ repo's domain:
   correction,
 - fused correct+downscale: a 4K feed delivered at 1080p gathers ~5x
   fewer bytes through one composed table than through
-  correct-then-downscale (the ``check_fused`` gate),
+  correct-then-downscale (the ``fused`` gate of
+  ``benchmarks/check_regression.py``),
 - the quality metrics' correction ∘ rendering composition (F10), here
   generalized.
 

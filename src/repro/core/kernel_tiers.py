@@ -6,7 +6,8 @@ compact LUT tables (int32 tap offsets + per-axis fractions):
 ``numpy``
     The fused float gather-multiply-accumulate of
     :meth:`repro.core.remap.RemapLUT.apply` — always available, full
-    float32 precision, one numpy ufunc dispatch per tap.
+    float32 precision, one numpy ufunc dispatch per tap and tile, on
+    the same tile-blocked row walk as ``fixed``.
 ``fixed``
     Q-format integer arithmetic (quantized ``int16`` weights,
     wide-integer accumulate, single-shift round; weights from
@@ -69,10 +70,11 @@ KERNEL_CHOICES = ("auto",) + KERNEL_TIERS
 #: headroom for the bicubic overshoot range.
 DEFAULT_FRAC_BITS = 12
 
-#: row-block height of the numpy ``fixed`` tier's tile walk: blocks of
-#: this many output rows are processed per gather pass so accumulator,
-#: scratch and the block's source bounding box stay cache-resident
-#: (the host-kernel application of the paper's F6 tile study).
+#: row-block height of the ``numpy`` and ``fixed`` tiers' tile walk:
+#: blocks of this many output rows are processed per gather pass so
+#: accumulator, scratch and the block's source bounding box stay
+#: cache-resident (the host-kernel application of the paper's F6 tile
+#: study).
 DEFAULT_TILE_ROWS = 64
 
 _warned_fallback = False
@@ -140,7 +142,7 @@ def resolve_tier(requested: str, *, quiet: bool = False) -> str:
 # the numpy Q-format block engine
 # ----------------------------------------------------------------------
 def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
-                  out_flat, acc, product, raw):
+                  out, acc, product, raw):
     """Fixed-point gather-MAC over one output block (numpy tier).
 
     The integer twin of ``RemapLUT._accumulate`` + store epilogue:
@@ -168,8 +170,9 @@ def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
     fill:
         Integer fill for invalid pixels (applied after clip, matching
         the float epilogue).
-    out_flat:
-        ``(n, channels)`` destination view (output dtype).
+    out:
+        The block's destination rows (output dtype): ``n * channels``
+        samples in any shape and strides, e.g. ``(rows, W_out, C)``.
     acc, product:
         Pooled ``(n, channels)`` accumulator-dtype work buffers.
     raw:
@@ -189,5 +192,5 @@ def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
     np.clip(acc, lo, hi, out=acc)
     if invalid is not None:
         acc[invalid] = fill
-    np.copyto(out_flat, acc, casting="unsafe")
-    return out_flat
+    np.copyto(out, acc.reshape(out.shape), casting="unsafe")
+    return out

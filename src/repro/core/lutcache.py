@@ -53,8 +53,19 @@ def field_fingerprint(field: RemapField) -> str:
 
     Hashes the raw bytes of ``map_x``/``map_y`` plus their shapes and
     the source geometry, so equality means "same remap", independent of
-    how the field object was produced.
+    how the field object was produced.  Cached on the field after the
+    first call, like :meth:`~repro.core.mapping.RemapField.valid_mask`:
+    fields are immutable once built, and one open hashes a QHD field
+    (tens of ms) more than once — for its key and again for its LUT.
     """
+    cached = getattr(field, "_fingerprint", None)
+    if cached is None:
+        cached = field._fingerprint = _field_digest(field)
+    return cached
+
+
+def _field_digest(field: RemapField) -> str:
+    """The uncached SHA-1 behind :func:`field_fingerprint`."""
     h = hashlib.sha1()
     for arr in (field.map_x, field.map_y):
         a = np.ascontiguousarray(arr)

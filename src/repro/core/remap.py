@@ -34,10 +34,16 @@ native width, as a Cell SPE only ever holds its own band:
   the multiply, never converting the whole source plane.
 
 Frame application is a fused gather-multiply-accumulate
-(:meth:`RemapLUT.apply`) that reuses pooled scratch buffers, so
-steady-state streaming performs **zero allocations**:
+(:meth:`RemapLUT.apply`).  The ``numpy`` and ``fixed`` tiers share one
+tile walk: the requested output rows are processed
+:data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS` at a time through
+one pooled, tile-sized scratch set, and each tile is stored straight
+into its rows of the destination — a whole 720p RGB frame borrows
+~2.2 MB of scratch, not the ~25 MB a frame-sized set took.  The pool
+is reused across calls, so steady-state streaming performs **zero
+allocations**:
 
-- ``apply(image)``            returns a fresh output array;
+- ``apply(image)``            allocates and returns the output array;
 - ``apply(image, out=buf)`` / ``apply_into(image, buf)``
                               write the destination buffer directly
                               (no materialize-then-copy);
@@ -59,7 +65,7 @@ one branch per call (never per pixel), which the overhead gate in
 
 Execution is *tiered* (:mod:`repro.core.kernel_tiers`): every LUT
 carries a ``tier`` — ``numpy`` (the float fused kernel below),
-``fixed`` (Q-format integer arithmetic, tile-blocked) or ``compiled``
+``fixed`` (Q-format integer arithmetic on the same tile walk) or ``compiled``
 (the Numba kernel in :mod:`repro.accel.compiled`) — selected at build
 time or re-selected cheaply with :meth:`RemapLUT.with_tier`, which
 shares the underlying tables.  Q tiers apply to integer frames; float
@@ -205,11 +211,12 @@ class _ScratchPool:
 
     A set is ``(acc, product, raw)``: the accumulator, a product scratch
     of the accumulator dtype and a gather scratch of the frame's own
-    dtype (the product scratch itself when the two dtypes agree).  The
-    fused kernel borrows a set per call and returns it afterwards, so a
-    steady-state stream touches the allocator only on its first frame.
-    Keys are ``(rows, channels, acc dtype, sample dtype)`` — concurrent
-    tile workers with equal band sizes each get their own set.
+    dtype (the product scratch itself when the two dtypes agree), each
+    one tile of rows.  The tile walk borrows a set per call, slices it
+    for a partial tile and returns it afterwards, so a steady-state
+    stream touches the allocator only on its first frame.  Keys are
+    ``(rows, channels, acc dtype, sample dtype)`` — concurrent tile
+    workers each get their own set.
     """
 
     _MAX_PER_KEY = 8  # bound idle memory under bursty concurrency
@@ -243,36 +250,28 @@ class _ScratchPool:
                 stack.append(bufs)
 
 
-def _store_epilogue(acc, invalid, fill, dtype, out_shape, squeeze,
-                    out=None, tel=None):
-    """Shared store stage: fill, round, clip, cast, (optionally) emit.
+def _store_epilogue(acc, invalid, fill, dst, tel=None):
+    """Shared store stage: fill, round, clip, cast into ``dst``.
 
-    ``acc`` is the float accumulator, reshaped — never returned — so the
-    caller can recycle it.  With ``out`` the destination buffer is
-    written directly; otherwise a fresh array of ``dtype`` is returned.
-    ``tel`` (a stage-detail telemetry registry) wraps the stage in a
+    ``acc`` is one tile's ``(pixels, channels)`` float accumulator,
+    reshaped to ``dst`` — never returned — so the caller can recycle
+    it; ``dst`` is the tile's rows of the destination, any strides.
+    ``invalid`` is ``None`` when the fill is a no-op.  ``tel`` (a
+    stage-detail telemetry registry) wraps the stage in a
     ``remap.store`` span for the profiled path.
     """
     span = tel.span("remap.store", cat="kernel") if tel is not None else None
     if span is not None:
         span.__enter__()
     if invalid is not None:
-        np.copyto(acc, fill, where=invalid[:, None])
-    if np.issubdtype(dtype, np.integer):
-        info = np.iinfo(dtype)
+        np.copyto(acc.T, fill, where=invalid)
+    if np.issubdtype(dst.dtype, np.integer):
+        info = np.iinfo(dst.dtype)
         np.rint(acc, out=acc)
         np.clip(acc, info.min, info.max, out=acc)
-    view = acc.reshape(out_shape + (acc.shape[1],))
-    if squeeze:
-        view = view[..., 0]
-    if out is not None:
-        np.copyto(out, view, casting="unsafe")
-        result = out
-    else:
-        result = view.astype(dtype, copy=True)
+    np.copyto(dst, acc.reshape(dst.shape), casting="unsafe")
     if span is not None:
         span.__exit__(None, None, None)
-    return result
 
 
 class RemapLUT:
@@ -685,15 +684,17 @@ class RemapLUT:
         return image, flat, squeeze, acc_dtype
 
     def _accumulate(self, flat, idx, wtab, acc, product, raw, tel=None):
-        """Fused gather-multiply-accumulate into preallocated ``acc``.
+        """Fused gather-multiply-accumulate of one tile into ``acc``.
 
         Each tap gathers raw samples of ``flat``'s dtype into ``raw``
         and widens only those, with one casting copy into the
         accumulator-dtype scratch (the cast a whole-plane ``astype``
-        made, band-sized), then multiplies at the accumulator dtype.
-        Measured on uint8 frames, the separate copy beats widening
-        inside the multiply, whose buffered casting loop runs one short
-        channel row at a time on packed RGB.
+        made, tile-sized), then multiplies at the accumulator dtype,
+        channel-major: the weight row runs along the pixel axis, so
+        numpy's inner loop spans the tile instead of one packed pixel's
+        few channels.  Measured on uint8 frames, the separate copy beats
+        widening inside the multiply, whose buffered casting loop runs
+        one short channel row at a time on packed RGB.
         ``tel`` is a stage-detail telemetry registry (or ``None`` on the
         shipping fast path): when present each gather/interpolate stage
         is wrapped in a span — the profiled path times exactly this
@@ -707,7 +708,7 @@ class RemapLUT:
             if raw is not dst:
                 np.copyto(dst, raw)
             if wtab is not None:
-                np.multiply(dst, wtab[k][:, None], out=dst)
+                np.multiply(dst.T, wtab[k], out=dst.T)
             if k:
                 np.add(acc, product, out=acc)
 
@@ -735,48 +736,28 @@ class RemapLUT:
             # pipelines keep full precision on the numpy path.
             tier = "numpy"
         image, flat, squeeze, acc_dtype = self._prepare(image, tier)
-        h_out, w_out = self.out_shape
-        if row0 is None:
-            sl = slice(None)
-            n = self.indices.shape[0]
-            shape2d = self.out_shape
-        else:
-            sl = slice(row0 * w_out, row1 * w_out)
-            n = sl.stop - sl.start
-            shape2d = (row1 - row0, w_out)
+        band = row0 is not None
+        if not band:
+            row0, row1 = 0, self.out_shape[0]
         channels = flat.shape[1]
-        if out is not None:
-            expected = shape2d if squeeze else shape2d + (channels,)
-            if out.shape != expected or out.dtype != image.dtype:
-                raise MappingError(
-                    f"output buffer {out.shape}/{out.dtype} does not match "
-                    f"{expected}/{image.dtype}")
-        idx = self.indices[sl]
-        invalid = self._invalid_mask()
-        if invalid is not None and row0 is not None:
-            invalid = invalid[sl]
-        if tier == "numpy":
-            wtab = self._weight_table()
-            if wtab is not None and row0 is not None:
-                wtab = wtab[:, sl]
-            bufs = self._pool.acquire(n, channels, acc_dtype, flat.dtype)
-            try:
-                acc, product, raw = bufs
-                detail = tel if tel.stage_detail else None
-                self._accumulate(flat, idx, wtab, acc, product, raw,
-                                 tel=detail)
-                result = _store_epilogue(acc, invalid, self.fill, image.dtype,
-                                         shape2d, squeeze, out=out, tel=detail)
-            finally:
-                self._pool.release(bufs)
+        shape = ((row1 - row0, self.out_shape[1])
+                 + (() if squeeze else (channels,)))
+        if out is None:
+            out = np.empty(shape, dtype=image.dtype)
+        elif out.shape != shape or out.dtype != image.dtype:
+            raise MappingError(
+                f"output buffer {out.shape}/{out.dtype} does not match "
+                f"{shape}/{image.dtype}")
+        if tier == "compiled":
+            self._run_compiled(flat, row0, row1, out)
         else:
-            result = self._run_q(tier, flat, idx, sl, invalid, image.dtype,
-                                 shape2d, squeeze, channels, acc_dtype,
-                                 w_out, out)
+            self._walk_tiles(tier, flat, row0, row1, out, acc_dtype,
+                             tel if tel.stage_detail else None)
         if tel.enabled:
+            n = (row1 - row0) * self.out_shape[1]
             dt = time.perf_counter() - t0
             tel.counter(f"kernel.tier.{tier}").inc()
-            if row0 is None:
+            if not band:
                 tel.counter("remap.frames").inc()
                 tel.histogram("remap.apply_seconds").observe(dt)
                 tel.add_span("remap.apply", wall0, dt, cat="kernel",
@@ -787,55 +768,75 @@ class RemapLUT:
             tel.counter("remap.pixels").inc(n)
             tel.counter("remap.bytes_gathered").inc(
                 n * self.indices.shape[1] * channels * flat.dtype.itemsize)
-        return result
+        return out
 
-    def _run_q(self, tier, flat, idx, sl, invalid, dtype, shape2d, squeeze,
-               channels, acc_dtype, w_out, out):
-        """The Q-format (fixed/compiled) execution paths.
+    def _walk_tiles(self, tier, flat, row0, row1, out, acc_dtype, detail):
+        """The numpy and ``fixed`` tiers: walk rows ``[row0, row1)`` in
+        tiles of :data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS`.
 
-        Both share the quantized ``(taps, N)`` int16 weight table and
-        one Q-format arithmetic contract: wide-int accumulate,
-        ``+half`` then one arithmetic shift, clip, fill.  The numpy
-        ``fixed`` tier walks the output in row blocks
-        (:data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS`) so the
-        accumulator and each block's source bounding box stay
-        cache-resident; the ``compiled`` tier tiles in 2-D inside the
-        jitted kernel itself.
+        One pooled scratch set sized for a full tile serves every tile
+        (sliced for the last, partial one), so the accumulator and each
+        tile's source bounding box stay cache-resident and a call's
+        scratch is tile-sized whatever the range.  Each tile is stored
+        straight into its rows of ``out``.  ``detail`` is the
+        stage-detail registry of the profiled path, or ``None``.
         """
-        qw = self._qweight_table()[:, sl]
-        info = np.iinfo(dtype)
-        fill = int(round(self.fill))
-        n = idx.shape[0]
-        result = out if out is not None else np.empty(
-            shape2d if squeeze else shape2d + (channels,), dtype=dtype)
-        if not result.flags.c_contiguous:
-            # strided destination (rare): compute into a fresh frame,
-            # then let copyto deal with the strides
-            tmp = self._run_q(tier, flat, idx, sl, invalid, dtype, shape2d,
-                              squeeze, channels, acc_dtype, w_out, None)
-            np.copyto(result, tmp)
-            return result
-        out_flat = result.reshape(n, -1)
-        if tier == "compiled":
-            from ..accel.compiled import compiled_apply_block
-            valid = self.mask[sl] if self.mask is not None else None
-            compiled_apply_block(flat, idx, qw, valid, fill, self.frac_bits,
-                                 info.min, info.max, out_flat, w_out)
-            return result
-        tile = kernel_tiers.DEFAULT_TILE_ROWS * w_out
-        for b0 in range(0, n, tile):
-            b1 = min(b0 + tile, n)
-            bufs = self._pool.acquire(b1 - b0, channels, acc_dtype,
-                                      flat.dtype)
-            try:
-                kernel_tiers.q_apply_block(
-                    flat, idx[b0:b1], qw[:, b0:b1], self.frac_bits,
-                    info.min, info.max,
-                    invalid[b0:b1] if invalid is not None else None,
-                    fill, out_flat[b0:b1], *bufs)
-            finally:
-                self._pool.release(bufs)
-        return result
+        w_out = self.out_shape[1]
+        tile_rows = min(kernel_tiers.DEFAULT_TILE_ROWS, self.out_shape[0])
+        invalid = self._invalid_mask()
+        if tier == "numpy":
+            wtab = self._weight_table()
+            fill = self.fill
+            if (fill == 0 and wtab is not None
+                    and np.issubdtype(out.dtype, np.integer)):
+                # invalid pixels gather index 0 at weight 0: already 0
+                invalid = None
+        else:
+            qwtab = self._qweight_table()
+            fill = int(round(self.fill))
+            info = np.iinfo(out.dtype)
+        bufs = self._pool.acquire(tile_rows * w_out, flat.shape[1],
+                                  acc_dtype, flat.dtype)
+        try:
+            acc, product, raw = bufs
+            for r0 in range(row0, row1, tile_rows):
+                r1 = min(r0 + tile_rows, row1)
+                sl = slice(r0 * w_out, r1 * w_out)
+                m = sl.stop - sl.start
+                tile = (acc[:m], product[:m],
+                        product[:m] if raw is product else raw[:m])
+                tile_invalid = invalid[sl] if invalid is not None else None
+                dst = out[r0 - row0:r1 - row0]
+                if tier == "numpy":
+                    self._accumulate(flat, self.indices[sl],
+                                     wtab[:, sl] if wtab is not None else None,
+                                     *tile, tel=detail)
+                    _store_epilogue(tile[0], tile_invalid, fill, dst,
+                                    tel=detail)
+                else:
+                    kernel_tiers.q_apply_block(
+                        flat, self.indices[sl], qwtab[:, sl], self.frac_bits,
+                        info.min, info.max, tile_invalid, fill, dst, *tile)
+        finally:
+            self._pool.release(bufs)
+
+    def _run_compiled(self, flat, row0, row1, out):
+        """The ``compiled`` tier: the jitted Q-format kernel tiles in 2-D
+        inside itself, so it takes the whole row range at once."""
+        from ..accel.compiled import compiled_apply_block
+        w_out = self.out_shape[1]
+        sl = slice(row0 * w_out, row1 * w_out)
+        info = np.iinfo(out.dtype)
+        # a strided destination (rare) is computed contiguously, then
+        # copied through its strides
+        dst = out if out.flags.c_contiguous else np.empty(out.shape, out.dtype)
+        compiled_apply_block(
+            flat, self.indices[sl], self._qweight_table()[:, sl],
+            self.mask[sl] if self.mask is not None else None,
+            int(round(self.fill)), self.frac_bits, info.min, info.max,
+            dst.reshape(sl.stop - sl.start, -1), w_out)
+        if dst is not out:
+            np.copyto(out, dst)
 
     # ------------------------------------------------------------------
     def apply(self, image, out=None):

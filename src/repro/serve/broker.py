@@ -918,8 +918,10 @@ class StreamBroker:
         stalled = False  # one warning + dump per stall episode
         while not self._abort.is_set():
             try:
-                sid, seq, slot, rows, rank, delta = self._done_q.get(
-                    timeout=_POLL_S)
+                item = self._done_q.get(timeout=_POLL_S)
+                if item is None:
+                    return  # close()'s wake-up: no poll to wait out
+                sid, seq, slot, rows, rank, delta = item
             except _queue.Empty:
                 sid = None
             now = time.monotonic()
@@ -1119,18 +1121,21 @@ class StreamBroker:
         for s in sessions:
             s.close()
         self._abort.set()
+        self._done_q.put(None)  # wake the collector out of its poll
         self._collector.join(timeout=2.0)
         try:  # drop stale band items so pills are reached promptly
             while True:
                 self._task_q.get_nowait()
         except (_queue.Empty, OSError, ValueError):
             pass
-        for p in self._procs:
-            if p.is_alive():
-                try:
-                    self._task_q.put(None)
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
+        # one pill per worker, dead or alive: a liveness check per pill
+        # can skip one, as a worker may take the pill put for another
+        # and exit before its own check, leaving the last one none
+        for _ in self._procs:
+            try:
+                self._task_q.put(None)
+            except Exception:  # pragma: no cover - queue torn down
+                pass
         for p in self._procs:
             p.join(timeout=2.0)
         for p in self._procs:

@@ -208,3 +208,40 @@ def _assert_tables_match(lut, ref):
 @pytest.fixture(scope="session")
 def assert_tables_match():
     return _assert_tables_match
+
+
+def _float_reference(lut, image, row0=0, row1=None):
+    """Whole-frame oracle of the numpy tier, frozen before the tile walk.
+
+    One pass over the requested rows at once: widen the whole source
+    plane to the accumulator dtype (float64 for float64 frames, float32
+    otherwise), gather every tap with fancy indexing, accumulate the
+    weighted taps in tap order, fill invalid pixels, then round, clip
+    and cast for integer frames.  Shares no code with the kernel; it
+    reads only the LUT's tables and derived weights.
+    """
+    image = np.asarray(image)
+    h, w = lut.out_shape
+    row1 = h if row1 is None else row1
+    sl = slice(row0 * w, row1 * w)
+    acc_dtype = np.float64 if image.dtype == np.float64 else np.float32
+    flat = image.reshape(image.shape[0] * image.shape[1], -1).astype(acc_dtype)
+    idx = lut.indices[sl]
+    weights = None if lut.method == "nearest" else lut.weights[sl]
+    acc = None
+    for k in range(idx.shape[1]):
+        term = flat[idx[:, k]]
+        if weights is not None:
+            term = term * weights[:, k, None]
+        acc = term if acc is None else acc + term
+    if lut.mask is not None:
+        acc[~lut.mask[sl]] = lut.fill
+    if np.issubdtype(image.dtype, np.integer):
+        info = np.iinfo(image.dtype)
+        acc = np.clip(np.rint(acc), info.min, info.max)
+    return acc.astype(image.dtype).reshape((row1 - row0, w) + image.shape[2:])
+
+
+@pytest.fixture(scope="session")
+def float_reference():
+    return _float_reference

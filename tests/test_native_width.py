@@ -1,8 +1,8 @@
 """Band-sized, native-width intermediates.
 
 A table build allocates its final tables plus band-sized temporaries,
-and a band apply gathers the frame's raw samples, widening only what
-it gathered.  The guards below hold both with ``tracemalloc`` peaks
+a band apply gathers the frame's raw samples, widening only what it
+gathered, and a whole-frame apply walks tile-sized scratch.  The guards below hold both with ``tracemalloc`` peaks
 against the bytes the tables themselves store, and check that the
 ``remap.bytes_gathered`` counter observes exactly the ``gather_bytes``
 of the byte ledger (:meth:`RemapLUT.traffic_per_frame`).
@@ -18,7 +18,7 @@ from repro.bench.harness import standard_field
 from repro.core import kernel_tiers
 from repro.core.compose import composed_lut, downscale_field
 from repro.core.mapping import chroma_half_field
-from repro.core.remap import RemapLUT
+from repro.core.remap import RemapLUT, _ScratchPool
 from repro.obs.telemetry import Telemetry, scoped
 from repro.video.yuv import NV12Frame
 
@@ -91,6 +91,23 @@ def test_band_apply_allocates_band_sized(qhd_fused, tier):
     _, peak = _traced_peak(frame)
     assert peak < MB, peak / MB
     np.testing.assert_array_equal(out, lut.apply(luma))
+
+
+def test_whole_frame_apply_scratch_is_tile_sized():
+    """A cold-pool 720p RGB frame borrows one tile of scratch — float32
+    accumulator and product plus the uint8 gather buffer — never the
+    9 B per pixel per channel of a whole-frame set."""
+    lut = RemapLUT(standard_field.__wrapped__(1280, 720, 0.5))
+    rgb = np.random.default_rng(4).integers(0, 256, (720, 1280, 3),
+                                            dtype=np.uint8)
+    out = np.empty_like(rgb)
+    lut.apply_into(rgb, out)  # derive the weight table and mask once
+    lut._pool = _ScratchPool()
+    _, peak = _traced_peak(lambda: lut.apply_into(rgb, out))
+    tile_scratch = kernel_tiers.DEFAULT_TILE_ROWS * 1280 * 3 * (4 + 4 + 1)
+    assert peak <= tile_scratch + MB, (peak / MB, tile_scratch / MB)
+    assert peak < 720 * 1280 * 3 * 9 / 4
+    np.testing.assert_array_equal(out, lut.apply(rgb))
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.bench.harness import standard_field
 from repro.core.image import GRAY8, Frame
 from repro.core.lutcache import LUTCache
 from repro.core.remap import RemapLUT
@@ -325,6 +326,25 @@ class TestSharedCalibration:
             assert cache.misses == 1          # one LUT build
             assert len(broker._tables) == 0   # gone with its last session
 
+    def test_open_hashes_the_field_once(self, small_sensor, small_lens,
+                                        small_out, monkeypatch):
+        """An RGB open fingerprints its field once (key and LUT share
+        the digest), and a second open of the same field not at all."""
+        from repro.core import lutcache
+        from repro.core.mapping import perspective_map
+
+        digests = []
+        digest = lutcache._field_digest
+        monkeypatch.setattr(lutcache, "_field_digest",
+                            lambda f: digests.append(f) or digest(f))
+        field = perspective_map(small_sensor, small_lens, small_out)
+        frames = np.zeros((2, SIZE, SIZE, 3), dtype=np.uint8)
+        with MultiStreamCorrector(workers=1) as svc:
+            svc.open_stream(iter(frames), field).close()
+            assert len(digests) == 1
+            svc.open_stream(iter(frames), field).close()
+            assert len(digests) == 1
+
     def test_distinct_calibrations_get_distinct_tables(self, small_field,
                                                        tilted_field):
         cache = LUTCache()
@@ -631,6 +651,38 @@ class TestTeardown:
         broker.close()
         with pytest.raises(ScheduleError):
             broker.open(_const_frames(0, 1), small_field)
+
+    def test_close_wakes_the_collector(self, small_field):
+        """close() wakes the collector with a sentinel on the completion
+        queue instead of waiting out its poll."""
+        closes = []
+        for _ in range(5):
+            broker = StreamBroker(workers=1)
+            session = broker.open(_const_frames(0, 3), small_field)
+            next(session)
+            session.close()
+            t0 = time.perf_counter()
+            broker.close()
+            closes.append(time.perf_counter() - t0)
+            assert not broker._collector.is_alive()
+        assert sorted(closes)[2] < 0.150, closes
+
+    def test_every_worker_gets_its_stop_pill(self):
+        """Every close stops every worker with exit code 0.  Pills used
+        to be put one per worker still alive at the moment of its put,
+        so a worker that took an earlier pill and exited in between cost
+        the last worker its pill: a 2 s join timeout, then SIGTERM."""
+        lut = RemapLUT(standard_field.__wrapped__(320, 240, 1.0))
+        frames = [np.random.default_rng(k).integers(
+            0, 256, (240, 320, 3), dtype=np.uint8) for k in range(4)]
+        for _ in range(50):
+            broker = StreamBroker(workers=2, slot_budget=2)
+            session = broker._admit(iter(frames * 4), lambda: (None, (lut,)),
+                                    depth=2)
+            next(session)
+            session.close()
+            broker.close()
+            assert [p.exitcode for p in broker._procs] == [0, 0]
 
 
 # ----------------------------------------------------------------------
