@@ -55,6 +55,7 @@ from .core.kernel_tiers import KERNEL_CHOICES
 from .core.lens import LENS_MODELS, make_lens
 from .core.pipeline import FisheyeCorrector
 from .errors import ReproError
+from .parallel.ring import DEFAULT_SCHEDULE, RING_SCHEDULES
 
 __all__ = ["main", "build_parser"]
 
@@ -354,7 +355,7 @@ def cmd_serve(args) -> int:
                       if args.out_size else "")
         print(f"serve: {args.streams} streams x {args.frames} frames "
               f"{w}x{h} {args.method} pixfmt={args.pixfmt}{fused_note} "
-              f"through {args.workers} workers "
+              f"through {args.workers} workers schedule={args.schedule} "
               f"(budget {args.slot_budget} slots) in {wall:.3f}s "
               f"-> {total / wall:.1f} fps aggregate")
         for i in range(args.streams):
@@ -529,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ring worker processes")
     p.add_argument("--depth", type=int, default=2,
                    help="frames in flight (pipelined threads / ring slots)")
-    p.add_argument("--schedule", choices=["static", "dynamic", "guided"],
-                   default="dynamic", help="ring band-scheduling policy")
+    p.add_argument("--schedule", choices=RING_SCHEDULES,
+                   default=DEFAULT_SCHEDULE, help="ring band-scheduling policy")
     p.add_argument("--chunk", type=int, default=None,
                    help="ring band granularity in rows")
     p.add_argument("--kernel", choices=list(KERNEL_CHOICES), default="auto",
@@ -587,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot-budget", type=int, default=16,
                    help="total slots across all admitted streams "
                         "(admission control)")
-    p.add_argument("--schedule", choices=["static", "dynamic", "guided"],
-                   default="dynamic", help="band-scheduling policy")
+    p.add_argument("--schedule", choices=RING_SCHEDULES,
+                   default=DEFAULT_SCHEDULE, help="band-scheduling policy")
     p.add_argument("--chunk", type=int, default=None,
                    help="band granularity in rows")
     p.add_argument("--context", choices=["fork", "spawn"], default="fork",

@@ -43,7 +43,7 @@ from ..obs.telemetry import get_telemetry
 from .mapping import RemapField
 from .remap import RemapLUT
 
-__all__ = ["LUTCache", "field_fingerprint"]
+__all__ = ["LUTCache", "field_fingerprint", "derived_fingerprint"]
 
 _FORMAT_VERSION = 1
 
@@ -74,6 +74,27 @@ def _field_digest(field: RemapField) -> str:
         h.update(a.tobytes())
     h.update(f"{field.src_width}x{field.src_height}".encode())
     return h.hexdigest()
+
+
+def derived_fingerprint(base, recipe: str) -> str:
+    """Cache identity of a field derived from ``base`` by ``recipe``.
+
+    Lets a derived table be keyed without deriving (or hashing) the
+    field: the chroma twin of a luma field is ``base=luma`` with its
+    recipe name, a downscale map ``base=None`` with its sizes in the
+    recipe.  ``base`` is a field or an identity string.  The hash
+    starts from its own prefix, so it is never a content fingerprint.
+    """
+    h = hashlib.sha1(b"derived|" + recipe.encode())
+    if base is not None:
+        h.update(b"|" + _identity(base).encode())
+    return h.hexdigest()
+
+
+def _identity(field) -> str:
+    """A field's content fingerprint, or ``field`` if it is an identity
+    string already (:func:`derived_fingerprint`)."""
+    return field if isinstance(field, str) else field_fingerprint(field)
 
 
 class LUTCache:
@@ -130,14 +151,15 @@ class LUTCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def key_for(field: RemapField, method: str = "bilinear",
+    def key_for(field: RemapField | str, method: str = "bilinear",
                 border: str = "constant", fill: float = 0.0) -> str:
-        """Cache key: field content hash + build parameters."""
+        """Cache key: field content hash (or a
+        :func:`derived_fingerprint`) + build parameters."""
         tail = f"|{method}|{border}|{float(fill)!r}"
-        return field_fingerprint(field) + hashlib.sha1(tail.encode()).hexdigest()[:8]
+        return _identity(field) + hashlib.sha1(tail.encode()).hexdigest()[:8]
 
     @staticmethod
-    def key_for_composed(outer: RemapField, inner: RemapField,
+    def key_for_composed(outer: RemapField | str, inner: RemapField | str,
                          method: str = "bilinear", border: str = "constant",
                          fill: float = 0.0) -> str:
         """Cache key of a fused ``inner after outer`` table.
@@ -145,12 +167,13 @@ class LUTCache:
         Derived from the content hashes of the *constituent* fields
         (plus the build parameters), so hitting the cache never pays
         the composition itself, and any two callers composing
-        numerically identical stages share one fused table.
+        numerically identical stages share one fused table.  Either
+        field may be given by its :func:`derived_fingerprint`.
         """
         tail = f"|{method}|{border}|{float(fill)!r}"
         h = hashlib.sha1(b"composed|")
-        h.update(field_fingerprint(outer).encode())
-        h.update(field_fingerprint(inner).encode())
+        h.update(_identity(outer).encode())
+        h.update(_identity(inner).encode())
         h.update(tail.encode())
         return "comp" + h.hexdigest()
 
@@ -186,7 +209,7 @@ class LUTCache:
         def build() -> RemapLUT:
             return RemapLUT(field, method=method, border=border, fill=fill)
 
-        return self._get_by_key(key, build)
+        return self.get_or_build(key, build)
 
     def get_composed(self, outer: RemapField, inner: RemapField,
                      method: str = "bilinear", border: str = "constant",
@@ -206,10 +229,12 @@ class LUTCache:
         def build() -> RemapLUT:
             return _composed_table(outer, inner, method, border, fill)
 
-        return self._get_by_key(key, build)
+        return self.get_or_build(key, build)
 
-    def _get_by_key(self, key: str, build) -> RemapLUT:
-        """Two-tier single-flight fetch: ``build()`` runs at most once."""
+    def get_or_build(self, key: str, build) -> RemapLUT:
+        """Two-tier single-flight fetch of ``key`` (made by
+        :meth:`key_for` or :meth:`key_for_composed`): ``build()`` runs
+        at most once, and only on a miss of both tiers."""
         tel = get_telemetry()
         with self._lock:
             lut = self._entries.get(key)

@@ -366,10 +366,11 @@ def chroma_half_field(field: RemapField) -> RemapField:
 
     Because the construction is purely numeric it works for *any*
     luma field (perspective, cylindrical, tilted views, composed
-    maps), always describes the same scene geometry as the luma plane,
-    and produces a field whose content fingerprint — and therefore its
-    :class:`~repro.core.lutcache.LUTCache` key — is distinct from the
-    full-resolution map it was derived from.  NaN (out-of-FOV) luma
+    maps) and always describes the same scene geometry as the luma
+    plane.  :func:`~repro.video.pixfmt.plane_luts` keys its table by the
+    luma fingerprint plus this derivation
+    (:func:`~repro.core.lutcache.derived_fingerprint`), distinct from
+    the full-resolution map's key, so a cache hit never builds it.  NaN (out-of-FOV) luma
     samples propagate through the mean, so a chroma pixel is valid
     only when its whole 2x2 luma block is.
     """

@@ -15,16 +15,21 @@ as many sessions as their slot budget allows:
 - A per-session **feeder thread** decodes frames into free slots —
   when a session's consumer lags, its feeder blocks on its own free
   list (**per-stream backpressure**) without slowing anyone else.
-- **Band dispatch** drains the sessions' band queues in **weighted
-  round-robin** order (:class:`_FairScheduler`): every scheduling turn
-  a stream may dispatch up to ``weight`` band items, so a stalled or
-  slow stream cannot starve the others, and priority streams get
-  proportionally more of the fleet.  At most ``4 * workers`` bands are
-  in flight; a feeder that queues a frame, and the collector after
-  each completion, send whatever that cap allows.  Workers pull bands
-  from one shared queue, so frame *k+1*'s bands start the moment a
-  worker frees up — the frame-level analogue of the paper's Cell BE
-  double buffering.
+- **Band dispatch** drains the sessions' frame queues in **weighted
+  round-robin** order (:class:`_FairScheduler`), and a scheduling turn
+  counts frames: a stream finishes each frame it begins, and the turn
+  passes on once it has begun ``weight`` frames, so a stalled or slow
+  stream cannot starve the others, priority streams get proportionally
+  more of the fleet, and every camera's frame is out after one frame
+  of work per camera ahead of it.  A frame's bands are ``guided`` runs
+  by default (:data:`~repro.parallel.ring.DEFAULT_SCHEDULE`): a few
+  large runs first, single chunks as the frame drains, each one task
+  message and one completion.  At most ``4 * workers`` bands are in
+  flight; a feeder that queues a frame, and the collector after each
+  completion, send whatever that cap allows.  Workers pull bands from
+  one shared queue, so frame *k+1*'s bands start the moment a worker
+  frees up — the frame-level analogue of the paper's Cell BE double
+  buffering.
 - Sessions sharing a calibration share one
   :class:`~repro.parallel.shmseg.SharedTables` publication (fed from
   one single-flight :class:`~repro.core.lutcache.LUTCache`), attached
@@ -85,7 +90,7 @@ from ..obs.export import labeled
 from ..obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from ..obs.logsetup import get_logger
 from ..obs.telemetry import get_telemetry
-from ..parallel.ring import plan_bands
+from ..parallel.ring import DEFAULT_SCHEDULE, plan_bands
 from ..video.pixfmt import get_pixfmt, plane_luts
 
 __all__ = ["StreamBroker", "StreamSession", "DEFAULT_SLOT_BUDGET"]
@@ -100,8 +105,8 @@ DEFAULT_SLOT_BUDGET = 16
 _POLL_S = 0.2
 
 #: dispatched-but-uncompleted bands allowed per worker: keeps the fleet
-#: queue short so round-robin fairness acts at band granularity instead
-#: of deep in a FIFO.
+#: queue short so round-robin fairness acts at frame granularity
+#: instead of deep in a FIFO.
 _INFLIGHT_BANDS_PER_WORKER = 4
 
 
@@ -109,21 +114,25 @@ _INFLIGHT_BANDS_PER_WORKER = 4
 # fair scheduling
 # ----------------------------------------------------------------------
 class _FairScheduler:
-    """Weighted round-robin over per-stream band deques.
+    """Weighted round-robin over per-stream frame queues.
 
-    Pure data structure (caller provides locking): ``push`` appends a
-    work item to a stream's deque, ``pop`` returns the next item under
-    weighted round-robin — the cursor stream may dispatch up to
-    ``weight`` consecutive items before the turn passes on, so with
-    weights 2:1 a backlogged pair of streams dispatches bands 2:1.
+    Pure data structure (caller provides locking): ``push`` queues one
+    frame — the list of its band items — on a stream, ``pop`` returns
+    the next band under weighted round-robin with turns counted in
+    frames.  The cursor stream finishes the frame it has started; the
+    turn passes on only at a frame boundary, once the stream has
+    started ``weight`` frames this turn, so with weights 2:1 a
+    backlogged pair of streams dispatches frames 2:1 and each frame's
+    bands leave as one contiguous run.
     """
 
     def __init__(self):
-        self._queues: dict = {}
+        self._queues: dict = {}   # sid -> deque of frames (band deques)
         self._weights: dict = {}
         self._order: list = []
         self._cursor = 0
-        self._credit = 0
+        self._started = 0         # frames the cursor stream began this turn
+        self._midframe = False    # the cursor stream's head frame is begun
 
     def add_stream(self, sid, weight: int = 1) -> None:
         if weight < 1:
@@ -133,6 +142,7 @@ class _FairScheduler:
         self._order.append(sid)
 
     def remove_stream(self, sid) -> None:
+        """Forget ``sid`` and its queued frames, a begun one included."""
         if sid not in self._queues:
             return
         pos = self._order.index(sid)
@@ -140,34 +150,39 @@ class _FairScheduler:
         del self._queues[sid]
         del self._weights[sid]
         if pos < self._cursor:
-            self._cursor -= 1
+            self._cursor -= 1  # the cursor stream keeps its turn
+        elif pos == self._cursor:
+            self._started, self._midframe = 0, False
         if self._cursor >= len(self._order):
-            self._cursor = 0
-        self._credit = 0
+            self._cursor, self._started, self._midframe = 0, 0, False
 
-    def push(self, sid, item) -> None:
-        self._queues[sid].append(item)
+    def push(self, sid, items) -> None:
+        """Queue one frame of ``sid``: its band items, in dispatch order."""
+        if items:
+            self._queues[sid].append(deque(items))
 
     def pop(self):
         """Next ``(sid, item)`` under weighted round-robin, or ``None``."""
-        n = len(self._order)
-        for _ in range(n + 1):
+        for _ in range(len(self._order) + 1):
             if not self._order:
                 return None
-            if self._cursor >= len(self._order):
-                self._cursor = 0
             sid = self._order[self._cursor]
             q = self._queues[sid]
-            if q and self._credit < self._weights[sid]:
-                self._credit += 1
-                return sid, q.popleft()
-            self._cursor += 1
-            self._credit = 0
+            if q and (self._midframe or self._started < self._weights[sid]):
+                if not self._midframe:
+                    self._started += 1
+                frame = q[0]
+                item = frame.popleft()
+                self._midframe = bool(frame)
+                if not frame:
+                    q.popleft()
+                return sid, item
+            self._cursor = (self._cursor + 1) % len(self._order)
+            self._started = 0
         return None
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
+        return sum(len(f) for q in self._queues.values() for f in q)
 
 
 
@@ -621,7 +636,8 @@ class StreamBroker:
         the budget cannot cover another session.
     schedule, chunk:
         Band-granularity policy applied per session (see
-        :func:`repro.parallel.ring.plan_bands`).
+        :func:`repro.parallel.ring.plan_bands`; ``guided`` runs by
+        default, :data:`~repro.parallel.ring.DEFAULT_SCHEDULE`).
     context:
         Multiprocessing start method (``fork`` default, ``spawn``
         supported).
@@ -647,7 +663,7 @@ class StreamBroker:
     """
 
     def __init__(self, workers: int = 2, slot_budget: int = DEFAULT_SLOT_BUDGET,
-                 schedule: str = "dynamic", chunk: int | None = None,
+                 schedule: str = DEFAULT_SCHEDULE, chunk: int | None = None,
                  context: str = "fork", lut_cache: LUTCache | None = None,
                  stall_timeout_s: float | None = None, flight_dir=None):
         if workers < 1:
@@ -723,7 +739,8 @@ class StreamBroker:
 
         The first frame is pulled eagerly to size the session's slots,
         then corrected like the rest.  ``weight`` sets the session's
-        share of the fleet under backlog (weighted round-robin);
+        share of the fleet under backlog: the frames it may begin per
+        weighted round-robin turn;
         ``deadline_s`` arms the per-frame latency SLO counted by
         ``stream.deadline_miss{stream="<name>"}``.
 
@@ -877,41 +894,39 @@ class StreamBroker:
     # internals: scheduling + collection
     # ------------------------------------------------------------------
     def _push_bands(self, sid, bands) -> None:
+        """Queue one frame's ``bands`` as one scheduling entry."""
         with self._sched_lock:
             if sid not in self._sched._queues:
                 return  # session removed while its feeder raced us
-            for band in bands:
-                self._sched.push(sid, band)
+            self._sched.push(sid, bands)
         self._dispatch()
 
     def _dispatch(self) -> None:
         """Send scheduled bands to the fleet while the in-flight cap
         allows.  Runs on whichever thread made work or room: a feeder
         after queueing a frame's bands, the collector after each band
-        completion — so no band waits while the fleet has room."""
-        while not self._abort.is_set():
-            with self._sched_lock:
-                if self._inflight >= self._max_inflight:
-                    return
+        completion — so no band waits while the fleet has room.  Bands
+        are put on the fleet queue in the order the scheduler pops them
+        (the put only buffers; the queue's feeder thread pickles), so a
+        frame's run of bands stays contiguous whoever dispatches it."""
+        with self._sched_lock:
+            while (not self._abort.is_set()
+                   and self._inflight < self._max_inflight):
                 picked = self._sched.pop()
                 if picked is None:
                     return
+                sid, (seq, slot, plane, row0, row1) = picked
+                with self._lock:
+                    session = self._sessions.get(sid)
+                if session is None or not session._take_dispatch():
+                    continue
+                try:
+                    self._task_q.put((sid, seq, slot, plane, row0, row1,
+                                      session._desc))
+                except Exception:  # pragma: no cover - queue torn down
+                    session._band_returned(seq, slot, False)
+                    return
                 self._inflight += 1
-            sid, (seq, slot, plane, row0, row1) = picked
-            with self._lock:
-                session = self._sessions.get(sid)
-            if session is None or not session._take_dispatch():
-                with self._sched_lock:
-                    self._inflight -= 1
-                continue
-            try:
-                self._task_q.put((sid, seq, slot, plane, row0, row1,
-                                  session._desc))
-            except Exception:  # pragma: no cover - queue torn down
-                with self._sched_lock:
-                    self._inflight -= 1
-                session._band_returned(seq, slot, False)
-                return
 
     def _collect(self):
         last_check = last_progress = time.monotonic()

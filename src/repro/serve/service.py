@@ -23,7 +23,8 @@ import threading
 
 from ..core.lutcache import LUTCache
 from ..obs.telemetry import get_telemetry
-from .broker import _POLL_S, DEFAULT_SLOT_BUDGET, StreamBroker, StreamSession
+from ..parallel.ring import DEFAULT_SCHEDULE
+from .broker import DEFAULT_SLOT_BUDGET, StreamBroker, StreamSession
 
 __all__ = ["MultiStreamCorrector"]
 
@@ -49,7 +50,7 @@ class MultiStreamCorrector:
 
     def __init__(self, workers: int = 2,
                  slot_budget: int = DEFAULT_SLOT_BUDGET,
-                 schedule: str = "dynamic", chunk: int | None = None,
+                 schedule: str = DEFAULT_SCHEDULE, chunk: int | None = None,
                  context: str = "fork", lut_cache: LUTCache | None = None,
                  serve_metrics=None):
         tel = get_telemetry()
@@ -126,9 +127,7 @@ class MultiStreamCorrector:
             it = iter(s)
             try:
                 while True:
-                    while not ready.acquire(timeout=_POLL_S):
-                        if stop.is_set():
-                            return
+                    ready.acquire()  # released on our turn, or on stop
                     if stop.is_set():
                         return
                     try:
@@ -141,10 +140,10 @@ class MultiStreamCorrector:
             finally:
                 out.put((s.name, _DONE, None, None))
 
-        threads = [threading.Thread(target=pump,
-                                    args=(s, threading.Semaphore(1)),
+        readies = [threading.Semaphore(1) for _ in sessions]
+        threads = [threading.Thread(target=pump, args=(s, ready),
                                     name=f"serve-drain-{s.name}", daemon=True)
-                   for s in sessions]
+                   for s, ready in zip(sessions, readies)]
         for t in threads:
             t.start()
         active = len(sessions)
@@ -160,6 +159,8 @@ class MultiStreamCorrector:
                 ready.release()  # this stream may pull its next frame
         finally:
             stop.set()
+            for ready in readies:  # wake pumps parked on their turn
+                ready.release()
             for s in sessions:
                 s.close()
             for t in threads:

@@ -32,6 +32,7 @@ import numpy as np
 from ..core.compose import composed_lut, downscale_field
 from ..core.image import Frame
 from ..core.kernel_tiers import resolve_tier
+from ..core.lutcache import LUTCache, derived_fingerprint
 from ..core.mapping import RemapField, chroma_half_field
 from ..core.remap import RemapLUT
 from ..errors import ImageFormatError
@@ -228,38 +229,41 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
     ``out_size=(width, height)`` each is the fused correct+downscale
     composition at its plane's delivered size (the plain 4-tap table,
     ``prefilter=False`` — an exact 2x2 box at 2:1).  Tables come from
-    ``cache`` when given (:meth:`~repro.core.lutcache.LUTCache.get` or
-    :meth:`~repro.core.lutcache.LUTCache.get_composed`, so every front
-    end shares the same entries) and run on ``tier``.
+    ``cache`` when given and run on ``tier``.  Cache keys
+    (:meth:`~repro.core.lutcache.LUTCache.key_for` or
+    :meth:`~repro.core.lutcache.LUTCache.key_for_composed`) name the
+    chroma twin and the downscale maps by
+    :func:`~repro.core.lutcache.derived_fingerprint` — the luma
+    fingerprint and the derivation — so those fields are built only on
+    a miss and never hashed, and a reopen of one field object costs no
+    digest at all.
     """
     tier = resolve_tier(tier)
+    fh, fw = field.shape
+    # the resolution divisor of the planes each LUT corrects
+    divisors = {p.lut: p.divisor for p in fmt.planes}
+    luts = []
+    for i in fmt.luts:
+        chroma = i != 0
+        m, v = ("bilinear", chroma_fill) if chroma else (method, fill)
+        d = divisors[i]
+        scale = (None if out_size is None else
+                 (out_size[0] // d, out_size[1] // d, fw // d, fh // d))
 
-    def source(index):
-        """Field, method and fill of LUT ``index``."""
-        if index == 0:
-            return field, method, fill
-        return chroma_half_field(field), "bilinear", chroma_fill
+        def build(chroma=chroma, m=m, v=v, scale=scale):
+            inner = chroma_half_field(field) if chroma else field
+            if scale is None:
+                return RemapLUT(inner, method=m, border=border, fill=v)
+            return composed_lut(downscale_field(*scale, prefilter=False),
+                                inner, method=m, border=border, fill=v)
 
-    # Build orders chosen for peak memory: a plain set derives the chroma
-    # twin ahead of the first table; a fused set builds its downscale
-    # maps ahead of the first table and derives each field at its turn.
-    # Measured on the NV12 e2e workloads, the other orders left 1-2% more
-    # freed-but-retained heap (which a fleet forked later inherits).
-    if out_size is None:
-        luts = [cache.get(f, method=m, border=border, fill=v)
-                if cache is not None
-                else RemapLUT(f, method=m, border=border, fill=v)
-                for f, m, v in [source(i) for i in fmt.luts]]
-    else:
-        fh, fw = field.shape
-        # the resolution divisor of the planes each LUT corrects
-        divisors = {p.lut: p.divisor for p in fmt.planes}
-        outers = {i: downscale_field(out_size[0] // d, out_size[1] // d,
-                                     fw // d, fh // d, prefilter=False)
-                  for i, d in divisors.items()}
-        luts = []
-        for i in fmt.luts:
-            f, m, v = source(i)
-            luts.append(composed_lut(outers[i], f, method=m, border=border,
-                                     fill=v, cache=cache))
+        if cache is None:
+            luts.append(build())
+            continue
+        inner_id = derived_fingerprint(field, "chroma_half") if chroma else field
+        key = (LUTCache.key_for(inner_id, m, border, v) if scale is None
+               else LUTCache.key_for_composed(
+                   derived_fingerprint(None, "downscale%dx%d<-%dx%d" % scale),
+                   inner_id, m, border, v))
+        luts.append(cache.get_or_build(key, build))
     return tuple(lut.with_tier(tier) for lut in luts)

@@ -130,6 +130,14 @@ class TestStream:
         out = capsys.readouterr().out
         assert "engine=ring workers=1 depth=2 schedule=guided" in out
 
+    def test_ring_engine_defaults_to_the_library_schedule(self, capsys):
+        from repro.parallel.ring import DEFAULT_SCHEDULE
+
+        assert main(["stream", "--engine", "ring", "--workers", "1"]
+                    + self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert f"schedule={DEFAULT_SCHEDULE}" in out
+
     def test_ring_trace_has_overlapping_tracks(self, tmp_path, capsys):
         trace = str(tmp_path / "stream.trace.json")
         assert main(["--trace", trace, "stream", "--engine", "ring",
@@ -195,6 +203,13 @@ class TestServe:
         assert "fps aggregate" in out
         assert "s0: 3 frames" in out
         assert "s1: 3 frames" in out
+
+    def test_defaults_to_the_library_schedule(self, capsys):
+        from repro.parallel.ring import DEFAULT_SCHEDULE
+
+        assert main(["serve", "--streams", "1"] + self.ARGS) == 0
+        assert (f"through 1 workers schedule={DEFAULT_SCHEDULE} "
+                in capsys.readouterr().out)
 
     def test_weights_csv_pads_with_ones(self, capsys):
         assert main(["serve", "--streams", "3", "--weights", "2"]

@@ -191,7 +191,8 @@ class TestNV12Delivery:
 # fused correct+downscale delivery
 # ----------------------------------------------------------------------
 class TestFusedDelivery:
-    def _oracle_luts(self, field, ow, oh):
+    @staticmethod
+    def _oracle_luts(field, ow, oh):
         fh, fw = field.shape
         outer = downscale_field(ow, oh, fw, fh, prefilter=False)
         luma = RemapLUT(compose_fields(outer, field))
@@ -271,3 +272,57 @@ class TestFusedDelivery:
         assert "pixfmt=nv12" in proc.stdout
         assert "out=32x32" in proc.stdout
         assert "fused" in proc.stdout
+
+
+# ----------------------------------------------------------------------
+# reopening one field: derived fields come from the cache key alone
+# ----------------------------------------------------------------------
+@pytest.mark.tier1
+class TestReopenCost:
+    @pytest.mark.parametrize("out_size", [None, (32, 32)],
+                             ids=["plain", "fused"])
+    def test_second_open_derives_and_hashes_nothing(self, small_field,
+                                                    monkeypatch, out_size):
+        """The chroma twin and the downscale maps are keyed by the luma
+        fingerprint plus their derivation: a cache hit builds neither
+        and hashes nothing, and a miss builds the chroma twin once."""
+        from repro.core import lutcache
+        from repro.video import pixfmt
+
+        digests, twins = [], []
+        digest, half = lutcache._field_digest, pixfmt.chroma_half_field
+        monkeypatch.setattr(lutcache, "_field_digest",
+                            lambda f: digests.append(f) or digest(f))
+        monkeypatch.setattr(pixfmt, "chroma_half_field",
+                            lambda f: twins.append(f) or half(f))
+        cache = lutcache.LUTCache()
+        fmt = PIXFMTS["nv12"]
+        first = pixfmt.plane_luts(fmt, small_field, out_size, cache)
+        assert len(twins) == 1
+        assert all(f is small_field for f in digests)
+        digests.clear()
+        twins.clear()
+        second = pixfmt.plane_luts(fmt, small_field, out_size, cache)
+        assert digests == [] and twins == []
+        assert cache.misses == 2 and cache.hits == 2
+        for a, b in zip(first, second):
+            assert a.indices is b.indices
+
+    @pytest.mark.parametrize("out_size", [None, (32, 32)],
+                             ids=["plain", "fused"])
+    def test_cached_tables_match_a_direct_build(self, small_field, out_size):
+        from repro.core.lutcache import LUTCache
+        from repro.video.pixfmt import plane_luts
+
+        fmt = PIXFMTS["nv12"]
+        got = plane_luts(fmt, small_field, out_size, LUTCache())
+        if out_size is None:
+            want = (RemapLUT(small_field),
+                    RemapLUT(chroma_half_field(small_field), fill=128.0))
+        else:
+            want = TestFusedDelivery._oracle_luts(small_field, *out_size)
+        for g, w in zip(got, want):
+            assert g.out_shape == w.out_shape
+            assert np.array_equal(g.indices, w.indices)
+            assert np.array_equal(g.fracs, w.fracs)
+            assert np.array_equal(g.mask, w.mask)

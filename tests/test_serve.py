@@ -51,51 +51,83 @@ def _centre(frame):
 # the scheduler data structure
 # ----------------------------------------------------------------------
 class TestFairScheduler:
+    """Turns count frames: a stream finishes the frame it began, and
+    the turn passes on once it has begun ``weight`` frames."""
+
+    @staticmethod
+    def _frames(s, sid, n, bands=2):
+        for k in range(n):
+            s.push(sid, [f"{sid}{k}.{b}" for b in range(bands)])
+
     def test_round_robin_alternates(self):
         s = _FairScheduler()
         s.add_stream("a")
         s.add_stream("b")
-        for k in range(3):
-            s.push("a", f"a{k}")
-            s.push("b", f"b{k}")
-        order = [s.pop() for _ in range(6)]
-        assert [sid for sid, _ in order] == ["a", "b", "a", "b", "a", "b"]
+        self._frames(s, "a", 2)
+        self._frames(s, "b", 2)
+        order = [s.pop()[1] for _ in range(8)]
+        assert order == ["a0.0", "a0.1", "b0.0", "b0.1",
+                         "a1.0", "a1.1", "b1.0", "b1.1"]
         assert s.pop() is None
 
     def test_weights_give_proportional_turns(self):
         s = _FairScheduler()
         s.add_stream("a", weight=2)
         s.add_stream("b", weight=1)
-        for k in range(4):
-            s.push("a", k)
-        for k in range(2):
-            s.push("b", k)
-        picked = [s.pop()[0] for _ in range(6)]
-        assert picked == ["a", "a", "b", "a", "a", "b"]
+        self._frames(s, "a", 4)
+        self._frames(s, "b", 2)
+        frames = [s.pop()[1].split(".")[0] for _ in range(12)][::2]
+        assert frames == ["a0", "a1", "b0", "a2", "a3", "b1"]
+
+    def test_frame_pushed_mid_turn_waits_for_the_frame_boundary(self):
+        s = _FairScheduler()
+        s.add_stream("a")
+        s.add_stream("b")
+        self._frames(s, "a", 1, bands=3)
+        assert s.pop() == ("a", "a0.0")
+        self._frames(s, "b", 1)  # b's frame arrives while a's is begun
+        assert [s.pop()[1] for _ in range(4)] == ["a0.1", "a0.2",
+                                                  "b0.0", "b0.1"]
 
     def test_idle_stream_is_skipped_not_waited_for(self):
         s = _FairScheduler()
         s.add_stream("idle")
         s.add_stream("busy")
-        s.push("busy", 1)
-        s.push("busy", 2)
-        assert [s.pop()[0] for _ in range(2)] == ["busy", "busy"]
+        self._frames(s, "busy", 2)
+        assert [s.pop()[0] for _ in range(4)] == ["busy"] * 4
+        assert s.pop() is None
 
     def test_remove_stream_drops_queue_and_rebalances(self):
         s = _FairScheduler()
         s.add_stream("a")
         s.add_stream("b")
-        s.push("a", 1)
-        s.push("b", 2)
-        s.remove_stream("a")
-        assert len(s) == 1
-        assert s.pop() == ("b", 2)
+        self._frames(s, "a", 2, bands=3)
+        self._frames(s, "b", 1)
+        assert s.pop() == ("a", "a0.0")
+        s.remove_stream("a")  # mid-frame: the rest of a's frames go too
+        assert len(s) == 2
+        assert [s.pop() for _ in range(2)] == [("b", "b0.0"), ("b", "b0.1")]
+        assert s.pop() is None
         s.remove_stream("ghost")  # unknown sid: no-op
+
+    def test_removing_another_stream_keeps_the_begun_frame(self):
+        s = _FairScheduler()
+        for sid in "abc":
+            s.add_stream(sid)
+        self._frames(s, "a", 1)
+        self._frames(s, "b", 1, bands=3)
+        self._frames(s, "c", 1)
+        assert [s.pop()[1] for _ in range(3)] == ["a0.0", "a0.1", "b0.0"]
+        s.remove_stream("a")  # before the cursor: b keeps its turn
+        assert [s.pop()[1] for _ in range(4)] == ["b0.1", "b0.2",
+                                                  "c0.0", "c0.1"]
 
     def test_weight_validated(self):
         s = _FairScheduler()
         with pytest.raises(ScheduleError):
             s.add_stream("a", weight=0)
+        with pytest.raises(ScheduleError):
+            s.add_stream("a", weight=-1)
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +275,28 @@ class TestBackpressureAndFairness:
             assert len(out) == 6
             assert elapsed < 20.0
             a.close()
+
+    def test_each_frame_completes_as_one_contiguous_run(self, small_field):
+        """Turns count frames: with one worker, completions come back in
+        dispatch order, so every ``(stream, frame_id)`` must occupy one
+        unbroken run of ``band_done`` events while two sessions
+        interleave frame by frame."""
+        n_frames = 6
+        with MultiStreamCorrector(workers=1, slot_budget=8) as svc:
+            sessions = [svc.open_stream(_const_frames(i * 50, n_frames),
+                                        small_field, name=f"s{i}")
+                        for i in range(2)]
+            assert len(list(svc.merged(sessions))) == 2 * n_frames
+            done = [(e["stream"], e["frame_id"])
+                    for e in svc.broker.flightrec.events()
+                    if e["kind"] == "band_done"]
+        bands = len(sessions[0]._bands)
+        assert bands > 1
+        assert len(done) == 2 * n_frames * bands
+        runs = [key for i, key in enumerate(done)
+                if i == 0 or done[i - 1] != key]
+        assert len(runs) == len(set(runs)) == 2 * n_frames
+        assert {name for name, _ in runs} == {"s0", "s1"}
 
     def test_merged_slow_consumer_buffers_at_most_one_frame_per_session(
             self, small_field):
@@ -631,6 +685,24 @@ class TestTeardown:
             drain.close()  # consumer stops mid-drain
             assert pumps() == []
             assert svc.broker.slots_used == 0
+
+    def test_merged_close_does_not_wait_out_a_poll(self, small_field):
+        # pumps parked on their turn are woken by the close itself, so
+        # closing a drain costs the session teardown, not a poll interval
+        closes = []
+        with MultiStreamCorrector(workers=1, slot_budget=16) as svc:
+            for round_ in range(5):
+                sessions = [svc.open_stream(_const_frames(i, 1000),
+                                            small_field, name=f"r{round_}s{i}")
+                            for i in range(4)]
+                drain = svc.merged(sessions)
+                next(drain)
+                time.sleep(0.05)  # every pump now holds or waits on a frame
+                t0 = time.perf_counter()
+                drain.close()
+                closes.append(time.perf_counter() - t0)
+                assert svc.broker.slots_used == 0
+        assert sorted(closes)[2] < 0.030, closes
 
     def test_worker_death_surfaces_stream_error(self, small_field):
         with StreamBroker(workers=1) as broker:

@@ -159,7 +159,7 @@ class TestChromaCacheKeys:
 
     def test_pixfmts_do_not_collide(self, small_field):
         # an RGB-path consumer and a planar consumer on one cache: the
-        # chroma entry is keyed by the derived field's content, so the
+        # chroma entry is keyed by the luma field plus its derivation, so the
         # packed LUT is reused and only the chroma build is added
         cache = LUTCache()
         packed = cache.get(small_field)
