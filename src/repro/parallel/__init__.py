@@ -4,14 +4,14 @@
   tiles/bands (including cost-weighted cuts),
 - :mod:`~repro.parallel.schedule` — deterministic replay of
   static/dynamic/guided loop schedules,
-- :mod:`~repro.parallel.threadpool` / :mod:`~repro.parallel.procpool`
-  — real shared-memory executors for the remap kernel,
+- :mod:`~repro.parallel.threadpool` — the threaded fork-join executor
+  for the remap kernel,
 - :mod:`~repro.parallel.ring` — band planning and the single-stream
   ring (one stream on a one-session :class:`~repro.serve.broker
-  .StreamBroker`: frame-level double buffering, dynamic band
-  scheduling),
+  .StreamBroker`: frame-level double buffering at ``depth >= 2``, the
+  per-frame fork-join baseline at ``depth=1``),
 - :mod:`~repro.parallel.shmseg` — the shared-segment plumbing the
-  process back ends are built on,
+  broker's process fleet is built on,
 - :mod:`~repro.parallel.simd` — the SIMD vectorization model.
 """
 

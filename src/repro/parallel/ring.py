@@ -1,10 +1,11 @@
 """The single-stream ring: one stream on a one-session broker.
 
 The paper's Cell BE result rests on double buffering — DMA of tile
-*k+1* overlaps computation of tile *k*.  The fork-join executors in
-:mod:`~repro.parallel.procpool` do not have that property at frame
-granularity: ``run`` dispatches one frame's bands, waits for all of
-them, and returns before the next frame may even be decoded.
+*k+1* overlaps computation of tile *k*.  A per-frame fork-join does
+not have that property at frame granularity: it dispatches one frame's
+bands and waits for all of them before the next frame may even be
+ingested — which is exactly a ring of ``depth=1``, where frame *k+1*
+waits for frame *k*'s slot to be recycled.
 :func:`ring_stream` lifts the overlap into the shipping host pipeline
 by running the stream as the only session of a
 :class:`~repro.serve.broker.StreamBroker`: a bounded ring of ``depth``
@@ -56,7 +57,7 @@ def plan_bands(height: int, workers: int, schedule: str = DEFAULT_SCHEDULE,
     next item when free); the policy chooses granularity:
 
     ``static``
-        One contiguous band per worker — the fork-join executors'
+        One contiguous band per worker — the classic fork-join
         layout, kept for apples-to-apples comparisons.
     ``dynamic``
         Fixed ``chunk``-row bands (default ``height // (8 * workers)``,

@@ -1,9 +1,8 @@
-"""Shared-memory segment plumbing for the process-based engines.
+"""Shared-memory segment plumbing for the process fleet.
 
-Everything the fork-join executor and the stream broker have in common
-lives here, so :mod:`~repro.parallel.procpool` (per-frame fork-join)
-and :mod:`~repro.serve.broker` (persistent-worker streaming) share one
-implementation of the fragile parts:
+The fragile parts of :mod:`~repro.serve.broker`'s persistent-worker
+fleet (which also runs the single-stream ring and, at ``depth=1``, the
+per-frame fork-join baseline) live here:
 
 - **publication** of numpy arrays and whole LUT table sets into named
   POSIX shared-memory segments (:func:`share_array`,
@@ -12,8 +11,8 @@ implementation of the fragile parts:
   :func:`attach_tables`);
 - **lifecycle hardening**: every parent-owned segment group is wired to
   a :func:`weakref.finalize` finalizer, which Python also runs at
-  interpreter exit (atexit), so segments are unlinked even when an
-  executor is dropped without ``close()`` or a worker crashes mid-run —
+  interpreter exit (atexit), so segments are unlinked even when a
+  broker is dropped without ``close()`` or a worker crashes mid-run —
   no ``resource_tracker`` leak warnings survive either event;
 - the worker-side **telemetry bootstrap/drain** pair
   (:func:`init_worker_telemetry`, :func:`worker_delta`) that lets each
@@ -28,13 +27,21 @@ The parent's finalizer is therefore the single owner of the unlink —
 workers must *never* unregister (that would strip the shared entry and
 make the parent's unlink race the tracker), and with the finalizer in
 place the tracker's shutdown sweep finds nothing to warn about even
-after a crashed worker or an executor dropped without ``close()``.
+after a crashed worker or a broker dropped without ``close()``.
+
+A ``fork`` child inherits the tracker's lock in whatever state another
+parent thread left it (a feeder or collector thread may be registering
+a segment at that moment), and a lock inherited held would block the
+child's first attach for good; :func:`_reset_tracker_lock` gives every
+forked child a fresh one.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -66,10 +73,28 @@ def ensure_resource_tracker() -> None:
     segments the parent already unlinked.
     """
     try:
-        from multiprocessing import resource_tracker
         resource_tracker.ensure_running()
     except Exception:  # pragma: no cover - platform without the tracker
         pass
+
+
+def _reset_tracker_lock() -> None:
+    """In a forked child: replace the inherited tracker lock.
+
+    Only the forking thread survives ``fork``, so a lock another parent
+    thread held at that moment can never be released in the child.  The
+    replacement has the lock's own type (``Lock`` before Python 3.11,
+    ``RLock`` since).
+    """
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    lock = getattr(tracker, "_lock", None)
+    if lock is not None:
+        tracker._lock = (threading.RLock()
+                         if isinstance(lock, type(threading.RLock()))
+                         else threading.Lock())
+
+
+os.register_at_fork(after_in_child=_reset_tracker_lock)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Thread/process executor tests: parallel result == sequential result."""
+"""Threaded executor and SIMD model tests: parallel result == sequential result."""
 
 import numpy as np
 import pytest
@@ -63,80 +63,6 @@ class TestThreadedExecutor:
             for f in frames:
                 np.testing.assert_array_equal(ex.run(corrector.lut, f),
                                               corrector.correct(f))
-
-
-class TestSharedMemoryExecutor:
-    @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
-    def test_matches_sequential(self, method, small_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(small_field, method=method)
-        expected = lut.apply(random_image)
-        with SharedMemoryExecutor(lut, random_image.shape, np.uint8,
-                                  workers=2) as ex:
-            out = ex.run(lut, random_image)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_matches_threaded(self, tilted_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(tilted_field, fill=33.0)
-        with ThreadedExecutor(workers=2) as tex:
-            want = tex.run(lut, random_image)
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=2) as ex:
-            got = ex.run(lut, random_image)
-        np.testing.assert_array_equal(got, want)
-
-    def test_rgb_and_out_buffer(self, small_field, rgb_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(small_field)
-        buf = np.empty((64, 64, 3), dtype=np.uint8)
-        with SharedMemoryExecutor(lut, rgb_image.shape, np.uint8,
-                                  workers=2) as ex:
-            out = ex.run(lut, rgb_image, out=buf)
-        assert out is buf
-        np.testing.assert_array_equal(buf, lut.apply(rgb_image))
-
-    def test_multiple_frames_reuse_segments(self, small_field, rng):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(small_field)
-        frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8)
-                  for _ in range(3)]
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=2) as ex:
-            for f in frames:
-                np.testing.assert_array_equal(ex.run(lut, f), lut.apply(f))
-
-    def test_spawn_context(self, small_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(small_field)
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=1,
-                                  context="spawn") as ex:
-            out = ex.run(lut, random_image)
-        np.testing.assert_array_equal(out, lut.apply(random_image))
-
-    def test_close_idempotent_and_rejects_work(self, small_field, random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(small_field)
-        ex = SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=1)
-        ex.close()
-        ex.close()
-        with pytest.raises(ScheduleError):
-            ex.run(lut, random_image)
-
-    def test_wrong_lut_or_frame_rejected(self, small_field, tilted_field,
-                                         random_image):
-        from repro.parallel.procpool import SharedMemoryExecutor
-
-        lut = RemapLUT(small_field)
-        with SharedMemoryExecutor(lut, (64, 64), np.uint8, workers=1) as ex:
-            with pytest.raises(ScheduleError, match="bound to the LUT"):
-                ex.run(RemapLUT(tilted_field), random_image)
-            with pytest.raises(ScheduleError, match="bound geometry"):
-                ex.run(lut, np.zeros((64, 64), dtype=np.float32))
 
 
 class TestSIMDModel:

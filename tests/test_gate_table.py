@@ -136,10 +136,10 @@ class TestRunner:
                                               "not_observable"}
 
 
-#: every floor the gate enforced before it became a table, keyed by
-#: (gate, row label): a later edit cannot loosen one silently
+#: every floor the gate enforces, keyed by (gate, row label): a later edit
+#: cannot loosen one silently
 PINNED = {
-    ("stream", "ring beats fork-join by 1.3x"): (1.3, ">="),
+    ("stream", "ring depth N beats depth 1 by 1.3x"): (1.3, ">="),
     ("stream", "ring above 2.0 fps floor"): (2.0, ">="),
     ("serve", "4 streams beat sequential by 1.5x"): (1.5, ">="),
     ("serve", "16 streams beat sequential by 1.5x"): (1.5, ">="),
@@ -161,6 +161,7 @@ PINNED = {
     ("baseline", "bilinear entry >= 40% smaller"): (0.6, "<="),
     ("baseline", "bicubic entry >= 40% smaller"): (0.6, "<="),
     ("stream", "ring kept frames in flight"): (2, ">="),
+    ("stream", "depth-1 session held one frame at a time"): (1, "=="),
 }
 FUSED_QUALITY = ("fused", "fused within 40.0 dB floor or 1.0 dB of two-pass "
                           "vs gold")

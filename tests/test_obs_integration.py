@@ -1,4 +1,4 @@
-"""Telemetry wired through the pipeline: kernels, executors, CLI.
+"""Telemetry wired through the pipeline: kernels, the fleet, CLI.
 
 Covers the cross-process aggregation path (fork *and* spawn), the
 disabled-registry overhead budget, the cache hardening against corrupt
@@ -19,7 +19,7 @@ from repro.core.pipeline import FisheyeCorrector
 from repro.core.remap import RemapLUT, remap_profiled
 from repro.obs.logsetup import LOG_LEVELS, configure_logging, get_logger
 from repro.obs.telemetry import Telemetry, disable, enable, get_telemetry, scoped
-from repro.parallel.procpool import SharedMemoryExecutor
+from repro.serve import StreamBroker
 from repro.video.io import read_pgm
 
 pytestmark = pytest.mark.tier1
@@ -128,30 +128,25 @@ class TestCrossProcessMerge:
     @pytest.mark.parametrize("context", ["fork", "spawn"])
     def test_worker_deltas_merge_into_parent(self, context, small_field,
                                              gradient_image):
-        lut = RemapLUT(small_field, method="bilinear")
+        frames = [gradient_image] * 2
+        expected = RemapLUT(small_field, method="bilinear").apply(gradient_image)
         tel = enable()
         try:
-            with SharedMemoryExecutor(lut, gradient_image.shape,
-                                      gradient_image.dtype, workers=2,
-                                      context=context) as ex:
-                expected = lut.apply(gradient_image)
-                for _ in range(2):
-                    result = ex.run(lut, gradient_image)
-                np.testing.assert_array_equal(result, expected)
-                snap = tel.snapshot()
+            with StreamBroker(workers=2, context=context) as broker:
+                got = list(broker.open(iter(frames), small_field))
+            snap = tel.snapshot()
         finally:
             disable()
-        assert snap["counters"]["executor.frames"] == 2
-        bands = snap["counters"]["executor.bands"]
+        assert len(got) == 2
+        for result in got:
+            np.testing.assert_array_equal(result, expected)
+        bands = snap["counters"]["serve.bands"]
         assert bands >= 2
         # the per-band timings were recorded in the *workers* and
         # shipped back as drain() deltas — their total count proves the
         # merge happened (works identically under fork and spawn)
-        assert snap["histograms"]["executor.band_seconds"]["count"] == bands
-        assert snap["histograms"]["executor.frame_seconds"]["count"] == 2
-        assert snap["histograms"]["executor.fanout_seconds"]["count"] == 2
-        frame_spans = [s for s in snap["spans"] if s["name"] == "executor.frame"]
-        assert len(frame_spans) == 2
+        assert snap["histograms"]["serve.band_seconds"]["count"] == bands
+        assert snap["histograms"]["frame.e2e_latency_seconds"]["count"] == 2
 
     def test_ring_workers_do_not_echo_the_scoped_registry(self, small_field,
                                                           gradient_image):
@@ -171,11 +166,12 @@ class TestCrossProcessMerge:
         assert [s["name"] for s in snap["spans"]].count("parent.setup") == 1
         assert snap["counters"]["serve.bands"] >= 4  # worker deltas merged
 
-    def test_disabled_executor_records_nothing(self, small_field, gradient_image):
-        lut = RemapLUT(small_field, method="bilinear")
-        with SharedMemoryExecutor(lut, gradient_image.shape,
-                                  gradient_image.dtype, workers=2) as ex:
-            ex.run(lut, gradient_image)
+    def test_disabled_executor_records_nothing(self, small_field,
+                                               gradient_image):
+        """A fleet run with telemetry off leaves the registry empty."""
+        with StreamBroker(workers=2) as broker:
+            assert len(list(broker.open(iter([gradient_image]),
+                                        small_field))) == 1
         assert get_telemetry().snapshot() == {}
 
 
@@ -323,8 +319,8 @@ class TestLogging:
         assert logger.level == logging.DEBUG
 
     def test_get_logger_namespaced(self):
-        log = get_logger("repro.parallel.procpool")
-        assert log.name == "repro.parallel.procpool"
+        log = get_logger("repro.serve.broker")
+        assert log.name == "repro.serve.broker"
         assert get_logger("custom").name == "repro.custom"
 
     def test_levels_cover_argparse_choices(self):

@@ -1,11 +1,12 @@
 """Tests: shared-memory segment lifecycle survives crashes and GC.
 
-The executors publish named POSIX segments; losing track of one leaks
-it until reboot and makes Python's resource tracker print warnings at
-interpreter exit.  These tests pin the hardened lifecycle: finalizers
-release segments under fork and spawn, after worker crashes, and even
-when an executor is dropped without ``close()`` — with a *subprocess*
-asserting that nothing survives to the tracker's shutdown sweep.
+The broker's fleet publishes named POSIX segments; losing track of one
+leaks it until reboot and makes Python's resource tracker print
+warnings at interpreter exit.  These tests pin the hardened lifecycle:
+finalizers release segments under fork and spawn, after worker
+crashes, and even when a segment group is dropped without
+``release()`` — with a *subprocess* asserting that nothing survives to
+the tracker's shutdown sweep.
 """
 
 import subprocess
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core.remap import RemapLUT
-from repro.parallel.procpool import SharedMemoryExecutor
 from repro.parallel.ring import ring_stream
 from repro.parallel.shmseg import (
     FrameSegments,
@@ -28,11 +28,6 @@ from repro.parallel.shmseg import (
 )
 
 pytestmark = pytest.mark.tier1
-
-
-def _segment_names(executor):
-    return [shm.name for group in executor._segment_groups
-            for shm in group._shms]
 
 
 def _broker_segment_names(broker):
@@ -132,15 +127,25 @@ class TestLeanPublication:
                 shm.close()
             tables.release()
 
-    @pytest.mark.parametrize("tier", ["numpy", "fixed"])
-    def test_serve_bands_bit_exact_rgb(self, tilted_field, tier):
+    @pytest.mark.parametrize("tier,method,fill", [
+        pytest.param(tier, method, fill, id=tier + suffix)
+        for tier in ("numpy", "fixed")
+        for method, fill, suffix in (("bilinear", 0.0, ""),
+                                     ("nearest", 0.0, "-nearest"),
+                                     ("bicubic", 0.0, "-bicubic"),
+                                     ("bilinear", 33.0, "-fill33"))])
+    def test_serve_bands_bit_exact_rgb(self, tilted_field, tier, method, fill):
+        """Every method, and a fill value in the tilted view's
+        out-of-FOV region, on both tiers (the bilinear zero-fill case
+        keeps the bare tier id)."""
         from repro.serve import StreamBroker
         rng = np.random.default_rng(7)
         frames = [rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
                   for _ in range(3)]
-        lut = RemapLUT(tilted_field).with_tier(tier)
+        lut = RemapLUT(tilted_field, method=method, fill=fill).with_tier(tier)
         with StreamBroker(workers=2) as broker:
-            got = list(broker.open(iter(frames), tilted_field, kernel=tier))
+            got = list(broker.open(iter(frames), tilted_field, method=method,
+                                   fill=fill, kernel=tier))
         assert len(got) == len(frames)
         for g, f in zip(got, frames):
             np.testing.assert_array_equal(g, lut.apply(f))
@@ -165,24 +170,6 @@ class TestLeanPublication:
 
 
 class TestExecutorLifecycle:
-    @pytest.mark.parametrize("cls", [SharedMemoryExecutor])
-    def test_close_unlinks_every_segment(self, small_field, cls):
-        lut = RemapLUT(small_field, method="bilinear")
-        ex = cls(lut, (64, 64), workers=1)
-        names = _segment_names(ex)
-        assert names
-        ex.close()
-        _assert_unlinked(names)
-
-    def test_dropped_executor_unlinks_via_gc(self, small_field):
-        lut = RemapLUT(small_field, method="bilinear")
-        ex = SharedMemoryExecutor(lut, (64, 64), workers=1)
-        names = _segment_names(ex)
-        del ex  # no close(): the finalizers must still fire
-        import gc
-        gc.collect()
-        _assert_unlinked(names)
-
     def test_ring_close_unlinks_every_segment(self, small_field, brokers):
         lut = RemapLUT(small_field, method="bilinear")
         frames = [np.zeros((64, 64), dtype=np.uint8)] * 3
@@ -194,9 +181,10 @@ class TestExecutorLifecycle:
         _assert_unlinked(names)
 
 
-# Run inside a subprocess: build an executor, run one frame, SIGKILL a
-# worker, then exit WITHOUT close() — the tracker's shutdown sweep must
-# find nothing to warn about, and the segments must be gone.
+# Run inside a subprocess: start a ring stream, SIGKILL a worker after
+# two frames, then exit WITHOUT closing anything — the tracker's
+# shutdown sweep must find nothing to warn about, and the segments must
+# be gone.
 _CRASH_SCRIPT = textwrap.dedent("""
     import sys
 
@@ -206,7 +194,8 @@ _CRASH_SCRIPT = textwrap.dedent("""
     from repro.core.lens import EquidistantLens
     from repro.core.mapping import perspective_map
     from repro.core.remap import RemapLUT
-    from repro.parallel.{module} import {factory}
+    from repro.parallel.ring import ring_stream
+    from repro.serve.broker import StreamBroker
 
     SIZE = 64
     circle = SIZE / 2.0 - 1.0
@@ -219,64 +208,43 @@ _CRASH_SCRIPT = textwrap.dedent("""
     lut = RemapLUT(field, method="bilinear")
     frame = np.arange(SIZE * SIZE, dtype=np.uint8).reshape(SIZE, SIZE)
 
-    {body}
+    brokers = []
+    init = StreamBroker.__init__
+
+    def spy(self, *args, **kwargs):
+        brokers.append(self)
+        init(self, *args, **kwargs)
+
+    StreamBroker.__init__ = spy
+
+    def endless():
+        while True:  # only the crash can end this stream
+            yield frame
+
+    names = []
+    try:
+        for k, _ in enumerate(ring_stream((lut,), endless(), workers=2,
+                                          depth=2, context="{context}")):
+            if k == 1:
+                broker = brokers[0]
+                names = [shm.name for s in broker._sessions.values()
+                         for group in s._slots for shm in group._shms]
+                names += [shm.name for tables, _ in broker._tables.values()
+                          for shm in tables._shms]
+                broker._procs[0].kill()
+    except Exception as exc:
+        assert type(exc).__name__ == "StreamError", exc
 
     print("NAMES:" + ",".join(names))
     sys.stdout.flush()
     # deliberately no close(): rely on finalizers + atexit
 """)
 
-_EXECUTOR_BODY = """
-import time
-ex = SharedMemoryExecutor(lut, (SIZE, SIZE), workers=2, context="{context}")
-ex.run(lut, frame)
-# kill the workers MID-TASK (an idle pool worker blocks in get() holding
-# the inqueue lock; killing it there deadlocks Pool teardown — a CPython
-# limitation, not what this test pins down)
-ex._pool.map_async(time.sleep, [5.0, 5.0])
-time.sleep(0.5)
-for p in ex._pool._pool:
-    p.terminate()  # crash every worker mid-remap
-names = [shm.name for group in ex._segment_groups for shm in group._shms]
-"""
 
-_RING_BODY = """
-from repro.serve.broker import StreamBroker
-
-brokers = []
-init = StreamBroker.__init__
-
-def spy(self, *args, **kwargs):
-    brokers.append(self)
-    init(self, *args, **kwargs)
-
-StreamBroker.__init__ = spy
-
-def endless():
-    while True:  # only the crash can end this stream
-        yield frame
-
-names = []
-try:
-    for k, _ in enumerate(ring_stream((lut,), endless(), workers=2, depth=2,
-                                      context="{context}")):
-        if k == 1:
-            broker = brokers[0]
-            names = [shm.name for s in broker._sessions.values()
-                     for group in s._slots for shm in group._shms]
-            names += [shm.name for tables, _ in broker._tables.values()
-                      for shm in tables._shms]
-            broker._procs[0].kill()
-except Exception as exc:
-    assert type(exc).__name__ == "StreamError", exc
-"""
-
-
-def _run_crash_script(module, factory, body, context):
-    script = _CRASH_SCRIPT.format(module=module, factory=factory,
-                                  body=body.format(context=context))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+def _run_crash_script(context):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRASH_SCRIPT.format(context=context)],
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     names_line = [l for l in proc.stdout.splitlines() if l.startswith("NAMES:")]
     assert names_line, proc.stdout
@@ -289,20 +257,68 @@ class TestCrashedWorkerLeavesNoLeak:
     """The regression test the lifecycle hardening exists for."""
 
     @pytest.mark.parametrize("context", ["fork", "spawn"])
-    def test_executor_crash_no_tracker_warnings(self, context):
-        names, stderr = _run_crash_script(
-            "procpool", "SharedMemoryExecutor", _EXECUTOR_BODY, context)
+    def test_ring_crash_no_tracker_warnings(self, context):
+        names, stderr = _run_crash_script(context)
         assert "resource_tracker" not in stderr, stderr
         assert "leaked" not in stderr, stderr
         _assert_unlinked(names)
 
-    @pytest.mark.parametrize("context", ["fork", "spawn"])
-    def test_ring_crash_no_tracker_warnings(self, context):
-        names, stderr = _run_crash_script(
-            "ring", "ring_stream", _RING_BODY, context)
-        assert "resource_tracker" not in stderr, stderr
-        assert "leaked" not in stderr, stderr
-        _assert_unlinked(names)
+
+# Run inside a subprocess: a parent thread holds the resource tracker's
+# lock while the main thread forks; the child's first attach registers
+# with the tracker and must not wait on the lock it inherited held.
+_FORK_LOCK_SCRIPT = textwrap.dedent("""
+    import os
+    import sys
+    import threading
+    import time
+    from multiprocessing import resource_tracker
+
+    import numpy as np
+
+    from repro.parallel.shmseg import (attach_segment, ensure_resource_tracker,
+                                       release_segments, share_array)
+
+    ensure_resource_tracker()
+    shm, _ = share_array(np.arange(16, dtype=np.uint8))
+    lock = resource_tracker._resource_tracker._lock
+    held, done = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            held.set()
+            done.wait()
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(timeout=5.0)
+    pid = os.fork()
+    if pid == 0:
+        attach_segment(shm.name).close()
+        os._exit(0)
+    done.set()
+    holder.join(timeout=5.0)
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        finished, status = os.waitpid(pid, os.WNOHANG)
+        if finished:
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        release_segments([shm])
+        sys.exit("forked child still blocked after 10 s")
+    release_segments([shm])
+    sys.exit(os.waitstatus_to_exitcode(status))
+""")
+
+
+class TestForkedAttach:
+    def test_attach_survives_tracker_lock_held_at_fork(self):
+        proc = subprocess.run([sys.executable, "-c", _FORK_LOCK_SCRIPT],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEarlyStreamClose:
