@@ -130,7 +130,7 @@ def measure_baseline(full: bool) -> dict:
     with open(BASELINE_PATH) as fh:
         base = json.load(fh)
     frame, lut, out = bilinear_workload(*resolution("1080p"))
-    # the warm-up derives and caches the weight table
+    # the warm-up fills the kernel's scratch pool
     apply_s = best_of(lambda: lut.apply_into(frame, out))["best_s"]
     tol = float(base.get("overhead_tolerance", 0.05))
     baseline_s = float(base["fused_apply_into_s"])
@@ -309,18 +309,19 @@ def measured_dma_ledger(lut, tile_rows: int, pixel_bytes: int = 1) -> dict:
     ledger analytically from the coordinate field.
     """
     oh, ow = lut.out_shape
-    n = lut.indices.shape[0]
+    n = oh * ow
     keep = (np.ones(n, dtype=bool) if lut.mask is None
             else np.asarray(lut.mask).reshape(-1))
     src_bytes = 0
     for r0 in range(0, oh, tile_rows):
-        band = slice(r0 * ow, min(oh, r0 + tile_rows) * ow)
-        sel = lut.indices[band][keep[band]]
+        r1 = min(oh, r0 + tile_rows)
+        band = slice(r0 * ow, r1 * ow)
+        sel = lut.tap_offsets(r0, r1)[keep[band]]
         if sel.size:
             rows, cols = np.divmod(sel, lut.src_shape[1])
             src_bytes += (int(np.ptp(rows)) + 1) * (int(np.ptp(cols)) + 1) \
                 * pixel_bytes
-    lut_bytes, out_bytes = n * lut.entry_bytes(), n * pixel_bytes
+    lut_bytes, out_bytes = lut.nbytes, n * pixel_bytes
     return {"tiles": -(-oh // tile_rows), "src_bytes": src_bytes,
             "lut_bytes": lut_bytes, "out_bytes": out_bytes,
             "total_bytes": src_bytes + lut_bytes + out_bytes}

@@ -42,7 +42,7 @@ class TileJob:
 
     ``dma_in_bytes`` is the inbound total; ``dma_src_bytes`` /
     ``dma_lut_bytes`` break it down into source-pixel and LUT-entry
-    traffic so the entry-size accounting (the axis the compact int32
+    traffic so the entry-size accounting (the axis the compact stencil
     table layout optimizes) is visible per tile.
     """
 
@@ -154,8 +154,8 @@ class CellModel(PlatformModel):
 
         Breaks the frame's DMA traffic into source, LUT and output
         bytes — the LUT share scales linearly with the table's
-        ``entry_bytes`` (e.g. halving the bilinear entry from the
-        int64 layout's 49 B to the compact int32 layout's 25 B removes
+        ``entry_bytes`` (e.g. cutting the bilinear entry from the
+        int64 layout's 49 B to the compact stencil layout's 13 B removes
         that fraction of EIB traffic).  Returns totals plus per-pixel
         figures.
         """

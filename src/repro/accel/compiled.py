@@ -2,8 +2,10 @@
 
 This module is the ``compiled`` rung of the kernel-tier ladder
 (:mod:`repro.core.kernel_tiers`): a Numba ``njit(parallel=True)``
-gather-multiply-accumulate over the compact LUT tables — ``int32`` tap
-offsets plus Q-format ``int16`` quantized weights — that finally
+gather-multiply-accumulate over one tile's ``int32`` tap offsets
+(expanded from the LUT's per-pixel base offsets by
+:meth:`~repro.core.remap.RemapLUT.tap_offsets`) and its Q-format
+``int16`` quantized weights — that finally
 leaves numpy's per-ufunc dispatch overhead behind.  The arithmetic is
 the ``fixed`` tier's Q-format model made fast: wide-integer accumulate, ``+half`` then a single arithmetic shift,
 clip, store.

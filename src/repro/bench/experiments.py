@@ -323,8 +323,8 @@ def f7_lut_vs_otf(res: str = "720p", method: str = "bilinear") -> Table:
         table.add_row(p.name, r_lut.fps, r_otf.fps, r_lut.fps / r_otf.fps,
                       r_lut.bottleneck, r_otf.bottleneck)
 
-    # Cell priced with the host library's compact int32 table layout
-    # (e.g. 25 B/entry bilinear vs the 49 B float64 layout): how much of
+    # Cell priced with the host library's compact stencil table layout
+    # (e.g. 13 B/entry bilinear vs the 49 B float64 layout): how much of
     # the Cell's LUT handicap is entry size rather than architecture.
     cell = cell_ps3()
     wl_host_layout = standard_workload(
@@ -337,9 +337,9 @@ def f7_lut_vs_otf(res: str = "720p", method: str = "bilinear") -> Table:
                   r_cell_otf.bottleneck)
 
     # Host measurement: LUT apply vs full on-the-fly remap.  One warmup
-    # apply first — the per-tap weight rows are derived lazily from the
-    # compact per-axis fractions on first use and then cached, a
-    # per-stream (not per-frame) cost in the steady state we are timing.
+    # apply first fills the kernel's scratch pool, a per-stream (not
+    # per-frame) cost in the steady state we are timing; the per-tap
+    # weights are derived from the fractions inside every apply.
     w, h = resolution(res)
     field = standard_field(w, h)
     frame = synth.urban(w, h)
@@ -355,7 +355,7 @@ def f7_lut_vs_otf(res: str = "720p", method: str = "bilinear") -> Table:
     table.notes.append("Bandwidth-rich platforms favour the LUT; "
                        "bandwidth-starved ones (Cell) favour recomputation.")
     table.notes.append("cell(hostlut) re-prices the Cell with the host "
-                       "kernel's compact int32+fraction entries "
+                       "kernel's compact base+fraction entries "
                        f"({RemapLUT.entry_bytes_for(method):.0f} B/px "
                        f"{method}) instead of the deployed packed layout.")
     return table

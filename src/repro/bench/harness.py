@@ -103,7 +103,7 @@ def standard_workload(res: str = "1080p", method: str = "bilinear",
 
     ``lut_entry_bytes`` optionally overrides the table-entry size the
     models price (e.g. ``RemapLUT.entry_bytes_for(method)`` to bill the
-    host library's materialized compact int32 layout instead of the
+    host library's compact stencil layout instead of the
     default deployed packed layout).
     """
     w, h = resolution(res)

@@ -1,7 +1,8 @@
 """The kernel-tier ladder: numpy → fixed-point → compiled.
 
 The remap hot path exists at three rungs, all executing the *same*
-compact LUT tables (int32 tap offsets + per-axis fractions):
+compact LUT tables (one int32 base offset per pixel, a patch list, and
+per-axis fractions or the Q weights derived from them):
 
 ``numpy``
     The fused float gather-multiply-accumulate of
@@ -55,6 +56,7 @@ __all__ = [
     "resolve_tier",
     "numba_available",
     "numba_version",
+    "gather_tap",
     "q_apply_block",
 ]
 
@@ -141,26 +143,63 @@ def resolve_tier(requested: str, *, quiet: bool = False) -> str:
 # ----------------------------------------------------------------------
 # the numpy Q-format block engine
 # ----------------------------------------------------------------------
-def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
-                  out, acc, product, raw):
-    """Fixed-point gather-MAC over one output block (numpy tier).
+def gather_tap(src, flat, base, patch, k, raw):
+    """Gather tap ``k`` of one block's pixels into ``raw``.
 
-    The integer twin of ``RemapLUT._accumulate`` + store epilogue:
-    gather each tap's raw samples into ``raw``, widen them in the
-    multiply by its quantized weight column, accumulate in ``acc``
-    (int32 for 1-byte frames, int64 wider), then round with ``+half``
-    and a single arithmetic shift — the integer arithmetic a DSP or
-    SPE fixed-point kernel performs.
+    ``src`` is ``flat`` viewed from tap ``k``'s stencil step, so
+    ``src.take(base)`` reads ``flat[base + step]`` for every regular
+    pixel; the clipped take keeps the other pixels' reads in bounds.
+    ``patch`` (``(positions, taps)`` or ``None``) then overwrites the
+    block's irregular pixels with their stored tap ``k``.
 
     Parameters
     ----------
+    src:
+        ``flat[step_k:]``, ``(H*W - step_k, channels)``.
+    flat:
+        ``(H*W, channels)`` source samples at their own dtype.
+    base:
+        ``(n,)`` tap-0 offsets of the block, widened to ``intp`` once
+        so no tap's take converts them again.
+    patch:
+        The block's patch rows: positions within the block and their
+        ``(p, taps)`` int32 offsets, or ``None``.
+    k:
+        Tap index.
+    raw:
+        ``(n, channels)`` gather buffer of ``flat``'s dtype.
+    """
+    src.take(base, axis=0, out=raw, mode="clip")
+    if patch is not None:
+        pos, taps = patch
+        raw[pos] = flat[taps[:, k]]
+
+
+def q_apply_block(srcs, flat, base, patch, qw_t, frac_bits, lo, hi, invalid,
+                  fill, out, acc, product, raw):
+    """Fixed-point gather-MAC over one output block (numpy tier).
+
+    The integer twin of ``RemapLUT._accumulate`` + store epilogue:
+    gather each tap's raw samples into ``raw`` (:func:`gather_tap`),
+    widen them in the multiply by its quantized weight column,
+    accumulate in ``acc`` (int32 for 1-byte frames, int64 wider), then
+    round with ``+half`` and a single arithmetic shift — the integer
+    arithmetic a DSP or SPE fixed-point kernel performs.
+
+    Parameters
+    ----------
+    srcs:
+        ``flat`` viewed from each tap's stencil step, tap order.
     flat:
         ``(H*W, channels)`` source samples at their own dtype (a view of
         the frame; nothing is converted ahead of the gather).
-    idx:
-        ``(n, taps)`` int32 flat tap offsets for this block.
+    base, patch:
+        The block's ``intp`` tap-0 offsets and patch rows (see
+        :func:`gather_tap`).
     qw_t:
-        ``(taps, N_block)`` int16 quantized weights for this block.
+        ``(taps, N_block)`` int16 quantized weights for this block, or
+        ``None`` for nearest: its unit weight makes ``(s << bits) + half
+        >> bits`` exactly ``s``, so the multiply and shift are skipped.
     frac_bits:
         Q-format shift.
     lo, hi:
@@ -178,17 +217,20 @@ def q_apply_block(flat, idx, qw_t, frac_bits, lo, hi, invalid, fill,
     raw:
         Pooled ``(n, channels)`` gather buffer of ``flat``'s dtype.
     """
-    taps = idx.shape[1]
-    for k in range(taps):
-        flat.take(idx[:, k], axis=0, out=raw, mode="clip")
+    for k, src in enumerate(srcs):
+        gather_tap(src, flat, base, patch, k, raw)
+        if qw_t is None:
+            np.copyto(acc, raw)
+            continue
         # dtype= forces the wide loop: numpy's own uint8 x int16 loop
         # is int16, where 255 * 16384 wraps to -16384
         np.multiply(raw, qw_t[k][:, None], out=acc if k == 0 else product,
                     dtype=acc.dtype)
         if k:
             np.add(acc, product, out=acc)
-    np.add(acc, acc.dtype.type(1 << (frac_bits - 1)), out=acc)
-    np.right_shift(acc, frac_bits, out=acc)
+    if qw_t is not None:
+        np.add(acc, acc.dtype.type(1 << (frac_bits - 1)), out=acc)
+        np.right_shift(acc, frac_bits, out=acc)
     np.clip(acc, lo, hi, out=acc)
     if invalid is not None:
         acc[invalid] = fill

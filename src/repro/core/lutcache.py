@@ -14,9 +14,12 @@ table no matter how they were constructed.  Two tiers:
 
 - an in-process LRU of live ``RemapLUT`` objects (``capacity`` entries);
 - an optional on-disk tier (``cache_dir``): each entry is a directory
-  of ``.npy`` tables that are **memory-mapped** on load, so a restarted
-  process pays file-open cost, not a rebuild, and the OS page cache
-  shares the bytes between processes.
+  of ``.npy`` tables (the compact layout: ``base``, ``fracs``, ``mask``
+  and a non-empty patch list) that are **memory-mapped** on load, so a
+  restarted process pays file-open cost, not a rebuild, and the OS page
+  cache shares the bytes between processes.  An entry written in
+  another table layout (a different ``version`` in its ``meta.json``)
+  is a plain miss: it is rebuilt and overwritten.
 
 Typical streaming-restart usage::
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
 from collections import OrderedDict
@@ -45,7 +49,10 @@ from .remap import RemapLUT
 
 __all__ = ["LUTCache", "field_fingerprint", "derived_fingerprint"]
 
-_FORMAT_VERSION = 1
+#: On-disk table layout.  Version 1 stored ``(N, taps)`` offsets
+#: (``indices.npy``); version 2 stores one ``base`` per pixel plus the
+#: patch list.
+_FORMAT_VERSION = 2
 
 
 def field_fingerprint(field: RemapField) -> str:
@@ -296,11 +303,15 @@ class LUTCache:
             return
         tmp = path + ".tmp"
         os.makedirs(tmp, exist_ok=True)
-        np.save(os.path.join(tmp, "indices.npy"), lut.indices)
+        np.save(os.path.join(tmp, "base.npy"), lut.base)
         if lut.fracs is not None:
             np.save(os.path.join(tmp, "fracs.npy"), lut.fracs)
         if lut.mask is not None:
             np.save(os.path.join(tmp, "mask.npy"), lut.mask)
+        patches = len(lut.patch_pixels)
+        if patches:
+            np.save(os.path.join(tmp, "patch_pixels.npy"), lut.patch_pixels)
+            np.save(os.path.join(tmp, "patch_taps.npy"), lut.patch_taps)
         meta = {
             "version": _FORMAT_VERSION,
             "method": lut.method,
@@ -308,6 +319,7 @@ class LUTCache:
             "fill": lut.fill,
             "out_shape": list(lut.out_shape),
             "src_shape": list(lut.src_shape),
+            "patches": patches,
         }
         with open(os.path.join(tmp, "meta.json"), "w") as fh:
             json.dump(meta, fh)
@@ -317,7 +329,6 @@ class LUTCache:
         except OSError:
             # Entry appeared concurrently (or non-empty dir on this
             # platform): keep the existing one.
-            import shutil
             shutil.rmtree(tmp, ignore_errors=True)
 
     def _corrupt(self) -> None:
@@ -336,19 +347,29 @@ class LUTCache:
             with open(os.path.join(path, "meta.json")) as fh:
                 meta = json.load(fh)
             if meta.get("version") != _FORMAT_VERSION:
+                # Another table layout: a miss, not a corrupt read.  Drop
+                # it so the rebuild that follows can take its place.
+                shutil.rmtree(path, ignore_errors=True)
                 return None
-            indices = np.load(os.path.join(path, "indices.npy"), mmap_mode="r")
-            fracs_path = os.path.join(path, "fracs.npy")
-            fracs = np.load(fracs_path, mmap_mode="r") if os.path.exists(fracs_path) else None
-            mask_path = os.path.join(path, "mask.npy")
-            mask = np.load(mask_path, mmap_mode="r") if os.path.exists(mask_path) else None
+
+            def table(name):
+                return np.load(os.path.join(path, name + ".npy"), mmap_mode="r")
+
+            def optional(name):
+                exists = os.path.exists(os.path.join(path, name + ".npy"))
+                return table(name) if exists else None
+
+            fracs = optional("fracs")
             if meta["method"] != "nearest" and fracs is None:
                 self._corrupt()
                 return None
+            patch = ((table("patch_pixels"), table("patch_taps"))
+                     if meta["patches"] else None)
             return RemapLUT.from_tables(
-                indices, fracs, mask,
+                table("base"), fracs, optional("mask"),
                 out_shape=tuple(meta["out_shape"]), src_shape=tuple(meta["src_shape"]),
-                method=meta["method"], border=meta["border"], fill=meta["fill"])
+                method=meta["method"], border=meta["border"], fill=meta["fill"],
+                patch=patch)
         except (OSError, EOFError, ValueError, KeyError, TypeError,
                 json.JSONDecodeError, ReproError):
             self._corrupt()

@@ -15,11 +15,20 @@ explores:
     accelerator models ship to device memory (its entry size determines
     DMA traffic).
 
-The LUT stores the *compact* table layout: ``int32`` flat gather
-offsets plus per-axis interpolation fractions (nothing at all for
-nearest), from which the per-tap weight vectors are derived — the same
-entry the paper DMAs to a Cell SPE or streams through a GPU texture
-path.  :meth:`RemapLUT.entry_bytes` prices exactly this layout.
+The LUT stores the *compact* table layout: one ``int32`` flat offset
+per output pixel (its resolved tap 0, the ``base``) plus per-axis
+interpolation fractions (nothing at all for nearest).  Every other tap
+sits at a fixed stencil step from the base — ``base + (0, 1, W, W+1)``
+for bilinear, the 4x4 grid for bicubic — so the kernel gathers each tap
+through a view of the source offset by that step.  The few valid
+pixels whose resolved taps break the stencil (a clamp at the right or
+bottom edge, bicubic near any edge, a ``replicate``/``reflect``/``wrap``
+fold) are kept in a small patch list of ``(pixel, taps)`` rows that the
+kernel re-gathers.  The per-tap weights are derived from the fractions
+per tile, the same entry the paper DMAs to a Cell SPE or streams
+through a GPU texture path.  :meth:`RemapLUT.entry_bytes` prices
+exactly this layout and :meth:`RemapLUT.tap_offsets` expands it back to
+the ``(pixels, taps)`` offsets.
 
 Both halves allocate only band-sized intermediates at the sample's
 native width, as a Cell SPE only ever holds its own band:
@@ -31,7 +40,8 @@ native width, as a Cell SPE only ever holds its own band:
   evaluator (a composed table) without any stored field;
 - a frame apply gathers each tap's *raw* samples (``uint8`` for camera
   frames) into pooled scratch of the frame's dtype and widens them in
-  the multiply, never converting the whole source plane.
+  the multiply, never converting the whole source plane, and derives
+  each tap's weights for one tile at a time.
 
 Frame application is a fused gather-multiply-accumulate
 (:meth:`RemapLUT.apply`).  The ``numpy`` and ``fixed`` tiers share one
@@ -39,7 +49,7 @@ tile walk: the requested output rows are processed
 :data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS` at a time through
 one pooled, tile-sized scratch set, and each tile is stored straight
 into its rows of the destination — a whole 720p RGB frame borrows
-~2.2 MB of scratch, not the ~25 MB a frame-sized set took.  The pool
+~3.2 MB of scratch, not the ~25 MB a frame-sized set took.  The pool
 is reused across calls, so steady-state streaming performs **zero
 allocations**:
 
@@ -58,10 +68,12 @@ all three against the scalar oracle.
 When a :mod:`repro.obs` registry is enabled the kernel reports
 ``remap.frames`` / ``remap.bands`` / ``remap.pixels`` /
 ``remap.bytes_gathered`` (the bytes the gather reads, at the frame's
-own sample width) counters and ``remap.apply_seconds`` /
-``remap.band_seconds`` latency histograms; the disabled registry costs
-one branch per call (never per pixel), which the overhead gate in
-``benchmarks/check_regression.py`` enforces.
+own sample width) / ``remap.bytes_streamed`` (table, sample and output
+bytes, the :meth:`RemapLUT.traffic_per_frame` ledger) counters and
+``remap.apply_seconds`` / ``remap.band_seconds`` latency histograms;
+the disabled registry costs one branch per call (never per pixel),
+which the overhead gate in ``benchmarks/check_regression.py``
+enforces.
 
 Execution is *tiered* (:mod:`repro.core.kernel_tiers`): every LUT
 carries a ``tier`` — ``numpy`` (the float fused kernel below),
@@ -129,14 +141,25 @@ _BUILD_ROWS = 8
 _FRAC_FLOATS = {"nearest": 0, "bilinear": 2, "bicubic": 8}
 
 
-def _table_band(mx, my, method, border, w, h, idx, fracs, mask):
+def _stencil(method, w):
+    """Flat offsets of a pixel's taps from its tap 0 on a source ``w``
+    samples wide, in tap order: ``(0,)``, ``(0, 1, w, w+1)`` or the
+    row-major 4x4 grid."""
+    side = {"nearest": 1, "bilinear": 2, "bicubic": 4}[method]
+    return np.array([j * w + i for j in range(side) for i in range(side)],
+                    dtype=np.int32)
+
+
+def _table_band(mx, my, method, border, w, h, base, fracs, mask):
     """Resolve one band of coordinates into its rows of the final tables.
 
     ``mx``/``my`` are the band's float64 source coordinates (any shape);
-    ``idx`` (int32 offsets), ``fracs`` (float32, ``None`` for nearest)
-    and ``mask`` (bool, ``None`` unless ``constant``) are the band's
-    rows of the LUT's tables and are written in place.  Every
-    temporary is band-sized.
+    ``base`` (int32 tap-0 offsets), ``fracs`` (float32, ``None`` for
+    nearest) and ``mask`` (bool, ``None`` unless ``constant``) are the
+    band's rows of the LUT's tables and are written in place.  Returns
+    the band's patch rows ``(positions, taps)``: the valid pixels whose
+    resolved taps are not ``base + stencil``, with all their taps.
+    Every temporary is band-sized.
     """
     mx = mx.ravel()
     my = my.ravel()
@@ -145,31 +168,70 @@ def _table_band(mx, my, method, border, w, h, idx, fracs, mask):
     if method == "nearest":
         ix = np.rint(np.where(np.isfinite(mx), mx, 0.0)).astype(np.int64)
         iy = np.rint(np.where(np.isfinite(my), my, 0.0)).astype(np.int64)
-        idx[:, 0] = (_resolve_border(iy, h, border) * w
-                     + _resolve_border(ix, w, border))
+        cols = [_resolve_border(ix, w, border)]
+        rows = [_resolve_border(iy, h, border) * w]
     elif method == "bilinear":
         ix, iy, fx, fy = interp.bilinear_taps(mx, my)
-        x0 = _resolve_border(ix, w, border)
-        x1 = _resolve_border(ix + 1, w, border)
-        y0 = _resolve_border(iy, h, border) * w
-        y1 = _resolve_border(iy + 1, h, border) * w
-        for k, (row, col) in enumerate(((y0, x0), (y0, x1), (y1, x0), (y1, x1))):
-            np.add(row, col, out=idx[:, k], casting="unsafe")
+        cols = [_resolve_border(ix + i, w, border) for i in range(2)]
+        rows = [_resolve_border(iy + j, h, border) * w for j in range(2)]
         fracs[:, 0] = fx
         fracs[:, 1] = fy
     else:  # bicubic
         ix, iy, wx, wy = interp.bicubic_taps(mx, my)
         cols = [_resolve_border(ix - 1 + i, w, border) for i in range(4)]
-        for j in range(4):
-            row = _resolve_border(iy - 1 + j, h, border) * w
-            for i in range(4):
-                np.add(row, cols[i], out=idx[:, j * 4 + i], casting="unsafe")
+        rows = [_resolve_border(iy - 1 + j, h, border) * w for j in range(4)]
         fracs[:, :4] = wx
         fracs[:, 4:] = wy
+    # tap (j, i) reads rows[j] + cols[i]; it is base + j*w + i for every
+    # tap exactly when each axis steps by one sample
+    np.add(rows[0], cols[0], out=base, casting="unsafe")
+    irregular = np.zeros(base.shape, dtype=bool)
+    for i, col in enumerate(cols[1:], 1):
+        irregular |= col != cols[0] + i
+    for j, row in enumerate(rows[1:], 1):
+        irregular |= row != rows[0] + j * w
     if mask is not None:
         # Invalid output pixels contribute nothing; keep their taps at 0
         # so the gather stays in-bounds and branch-free.
-        idx[~mask] = 0
+        base[~mask] = 0
+        irregular &= mask
+    pos = np.flatnonzero(irregular)
+    taps = np.empty((pos.size, len(rows) * len(cols)), dtype=np.int32)
+    for j, row in enumerate(rows):
+        for i, col in enumerate(cols):
+            np.add(row[pos], col[pos], out=taps[:, j * len(cols) + i],
+                   casting="unsafe")
+    return pos, taps
+
+
+def _tap_weight(method, k, fracs, out, spare):
+    """Write tap ``k``'s float32 weights into ``out`` (bilinear or
+    bicubic), for the pixels whose stored fractions are ``fracs``.
+
+    The one weight formula, shared by the kernel (one tap of one tile
+    at a time) and the expanded tables (:attr:`RemapLUT.weights`, the
+    Q-format tables): bilinear ``(1-fx)(1-fy)``, ``fx(1-fy)``,
+    ``(1-fx)fy``, ``fx fy``; bicubic row weight times column weight.
+    ``spare`` is a float32 row as long as ``out``, free to hold
+    bilinear tap 0's ``1 - fx``, so no tap allocates.
+    """
+    if method == "bilinear":
+        one = np.float32(1.0)
+        fx, fy = fracs[:, 0], fracs[:, 1]
+        if k == 0:
+            np.subtract(one, fx, out=spare)
+            np.subtract(one, fy, out=out)
+            np.multiply(spare, out, out=out)
+        elif k == 1:
+            np.subtract(one, fy, out=out)
+            np.multiply(fx, out, out=out)
+        elif k == 2:
+            np.subtract(one, fx, out=out)
+            np.multiply(out, fy, out=out)
+        else:
+            np.multiply(fx, fy, out=out)
+    else:  # bicubic
+        np.multiply(fracs[:, 4 + k // 4], fracs[:, k % 4], out=out)
 
 
 def _check_frac_bits(frac_bits: int) -> int:
@@ -209,14 +271,17 @@ class StageProfile:
 class _ScratchPool:
     """Thread-safe pool of per-call kernel scratch buffers.
 
-    A set is ``(acc, product, raw)``: the accumulator, a product scratch
-    of the accumulator dtype and a gather scratch of the frame's own
-    dtype (the product scratch itself when the two dtypes agree), each
-    one tile of rows.  The tile walk borrows a set per call, slices it
-    for a partial tile and returns it afterwards, so a steady-state
-    stream touches the allocator only on its first frame.  Keys are
-    ``(rows, channels, acc dtype, sample dtype)`` — concurrent tile
-    workers each get their own set.
+    A set is ``[acc, product, raw, index, wrow]``, each one tile of
+    rows: the accumulator, a product scratch of the accumulator dtype, a
+    gather scratch of the frame's own dtype (the product scratch itself
+    when the two dtypes agree), the tile's base offsets widened to
+    ``intp`` once for all its taps' takes, and the float32 tap-weight
+    row of a float tier with weights (``None`` until a caller asks for
+    it).  The tile walk borrows a set per call, slices it for a partial
+    tile and returns it afterwards, so a steady-state stream touches
+    the allocator only on its first frame.  Keys are ``(rows, channels,
+    acc dtype, sample dtype)`` — concurrent tile workers each get their
+    own set.
     """
 
     _MAX_PER_KEY = 8  # bound idle memory under bursty concurrency
@@ -229,20 +294,26 @@ class _ScratchPool:
     def _key(n, channels, dtype, raw_dtype):
         return (n, channels, np.dtype(dtype).str, np.dtype(raw_dtype).str)
 
-    def acquire(self, n: int, channels: int, dtype, raw_dtype):
+    def acquire(self, n: int, channels: int, dtype, raw_dtype,
+                weights: bool = False):
         key = self._key(n, channels, dtype, raw_dtype)
+        bufs = None
         with self._lock:
             stack = self._free.get(key)
             if stack:
-                return stack.pop()
-        acc = np.empty((n, channels), dtype=dtype)
-        product = np.empty((n, channels), dtype=dtype)
-        raw = (product if np.dtype(raw_dtype) == acc.dtype
-               else np.empty((n, channels), dtype=raw_dtype))
-        return acc, product, raw
+                bufs = stack.pop()
+        if bufs is None:
+            acc = np.empty((n, channels), dtype=dtype)
+            product = np.empty((n, channels), dtype=dtype)
+            raw = (product if np.dtype(raw_dtype) == acc.dtype
+                   else np.empty((n, channels), dtype=raw_dtype))
+            bufs = [acc, product, raw, np.empty(n, dtype=np.intp), None]
+        if weights and bufs[4] is None:
+            bufs[4] = np.empty(n, dtype=np.float32)
+        return bufs
 
     def release(self, bufs):
-        acc, _, raw = bufs
+        acc, _, raw = bufs[:3]
         key = self._key(acc.shape[0], acc.shape[1], acc.dtype, raw.dtype)
         with self._lock:
             stack = self._free.setdefault(key, [])
@@ -275,7 +346,7 @@ def _store_epilogue(acc, invalid, fill, dst, tel=None):
 
 
 class RemapLUT:
-    """Precomputed gather indices + interpolation fractions for one field.
+    """Precomputed gather offsets + interpolation fractions for one field.
 
     Parameters
     ----------
@@ -291,18 +362,24 @@ class RemapLUT:
 
     Notes
     -----
-    Indices are stored as flat row-major ``int32`` offsets into the
-    source frame so that a frame application is a single fancy-indexed
-    gather — the same dataflow as a DMA'd scatter-gather list or a
-    texture fetch, at half the index traffic of an ``int64`` table.
+    The table stores one flat row-major ``int32`` offset per output
+    pixel, ``base``: the pixel's resolved tap 0.  Its other taps sit at
+    fixed stencil steps from it (``base + (0, 1, W, W+1)`` bilinear,
+    the 4x4 grid bicubic), so a frame application gathers tap ``k`` of
+    every pixel with one take through the source viewed from step
+    ``k`` — the same dataflow as a DMA'd scatter-gather list or a
+    texture fetch, at a quarter (bilinear) of the index traffic of a
+    per-tap table.  Valid pixels whose resolved taps break the stencil
+    are the *patch list*: ``patch_pixels`` (their output positions,
+    ascending) and ``patch_taps`` (all their taps), re-gathered by the
+    kernel.  Invalid pixels (``constant`` mode) keep every tap at 0.
     Instead of materialized per-tap weights, the table keeps only the
     per-axis interpolation fractions (``fracs``): 2 float32 for
     bilinear, the two 4-vector Catmull-Rom axis weights for bicubic,
-    nothing for nearest.  The full ``(taps,)`` weight vector is derived
-    from them once, lazily, into a reusable scratch table — in a
-    hardware kernel that derivation happens in-register, which is why
-    :meth:`entry_bytes` (DMA sizing) prices only indices + fractions
-    (+ 1 mask byte).
+    nothing for nearest.  The float weights are derived per tile into
+    pooled scratch — in a hardware kernel that derivation happens
+    in-register, which is why :meth:`entry_bytes` (DMA sizing) prices
+    only the base + fractions (+ 1 mask byte).
     """
 
     def __init__(self, field: RemapField, method: str = "bilinear",
@@ -341,13 +418,8 @@ class RemapLUT:
         if border not in interp.BORDER_MODES:
             raise InterpolationError(
                 f"unknown border mode {border!r}; known: {interp.BORDER_MODES}")
-        self.method = method
-        self.border = border
-        self.fill = float(fill)
-        self.tier = kernel_tiers.resolve_tier(tier)
-        self.frac_bits = _check_frac_bits(frac_bits)
-        self.out_shape = out_shape
-        self.src_shape = src_shape
+        self._set_params(out_shape, src_shape, method, border, fill, tier,
+                         frac_bits)
         h, w = src_shape
         if h * w - 1 > np.iinfo(np.int32).max:
             raise MappingError(
@@ -355,41 +427,32 @@ class RemapLUT:
                 f"compact LUT layout")
         h_out, w_out = out_shape
         n = h_out * w_out
-        self.indices = np.empty((n, interp.footprint(method)), dtype=np.int32)
+        self.base = np.empty(n, dtype=np.int32)
+        # fractions are stored axis-major — an (N, F) view of (F, N)
+        # memory — so a tile's per-axis reads are contiguous streams
         self.fracs = (None if method == "nearest" else
-                      np.empty((n, _FRAC_FLOATS[method]), dtype=np.float32))
+                      np.empty((_FRAC_FLOATS[method], n), dtype=np.float32).T)
         self.mask = np.empty(n, dtype=bool) if border == "constant" else None
+        pixels, taps = [np.empty(0, dtype=np.intp)], [
+            np.empty((0, self.taps), dtype=np.int32)]
         for r0 in range(0, h_out, _BUILD_ROWS):
             r1 = min(r0 + _BUILD_ROWS, h_out)
             sl = slice(r0 * w_out, r1 * w_out)
             mx, my = rows(r0, r1)
-            _table_band(mx, my, method, border, w, h, self.indices[sl],
-                        None if self.fracs is None else self.fracs[sl],
-                        None if self.mask is None else self.mask[sl])
-        self._invalid = None       # lazily ~mask
-        self._wtab = None          # lazily derived (taps, N) weight table
+            pos, tap_rows = _table_band(
+                mx, my, method, border, w, h, self.base[sl],
+                None if self.fracs is None else self.fracs[sl],
+                None if self.mask is None else self.mask[sl])
+            if pos.size:
+                pixels.append(pos + sl.start)
+                taps.append(tap_rows)
+        self.patch_pixels = np.concatenate(pixels)
+        self.patch_taps = np.concatenate(taps)
         self._qwtab = None         # lazily derived (taps, N) int16 Q weights
         self._pool = _ScratchPool()
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_tables(cls, indices, fracs, mask, out_shape, src_shape,
-                    method: str, border: str, fill: float,
-                    weight_table=None, tier: str = "numpy",
-                    frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS,
-                    qweight_table=None) -> "RemapLUT":
-        """Reconstruct a LUT from prebuilt tables (cache / shared memory).
-
-        Arrays are adopted as-is (no copy), so memory-mapped or
-        shared-memory-backed tables stay zero-copy.  ``weight_table``
-        optionally injects an already-derived ``(taps, N)`` float32
-        weight table, e.g. one living in a shared segment;
-        ``qweight_table`` likewise injects the ``(taps, N)`` int16
-        quantized table the Q tiers execute.  ``fracs`` may be ``None``
-        when the tier's weight table is injected instead — the lean
-        form :meth:`kernel_tables` hands to shared-memory publication.
-        """
-        self = cls.__new__(cls)
+    def _set_params(self, out_shape, src_shape, method, border, fill, tier,
+                    frac_bits):
         self.method = method
         self.border = border
         self.fill = float(fill)
@@ -397,15 +460,38 @@ class RemapLUT:
         self.frac_bits = _check_frac_bits(frac_bits)
         self.out_shape = tuple(out_shape)
         self.src_shape = tuple(src_shape)
-        self.indices = indices
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_tables(cls, base, fracs, mask, out_shape, src_shape,
+                    method: str, border: str, fill: float,
+                    tier: str = "numpy",
+                    frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS,
+                    qweight_table=None, patch=None) -> "RemapLUT":
+        """Reconstruct a LUT from prebuilt tables (cache / shared memory).
+
+        Arrays are adopted as-is (no copy), so memory-mapped or
+        shared-memory-backed tables stay zero-copy.  ``patch`` is the
+        ``(patch_pixels, patch_taps)`` pair (``None``: no patch rows).
+        ``qweight_table`` optionally injects the ``(taps, N)`` int16
+        quantized table the Q tiers execute; ``fracs`` may be ``None``
+        when it is injected instead — the form :meth:`kernel_tables`
+        hands a Q-tier publication.
+        """
+        self = cls.__new__(cls)
+        self._set_params(out_shape, src_shape, method, border, fill, tier,
+                         frac_bits)
+        n = int(np.prod(self.out_shape))
+        if base.shape != (n,):
+            raise MappingError(
+                f"base table {base.shape} does not cover output {self.out_shape}")
+        self.base = base
         self.fracs = fracs
         self.mask = mask
-        n = int(np.prod(self.out_shape))
-        if indices.ndim != 2 or indices.shape[0] != n:
-            raise MappingError(
-                f"index table {indices.shape} does not cover output {self.out_shape}")
-        self._invalid = None
-        self._wtab = weight_table
+        if patch is None:
+            patch = (np.empty(0, dtype=np.intp),
+                     np.empty((0, self.taps), dtype=np.int32))
+        self.patch_pixels, self.patch_taps = patch
         self._qwtab = qweight_table
         self._pool = _ScratchPool()
         return self
@@ -414,9 +500,9 @@ class RemapLUT:
                   frac_bits: int | None = None) -> "RemapLUT":
         """A view of this LUT executing on another kernel tier.
 
-        The returned LUT *shares* the underlying tables (indices,
-        fractions, mask and any already-derived weight tables), so
-        re-tiering is cheap and safe even for LUTs handed out by a
+        The returned LUT *shares* the underlying tables (base,
+        fractions, mask, patch list and any already-derived Q weights),
+        so re-tiering is cheap and safe even for LUTs handed out by a
         shared :class:`~repro.core.lutcache.LUTCache` — the cached
         object is never mutated.  ``tier`` accepts ``auto`` and
         resolves it here (with the numpy fallback when numba is
@@ -427,10 +513,11 @@ class RemapLUT:
         if resolved == self.tier and bits == self.frac_bits:
             return self
         return RemapLUT.from_tables(
-            self.indices, self.fracs, self.mask, self.out_shape,
+            self.base, self.fracs, self.mask, self.out_shape,
             self.src_shape, self.method, self.border, self.fill,
-            weight_table=self._wtab, tier=resolved, frac_bits=bits,
-            qweight_table=self._qwtab if bits == self.frac_bits else None)
+            tier=resolved, frac_bits=bits,
+            qweight_table=self._qwtab if bits == self.frac_bits else None,
+            patch=(self.patch_pixels, self.patch_taps))
 
     # Scratch pools and derived tables are per-process state; drop them
     # when a LUT is pickled to a worker — unless there are no fractions
@@ -438,16 +525,14 @@ class RemapLUT:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_pool"] = None
-        state["_invalid"] = None
-        if self.fracs is not None or self.method == "nearest":
-            state["_wtab"] = None
+        if self.fracs is not None:
             state["_qwtab"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # LUTs pickled by pre-tier callers (or old cache blobs) lack
-        # the tier fields; default them.
+        # LUTs pickled by pre-tier callers lack the tier fields; default
+        # them.
         self.__dict__.setdefault("tier", "numpy")
         self.__dict__.setdefault("frac_bits", kernel_tiers.DEFAULT_FRAC_BITS)
         self.__dict__.setdefault("_qwtab", None)
@@ -457,37 +542,77 @@ class RemapLUT:
     @property
     def taps(self) -> int:
         """Source gathers per output pixel."""
-        return self.indices.shape[1]
+        return interp.footprint(self.method)
+
+    def tap_offsets(self, row0: int = 0, row1: int | None = None, out=None):
+        """The resolved ``(pixels, taps)`` int32 gather offsets of output
+        rows ``[row0, row1)`` (all rows by default), expanded from the
+        stored layout.
+
+        Regular pixels get ``base + stencil``, patch pixels their stored
+        taps and invalid pixels 0 — exactly the per-tap table a
+        whole-array build makes.  ``out`` optionally receives the result
+        (an ``(pixels, taps)`` int32 buffer).  The one reader of the
+        expanded form: address traces, DMA ledgers, test oracles and
+        the compiled tier's per-tile taps.
+        """
+        w_out = self.out_shape[1]
+        row1 = self.out_shape[0] if row1 is None else row1
+        sl = slice(row0 * w_out, row1 * w_out)
+        base = self.base[sl]
+        if out is None:
+            out = np.empty((base.size, self.taps), dtype=np.int32)
+        np.add(base[:, None], _stencil(self.method, self.src_shape[1]),
+               out=out)
+        if self.mask is not None:
+            out[~np.asarray(self.mask[sl])] = 0
+        patch = self._tile_patch(sl)
+        if patch is not None:
+            out[patch[0]] = patch[1]
+        return out
 
     @property
     def weights(self):
         """Derived per-tap weight matrix, shape ``(N, taps)`` float32.
 
-        This is the *expanded* form of the stored fractions (scratch, not
-        part of the streamed table); rows of invalid output pixels are
-        zero.  Kept for consumers that need explicit weights, e.g. an
-        independent check of the Q tiers'
+        This is the *expanded* form of the stored fractions, derived
+        fresh on every access (the kernel never uses it); rows of
+        invalid output pixels are zero.  Kept for consumers that need
+        explicit weights, e.g. an independent check of the Q tiers'
         :func:`~repro.core.fixedpoint.quantize_weights` tables.
         """
-        return self._weight_table_full().T
+        self._require_fracs()
+        wtab = np.empty((self.taps, self.base.shape[0]), dtype=np.float32)
+        for sl in self._row_bands():
+            self._weight_band(sl, wtab[:, sl])
+        return wtab.T
 
     @property
     def nbytes(self) -> int:
-        """Size of the compact table (indices + fracs + mask).
+        """Size of the compact table: :meth:`entry_bytes` per output
+        pixel plus the patch list.
 
-        Priced from :meth:`entry_bytes`, so a LUT rebuilt from a lean
-        shared-memory publication (no ``fracs``) reports the same size
-        as the LUT it was published from.
+        Priced from :meth:`entry_bytes`, so a LUT rebuilt from a Q-tier
+        publication (Q weights in place of ``fracs``) reports the same
+        size as the LUT it was published from.
         """
-        return int(np.prod(self.out_shape)) * self.entry_bytes()
+        return (int(np.prod(self.out_shape)) * self.entry_bytes()
+                + self._patch_bytes(len(self.patch_pixels)))
+
+    def _patch_bytes(self, rows: int) -> int:
+        """Stored bytes of ``rows`` patch rows (position + taps)."""
+        return rows * (self.patch_pixels.itemsize
+                       + self.taps * self.patch_taps.itemsize)
 
     def entry_bytes(self) -> int:
         """Bytes per output pixel of streamed LUT data (DMA sizing).
 
-        Compact layout: ``taps`` int32 offsets, the per-axis fractions
+        Compact layout: one int32 base offset, the per-axis fractions
         (8 B bilinear, 32 B bicubic, 0 B nearest) and one validity byte
-        in ``constant`` mode.  The derived tap weights are *not*
-        counted — a device kernel rebuilds them in-register.
+        in ``constant`` mode.  The derived tap offsets and weights are
+        *not* counted — a device kernel rebuilds them in-register.  The
+        Q tiers read int16 weights in place of the fractions, the same
+        8 B bilinear and 32 B bicubic.
         """
         return self.entry_bytes_for(self.method, self.border)
 
@@ -501,8 +626,7 @@ class RemapLUT:
         if method not in interp.METHODS:
             raise InterpolationError(
                 f"unknown interpolation method {method!r}; known: {interp.METHODS}")
-        taps = interp.footprint(method)
-        return 4 * taps + 4 * _FRAC_FLOATS[method] + (1 if border == "constant" else 0)
+        return 4 + 4 * _FRAC_FLOATS[method] + (1 if border == "constant" else 0)
 
     def traffic_per_frame(self, channels: int = 1,
                           pixel_bytes: int = 1) -> dict:
@@ -513,16 +637,17 @@ class RemapLUT:
         source gathers (``taps`` reads per output pixel per channel —
         this is exactly what the ``remap.bytes_gathered`` counter
         observes at run time), the streamed LUT entries
-        (:meth:`entry_bytes` per output pixel, independent of the
-        channel count — the table is shared across planes/channels)
-        and the output writes.  Planar 4:2:0 streaming sums this
-        ledger over the full-resolution luma LUT plus two half-
-        resolution chroma applies, which is where its ~2x
-        bytes-touched advantage over 3-channel RGB comes from.
+        (:meth:`entry_bytes` per output pixel plus the patch list,
+        independent of the channel count — the table is shared across
+        planes/channels) and the output writes.  ``total_bytes`` is
+        what the ``remap.bytes_streamed`` counter observes.  Planar
+        4:2:0 streaming sums this ledger over the full-resolution luma
+        LUT plus two half-resolution chroma applies, which is where its
+        ~2x bytes-touched advantage over 3-channel RGB comes from.
         """
         n = int(np.prod(self.out_shape))
         gather = n * self.taps * channels * pixel_bytes
-        lut = n * self.entry_bytes()
+        lut = self.nbytes
         out = n * channels * pixel_bytes
         return {
             "pixels": n,
@@ -534,40 +659,8 @@ class RemapLUT:
         }
 
     # ------------------------------------------------------------------
-    # Derived tables (scratch; lazily built, reused across frames)
+    # Derived tables and per-tile views of the stored ones
     # ------------------------------------------------------------------
-    def _invalid_mask(self):
-        if self.mask is None:
-            return None
-        if self._invalid is None:
-            self._invalid = ~self.mask
-        return self._invalid
-
-    def _weight_table(self):
-        """``(taps, N)`` float32 weight rows, or ``None`` for nearest."""
-        if self.method == "nearest":
-            return None
-        return self._weight_table_full()
-
-    def _weight_table_full(self):
-        if self._wtab is None:
-            self._wtab = self._derive_weight_table()
-        return self._wtab
-
-    def _derive_weight_table(self):
-        """Expand ``fracs`` into fresh ``(taps, N)`` float32 weight rows.
-
-        Uncached: :meth:`_weight_table_full` keeps the result on the
-        LUT, :meth:`kernel_tables` hands it out without keeping it.
-        Derived band by band, so the only frame-sized allocation is the
-        table itself.
-        """
-        self._require_fracs()
-        wtab = np.empty((self.taps, self.indices.shape[0]), dtype=np.float32)
-        for sl in self._row_bands():
-            self._weight_band(sl, wtab[:, sl])
-        return wtab
-
     def _require_fracs(self):
         if self.method != "nearest" and self.fracs is None:
             raise KernelTierError(
@@ -577,7 +670,7 @@ class RemapLUT:
 
     def _row_bands(self):
         """Table-row slices of :data:`_BUILD_ROWS` output rows each."""
-        n = self.indices.shape[0]
+        n = self.base.shape[0]
         step = _BUILD_ROWS * self.out_shape[1]
         return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
@@ -586,69 +679,91 @@ class RemapLUT:
         ``(taps, len)`` block ``out``; rows of invalid pixels are 0."""
         if self.method == "nearest":
             out[...] = 1.0
-        elif self.method == "bilinear":
-            fx = self.fracs[sl, 0]
-            fy = self.fracs[sl, 1]
-            one = np.float32(1.0)
-            gx = one - fx
-            gy = one - fy
-            np.multiply(gx, gy, out=out[0])
-            np.multiply(fx, gy, out=out[1])
-            np.multiply(gx, fy, out=out[2])
-            np.multiply(fx, fy, out=out[3])
-        else:  # bicubic
+        else:
             fr = self.fracs[sl]
-            for j in range(4):
-                for i in range(4):
-                    np.multiply(fr[:, 4 + j], fr[:, i], out=out[j * 4 + i])
+            for k in range(self.taps):
+                # tap 0 borrows tap 1's row, written next
+                _tap_weight(self.method, k, fr, out[k], out[1])
         if self.mask is not None:
             out[:, ~self.mask[sl]] = 0.0
 
     def _qweight_table(self):
         """``(taps, N)`` int16 Q-format weights for the fixed/compiled
-        tiers; rows of one tap are contiguous so both the ufunc columns
+        tiers (``None`` for nearest, whose unit weight the Q kernels
+        skip); rows of one tap are contiguous so both the ufunc columns
         and the jitted per-tap streams read forward."""
+        if self.method == "nearest":
+            return None
         if self._qwtab is None:
             self._qwtab = self._derive_qweight_table()
         return self._qwtab
 
     def _derive_qweight_table(self):
         """Quantize the float weights band by band into a fresh
-        ``(taps, N)`` int16 table (uncached, like the float table)."""
-        if self._wtab is None:
-            self._require_fracs()
-        qwtab = np.empty((self.taps, self.indices.shape[0]), dtype=np.int16)
+        ``(taps, N)`` int16 table (uncached)."""
+        self._require_fracs()
+        qwtab = np.empty((self.taps, self.base.shape[0]), dtype=np.int16)
         for sl in self._row_bands():
-            if self._wtab is not None:
-                wt = self._wtab[:, sl]
-            else:
-                wt = np.empty((self.taps, sl.stop - sl.start), dtype=np.float32)
-                self._weight_band(sl, wt)
+            wt = np.empty((self.taps, sl.stop - sl.start), dtype=np.float32)
+            self._weight_band(sl, wt)
             qwtab[:, sl] = quantize_weights(wt.T, self.frac_bits).T
         return qwtab
+
+    def _tile_patch(self, sl):
+        """The patch rows inside table rows ``sl`` as ``(positions
+        relative to sl.start, taps)``, or ``None`` when there are none."""
+        pixels = self.patch_pixels
+        if not len(pixels):
+            return None
+        a, b = np.searchsorted(pixels, (sl.start, sl.stop))
+        if a == b:
+            return None
+        return pixels[a:b] - sl.start, self.patch_taps[a:b]
+
+    def _tile_invalid(self, sl):
+        """``~mask`` over table rows ``sl``, or ``None`` when every pixel
+        there is valid (the fill is then a no-op)."""
+        if self.mask is None:
+            return None
+        valid = self.mask[sl]
+        return None if valid.all() else np.logical_not(valid)
+
+    def _tap_sources(self, flat):
+        """``flat`` viewed from each tap's stencil step, in tap order:
+        ``sources[k].take(base)`` reads tap ``k`` of every regular pixel.
+        A step past the source's end (a source too small for the
+        stencil, whose valid pixels are all patch rows) views the last
+        sample, so the clipped gather stays in bounds."""
+        last = flat.shape[0] - 1
+        return [flat[min(int(s), last):]
+                for s in _stencil(self.method, self.src_shape[1])]
 
     def kernel_tables(self) -> dict:
         """The arrays this LUT's tier reads per frame, by table name.
 
-        ``indices``, ``mask`` (``constant`` border only) and the one
-        weight table the tier executes: ``wtab`` on the numpy tier
-        (none for nearest), ``qwtab`` on the Q tiers.  ``fracs`` is
-        never included — it is the compact *storage* form the weights
-        are derived from.  A weight table already cached on this LUT is
-        reused; a missing one is derived into a fresh array and **not**
-        cached, so publishing a shared :class:`~repro.core.lutcache
-        .LUTCache` entry does not grow it.  :meth:`from_tables` rebuilds
-        a runnable LUT from exactly these arrays.
+        ``base``, ``mask`` (``constant`` border only), the patch list
+        (``patch_pixels``/``patch_taps``, when it is not empty) and the
+        weights the tier derives its taps' weights from: ``fracs`` on
+        the numpy tier (none for nearest), the ``(taps, N)`` int16
+        ``qwtab`` on the Q tiers (none for nearest).  A Q table already
+        cached on this LUT is reused; a missing one is derived into a
+        fresh array and **not** cached, so publishing a shared
+        :class:`~repro.core.lutcache.LUTCache` entry does not grow it.
+        :meth:`from_tables` rebuilds a runnable LUT from exactly these
+        arrays.
         """
-        tables = {"indices": self.indices}
+        tables = {"base": self.base}
         if self.mask is not None:
             tables["mask"] = np.asarray(self.mask)
-        if self.tier != "numpy":
+        if self.tier == "numpy":
+            if self.fracs is not None:
+                tables["fracs"] = self.fracs
+        elif self.method != "nearest":
             tables["qwtab"] = (self._qwtab if self._qwtab is not None
                                else self._derive_qweight_table())
-        elif self.method != "nearest":
-            tables["wtab"] = (self._wtab if self._wtab is not None
-                              else self._derive_weight_table())
+        if len(self.patch_pixels):
+            tables["patch_pixels"] = self.patch_pixels
+            tables["patch_taps"] = self.patch_taps
         return tables
 
     # ------------------------------------------------------------------
@@ -683,42 +798,52 @@ class RemapLUT:
                 flat = np.ascontiguousarray(flat)
         return image, flat, squeeze, acc_dtype
 
-    def _accumulate(self, flat, idx, wtab, acc, product, raw, tel=None):
+    def _accumulate(self, srcs, flat, base, patch, fracs, acc, product, raw,
+                    wrow, tel=None):
         """Fused gather-multiply-accumulate of one tile into ``acc``.
 
         Each tap gathers raw samples of ``flat``'s dtype into ``raw``
-        and widens only those, with one casting copy into the
-        accumulator-dtype scratch (the cast a whole-plane ``astype``
-        made, tile-sized), then multiplies at the accumulator dtype,
-        channel-major: the weight row runs along the pixel axis, so
-        numpy's inner loop spans the tile instead of one packed pixel's
-        few channels.  Measured on uint8 frames, the separate copy beats
-        widening inside the multiply, whose buffered casting loop runs
-        one short channel row at a time on packed RGB.
+        (through ``srcs``, the source viewed from each tap's stencil
+        step, then the tile's ``patch`` rows; see
+        :func:`~repro.core.kernel_tiers.gather_tap`) and widens only
+        those, with one casting copy into the accumulator-dtype scratch
+        (the cast a whole-plane ``astype`` made, tile-sized), then
+        multiplies by the tap's weights — derived from the tile's
+        ``fracs`` into the float32 row ``wrow`` (tap 0 also borrows the
+        product scratch, idle while the accumulator takes its samples)
+        — at the accumulator dtype, channel-major: the weight row runs
+        along the pixel axis, so numpy's inner loop spans the tile
+        instead of one packed pixel's few channels.  Measured on uint8 frames, the separate
+        copy beats widening inside the multiply, whose buffered casting
+        loop runs one short channel row at a time on packed RGB.
+        ``fracs`` is ``None`` for nearest (unit weights).
         ``tel`` is a stage-detail telemetry registry (or ``None`` on the
         shipping fast path): when present each gather/interpolate stage
         is wrapped in a span — the profiled path times exactly this
         kernel, never a re-implementation.
         """
+        if fracs is not None:
+            spare = product.reshape(-1).view(np.float32)[:len(wrow)]
+
         def gather(k):
-            flat.take(idx[:, k], axis=0, out=raw, mode="clip")
+            kernel_tiers.gather_tap(srcs[k], flat, base, patch, k, raw)
 
         def madd(k):
             dst = acc if k == 0 else product
             if raw is not dst:
                 np.copyto(dst, raw)
-            if wtab is not None:
-                np.multiply(dst.T, wtab[k], out=dst.T)
+            if fracs is not None:
+                _tap_weight(self.method, k, fracs, wrow, spare)
+                np.multiply(dst.T, wrow, out=dst.T)
             if k:
                 np.add(acc, product, out=acc)
 
-        taps = idx.shape[1]
         if tel is None:
-            for k in range(taps):
+            for k in range(len(srcs)):
                 gather(k)
                 madd(k)
             return
-        for k in range(taps):
+        for k in range(len(srcs)):
             with tel.span("remap.gather", cat="kernel"):
                 gather(k)
             with tel.span("remap.interpolate", cat="kernel"):
@@ -754,7 +879,8 @@ class RemapLUT:
             self._walk_tiles(tier, flat, row0, row1, out, acc_dtype,
                              tel if tel.stage_detail else None)
         if tel.enabled:
-            n = (row1 - row0) * self.out_shape[1]
+            w_out = self.out_shape[1]
+            n = (row1 - row0) * w_out
             dt = time.perf_counter() - t0
             tel.counter(f"kernel.tier.{tier}").inc()
             if not band:
@@ -766,8 +892,13 @@ class RemapLUT:
                 tel.counter("remap.bands").inc()
                 tel.histogram("remap.band_seconds").observe(dt)
             tel.counter("remap.pixels").inc(n)
-            tel.counter("remap.bytes_gathered").inc(
-                n * self.indices.shape[1] * channels * flat.dtype.itemsize)
+            sample = channels * flat.dtype.itemsize
+            gathered = n * self.taps * sample
+            tel.counter("remap.bytes_gathered").inc(gathered)
+            patch = self._tile_patch(slice(row0 * w_out, row1 * w_out))
+            tel.counter("remap.bytes_streamed").inc(
+                n * self.entry_bytes() + gathered + n * sample
+                + self._patch_bytes(0 if patch is None else len(patch[0])))
         return out
 
     def _walk_tiles(self, tier, flat, row0, row1, out, acc_dtype, detail):
@@ -775,66 +906,84 @@ class RemapLUT:
         tiles of :data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS`.
 
         One pooled scratch set sized for a full tile serves every tile
-        (sliced for the last, partial one), so the accumulator and each
-        tile's source bounding box stay cache-resident and a call's
-        scratch is tile-sized whatever the range.  Each tile is stored
-        straight into its rows of ``out``.  ``detail`` is the
-        stage-detail registry of the profiled path, or ``None``.
+        (sliced for the last, partial one), so the accumulator, the
+        tap-weight row and each tile's source bounding box stay
+        cache-resident and a call's scratch is tile-sized whatever the
+        range.  Each tile is stored straight into its rows of ``out``.
+        ``detail`` is the stage-detail registry of the profiled path,
+        or ``None``.
         """
         w_out = self.out_shape[1]
         tile_rows = min(kernel_tiers.DEFAULT_TILE_ROWS, self.out_shape[0])
-        invalid = self._invalid_mask()
+        srcs = self._tap_sources(flat)
         if tier == "numpy":
-            wtab = self._weight_table()
+            self._require_fracs()
             fill = self.fill
-            if (fill == 0 and wtab is not None
-                    and np.issubdtype(out.dtype, np.integer)):
-                # invalid pixels gather index 0 at weight 0: already 0
-                invalid = None
         else:
             qwtab = self._qweight_table()
             fill = int(round(self.fill))
             info = np.iinfo(out.dtype)
-        bufs = self._pool.acquire(tile_rows * w_out, flat.shape[1],
-                                  acc_dtype, flat.dtype)
+        bufs = self._pool.acquire(
+            tile_rows * w_out, flat.shape[1], acc_dtype, flat.dtype,
+            weights=tier == "numpy" and self.fracs is not None)
         try:
-            acc, product, raw = bufs
+            acc, product, raw, index, wrow = bufs
             for r0 in range(row0, row1, tile_rows):
                 r1 = min(r0 + tile_rows, row1)
                 sl = slice(r0 * w_out, r1 * w_out)
                 m = sl.stop - sl.start
                 tile = (acc[:m], product[:m],
                         product[:m] if raw is product else raw[:m])
-                tile_invalid = invalid[sl] if invalid is not None else None
+                base = index[:m]
+                np.copyto(base, self.base[sl])
+                patch = self._tile_patch(sl)
+                invalid = self._tile_invalid(sl)
                 dst = out[r0 - row0:r1 - row0]
                 if tier == "numpy":
-                    self._accumulate(flat, self.indices[sl],
-                                     wtab[:, sl] if wtab is not None else None,
-                                     *tile, tel=detail)
-                    _store_epilogue(tile[0], tile_invalid, fill, dst,
+                    fracs = None if self.fracs is None else self.fracs[sl]
+                    self._accumulate(
+                        srcs, flat, base, patch, fracs, *tile,
+                        None if fracs is None else wrow[:m], tel=detail)
+                    _store_epilogue(tile[0], invalid, fill, dst,
                                     tel=detail)
                 else:
                     kernel_tiers.q_apply_block(
-                        flat, self.indices[sl], qwtab[:, sl], self.frac_bits,
-                        info.min, info.max, tile_invalid, fill, dst, *tile)
+                        srcs, flat, base, patch,
+                        None if qwtab is None else qwtab[:, sl],
+                        self.frac_bits, info.min, info.max, invalid, fill,
+                        dst, *tile)
         finally:
             self._pool.release(bufs)
 
     def _run_compiled(self, flat, row0, row1, out):
-        """The ``compiled`` tier: the jitted Q-format kernel tiles in 2-D
-        inside itself, so it takes the whole row range at once."""
+        """The ``compiled`` tier: the jitted Q-format kernel runs once per
+        tile of :data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS` rows
+        over that tile's expanded taps (:meth:`tap_offsets`), so the
+        jitted code reads the same ``(pixels, taps)`` layout it always
+        has while the LUT stores one base per pixel."""
         from ..accel.compiled import compiled_apply_block
         w_out = self.out_shape[1]
-        sl = slice(row0 * w_out, row1 * w_out)
+        tile_rows = min(kernel_tiers.DEFAULT_TILE_ROWS, self.out_shape[0])
         info = np.iinfo(out.dtype)
+        qwtab = self._qweight_table()
+        m_tile = tile_rows * w_out
+        taps = np.empty((m_tile, self.taps), dtype=np.int32)
+        if qwtab is None:  # nearest: the unit Q weight
+            unit = np.full((1, m_tile), 1 << self.frac_bits, dtype=np.int16)
         # a strided destination (rare) is computed contiguously, then
         # copied through its strides
         dst = out if out.flags.c_contiguous else np.empty(out.shape, out.dtype)
-        compiled_apply_block(
-            flat, self.indices[sl], self._qweight_table()[:, sl],
-            self.mask[sl] if self.mask is not None else None,
-            int(round(self.fill)), self.frac_bits, info.min, info.max,
-            dst.reshape(sl.stop - sl.start, -1), w_out)
+        dst_flat = dst.reshape((row1 - row0) * w_out, -1)
+        for r0 in range(row0, row1, tile_rows):
+            r1 = min(r0 + tile_rows, row1)
+            sl = slice(r0 * w_out, r1 * w_out)
+            m = sl.stop - sl.start
+            compiled_apply_block(
+                flat, self.tap_offsets(r0, r1, out=taps[:m]),
+                unit[:, :m] if qwtab is None else qwtab[:, sl],
+                self.mask[sl] if self.mask is not None else None,
+                int(round(self.fill)), self.frac_bits, info.min, info.max,
+                dst_flat[(r0 - row0) * w_out:(r1 - row0) * w_out], w_out)
         if dst is not out:
             np.copyto(out, dst)
 
@@ -896,8 +1045,9 @@ def remap_profiled(image, field: RemapField, method: str = "bilinear",
                    border: str = "constant", fill: float = 0.0):
     """Remap one frame while timing each pipeline stage (T2 profile).
 
-    Stages: LUT build (tap/fraction resolution + weight derivation),
-    gather (source fetches), interpolate (weighted accumulate), store
+    Stages: LUT build (tap/fraction resolution), gather (source
+    fetches), interpolate (per-tile weight derivation and weighted
+    accumulate), store
     (fill, rounding, dtype cast).  The stage times come from the
     :mod:`repro.obs` span API: a private stage-detail registry is
     scoped in and the *shipping fused kernel* emits ``remap.gather`` /
@@ -918,7 +1068,6 @@ def remap_profiled(image, field: RemapField, method: str = "bilinear",
     with scoped(tel):
         with tel.span("remap.lut_build", cat="kernel"):
             lut = RemapLUT(field, method=method, border=border, fill=fill)
-            lut._weight_table()  # derive tap weights now; part of the build cost
         result = lut._run(image)
     prof.lut_build = tel.span_total("remap.lut_build")
     prof.gather = tel.span_total("remap.gather")

@@ -127,12 +127,24 @@ def worker_delta():
 # segment creation / attachment
 # ----------------------------------------------------------------------
 def share_array(arr):
-    """Copy ``arr`` into a fresh named segment; returns (shm, view)."""
-    arr = np.ascontiguousarray(arr)
+    """Copy ``arr`` into a fresh named segment; returns (shm, view).
+
+    The view keeps a Fortran-ordered ``arr``'s memory order (e.g. a
+    LUT's axis-major ``fracs``); anything else is laid out C-ordered.
+    """
+    arr = np.asarray(arr)
+    order = _order(arr)
     shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
+                      order=order)
     view[...] = arr
     return shm, view
+
+
+def _order(arr) -> str:
+    """``"F"`` for a Fortran- but not C-contiguous array, else ``"C"``."""
+    return ("F" if arr.flags.f_contiguous and not arr.flags.c_contiguous
+            else "C")
 
 
 def attach_segment(name: str):
@@ -268,20 +280,20 @@ def _lut_meta(lut: RemapLUT) -> dict:
 class SharedTables(_SegmentGroup):
     """The tables a set of LUTs' kernel tier runs, published once.
 
-    Lean by design: only what a worker executes is published —
-    ``indices``, ``mask`` and the tier's one weight table (``wtab`` on
-    the numpy tier, ``qwtab`` on the Q tiers; see
-    :meth:`~repro.core.remap.RemapLUT.kernel_tables`).  The compact
-    ``fracs`` stay in the parent LUT and the disk cache tier, and the
-    weight table is derived for publication without being cached on the
-    parent (often a shared :class:`~repro.core.lutcache.LUTCache`
+    Lean by design: only what a worker executes is published — ``base``,
+    ``mask``, the patch list when it is not empty, and what the tier
+    derives its weights from: ``fracs`` on the numpy tier (13 B/px
+    bilinear, the LUT's own storage), the int16 ``qwtab`` on the Q
+    tiers (see :meth:`~repro.core.remap.RemapLUT.kernel_tables`).  A Q
+    weight table is derived for publication without being cached on
+    the parent (often a shared :class:`~repro.core.lutcache.LUTCache`
     entry).  ``nbytes`` totals the published arrays.
 
     Each of ``luts`` — a pixel format's *distinct* LUTs, e.g. luma and
     chroma for the 4:2:0 formats (see
     :func:`~repro.video.pixfmt.plane_luts`) — is published once:
     ``spec[i]`` maps LUT ``i``'s table keys to ``(segment_name, shape,
-    dtype_str)`` triples and ``meta[i]`` carries its scalar parameters,
+    dtype_str, order)`` tuples and ``meta[i]`` carries its scalar parameters,
     everything a worker needs to rebuild the zero-copy LUT tuple with
     :func:`attach_tables`.  Which plane reads which LUT is the
     session's business, not the publication's.  :attr:`name` names the
@@ -296,9 +308,10 @@ class SharedTables(_SegmentGroup):
         for lut in luts:
             tables = {}
             for key, arr in lut.kernel_tables().items():
-                shm, _ = share_array(arr)
+                shm, view = share_array(arr)
                 shms.append(shm)
-                tables[key] = (shm.name, tuple(arr.shape), arr.dtype.str)
+                tables[key] = (shm.name, tuple(arr.shape), arr.dtype.str,
+                               _order(view))
                 self.nbytes += arr.nbytes
             spec.append(tables)
         self.spec = tuple(spec)
@@ -307,8 +320,8 @@ class SharedTables(_SegmentGroup):
 
     @property
     def name(self) -> str:
-        """The publication's name: its first index segment's."""
-        return self.spec[0]["indices"][0]
+        """The publication's name: its first base-offset segment's."""
+        return self.spec[0]["base"][0]
 
 
 def attach_tables(spec, meta):
@@ -322,17 +335,18 @@ def attach_tables(spec, meta):
     luts = []
     for tables, lut_meta in zip(spec, meta):
         arrays = {}
-        for key, (name, shape, dtype_str) in tables.items():
+        for key, (name, shape, dtype_str, order) in tables.items():
             shm = attach_segment(name)
             segments.append(shm)
             arrays[key] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str),
-                                     buffer=shm.buf)
+                                     buffer=shm.buf, order=order)
+        patch = (arrays["patch_pixels"], arrays["patch_taps"]
+                 ) if "patch_pixels" in arrays else None
         luts.append(RemapLUT.from_tables(
-            arrays["indices"], arrays.get("fracs"), arrays.get("mask"),
+            arrays["base"], arrays.get("fracs"), arrays.get("mask"),
             out_shape=lut_meta["out_shape"], src_shape=lut_meta["src_shape"],
             method=lut_meta["method"], border=lut_meta["border"],
-            fill=lut_meta["fill"], weight_table=arrays.get("wtab"),
-            tier=lut_meta.get("tier", "numpy"),
+            fill=lut_meta["fill"], tier=lut_meta.get("tier", "numpy"),
             frac_bits=lut_meta.get("frac_bits", DEFAULT_FRAC_BITS),
-            qweight_table=arrays.get("qwtab")))
+            qweight_table=arrays.get("qwtab"), patch=patch))
     return segments, tuple(luts)

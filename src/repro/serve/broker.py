@@ -239,7 +239,7 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
     def attach(sid, desc):
         """Map a session's slots, and its publication unless cached."""
         _, label, table_spec, table_meta, slot_spec, plane_lut, names = desc
-        pub = table_spec[0]["indices"][0]
+        pub = table_spec[0]["base"][0]
         if pub not in luts:
             luts[pub] = attach_tables(table_spec, table_meta)
         slots, slot_segs = [], []

@@ -2,7 +2,8 @@
 
 Bridges the kernel's actual data to the memory-system models: the
 source addresses a correction pass touches are exactly the LUT's
-gather indices, in output order.  These traces feed
+expanded gather offsets (:meth:`~repro.core.remap.RemapLUT.tap_offsets`),
+in output order.  These traces feed
 :class:`repro.sim.cache.CacheSim` (SMP locality) and the GPU
 coalescing analysis.
 """
@@ -29,7 +30,7 @@ def gather_trace(lut: RemapLUT, pixel_bytes: int = 1, base: int = 0) -> np.ndarr
     """
     if pixel_bytes <= 0:
         raise SimulationError(f"pixel_bytes must be positive, got {pixel_bytes}")
-    return (lut.indices.astype(np.int64).ravel() * pixel_bytes + base)
+    return (lut.tap_offsets().astype(np.int64).ravel() * pixel_bytes + base)
 
 
 def tile_gather_trace(lut: RemapLUT, tile: Tile, pixel_bytes: int = 1,
@@ -40,10 +41,9 @@ def tile_gather_trace(lut: RemapLUT, tile: Tile, pixel_bytes: int = 1,
     h, w = lut.out_shape
     if tile.row1 > h or tile.col1 > w:
         raise SimulationError(f"tile {tile} exceeds output {lut.out_shape}")
-    rows = np.arange(tile.row0, tile.row1)
-    cols = np.arange(tile.col0, tile.col1)
-    flat = (rows[:, None] * w + cols[None, :]).ravel()
-    return (lut.indices[flat].astype(np.int64).ravel() * pixel_bytes + base)
+    taps = lut.tap_offsets(tile.row0, tile.row1).reshape(
+        tile.row1 - tile.row0, w, -1)[:, tile.col0:tile.col1]
+    return (taps.astype(np.int64).ravel() * pixel_bytes + base)
 
 
 def output_trace(height: int, width: int, pixel_bytes: int = 1,

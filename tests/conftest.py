@@ -89,7 +89,7 @@ def _q_reference(lut, image, bits, row0=0, row1=None):
     """Independent Q-format oracle for the fixed and compiled tiers.
 
     Quantize the LUT's float weights with ``quantize_weights``, gather
-    the integer taps over ``lut.indices``, accumulate in int64, round
+    the integer taps over ``lut.tap_offsets``, accumulate in int64, round
     with ``+half >> bits``, clip to the frame dtype and fill invalid
     pixels — written out here, sharing no code with the kernels.
     """
@@ -101,7 +101,7 @@ def _q_reference(lut, image, bits, row0=0, row1=None):
     sl = slice(row0 * w, row1 * w)
     q = quantize_weights(lut.weights[sl], bits).astype(np.int64)
     flat = image.reshape(image.shape[0] * image.shape[1], -1).astype(np.int64)
-    taps = flat[lut.indices[sl]]                     # (n, taps, channels)
+    taps = flat[lut.tap_offsets(row0, row1)]         # (n, taps, channels)
     acc = np.einsum("nt,ntc->nc", q, taps)
     out = (acc + (1 << (bits - 1))) >> bits
     info = np.iinfo(image.dtype)
@@ -189,18 +189,21 @@ def reference_tables():
 
 
 def _assert_tables_match(lut, ref):
-    """``lut``'s tables and derived weights equal ``ref`` bit for bit."""
-    for name in ("indices", "fracs", "mask"):
-        got, want = getattr(lut, name), ref[name]
+    """``lut``'s expanded taps, tables and derived weights equal ``ref``
+    bit for bit."""
+    got = {"indices": lut.tap_offsets(), "fracs": lut.fracs,
+           "mask": lut.mask}
+    for name, want in ((name, ref[name]) for name in got):
         if want is None:
-            assert got is None, name
+            assert got[name] is None, name
         else:
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
-    # Q weights straight from the fractions, then from the cached float
-    # weights (the two derivation paths)
-    np.testing.assert_array_equal(
-        lut.with_tier("fixed").kernel_tables()["qwtab"], ref["qwtab"])
+            assert got[name].dtype == want.dtype, name
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+    # Q weights as a Q-tier publication carries them (nearest publishes
+    # none: its unit weight is implied), and as derived
+    if lut.method != "nearest":
+        np.testing.assert_array_equal(
+            lut.with_tier("fixed").kernel_tables()["qwtab"], ref["qwtab"])
     np.testing.assert_array_equal(lut.weights.T, ref["wtab"])
     np.testing.assert_array_equal(lut._derive_qweight_table(), ref["qwtab"])
 
@@ -226,7 +229,7 @@ def _float_reference(lut, image, row0=0, row1=None):
     sl = slice(row0 * w, row1 * w)
     acc_dtype = np.float64 if image.dtype == np.float64 else np.float32
     flat = image.reshape(image.shape[0] * image.shape[1], -1).astype(acc_dtype)
-    idx = lut.indices[sl]
+    idx = lut.tap_offsets(row0, row1)
     weights = None if lut.method == "nearest" else lut.weights[sl]
     acc = None
     for k in range(idx.shape[1]):

@@ -113,7 +113,7 @@ class TestRemapTierDispatch:
         base = RemapLUT(small_field)
         fixed = base.with_tier("fixed")
         assert fixed is not base
-        assert fixed.indices is base.indices
+        assert fixed.base is base.base
         assert fixed.fracs is base.fracs
         assert base.tier == "numpy" and fixed.tier == "fixed"
 

@@ -67,15 +67,15 @@ class TestDiskTier:
         loaded = cold.get(small_field, method="bilinear")
         assert cold.disk_hits == 1
         assert cold.misses == 1  # memory tier missed, disk tier answered
-        np.testing.assert_array_equal(np.asarray(loaded.indices),
-                                      np.asarray(built.indices))
+        np.testing.assert_array_equal(np.asarray(loaded.base),
+                                      np.asarray(built.base))
         np.testing.assert_array_equal(loaded.apply(random_image),
                                       built.apply(random_image))
 
     def test_loaded_lut_is_memory_mapped(self, small_field, tmp_path):
         LUTCache(cache_dir=str(tmp_path)).get(small_field)
         loaded = LUTCache(cache_dir=str(tmp_path)).get(small_field)
-        assert isinstance(loaded.indices, np.memmap)
+        assert isinstance(loaded.base, np.memmap)
 
     def test_all_methods_round_trip(self, small_field, random_image, tmp_path):
         for method in ("nearest", "bilinear", "bicubic"):
@@ -84,6 +84,52 @@ class TestDiskTier:
             loaded = LUTCache(cache_dir=str(tmp_path)).get(small_field, method=method)
             np.testing.assert_array_equal(loaded.apply(random_image),
                                           built.apply(random_image))
+
+    def test_version_1_entry_is_rebuilt_and_overwritten(self, small_field,
+                                                        random_image,
+                                                        tmp_path):
+        """An entry in the per-tap offset layout is a plain miss: it is
+        rebuilt and replaced by a current entry, never read as corrupt."""
+        import json
+
+        key = LUTCache.key_for(small_field)
+        entry = tmp_path / key
+        entry.mkdir()
+        n = 64 * 64
+        np.save(entry / "indices.npy", np.zeros((n, 4), dtype=np.int32))
+        np.save(entry / "fracs.npy", np.zeros((n, 2), dtype=np.float32))
+        np.save(entry / "mask.npy", np.ones(n, dtype=bool))
+        (entry / "meta.json").write_text(json.dumps({
+            "version": 1, "method": "bilinear", "border": "constant",
+            "fill": 0.0, "out_shape": [64, 64], "src_shape": [64, 64]}))
+
+        cache = LUTCache(cache_dir=str(tmp_path))
+        lut = cache.get(small_field)
+        assert cache.stats()["corrupt_reads"] == 0
+        assert cache.disk_hits == 0
+        assert not (entry / "indices.npy").exists()
+        assert json.loads((entry / "meta.json").read_text())["version"] == 2
+        fresh = LUTCache(cache_dir=str(tmp_path))
+        loaded = fresh.get(small_field)
+        assert fresh.disk_hits == 1
+        np.testing.assert_array_equal(loaded.apply(random_image),
+                                      lut.apply(random_image))
+        np.testing.assert_array_equal(
+            loaded.apply(random_image),
+            RemapLUT(small_field).apply(random_image))
+
+    def test_patch_list_round_trips(self, tilted_field, random_image,
+                                    tmp_path):
+        built = LUTCache(cache_dir=str(tmp_path)).get(tilted_field,
+                                                      method="bicubic")
+        assert len(built.patch_pixels)
+        fresh = LUTCache(cache_dir=str(tmp_path))
+        loaded = fresh.get(tilted_field, method="bicubic")
+        assert fresh.disk_hits == 1
+        np.testing.assert_array_equal(loaded.tap_offsets(),
+                                      built.tap_offsets())
+        np.testing.assert_array_equal(loaded.apply(random_image),
+                                      built.apply(random_image))
 
     def test_corrupt_entry_falls_back_to_build(self, small_field, tmp_path):
         cache = LUTCache(cache_dir=str(tmp_path))

@@ -42,7 +42,9 @@ def _traced_peak(fn):
 
 
 def _stored_bytes(lut):
-    return sum(a.nbytes for a in (lut.indices, lut.fracs, lut.mask)
+    """The arrays the LUT stores — never their tap expansion."""
+    return sum(a.nbytes for a in (lut.base, lut.fracs, lut.mask,
+                                  lut.patch_pixels, lut.patch_taps)
                if a is not None)
 
 
@@ -87,7 +89,7 @@ def test_band_apply_allocates_band_sized(qhd_fused, tier):
             r0, r1 = b * rows, (b + 1) * rows
             lut.apply_rows_into(luma, r0, r1, out[r0:r1])
 
-    frame()  # warm the pool and the weight tables
+    frame()  # warm the pool (and the fixed tier's Q weights)
     _, peak = _traced_peak(frame)
     assert peak < MB, peak / MB
     np.testing.assert_array_equal(out, lut.apply(luma))
@@ -101,7 +103,7 @@ def test_whole_frame_apply_scratch_is_tile_sized():
     rgb = np.random.default_rng(4).integers(0, 256, (720, 1280, 3),
                                             dtype=np.uint8)
     out = np.empty_like(rgb)
-    lut.apply_into(rgb, out)  # derive the weight table and mask once
+    lut.apply_into(rgb, out)  # a first frame outside the traced one
     lut._pool = _ScratchPool()
     _, peak = _traced_peak(lambda: lut.apply_into(rgb, out))
     tile_scratch = kernel_tiers.DEFAULT_TILE_ROWS * 1280 * 3 * (4 + 4 + 1)

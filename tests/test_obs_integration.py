@@ -226,7 +226,7 @@ class TestLUTCacheCorruption:
     def test_truncated_table_is_miss_not_error(self, tmp_path, small_field,
                                                gradient_image):
         cache_dir, entry = self._cache_with_entry(tmp_path, small_field)
-        with open(os.path.join(entry, "indices.npy"), "r+b") as fh:
+        with open(os.path.join(entry, "base.npy"), "r+b") as fh:
             fh.truncate(16)  # partial mmap source: header survives, data gone
         fresh = LUTCache(cache_dir=cache_dir)
         tel = Telemetry()

@@ -621,9 +621,9 @@ class TestServeTelemetry:
                                           small_field)]
                 gauges = tel.snapshot()["gauges"]
                 assert gauges["serve.table_publications"] == 2
-                # lean numpy bilinear publication: indices 16 + wtab 16
-                # + mask 1 bytes per output pixel, no fracs
-                assert gauges["serve.table_bytes"] == 2 * SIZE * SIZE * 33
+                # lean numpy bilinear publication: base 4 + fracs 8 +
+                # mask 1 bytes per output pixel, no patch rows
+                assert gauges["serve.table_bytes"] == 2 * SIZE * SIZE * 13
                 sessions[0].close()
                 gauges = tel.snapshot()["gauges"]
                 assert gauges["serve.table_publications"] == 2

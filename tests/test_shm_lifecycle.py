@@ -79,8 +79,9 @@ class TestSegmentGroups:
 
 
 class TestLeanPublication:
-    """A publication holds indices, mask and the tier's one weight
-    table; ``fracs`` stays with the parent LUT."""
+    """A publication holds the base offsets, mask, patch list and what
+    the tier derives its weights from: ``fracs`` on the numpy tier, the
+    int16 Q weights on the Q tiers — the LUT's entry size either way."""
 
     @pytest.mark.parametrize("tier", ["numpy", "fixed"])
     @pytest.mark.parametrize("method", ["nearest", "bilinear", "bicubic"])
@@ -89,16 +90,20 @@ class TestLeanPublication:
         lut = RemapLUT(tilted_field, method=method).with_tier(tier)
         tables = SharedTables(lut)
         try:
-            weights = ({"qwtab"} if tier != "numpy"
-                       else set() if method == "nearest" else {"wtab"})
-            assert set(tables.spec[0]) == {"indices", "mask"} | weights
+            weights = (set() if method == "nearest"
+                       else {"fracs"} if tier == "numpy" else {"qwtab"})
+            patch = ({"patch_pixels", "patch_taps"}
+                     if len(lut.patch_pixels) else set())
+            assert set(tables.spec[0]) == {"base", "mask"} | weights | patch
             segments, (attached,) = attach_tables(tables.spec, tables.meta)
             try:
-                assert attached.fracs is None
+                assert (attached.fracs is None) == ("fracs" not in weights)
                 assert attached.entry_bytes() == lut.entry_bytes()
-                assert attached.nbytes == lut.nbytes
+                assert attached.nbytes == lut.nbytes == tables.nbytes
                 assert tables.nbytes == sum(
                     a.nbytes for a in lut.kernel_tables().values())
+                np.testing.assert_array_equal(attached.tap_offsets(),
+                                              lut.tap_offsets())
             finally:
                 del attached
                 for shm in segments:
@@ -108,11 +113,12 @@ class TestLeanPublication:
 
     def test_publishing_leaves_the_parent_lut_unchanged(self, small_field):
         lut = RemapLUT(small_field)
+        kept = dict(vars(lut))
         for tier in ("numpy", "fixed"):
             SharedTables(lut.with_tier(tier)).release()
-        assert lut._wtab is None
         assert lut._qwtab is None
-        assert lut._invalid is None
+        assert vars(lut).keys() == kept.keys()
+        assert all(vars(lut)[k] is v for k, v in kept.items())
 
     def test_q_tier_publication_refuses_float_frames(self, small_field):
         from repro.errors import KernelTierError

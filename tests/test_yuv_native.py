@@ -82,7 +82,7 @@ class TestPooledCorrect:
         corr = YUVCorrector.from_field(small_field)
         rng = np.random.default_rng(0)
         frames = list(_frames(rng, 4))
-        corr.correct(frames[0])  # warm the pool and weight tables
+        corr.correct(frames[0])  # warm the scratch pool
         corr.correct(frames[1])
         tracemalloc.start()
         before = tracemalloc.take_snapshot()
