@@ -47,9 +47,11 @@ Frame application is a fused gather-multiply-accumulate
 (:meth:`RemapLUT.apply`).  The ``numpy`` and ``fixed`` tiers share one
 tile walk: the requested output rows are processed
 :data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS` at a time through
-one pooled, tile-sized scratch set, and each tile is stored straight
-into its rows of the destination — a whole 720p RGB frame borrows
-~3.2 MB of scratch, not the ~25 MB a frame-sized set took.  The pool
+one pooled, tile-sized, channel-planar scratch set (each channel's
+samples of the tile contiguous, so every ufunc runs along the tile's
+pixels), and each tile is stored straight into its rows of the
+destination — a whole 720p RGB frame borrows ~3.2 MB of scratch, not
+the ~25 MB a frame-sized set took.  The pool
 is reused across calls, so steady-state streaming performs **zero
 allocations**:
 
@@ -140,12 +142,15 @@ _BUILD_ROWS = 8
 #: Stored fractions per output pixel, by method.
 _FRAC_FLOATS = {"nearest": 0, "bilinear": 2, "bicubic": 8}
 
+#: Taps along each axis of a pixel's stencil, by method.
+_SIDE = {"nearest": 1, "bilinear": 2, "bicubic": 4}
+
 
 def _stencil(method, w):
     """Flat offsets of a pixel's taps from its tap 0 on a source ``w``
     samples wide, in tap order: ``(0,)``, ``(0, 1, w, w+1)`` or the
     row-major 4x4 grid."""
-    side = {"nearest": 1, "bilinear": 2, "bicubic": 4}[method]
+    side = _SIDE[method]
     return np.array([j * w + i for j in range(side) for i in range(side)],
                     dtype=np.int32)
 
@@ -160,48 +165,81 @@ def _table_band(mx, my, method, border, w, h, base, fracs, mask):
     the band's patch rows ``(positions, taps)``: the valid pixels whose
     resolved taps are not ``base + stencil``, with all their taps.
     Every temporary is band-sized.
+
+    Border resolution is paid only where it can change a tap.  A pixel
+    whose stencil lies inside the source on both axes (tap 0 at column
+    ``x0``, row ``y0`` with ``0 <= x0 <= w - side`` and
+    ``0 <= y0 <= h - side``) resolves to itself under every border
+    mode, so its base is ``y0 * w + x0`` and it is regular.  Only the
+    other pixels — a source edge, a fold, ``nan`` or far-out
+    coordinates — go through :func:`_resolve_border`, tap by tap, and
+    the stencil check.
     """
     mx = mx.ravel()
     my = my.ravel()
     if mask is not None:
         mask[:] = interp.valid_mask(mx, my, w, h)
+    side = _SIDE[method]
     if method == "nearest":
-        ix = np.rint(np.where(np.isfinite(mx), mx, 0.0)).astype(np.int64)
-        iy = np.rint(np.where(np.isfinite(my), my, 0.0)).astype(np.int64)
-        cols = [_resolve_border(ix, w, border)]
-        rows = [_resolve_border(iy, h, border) * w]
+        x0 = np.rint(np.where(np.isfinite(mx), mx, 0.0)).astype(np.int64)
+        y0 = np.rint(np.where(np.isfinite(my), my, 0.0)).astype(np.int64)
     elif method == "bilinear":
-        ix, iy, fx, fy = interp.bilinear_taps(mx, my)
-        cols = [_resolve_border(ix + i, w, border) for i in range(2)]
-        rows = [_resolve_border(iy + j, h, border) * w for j in range(2)]
+        x0, y0, fx, fy = interp.bilinear_taps(mx, my)
         fracs[:, 0] = fx
         fracs[:, 1] = fy
     else:  # bicubic
         ix, iy, wx, wy = interp.bicubic_taps(mx, my)
-        cols = [_resolve_border(ix - 1 + i, w, border) for i in range(4)]
-        rows = [_resolve_border(iy - 1 + j, h, border) * w for j in range(4)]
+        x0, y0 = ix - 1, iy - 1
         fracs[:, :4] = wx
         fracs[:, 4:] = wy
-    # tap (j, i) reads rows[j] + cols[i]; it is base + j*w + i for every
-    # tap exactly when each axis steps by one sample
-    np.add(rows[0], cols[0], out=base, casting="unsafe")
-    irregular = np.zeros(base.shape, dtype=bool)
-    for i, col in enumerate(cols[1:], 1):
-        irregular |= col != cols[0] + i
-    for j, row in enumerate(rows[1:], 1):
-        irregular |= row != rows[0] + j * w
+    pos = np.flatnonzero((x0 < 0) | (x0 > w - side)
+                         | (y0 < 0) | (y0 > h - side))
+    x0_edge, y0_edge = x0[pos], y0[pos]
+    # in-range pixels: the unresolved stencil origin (the edge pixels'
+    # values are overwritten next)
+    np.multiply(y0, w, out=y0)
+    np.add(y0, x0, out=base, casting="unsafe")
+    if pos.size:
+        base[pos], keep, taps = _edge_taps(
+            x0_edge, y0_edge, side, border, w, h,
+            None if mask is None else mask[pos])
+        pos = pos[keep]
+    else:  # the common band, well inside the source
+        taps = np.empty((0, side * side), dtype=np.int32)
     if mask is not None:
         # Invalid output pixels contribute nothing; keep their taps at 0
         # so the gather stays in-bounds and branch-free.
         base[~mask] = 0
-        irregular &= mask
-    pos = np.flatnonzero(irregular)
-    taps = np.empty((pos.size, len(rows) * len(cols)), dtype=np.int32)
+    return pos, taps
+
+
+def _edge_taps(x0, y0, side, border, w, h, valid):
+    """Resolve the pixels whose ``side`` x ``side`` stencil, with origin
+    column ``x0`` and row ``y0``, leaves the source.
+
+    Returns their resolved tap-0 offsets, the indices (into ``x0``) of
+    the valid ones (``valid``: their mask, ``None`` when all are) whose
+    resolved taps are not ``base + stencil``, and all those pixels' taps
+    ``(p, side**2)`` int32.  Tap ``(j, i)`` reads ``rows[j] + cols[i]``;
+    it is ``base + j*w + i`` for every tap exactly when each axis steps
+    by one sample.
+    """
+    cols = [_resolve_border(x0 + i, w, border) for i in range(side)]
+    rows = [_resolve_border(y0 + j, h, border) * w for j in range(side)]
+    irregular = np.zeros(x0.shape, dtype=bool)
+    for i, col in enumerate(cols[1:], 1):
+        irregular |= col != cols[0] + i
+    for j, row in enumerate(rows[1:], 1):
+        irregular |= row != rows[0] + j * w
+    if valid is not None:
+        irregular &= valid
+    keep = np.flatnonzero(irregular)
+    taps = np.empty((keep.size, side * side), dtype=np.int32)
     for j, row in enumerate(rows):
         for i, col in enumerate(cols):
-            np.add(row[pos], col[pos], out=taps[:, j * len(cols) + i],
+            np.add(row[keep], col[keep], out=taps[:, j * side + i],
                    casting="unsafe")
-    return pos, taps
+    return rows[0] + cols[0], keep, taps
 
 
 def _tap_weight(method, k, fracs, out, spare):
@@ -272,16 +310,17 @@ class _ScratchPool:
     """Thread-safe pool of per-call kernel scratch buffers.
 
     A set is ``[acc, product, raw, index, wrow]``, each one tile of
-    rows: the accumulator, a product scratch of the accumulator dtype, a
-    gather scratch of the frame's own dtype (the product scratch itself
-    when the two dtypes agree), the tile's base offsets widened to
-    ``intp`` once for all its taps' takes, and the float32 tap-weight
+    pixels: the accumulator, a product scratch of the accumulator dtype
+    and a gather scratch of the frame's own dtype (the product scratch
+    itself when the two dtypes agree), all three channel-planar
+    ``(channels, pixels)``; the tile's base sample offsets widened to
+    ``intp`` once for all its taps' takes; and the float32 tap-weight
     row of a float tier with weights (``None`` until a caller asks for
-    it).  The tile walk borrows a set per call, slices it for a partial
-    tile and returns it afterwards, so a steady-state stream touches
-    the allocator only on its first frame.  Keys are ``(rows, channels,
-    acc dtype, sample dtype)`` — concurrent tile workers each get their
-    own set.
+    it).  The tile walk borrows a set per call, slices its pixel axis
+    for a partial tile and returns it afterwards, so a steady-state
+    stream touches the allocator only on its first frame.  Keys are
+    ``(pixels, channels, acc dtype, sample dtype)`` — concurrent tile
+    workers each get their own set.
     """
 
     _MAX_PER_KEY = 8  # bound idle memory under bursty concurrency
@@ -303,10 +342,10 @@ class _ScratchPool:
             if stack:
                 bufs = stack.pop()
         if bufs is None:
-            acc = np.empty((n, channels), dtype=dtype)
-            product = np.empty((n, channels), dtype=dtype)
+            acc = np.empty((channels, n), dtype=dtype)
+            product = np.empty((channels, n), dtype=dtype)
             raw = (product if np.dtype(raw_dtype) == acc.dtype
-                   else np.empty((n, channels), dtype=raw_dtype))
+                   else np.empty((channels, n), dtype=raw_dtype))
             bufs = [acc, product, raw, np.empty(n, dtype=np.intp), None]
         if weights and bufs[4] is None:
             bufs[4] = np.empty(n, dtype=np.float32)
@@ -314,7 +353,7 @@ class _ScratchPool:
 
     def release(self, bufs):
         acc, _, raw = bufs[:3]
-        key = self._key(acc.shape[0], acc.shape[1], acc.dtype, raw.dtype)
+        key = self._key(acc.shape[1], acc.shape[0], acc.dtype, raw.dtype)
         with self._lock:
             stack = self._free.setdefault(key, [])
             if len(stack) < self._MAX_PER_KEY:
@@ -324,23 +363,26 @@ class _ScratchPool:
 def _store_epilogue(acc, invalid, fill, dst, tel=None):
     """Shared store stage: fill, round, clip, cast into ``dst``.
 
-    ``acc`` is one tile's ``(pixels, channels)`` float accumulator,
-    reshaped to ``dst`` — never returned — so the caller can recycle
-    it; ``dst`` is the tile's rows of the destination, any strides.
-    ``invalid`` is ``None`` when the fill is a no-op.  ``tel`` (a
-    stage-detail telemetry registry) wraps the stage in a
-    ``remap.store`` span for the profiled path.
+    ``acc`` is one tile's channel-planar ``(channels, pixels)`` float
+    accumulator, overwritten — never returned — so the caller can
+    recycle it.  The fill, round and clip run planar, along the pixel
+    axis; the cast into ``dst`` (the tile's rows of the destination,
+    any strides) is :func:`~repro.core.kernel_tiers.store_planar`,
+    one copy per channel.  ``invalid`` is
+    ``None`` when the fill is a no-op.  ``tel`` (a stage-detail
+    telemetry registry) wraps the stage in a ``remap.store`` span for
+    the profiled path.
     """
     span = tel.span("remap.store", cat="kernel") if tel is not None else None
     if span is not None:
         span.__enter__()
     if invalid is not None:
-        np.copyto(acc.T, fill, where=invalid)
+        np.copyto(acc, fill, where=invalid)
     if np.issubdtype(dst.dtype, np.integer):
         info = np.iinfo(dst.dtype)
         np.rint(acc, out=acc)
         np.clip(acc, info.min, info.max, out=acc)
-    np.copyto(dst, acc.reshape(dst.shape), casting="unsafe")
+    kernel_tiers.store_planar(acc, dst)
     if span is not None:
         span.__exit__(None, None, None)
 
@@ -729,13 +771,17 @@ class RemapLUT:
         return None if valid.all() else np.logical_not(valid)
 
     def _tap_sources(self, flat):
-        """``flat`` viewed from each tap's stencil step, in tap order:
-        ``sources[k].take(base)`` reads tap ``k`` of every regular pixel.
-        A step past the source's end (a source too small for the
-        stencil, whose valid pixels are all patch rows) views the last
-        sample, so the clipped gather stays in bounds."""
-        last = flat.shape[0] - 1
-        return [flat[min(int(s), last):]
+        """The flat samples under ``flat`` (``(pixels, channels)``, C
+        contiguous) viewed from each tap's stencil step, per channel, in
+        tap order: ``sources[k][c].take(base * C)`` reads channel ``c``
+        of tap ``k`` of every regular pixel.  A step past the source's
+        end (a source too small for the stencil, whose valid pixels are
+        all patch rows) views the last pixel, so the clipped gather
+        stays in bounds."""
+        last, channels = flat.shape[0] - 1, flat.shape[1]
+        samples = flat.reshape(-1)
+        return [[samples[min(int(s), last) * channels + c:]
+                 for c in range(channels)]
                 for s in _stencil(self.method, self.src_shape[1])]
 
     def kernel_tables(self) -> dict:
@@ -776,10 +822,13 @@ class RemapLUT:
                 f"frame {image.shape[:2]} does not match LUT source {self.src_shape}")
         squeeze = image.ndim == 2
         n_src = self.src_shape[0] * self.src_shape[1]
-        # A view of the frame as (pixels, channels): every tier gathers
-        # the raw samples of one band and widens only what it gathered,
-        # never the whole plane.
-        flat = image.reshape(n_src, -1)
+        # The frame as (pixels, channels) over C-contiguous samples:
+        # every tier gathers the raw samples of one band and widens only
+        # what it gathered, never the whole plane.  A frame that is not
+        # contiguous (a crop, a channel-reversed view) is copied once
+        # here, since the host tiers' flat 1-D takes would otherwise
+        # copy it on every tap.
+        flat = np.ascontiguousarray(image).reshape(n_src, -1)
         if tier == "numpy":
             # Accumulate in float32 (the embedded-precision baseline)
             # except for float64 frames, which keep their native
@@ -793,37 +842,35 @@ class RemapLUT:
             # Q tiers: int32 accumulate covers 1-byte samples at Q14
             # with 16 taps; wider samples need int64.
             acc_dtype = np.int64 if image.dtype.itemsize > 1 else np.int32
-            if tier == "compiled":
-                # the jitted kernel reads the samples in place
-                flat = np.ascontiguousarray(flat)
         return image, flat, squeeze, acc_dtype
 
     def _accumulate(self, srcs, flat, base, patch, fracs, acc, product, raw,
                     wrow, tel=None):
         """Fused gather-multiply-accumulate of one tile into ``acc``.
 
-        Each tap gathers raw samples of ``flat``'s dtype into ``raw``
-        (through ``srcs``, the source viewed from each tap's stencil
-        step, then the tile's ``patch`` rows; see
-        :func:`~repro.core.kernel_tiers.gather_tap`) and widens only
+        The tile is channel-planar: ``acc``, ``product`` and ``raw`` are
+        ``(channels, pixels)``.  Each tap gathers raw samples of
+        ``flat``'s dtype into ``raw``, one 1-D take per channel (through
+        ``srcs``, the flat samples viewed from each tap's stencil step,
+        then the tile's ``patch`` rows; see
+        :func:`~repro.core.kernel_tiers.gather_tap`), and widens only
         those, with one casting copy into the accumulator-dtype scratch
         (the cast a whole-plane ``astype`` made, tile-sized), then
         multiplies by the tap's weights — derived from the tile's
-        ``fracs`` into the float32 row ``wrow`` (tap 0 also borrows the
-        product scratch, idle while the accumulator takes its samples)
-        — at the accumulator dtype, channel-major: the weight row runs
-        along the pixel axis, so numpy's inner loop spans the tile
-        instead of one packed pixel's few channels.  Measured on uint8 frames, the separate
-        copy beats widening inside the multiply, whose buffered casting
-        loop runs one short channel row at a time on packed RGB.
-        ``fracs`` is ``None`` for nearest (unit weights).
+        ``fracs`` into the float32 row ``wrow`` (tap 0 also borrows a
+        row of the product scratch, idle while the accumulator takes
+        its samples) — at the accumulator dtype.  Every channel row is
+        contiguous and the weight row broadcasts along it, so each
+        ufunc's inner loop spans the tile's pixels, never one packed
+        pixel's two or three channels.  ``fracs`` is ``None`` for
+        nearest (unit weights).
         ``tel`` is a stage-detail telemetry registry (or ``None`` on the
         shipping fast path): when present each gather/interpolate stage
         is wrapped in a span — the profiled path times exactly this
         kernel, never a re-implementation.
         """
         if fracs is not None:
-            spare = product.reshape(-1).view(np.float32)[:len(wrow)]
+            spare = product[0].view(np.float32)[:len(wrow)]
 
         def gather(k):
             kernel_tiers.gather_tap(srcs[k], flat, base, patch, k, raw)
@@ -834,7 +881,7 @@ class RemapLUT:
                 np.copyto(dst, raw)
             if fracs is not None:
                 _tap_weight(self.method, k, fracs, wrow, spare)
-                np.multiply(dst.T, wrow, out=dst.T)
+                np.multiply(dst, wrow, out=dst)
             if k:
                 np.add(acc, product, out=acc)
 
@@ -905,15 +952,19 @@ class RemapLUT:
         """The numpy and ``fixed`` tiers: walk rows ``[row0, row1)`` in
         tiles of :data:`~repro.core.kernel_tiers.DEFAULT_TILE_ROWS`.
 
-        One pooled scratch set sized for a full tile serves every tile
-        (sliced for the last, partial one), so the accumulator, the
-        tap-weight row and each tile's source bounding box stay
-        cache-resident and a call's scratch is tile-sized whatever the
-        range.  Each tile is stored straight into its rows of ``out``.
+        One pooled, channel-planar scratch set sized for a full tile
+        serves every tile (its pixel axis sliced for the last, partial
+        one), so the accumulator, the tap-weight row and each tile's
+        source bounding box stay cache-resident and a call's scratch is
+        tile-sized whatever the range.  The tile's base offsets are
+        widened and scaled to sample offsets (times the channel count)
+        once for all its taps.  Each tile is stored straight into its
+        rows of ``out``.
         ``detail`` is the stage-detail registry of the profiled path,
         or ``None``.
         """
         w_out = self.out_shape[1]
+        channels = flat.shape[1]
         tile_rows = min(kernel_tiers.DEFAULT_TILE_ROWS, self.out_shape[0])
         srcs = self._tap_sources(flat)
         if tier == "numpy":
@@ -924,7 +975,7 @@ class RemapLUT:
             fill = int(round(self.fill))
             info = np.iinfo(out.dtype)
         bufs = self._pool.acquire(
-            tile_rows * w_out, flat.shape[1], acc_dtype, flat.dtype,
+            tile_rows * w_out, channels, acc_dtype, flat.dtype,
             weights=tier == "numpy" and self.fracs is not None)
         try:
             acc, product, raw, index, wrow = bufs
@@ -932,10 +983,11 @@ class RemapLUT:
                 r1 = min(r0 + tile_rows, row1)
                 sl = slice(r0 * w_out, r1 * w_out)
                 m = sl.stop - sl.start
-                tile = (acc[:m], product[:m],
-                        product[:m] if raw is product else raw[:m])
+                tile = (acc[:, :m], product[:, :m],
+                        product[:, :m] if raw is product else raw[:, :m])
                 base = index[:m]
                 np.copyto(base, self.base[sl])
+                np.multiply(base, channels, out=base)
                 patch = self._tile_patch(sl)
                 invalid = self._tile_invalid(sl)
                 dst = out[r0 - row0:r1 - row0]
@@ -951,7 +1003,7 @@ class RemapLUT:
                         srcs, flat, base, patch,
                         None if qwtab is None else qwtab[:, sl],
                         self.frac_bits, info.min, info.max, invalid, fill,
-                        dst, *tile)
+                        dst, *tile, tel=detail)
         finally:
             self._pool.release(bufs)
 

@@ -125,21 +125,25 @@ def _traced(fn):
     return peak, current
 
 
-def test_warm_apply_allocates_nothing_frame_sized():
-    """A warmed-up 720p numpy-tier apply allocates less than one byte
-    per output pixel at its peak — no weight table, no inverted mask,
-    no per-tap offsets — and keeps nothing on the LUT."""
-    lut = RemapLUT(standard_field.__wrapped__(1280, 720, 0.5))
-    rgb = np.random.default_rng(4).integers(0, 256, (720, 1280, 3),
-                                            dtype=np.uint8)
-    out = np.empty_like(rgb)
-    lut.apply_into(rgb, out)  # warm the scratch pool
-    stored = dict(vars(lut))
-    peak, retained = _traced(lambda: lut.apply_into(rgb, out))
-    assert peak < 720 * 1280, peak
-    assert retained < 64 << 10, retained
-    assert vars(lut).keys() == stored.keys()
-    assert all(vars(lut)[k] is v for k, v in stored.items())
+@pytest.mark.parametrize("tier", ["numpy", "fixed"])
+def test_warm_apply_allocates_nothing_frame_sized(tier):
+    """A warmed-up apply on a host tier allocates less than one byte per
+    output pixel at its peak — no weight table, no inverted mask, no
+    per-tap offsets, no frame-sized channel-planar copy — and keeps
+    nothing on the LUT: a 720p RGB frame and the 2-channel UV plane of
+    a 720p NV12 frame."""
+    rng = np.random.default_rng(4)
+    for (w, h, channels) in ((1280, 720, 3), (640, 360, 2)):
+        lut = RemapLUT(standard_field.__wrapped__(w, h, 0.5)).with_tier(tier)
+        frame = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
+        out = np.empty_like(frame)
+        lut.apply_into(frame, out)  # warm the scratch pool
+        stored = dict(vars(lut))
+        peak, retained = _traced(lambda: lut.apply_into(frame, out))
+        assert peak < w * h, (channels, peak)
+        assert retained < 64 << 10, (channels, retained)
+        assert vars(lut).keys() == stored.keys()
+        assert all(vars(lut)[k] is v for k, v in stored.items())
 
 
 # ----------------------------------------------------------------------
