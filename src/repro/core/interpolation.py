@@ -38,6 +38,7 @@ __all__ = [
     "sample_bilinear",
     "sample_bicubic",
     "sample_scalar",
+    "nearest_taps",
     "bilinear_taps",
     "bicubic_taps",
     "catmull_rom_weights",
@@ -131,9 +132,7 @@ def sample_nearest(image, xs, ys, border: str = "constant", fill: float = 0.0):
     image, xs, ys, squeeze = _prepare(image, xs, ys)
     h, w = image.shape[:2]
     mask = valid_mask(xs, ys, w, h) if border == "constant" else None
-    with np.errstate(invalid="ignore"):
-        ix = np.rint(np.where(np.isfinite(xs), xs, 0.0)).astype(np.intp)
-        iy = np.rint(np.where(np.isfinite(ys), ys, 0.0)).astype(np.intp)
+    ix, iy = nearest_taps(xs, ys, (h, w), border)
     ix = resolve_indices(ix, w, border)
     iy = resolve_indices(iy, h, border)
     out = image[iy, ix].astype(np.float64)
@@ -143,20 +142,88 @@ def sample_nearest(image, xs, ys, border: str = "constant", fill: float = 0.0):
 # ----------------------------------------------------------------------
 # Bilinear
 # ----------------------------------------------------------------------
-def bilinear_taps(xs, ys):
-    """Decompose coordinates into integer bases and fractional weights.
+#: Magnitude from which every float64 is a whole number.  A coordinate
+#: this far out, ``nan`` or infinite takes the slow path of
+#: :func:`_taps`, which keeps its integer tap inside the int64 range.
+_FAR = 2.0 ** 52
 
-    Returns ``(ix, iy, fx, fy)`` with ``ix = floor(xs)`` etc.  ``nan``
-    inputs produce tap ``(0, 0)`` with zero fraction; the caller masks
-    them out.  This is the precomputation a remap LUT stores.
+
+def _fold(v, size, border):
+    """Move whole coordinates ``v`` (``|v| >= _FAR``) into
+    ``(-_FAR, _FAR)`` without changing the pixel any tap ``v + k``
+    resolves to under ``border``: ``fmod`` by the border's period is
+    exact, and ``constant``/``replicate`` (or an unknown ``size``) only
+    need the coordinate beyond the edge."""
+    if size is not None and border == "wrap":
+        return np.fmod(v, size)
+    if size is not None and border == "reflect":
+        return np.fmod(v, 2 * (size - 1)) if size > 1 else np.zeros_like(v)
+    return np.clip(v, -_FAR / 2, _FAR / 2)
+
+
+def _taps(xs, ys, shape, border, to_base, fractions=True):
+    """Integer tap origins ``to_base(xs)``, ``to_base(ys)`` and, with
+    ``fractions``, the float64 fractions ``xs - to_base(xs)`` etc.
+
+    A non-finite coordinate gets origin 0 and fraction 0 on its axis
+    (the caller masks its pixel under ``constant``); a finite one with
+    ``|x| >= _FAR`` is folded (:func:`_fold`) by the source ``shape``
+    ``(h, w)`` and ``border``.  Every other coordinate keeps its
+    origin and fraction.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    xs = np.where(np.isfinite(xs), xs, 0.0)
-    ys = np.where(np.isfinite(ys), ys, 0.0)
-    ix = np.floor(xs).astype(np.intp)
-    iy = np.floor(ys).astype(np.intp)
-    return ix, iy, xs - ix, ys - iy
+    bx = to_base(xs)
+    by = to_base(ys)
+    if _inside(bx, by):
+        fx, fy = (xs - bx, ys - by) if fractions else (None, None)
+        return bx.astype(np.intp), by.astype(np.intp), fx, fy
+    with np.errstate(invalid="ignore"):  # inf - inf, zeroed below
+        fx, fy = (xs - bx, ys - by) if fractions else (None, None)
+    for v, base, frac in ((xs, bx, fx), (ys, by, fy)):
+        gone = ~np.isfinite(v)
+        np.copyto(base, 0.0, where=gone)
+        if frac is not None:
+            np.copyto(frac, 0.0, where=gone)
+    if not _inside(bx, by):  # far-out finite coordinates: few, folded
+        h, w = shape if shape is not None else (None, None)
+        for base, frac, size in ((bx, fx, w), (by, fy, h)):
+            far = np.flatnonzero(np.abs(base) >= _FAR)
+            whole = to_base(_fold(base.reshape(-1)[far], size, border))
+            base.reshape(-1)[far] = whole
+            if frac is not None:
+                frac.reshape(-1)[far] = 0.0
+    return bx.astype(np.intp), by.astype(np.intp), fx, fy
+
+
+def _inside(bx, by) -> bool:
+    """Whether every origin is finite and inside ``(-_FAR, _FAR)`` (a
+    ``nan`` propagates through min/max and fails every compare)."""
+    return not bx.size or (-_FAR < bx.min() and bx.max() < _FAR
+                           and -_FAR < by.min() and by.max() < _FAR)
+
+
+def nearest_taps(xs, ys, shape=None, border: str = "replicate"):
+    """Nearest-neighbour taps ``(ix, iy)``: each coordinate rounded to
+    the nearest integer (halves to even), with the non-finite and
+    far-out handling of :func:`bilinear_taps`."""
+    ix, iy, _, _ = _taps(xs, ys, shape, border, np.rint, fractions=False)
+    return ix, iy
+
+
+def bilinear_taps(xs, ys, shape=None, border: str = "replicate"):
+    """Decompose coordinates into integer bases and fractional weights.
+
+    Returns ``(ix, iy, fx, fy)`` with ``ix = floor(xs)`` etc.  A ``nan``
+    or infinite coordinate produces tap 0 with zero fraction on its
+    axis; the caller masks the pixel out under ``constant``.  A finite
+    coordinate too far out for an integer tap (``|x| >= 2**52``, a
+    whole number) is moved, with zero fraction, to one that resolves
+    to the same pixels under ``border`` on a source of ``shape``
+    ``(h, w)``; without ``shape`` it is clamped far beyond the edge.
+    This is the precomputation a remap LUT stores.
+    """
+    return _taps(xs, ys, shape, border, np.floor)
 
 
 def sample_bilinear(image, xs, ys, border: str = "constant", fill: float = 0.0):
@@ -164,7 +231,7 @@ def sample_bilinear(image, xs, ys, border: str = "constant", fill: float = 0.0):
     image, xs, ys, squeeze = _prepare(image, xs, ys)
     h, w = image.shape[:2]
     mask = valid_mask(xs, ys, w, h) if border == "constant" else None
-    ix, iy, fx, fy = bilinear_taps(xs, ys)
+    ix, iy, fx, fy = bilinear_taps(xs, ys, (h, w), border)
     x0 = resolve_indices(ix, w, border)
     x1 = resolve_indices(ix + 1, w, border)
     y0 = resolve_indices(iy, h, border)
@@ -197,20 +264,16 @@ def catmull_rom_weights(frac):
     return np.stack([w0, w1, w2, w3], axis=-1)
 
 
-def bicubic_taps(xs, ys):
+def bicubic_taps(xs, ys, shape=None, border: str = "replicate"):
     """Integer bases plus 4-tap weight vectors along each axis.
 
     Returns ``(ix, iy, wx, wy)`` where ``wx``/``wy`` have a trailing
     length-4 axis; the 16 source pixels are ``(iy - 1 + j, ix - 1 + i)``
-    weighted by ``wy[..., j] * wx[..., i]``.
+    weighted by ``wy[..., j] * wx[..., i]``.  Non-finite and far-out
+    coordinates are handled as in :func:`bilinear_taps`.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    xs = np.where(np.isfinite(xs), xs, 0.0)
-    ys = np.where(np.isfinite(ys), ys, 0.0)
-    ix = np.floor(xs).astype(np.intp)
-    iy = np.floor(ys).astype(np.intp)
-    return ix, iy, catmull_rom_weights(xs - ix), catmull_rom_weights(ys - iy)
+    ix, iy, fx, fy = _taps(xs, ys, shape, border, np.floor)
+    return ix, iy, catmull_rom_weights(fx), catmull_rom_weights(fy)
 
 
 def sample_bicubic(image, xs, ys, border: str = "constant", fill: float = 0.0):
@@ -218,7 +281,7 @@ def sample_bicubic(image, xs, ys, border: str = "constant", fill: float = 0.0):
     image, xs, ys, squeeze = _prepare(image, xs, ys)
     h, w = image.shape[:2]
     mask = valid_mask(xs, ys, w, h) if border == "constant" else None
-    ix, iy, wx, wy = bicubic_taps(xs, ys)
+    ix, iy, wx, wy = bicubic_taps(xs, ys, (h, w), border)
     img = image.astype(np.float64, copy=False)
     out = np.zeros(xs.shape + (img.shape[2],), dtype=np.float64)
     # Separable accumulation: 4 row passes, each combining 4 column taps.

@@ -181,14 +181,13 @@ def _table_band(mx, my, method, border, w, h, base, fracs, mask):
         mask[:] = interp.valid_mask(mx, my, w, h)
     side = _SIDE[method]
     if method == "nearest":
-        x0 = np.rint(np.where(np.isfinite(mx), mx, 0.0)).astype(np.int64)
-        y0 = np.rint(np.where(np.isfinite(my), my, 0.0)).astype(np.int64)
+        x0, y0 = interp.nearest_taps(mx, my, (h, w), border)
     elif method == "bilinear":
-        x0, y0, fx, fy = interp.bilinear_taps(mx, my)
+        x0, y0, fx, fy = interp.bilinear_taps(mx, my, (h, w), border)
         fracs[:, 0] = fx
         fracs[:, 1] = fy
     else:  # bicubic
-        ix, iy, wx, wy = interp.bicubic_taps(mx, my)
+        ix, iy, wx, wy = interp.bicubic_taps(mx, my, (h, w), border)
         x0, y0 = ix - 1, iy - 1
         fracs[:, :4] = wx
         fracs[:, 4:] = wy

@@ -34,10 +34,20 @@ parent thread left it (a feeder or collector thread may be registering
 a segment at that moment), and a lock inherited held would block the
 child's first attach for good; :func:`_reset_tracker_lock` gives every
 forked child a fresh one.
+
+A ``fork`` child also maps the parent's *free* C heap: glibc keeps
+freed chunks mapped, and each page of it the parent reuses after the
+fork is copied on write while the child keeps the old copy for its
+life.  :func:`release_free_heap` hands that free heap back to the OS;
+the broker calls it just before its fleet forks and again after the
+fleet is gone.  :func:`private_mb` reads the memory one process holds
+for the broker's per-process split.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 import weakref
@@ -61,6 +71,8 @@ __all__ = [
     "attach_tables",
     "init_worker_telemetry",
     "worker_delta",
+    "release_free_heap",
+    "private_mb",
 ]
 
 def ensure_resource_tracker() -> None:
@@ -95,6 +107,56 @@ def _reset_tracker_lock() -> None:
 
 
 os.register_at_fork(after_in_child=_reset_tracker_lock)
+
+
+# ----------------------------------------------------------------------
+# process memory
+# ----------------------------------------------------------------------
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where libc has no such call."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):  # macOS, musl, Windows
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def release_free_heap() -> bool:
+    """Return the C heap's free pages to the OS (glibc ``malloc_trim(0)``).
+
+    Live allocations are untouched; only chunks already freed are
+    unmapped, so a child forked afterwards cannot inherit them.  A
+    call costs about 1 ms, or ~11 ms when it returns 64 MiB (2-core
+    Xeon).  Returns ``False`` (and does nothing) where libc has no
+    ``malloc_trim``, ``True`` once the trim has run.
+    """
+    trim = _malloc_trim()
+    if trim is None:
+        return False
+    trim(0)
+    return True
+
+
+def private_mb(pid: int) -> float | None:
+    """Memory one process holds for itself, in MB: the proportional
+    share of its anonymous and shared-memory pages (``Pss_Anon`` +
+    ``Pss_Shmem`` of ``/proc/<pid>/smaps_rollup``).
+
+    ``None`` where that file cannot be read (off Linux, or the process
+    is gone).  File-backed pages (library code) are left out.
+    """
+    kb = 0
+    try:
+        with open(f"/proc/{pid}/smaps_rollup") as fh:
+            for line in fh:
+                if line.startswith(("Pss_Anon:", "Pss_Shmem:")):
+                    kb += int(line.split()[1])
+    except OSError:
+        return None
+    return kb * 1024 / 1e6
 
 
 # ----------------------------------------------------------------------

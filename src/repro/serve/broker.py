@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
+import os
 import queue as _queue
 import threading
 import time
@@ -91,6 +92,8 @@ from ..obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from ..obs.logsetup import get_logger
 from ..obs.telemetry import get_telemetry
 from ..parallel.ring import DEFAULT_SCHEDULE, plan_bands
+from ..parallel.shmseg import (ensure_resource_tracker, private_mb,
+                               release_free_heap)
 from ..video.pixfmt import get_pixfmt, plane_luts
 
 __all__ = ["StreamBroker", "StreamSession", "DEFAULT_SLOT_BUDGET"]
@@ -699,7 +702,6 @@ class StreamBroker:
         self._inflight = 0  # bands sent to the fleet, not yet back
         self._max_inflight = _INFLIGHT_BANDS_PER_WORKER * workers
 
-        from ..parallel.shmseg import ensure_resource_tracker
         ensure_resource_tracker()  # workers must inherit ONE tracker
         ctx = mp.get_context(context)
         self._task_q = ctx.Queue()
@@ -710,6 +712,9 @@ class StreamBroker:
         self._table_gauges()
         log.debug("starting %d shared serve workers (%s, budget %d slots)",
                   workers, context, slot_budget)
+        # the children would keep a copy of every free heap page the
+        # parent reuses after the fork: give that free heap back first
+        release_free_heap()
         self._procs = []
         for rank in range(workers):
             p = ctx.Process(
@@ -1126,6 +1131,26 @@ class StreamBroker:
             "lut_cache": self.lut_cache.stats(),
         }
 
+    def memory(self) -> dict | None:
+        """Per-process memory split: ``{"parent_mb", "workers_mb"}``,
+        the proportional anonymous + shared-memory MB of this process
+        and of all fleet workers together
+        (:func:`~repro.parallel.shmseg.private_mb`); ``None`` off
+        Linux.  Also sets the ``serve.mem_parent_mb`` and
+        ``serve.mem_workers_mb`` gauges.
+
+        Each process costs a page-table walk in the kernel (about a
+        millisecond at a few hundred MB), so this is a report, kept out
+        of :meth:`stats`, which callers poll per session switch.
+        """
+        parent = private_mb(os.getpid())
+        if parent is None:
+            return None
+        workers = sum(private_mb(p.pid) or 0.0 for p in self._procs)
+        self._tel.gauge("serve.mem_parent_mb").set(parent)
+        self._tel.gauge("serve.mem_workers_mb").set(workers)
+        return {"parent_mb": parent, "workers_mb": workers}
+
     def close(self) -> None:
         """Close every session, stop the fleet, unlink all segments."""
         if self._closed:
@@ -1167,6 +1192,7 @@ class StreamBroker:
             self._table_gauges()
         self._tel.gauge("serve.active_streams").set(0)
         self._tel.gauge("serve.slots_used").set(0)
+        release_free_heap()  # what the fleet's sessions freed
 
     def __enter__(self):
         return self

@@ -1,6 +1,8 @@
 """Interpolation kernel tests: vectorized vs scalar oracle, borders,
 mathematical properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +198,62 @@ def test_property_interpolation_is_translation_equivariant(sx, sy):
     v = float(interp.sample(img, np.array([sx]), np.array([sy]),
                             method="bilinear", border="replicate")[0])
     assert v == pytest.approx(sx + 10.0 * sy, rel=1e-10)
+
+
+@pytest.mark.tier1
+class TestFarCoordinates:
+    """Coordinates past the int64 range or non-finite: the vectorized
+    sampler and every LUT tier agree with the loop reference."""
+
+    RAMP = np.add.outer(np.arange(4) * 5, np.arange(5) * 20).astype(np.uint8)
+
+    def _coords(self):
+        # a far coordinate beside an in-range one, infinities on both axes
+        pairs = [(2.5, 1.5)]
+        for v in (1e20, -1e20):
+            pairs += [(v, 1.0), (1.0, v), (v, v), (v, -v)]
+        for v in (np.inf, -np.inf):
+            pairs += [(v, v), (v, -v)]
+        xs, ys = zip(*pairs)
+        return np.array([xs]), np.array([ys])
+
+    @pytest.mark.parametrize("method", interp.METHODS)
+    @pytest.mark.parametrize("border", interp.BORDER_MODES)
+    def test_agrees_with_scalar(self, method, border):
+        from repro.core.kernel_tiers import available_tiers
+        from repro.core.mapping import RemapField
+        from repro.core.remap import RemapLUT
+
+        xs, ys = self._coords()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = interp.sample_scalar(self.RAMP, xs, ys, method, border, 7.0)
+            got = interp.sample(self.RAMP, xs, ys, method, border, 7.0)
+            np.testing.assert_array_equal(got, want)
+            field = RemapField(xs, ys, 5, 4)
+            for tier in available_tiers():
+                lut = RemapLUT(field, method=method, border=border, fill=7.0,
+                               tier=tier)
+                np.testing.assert_array_equal(lut.apply(self.RAMP), want,
+                                              err_msg=tier)
+
+    def test_far_edge_of_ramp(self):
+        # the right edge, not the fold of an int64 overflow
+        out = interp.sample(self.RAMP, np.array([1e20]), np.array([1.0]),
+                            "bilinear", "replicate")
+        assert out[0] == self.RAMP[1, 4]
+
+    @pytest.mark.parametrize("taps", [interp.bilinear_taps,
+                                      interp.bicubic_taps])
+    def test_taps_keep_in_range_coordinates(self, taps, rng):
+        xs = rng.uniform(-5, 68, size=200)
+        ys = rng.uniform(-5, 68, size=200)
+        ix, iy, _, _ = taps(xs, ys)
+        np.testing.assert_array_equal(ix, np.floor(xs).astype(np.intp))
+        np.testing.assert_array_equal(iy, np.floor(ys).astype(np.intp))
+        xs[::3] = 1e300
+        ix2, iy2, _, _ = taps(xs, ys, (64, 64), "wrap")
+        np.testing.assert_array_equal(iy2, iy)
+        mask = np.ones(200, bool)
+        mask[::3] = False
+        np.testing.assert_array_equal(ix2[mask], ix[mask])
