@@ -1,4 +1,4 @@
-"""H1 — real host scaling of the threaded executor (with CIs)."""
+"""H1 — real host scaling of the `pipelined` thread engine (with CIs)."""
 
 from repro.bench.ablations import h1_host_scaling
 

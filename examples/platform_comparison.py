@@ -2,7 +2,8 @@
 """Run any (or every) experiment from the evaluation, by id.
 
 The registry in ``repro.bench.experiments`` implements each table and
-figure (T1, T2, F1..F12).  This script is the command-line front end
+figure (T1, T2, F1..F12), the ablations (A1..A4) and the host checks
+(H1, H2).  This script is the command-line front end
 the benchmarks and EXPERIMENTS.md are generated from.
 
 Run:  python examples/platform_comparison.py          # quick subset
@@ -13,7 +14,7 @@ Run:  python examples/platform_comparison.py          # quick subset
 import sys
 import time
 
-from repro.bench import EXPERIMENTS, run_experiment
+from repro.bench import EXPERIMENT_ORDER, EXPERIMENTS, run_experiment
 
 QUICK = ["T1", "F4", "F7"]
 
@@ -22,8 +23,7 @@ def main(argv) -> int:
     if not argv:
         ids = QUICK
     elif argv == ["all"]:
-        ids = sorted(EXPERIMENTS, key=lambda k: ({"T": 0, "F": 1, "A": 2}[k[0]],
-                                                 int(k[1:])))
+        ids = EXPERIMENT_ORDER
     else:
         ids = [a.upper() for a in argv]
 

@@ -62,6 +62,7 @@ __all__ = [
     "f11_scaling_efficiency",
     "f12_fixed_point",
     "EXPERIMENTS",
+    "EXPERIMENT_ORDER",
     "run_experiment",
 ]
 
@@ -598,6 +599,11 @@ EXPERIMENTS = {
     "F11": f11_scaling_efficiency,
     "F12": f12_fixed_point,
 }
+
+
+#: every id in report order: tables, figures, ablations, host checks
+EXPERIMENT_ORDER = tuple(sorted(EXPERIMENTS,
+                                key=lambda k: ("TFAH".index(k[0]), int(k[1:]))))
 
 
 def run_experiment(exp_id: str) -> Table:

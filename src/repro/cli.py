@@ -11,7 +11,8 @@ Commands
     Estimate the lens (family + focal + centre) from a rendered
     circle-grid target and print the fit.
 ``bench``
-    Run evaluation experiments by id (``T1``, ``F1``.. ``A4``, ``all``).
+    Run evaluation experiments by id (``T1``, ``F1``.. ``A4``, ``H1``,
+    ``H2``, ``all``).
 ``stream``
     Drive a synthetic camera stream through a correction engine
     (``seq``, ``pipelined`` threads, or the ``ring``: one session on a
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -79,6 +81,44 @@ def _parse_size(value):
     except (ValueError, AttributeError):
         raise argparse.ArgumentTypeError(
             f"expected WIDTHxHEIGHT (e.g. 1280x720), got {value!r}")
+
+
+@contextmanager
+def _observed_run(port):
+    """The observability surface around one ``stream`` or ``serve`` run.
+
+    With ``--serve-metrics PORT``, enable a registry if none is active
+    (the scrape surface needs one even without ``--metrics``/
+    ``--trace``), serve it on a :class:`~repro.obs.live.MetricsServer`
+    and announce the URL.  After a clean run, print the ``slo:`` digest
+    whenever telemetry is enabled.  On any exit — a finished run, an
+    error, a port that never binds — close the server and disable a
+    registry enabled here.
+    """
+    tel = obs.get_telemetry()
+    own_tel = False
+    server = None
+    try:
+        if port is not None:
+            if not tel.enabled:
+                tel = obs.enable()
+                own_tel = True
+            server = obs.MetricsServer(telemetry=tel, port=port).start()
+            print(f"serving metrics on {server.url} "
+                  f"(/metrics /health /snapshot)", file=sys.stderr)
+        yield
+        slo = obs.slo_summary(tel.snapshot()) if tel.enabled else None
+        if slo is not None:
+            print(f"slo: e2e p50 {slo['p50_s'] * 1e3:.1f} ms "
+                  f"p95 {slo['p95_s'] * 1e3:.1f} ms "
+                  f"p99 {slo['p99_s'] * 1e3:.1f} ms, "
+                  f"deadline miss {slo['deadline_misses']}/{slo['frames']} "
+                  f"({slo['miss_rate']:.1%}), stalls {slo['stalls']}")
+    finally:
+        if server is not None:
+            server.close()
+        if own_tel:
+            obs.disable()
 
 
 def _sensor_for(image, focal, cx=None, cy=None):
@@ -181,11 +221,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import EXPERIMENTS, run_experiment
+    from .bench import EXPERIMENT_ORDER, run_experiment
 
     if args.ids == ["all"]:
-        ids = sorted(EXPERIMENTS, key=lambda k: ({"T": 0, "F": 1, "A": 2}[k[0]],
-                                                 int(k[1:])))
+        ids = EXPERIMENT_ORDER
     else:
         ids = [i.upper() for i in args.ids]
     for exp_id in ids:
@@ -230,24 +269,8 @@ def cmd_stream(args) -> int:
         if args.stall_timeout is not None:
             engine_kwargs["stall_timeout_s"] = args.stall_timeout
 
-    own_tel = False
-    server = None
-    tel = obs.get_telemetry()
     frames = 0
-    try:
-        # everything owned by this run — the scrape server and any
-        # registry we enabled for it — is torn down in the finally
-        # below, whether the stream finishes, raises, or never binds
-        if args.serve_metrics is not None:
-            if not tel.enabled:
-                # the scrape surface needs a live registry even without
-                # --metrics/--trace; enable one for the stream's duration
-                tel = obs.enable()
-                own_tel = True
-            server = obs.MetricsServer(telemetry=tel,
-                                       port=args.serve_metrics).start()
-            print(f"serving metrics on {server.url} "
-                  f"(/metrics /health /snapshot)", file=sys.stderr)
+    with _observed_run(args.serve_metrics):
         it = corrected_stream(
             fmt.adapt(source), corrector.field,
             method=args.method, kernel=args.kernel, engine=engine,
@@ -272,19 +295,6 @@ def cmd_stream(args) -> int:
               f"{w}x{h} {args.method} in {wall:.3f}s "
               f"-> {frames / wall:.1f} fps end-to-end "
               f"({mpx:.1f} Mpx/s)")
-        if tel.enabled:
-            slo = obs.slo_summary(tel.snapshot())
-            if slo is not None:
-                print(f"slo: e2e p50 {slo['p50_s'] * 1e3:.1f} ms "
-                      f"p95 {slo['p95_s'] * 1e3:.1f} ms "
-                      f"p99 {slo['p99_s'] * 1e3:.1f} ms, "
-                      f"deadline miss {slo['deadline_misses']}/{slo['frames']} "
-                      f"({slo['miss_rate']:.1%}), stalls {slo['stalls']}")
-    finally:
-        if server is not None:
-            server.close()
-        if own_tel:
-            obs.disable()
     return 0
 
 
@@ -315,26 +325,14 @@ def cmd_serve(args) -> int:
         given = [int(x) for x in args.weights.split(",") if x.strip()]
         weights[:len(given)] = given[:args.streams]
 
-    own_tel = False
-    server = None
-    tel = obs.get_telemetry()
-    try:
-        if args.serve_metrics is not None:
-            if not tel.enabled:
-                tel = obs.enable()
-                own_tel = True
-            server = obs.MetricsServer(telemetry=tel,
-                                       port=args.serve_metrics).start()
-            print(f"serving metrics on {server.url} "
-                  f"(/metrics /health /snapshot)", file=sys.stderr)
+    with _observed_run(args.serve_metrics):
         deadline_s = args.deadline_ms / 1e3 if args.deadline_ms else None
         t0 = time.perf_counter()
         fmt = _pixfmt(args.pixfmt)
         with MultiStreamCorrector(workers=args.workers,
                                   slot_budget=args.slot_budget,
                                   schedule=args.schedule, chunk=args.chunk,
-                                  context=args.context,
-                                  serve_metrics=server) as svc:
+                                  context=args.context) as svc:
             sessions = [
                 svc.open_stream(
                     fmt.adapt(SyntheticStream(renderer, world,
@@ -362,17 +360,6 @@ def cmd_serve(args) -> int:
             name = f"s{i}"
             print(f"  {name}: {counts[name]} frames (weight {weights[i]}, "
                   f"{counts[name] / wall:.1f} fps)")
-        if tel.enabled:
-            slo = obs.slo_summary(tel.snapshot())
-            if slo is not None:
-                print(f"slo: e2e p50 {slo['p50_s'] * 1e3:.1f} ms "
-                      f"p95 {slo['p95_s'] * 1e3:.1f} ms, "
-                      f"deadline miss {slo['deadline_misses']}/{slo['frames']}")
-    finally:
-        if server is not None:
-            server.close()
-        if own_tel:
-            obs.disable()
     return 0
 
 
@@ -511,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run evaluation experiments")
     p.add_argument("ids", nargs="+", metavar="ID",
-                   help="experiment ids (T1, F1..F12, A1..A4) or 'all'")
+                   help="experiment ids (T1, T2, F1..F12, A1..A4, H1, H2) "
+                        "or 'all'")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stream",

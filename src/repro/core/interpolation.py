@@ -344,7 +344,9 @@ def _sample_one(image, x, y, method, border, fill):
     if not (np.isfinite(x) and np.isfinite(y)):
         if border == "constant":
             return np.full(image.shape[2], fill, dtype=np.float64)
-        x, y = 0.0, 0.0
+        # like the vectorized taps: only the non-finite axis moves to 0
+        x = x if np.isfinite(x) else 0.0
+        y = y if np.isfinite(y) else 0.0
 
     def fetch(ix, iy):
         ix = int(resolve_indices(np.array(ix), w, border if border != "constant" else "replicate"))

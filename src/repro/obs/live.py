@@ -24,9 +24,10 @@ a daemon thread); one server costs nothing on the frame path — every
 render happens in the scraper's request thread against a lock-guarded
 snapshot.
 
-Wired in as ``repro stream --serve-metrics PORT`` and
-``corrected_stream(serve_metrics=...)``; the multi-stream service and
-the sharded scale-out roadmap items scrape this same surface.
+Wired in as ``repro stream`` / ``repro serve --serve-metrics PORT``;
+library callers hold a server around their stream
+(``with MetricsServer(...):``), and the multi-stream service is
+scraped through this same surface.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Parallelization layer: decomposition, scheduling, real executors.
+"""Parallelization layer: decomposition, scheduling, the process ring.
 
 - :mod:`~repro.parallel.partition` — cutting the output frame into
-  tiles/bands (including cost-weighted cuts),
+  tiles/bands and pricing them,
 - :mod:`~repro.parallel.schedule` — deterministic replay of
   static/dynamic/guided loop schedules,
-- :mod:`~repro.parallel.threadpool` — the threaded fork-join executor
-  for the remap kernel,
 - :mod:`~repro.parallel.ring` — band planning and the single-stream
   ring (one stream on a one-session :class:`~repro.serve.broker
   .StreamBroker`: frame-level double buffering at ``depth >= 2``, the
@@ -15,16 +13,14 @@
 - :mod:`~repro.parallel.simd` — the SIMD vectorization model.
 """
 
-from .partition import Tile, blocks, row_bands, row_bands_weighted, tile_weights
+from .partition import Tile, blocks, row_bands, tile_weights
 from .ring import MAX_RING_DEPTH, RING_SCHEDULES, plan_bands, ring_stream
 from .schedule import SCHEDULES, Assignment, cyclic_chunks, simulate, static_chunks
 from .simd import AVX2, SPU, SSE2, VectorISA, apply_lanewise, simd_speedup
-from .threadpool import ThreadedExecutor
 
 __all__ = [
     "Tile",
     "row_bands",
-    "row_bands_weighted",
     "blocks",
     "tile_weights",
     "Assignment",
@@ -38,7 +34,6 @@ __all__ = [
     "AVX2",
     "simd_speedup",
     "apply_lanewise",
-    "ThreadedExecutor",
     "ring_stream",
     "plan_bands",
     "MAX_RING_DEPTH",

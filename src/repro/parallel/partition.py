@@ -3,14 +3,14 @@
 The correction kernel is embarrassingly parallel over *output* pixels;
 how the output is cut determines load balance (out-of-FOV corner tiles
 are nearly free), source-side locality (small tiles touch a compact
-source window) and the per-unit overhead (sync, DMA setup).  Three
+source window) and the per-unit overhead (sync, DMA setup).  Two
 classic decompositions are provided:
 
 - :func:`row_bands` — one contiguous band of rows per unit,
 - :func:`blocks` — a 2-D grid of rectangular tiles,
-- :func:`row_bands_weighted` — contiguous bands balanced by a per-row
-  cost estimate instead of row count (Section 4's answer to the
-  out-of-FOV imbalance).
+
+and :func:`tile_weights` prices each unit for the schedulers, which
+balance the out-of-FOV imbalance.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import PartitionError
 
-__all__ = ["Tile", "row_bands", "blocks", "row_bands_weighted", "tile_weights"]
+__all__ = ["Tile", "row_bands", "blocks", "tile_weights"]
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def tile_weights(valid_mask: np.ndarray, tiles, base_cost: float = 0.1):
 
     A valid output pixel costs 1 unit (gather + interpolate); an
     out-of-FOV pixel costs ``base_cost`` (just the fill store).  This
-    is the estimate both the weighted partitioner and the schedulers
-    consume.
+    is the estimate the schedulers consume.
     """
     valid_mask = np.asarray(valid_mask, dtype=bool)
     if not 0.0 <= base_cost <= 1.0:
@@ -107,46 +106,3 @@ def tile_weights(valid_mask: np.ndarray, tiles, base_cost: float = 0.1):
         valid = float(sub.sum())
         weights[i] = valid + base_cost * (sub.size - valid)
     return weights
-
-
-def row_bands_weighted(valid_mask: np.ndarray, count: int, base_cost: float = 0.1):
-    """Contiguous row bands with approximately equal total *cost*.
-
-    Greedy prefix cut: walk rows accumulating cost and close a band
-    whenever the running sum reaches the ideal share of the remaining
-    work.  Guarantees exactly ``min(count, height)`` non-empty bands
-    covering every row once.
-    """
-    valid_mask = np.asarray(valid_mask, dtype=bool)
-    if valid_mask.ndim != 2:
-        raise PartitionError(f"valid_mask must be 2-D, got shape {valid_mask.shape}")
-    if count <= 0:
-        raise PartitionError(f"band count must be positive, got {count}")
-    height, width = valid_mask.shape
-    count = min(count, height)
-    valid_per_row = valid_mask.sum(axis=1).astype(np.float64)
-    row_cost = valid_per_row + base_cost * (width - valid_per_row)
-
-    tiles = []
-    row = 0
-    remaining = float(row_cost.sum())
-    for band in range(count):
-        bands_left = count - band
-        rows_left = height - row
-        if band == count - 1:
-            h = rows_left
-        else:
-            # Each remaining band must still get at least one row.
-            max_h = rows_left - (bands_left - 1)
-            target = remaining / bands_left
-            acc = 0.0
-            h = 0
-            while h < max_h:
-                acc += row_cost[row + h]
-                h += 1
-                if acc >= target:
-                    break
-        tiles.append(Tile(row, row + h, 0, width))
-        remaining -= float(row_cost[row:row + h].sum())
-        row += h
-    return tiles

@@ -3,17 +3,19 @@
 :class:`MultiStreamCorrector` wraps a :class:`~repro.serve.broker
 .StreamBroker` with the ergonomics of
 :func:`~repro.video.stream.corrected_stream`: open sessions against
-coordinate fields, optionally expose the live ``/metrics`` surface for
-the service's lifetime, and drain several sessions from one loop with
+coordinate fields and drain several sessions from one loop with
 :meth:`~MultiStreamCorrector.merged`.
 
-Typical use — four cameras, one calibration, one fleet::
+Typical use — four cameras, one calibration, one fleet, the live
+``/metrics`` surface held by the caller around it::
 
-    with MultiStreamCorrector(workers=4, serve_metrics=9464) as svc:
-        sessions = [svc.open_stream(src, field, name=f"cam{i}")
-                    for i, src in enumerate(sources)]
-        for name, frame in svc.merged(sessions):
-            sink(name, frame)
+    tel = obs.enable()
+    with MetricsServer(telemetry=tel, port=9464):
+        with MultiStreamCorrector(workers=4) as svc:
+            sessions = [svc.open_stream(src, field, name=f"cam{i}")
+                        for i, src in enumerate(sources)]
+            for name, frame in svc.merged(sessions):
+                sink(name, frame)
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import queue as _queue
 import threading
 
 from ..core.lutcache import LUTCache
-from ..obs.telemetry import get_telemetry
 from ..parallel.ring import DEFAULT_SCHEDULE
 from .broker import DEFAULT_SLOT_BUDGET, StreamBroker, StreamSession
 
@@ -36,13 +37,7 @@ class MultiStreamCorrector:
 
     Constructor parameters mirror :class:`~repro.serve.broker
     .StreamBroker` (``workers``, ``slot_budget``, ``schedule``,
-    ``chunk``, ``context``, ``lut_cache``), plus:
-
-    serve_metrics:
-        Live scrape surface for the service's lifetime: an ``int``
-        port starts a :class:`~repro.obs.live.MetricsServer` (closed
-        with the service); a pre-built server is started if needed but
-        left running (caller owns it).  ``None`` serves nothing.
+    ``chunk``, ``context``, ``lut_cache``).
 
     Like the broker, telemetry is captured at construction — enable or
     scope a registry first if you want per-stream labelled metrics.
@@ -51,38 +46,12 @@ class MultiStreamCorrector:
     def __init__(self, workers: int = 2,
                  slot_budget: int = DEFAULT_SLOT_BUDGET,
                  schedule: str = DEFAULT_SCHEDULE, chunk: int | None = None,
-                 context: str = "fork", lut_cache: LUTCache | None = None,
-                 serve_metrics=None):
-        tel = get_telemetry()
-        self._server = None
-        self._own_server = False
-        if serve_metrics is not None:
-            from ..obs.live import MetricsServer
-            if isinstance(serve_metrics, MetricsServer):
-                self._server = serve_metrics.start()
-            else:
-                # pin the active registry: HTTP request threads do not
-                # inherit an obs.scoped() context
-                self._server = MetricsServer(
-                    telemetry=tel if tel.enabled else None,
-                    port=int(serve_metrics)).start()
-                self._own_server = True
-        try:
-            self.broker = StreamBroker(workers=workers,
-                                       slot_budget=slot_budget,
-                                       schedule=schedule, chunk=chunk,
-                                       context=context, lut_cache=lut_cache)
-        except BaseException:
-            if self._own_server:
-                self._server.close()
-            raise
+                 context: str = "fork", lut_cache: LUTCache | None = None):
+        self.broker = StreamBroker(workers=workers, slot_budget=slot_budget,
+                                   schedule=schedule, chunk=chunk,
+                                   context=context, lut_cache=lut_cache)
 
     # ------------------------------------------------------------------
-    @property
-    def metrics_url(self) -> str | None:
-        """The live ``/metrics`` base URL, when a server is attached."""
-        return self._server.url if self._server is not None else None
-
     def open_stream(self, frames, field, *, name: str | None = None,
                     method: str = "bilinear", border: str = "constant",
                     fill: float = 0.0, kernel: str = "numpy",
@@ -171,11 +140,8 @@ class MultiStreamCorrector:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the broker (all sessions, the fleet) and any owned
-        metrics server (idempotent)."""
+        """Close the broker (all sessions, the fleet); idempotent."""
         self.broker.close()
-        if self._own_server and self._server is not None:
-            self._server.close()
 
     def __enter__(self):
         return self

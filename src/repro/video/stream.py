@@ -140,7 +140,7 @@ def corrected_stream(frames: Iterable, field: RemapField,
                      method: str = "bilinear", border: str = "constant",
                      fill: float = 0.0, lut_cache=None,
                      copy: bool = False, engine: str = "sync",
-                     kernel: str = "numpy", serve_metrics=None,
+                     kernel: str = "numpy",
                      stream_label: str | None = None,
                      pixfmt: str = "rgb",
                      out_size: tuple | None = None,
@@ -185,14 +185,6 @@ def corrected_stream(frames: Iterable, field: RemapField,
         ``stall_timeout_s``, ``flight_dir``), keeping decode, remap
         and delivery overlapped across in-flight frames.  Every engine
         reports the same ``stream.*`` metric surface.
-    serve_metrics:
-        Live scrape surface for the duration of the stream.  An ``int``
-        port starts a :class:`~repro.obs.live.MetricsServer` bound to
-        ``127.0.0.1`` (``0`` picks an ephemeral port) and stops it when
-        the stream finishes; a pre-built :class:`MetricsServer` is
-        started if needed but left running (caller owns its lifetime —
-        and can read its ephemeral :attr:`port`).  ``None`` (default)
-        serves nothing.
     stream_label:
         Optional stream name; when set, the per-stream labelled metric
         series (``stream.frames{stream="..."}``,
@@ -230,28 +222,10 @@ def corrected_stream(frames: Iterable, field: RemapField,
     """
     fmt = get_pixfmt(pixfmt)
     out_size = fmt.check_out_size(out_size)
-    tel = get_telemetry()
-    server = None
-    own_server = False
-    if serve_metrics is not None:
-        from ..obs.live import MetricsServer
-        if isinstance(serve_metrics, MetricsServer):
-            server = serve_metrics.start()
-        else:
-            # pin the active registry: HTTP request threads do not
-            # inherit an obs.scoped() context
-            server = MetricsServer(telemetry=tel if tel.enabled else None,
-                                   port=int(serve_metrics)).start()
-            own_server = True
-    try:
-        luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
-                          method=method, border=border, fill=fill)
-        yield from _run_engine(luts, fmt, frames, copy, engine,
-                               stream_label, out_size is not None,
-                               **engine_kwargs)
-    finally:
-        if own_server:
-            server.close()
+    luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
+                      method=method, border=border, fill=fill)
+    yield from _run_engine(luts, fmt, frames, copy, engine, stream_label,
+                           out_size is not None, **engine_kwargs)
 
 
 def _run_engine(luts, fmt, frames, copy, engine, stream_label=None,

@@ -1,68 +1,10 @@
-"""Threaded executor and SIMD model tests: parallel result == sequential result."""
+"""SIMD vectorization model tests."""
 
 import numpy as np
 import pytest
 
-from repro.core.remap import RemapLUT
 from repro.parallel.simd import AVX2, SPU, SSE2, apply_lanewise, simd_speedup
-from repro.parallel.threadpool import ThreadedExecutor
-from repro.errors import PlatformError, ScheduleError
-
-
-class TestThreadedExecutor:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_sequential(self, workers, small_field, random_image):
-        lut = RemapLUT(small_field, method="bilinear")
-        expected = lut.apply(random_image)
-        with ThreadedExecutor(workers=workers, bands_per_worker=3) as ex:
-            out = ex.run(lut, random_image)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_weighted_bands(self, tilted_field, random_image):
-        lut = RemapLUT(tilted_field)
-        expected = lut.apply(random_image)
-        with ThreadedExecutor(workers=2, weighted=True) as ex:
-            np.testing.assert_array_equal(ex.run(lut, random_image), expected)
-
-    def test_rgb(self, small_field, rgb_image):
-        lut = RemapLUT(small_field)
-        with ThreadedExecutor(workers=2) as ex:
-            out = ex.run(lut, rgb_image)
-        np.testing.assert_array_equal(out, lut.apply(rgb_image))
-
-    def test_out_buffer(self, small_field, random_image):
-        lut = RemapLUT(small_field)
-        buf = np.empty((64, 64), dtype=np.uint8)
-        with ThreadedExecutor(workers=2) as ex:
-            out = ex.run(lut, random_image, out=buf)
-        assert out is buf
-
-    def test_bad_out_buffer(self, small_field, random_image):
-        lut = RemapLUT(small_field)
-        with ThreadedExecutor(workers=2) as ex:
-            with pytest.raises(ScheduleError):
-                ex.run(lut, random_image, out=np.empty((5, 5), dtype=np.uint8))
-
-    def test_close_idempotent(self, small_field):
-        ex = ThreadedExecutor(workers=2)
-        ex.close()
-        ex.close()
-
-    def test_validation(self):
-        with pytest.raises(ScheduleError):
-            ThreadedExecutor(workers=0)
-        with pytest.raises(ScheduleError):
-            ThreadedExecutor(bands_per_worker=0)
-
-    def test_streaming_via_corrector(self, small_field, rng):
-        from repro.core.pipeline import FisheyeCorrector
-
-        frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8) for _ in range(3)]
-        corrector = FisheyeCorrector(small_field)
-        with ThreadedExecutor(workers=2) as ex:
-            for f in frames:
-                np.testing.assert_array_equal(ex.run(corrector.lut, f),
-                                              corrector.correct(f))
+from repro.errors import PlatformError
 
 
 class TestSIMDModel:

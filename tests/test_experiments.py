@@ -30,6 +30,21 @@ class TestRegistry:
         assert isinstance(t, Table)
 
 
+@pytest.mark.tier1
+class TestH1:
+    def test_thread_ladder_smoke(self):
+        from repro.bench.ablations import h1_host_scaling
+
+        table = h1_host_scaling(res="VGA", threads=(1, 2), repeats=2)
+        assert table.headers == ["threads", "median_ms", "ci_low_ms",
+                                 "ci_high_ms", "speedup"]
+        assert table.column("threads") == [1, 2]
+        for med, lo, hi in zip(table.column("median_ms"),
+                               table.column("ci_low_ms"),
+                               table.column("ci_high_ms")):
+            assert 0 < lo <= med <= hi
+
+
 class TestT1:
     def test_rows_and_columns(self):
         t = exp.t1_platforms()

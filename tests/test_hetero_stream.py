@@ -96,13 +96,15 @@ def _pipelined(frames, field, depth):
 class TestPipelinedStream:
     def test_matches_sequential_results(self, small_field, rng):
         corrector = FisheyeCorrector(small_field)
-        frames = [rng.integers(0, 255, (64, 64), dtype=np.uint8)
-                  for _ in range(6)]
-        expected = [corrector.correct(f) for f in frames]
-        got = list(_pipelined(frames, small_field, depth=3))
-        assert len(got) == 6
-        for e, g in zip(expected, got):
-            np.testing.assert_array_equal(e, g)
+        for shape in [(64, 64), (64, 64, 3)]:  # gray, packed RGB
+            frames = [rng.integers(0, 255, shape, dtype=np.uint8)
+                      for _ in range(6)]
+            expected = [corrector.correct(f) for f in frames]
+            for depth in (1, 2, 4):
+                got = list(_pipelined(frames, small_field, depth=depth))
+                assert len(got) == 6
+                for e, g in zip(expected, got):
+                    np.testing.assert_array_equal(e, g, err_msg=f"depth {depth}")
 
     def test_order_preserved_with_generator_source(self, small_field, rng):
         def source():

@@ -208,12 +208,11 @@ class TestFarCoordinates:
     RAMP = np.add.outer(np.arange(4) * 5, np.arange(5) * 20).astype(np.uint8)
 
     def _coords(self):
-        # a far coordinate beside an in-range one, infinities on both axes
+        # a far or non-finite coordinate on one axis or both, beside an
+        # in-range one
         pairs = [(2.5, 1.5)]
-        for v in (1e20, -1e20):
+        for v in (1e20, -1e20, np.inf, -np.inf, np.nan):
             pairs += [(v, 1.0), (1.0, v), (v, v), (v, -v)]
-        for v in (np.inf, -np.inf):
-            pairs += [(v, v), (v, -v)]
         xs, ys = zip(*pairs)
         return np.array([xs]), np.array([ys])
 

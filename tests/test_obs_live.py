@@ -409,7 +409,7 @@ class TestCrashAndStall:
 
 
 # ----------------------------------------------------------------------
-# corrected_stream(serve_metrics=...)
+# a caller-held server around a stream
 # ----------------------------------------------------------------------
 class TestServeMetricsWiring:
     def test_stream_serves_while_running(self, small_field, rng):
@@ -417,12 +417,9 @@ class TestServeMetricsWiring:
 
         frames = _frames(rng, 6)
         tel = Telemetry()
-        server = MetricsServer(telemetry=tel, port=0)
-        mid_health = {}
-        with scoped(tel):
+        with MetricsServer(telemetry=tel, port=0) as server, scoped(tel):
             stream = corrected_stream(frames, small_field, copy=True,
-                                      engine="ring", workers=1, depth=2,
-                                      serve_metrics=server)
+                                      engine="ring", workers=1, depth=2)
             got = [next(stream)]
             # scrape mid-stream: the surface is live while frames flow
             _, _, body = _get(server.url + "/health")
@@ -431,19 +428,6 @@ class TestServeMetricsWiring:
         assert len(got) == 6
         assert mid_health["status"] == "ok"
         assert mid_health["frames"] >= 1
-        # caller-owned server: still running after the stream ends
-        assert server.running
-        server.close()
-
-    def test_int_port_owns_server_lifetime(self, small_field, rng):
-        from repro.video.stream import corrected_stream
-
-        frames = _frames(rng, 2)
-        tel = Telemetry()
-        with scoped(tel):
-            got = list(corrected_stream(frames, small_field, copy=True,
-                                        serve_metrics=0))
-        assert len(got) == 2  # server came and went with the stream
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +465,11 @@ class TestBindFailure:
 
 class TestOwnedServerLifecycle:
     def test_stream_error_still_stops_owned_server(self, small_field, rng):
-        """corrected_stream(serve_metrics=PORT) owns its server: when
-        the source raises mid-run, the daemon thread must be gone."""
+        """The CLI's run surface owns its server: when the source raises
+        mid-run, the daemon thread and the self-enabled registry must
+        be gone."""
+        from repro.cli import _observed_run
+        from repro.obs import get_telemetry
         from repro.video.stream import corrected_stream
 
         assert not _metrics_threads()
@@ -492,22 +479,23 @@ class TestOwnedServerLifecycle:
             yield frames_ok[0]
             raise RuntimeError("decoder died")
 
-        gen = corrected_stream(exploding(), small_field, copy=True,
-                               serve_metrics=0)
-        next(gen)
-        assert len(_metrics_threads()) == 1  # serving mid-stream
         with pytest.raises(RuntimeError, match="decoder died"):
-            next(gen)
+            with _observed_run(0):
+                gen = corrected_stream(exploding(), small_field, copy=True)
+                next(gen)
+                assert len(_metrics_threads()) == 1  # serving mid-stream
+                next(gen)
         for t in _metrics_threads():
             t.join(timeout=5.0)
         assert not _metrics_threads()
+        assert not get_telemetry().enabled
 
     def test_caller_owned_server_survives_stream(self, small_field, rng):
         from repro.video.stream import corrected_stream
 
         with MetricsServer(telemetry=Telemetry(), port=0) as server:
             out = list(corrected_stream(iter(_frames(rng, 2)), small_field,
-                                        copy=True, serve_metrics=server))
+                                        copy=True))
             assert len(out) == 2
-            assert server.running  # caller owns the lifetime
+            assert server.running  # the caller's with block owns it
         assert not server.running

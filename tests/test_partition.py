@@ -8,7 +8,6 @@ from repro.parallel.partition import (
     Tile,
     blocks,
     row_bands,
-    row_bands_weighted,
     tile_weights,
 )
 from repro.errors import PartitionError
@@ -96,38 +95,6 @@ class TestTileWeights:
                          base_cost=2.0)
 
 
-class TestRowBandsWeighted:
-    def test_exact_cover(self, tilted_field):
-        tiles = row_bands_weighted(tilted_field.valid_mask(), 5)
-        assert covers_exactly(tiles, 64, 64)
-
-    def test_band_count(self, tilted_field):
-        assert len(row_bands_weighted(tilted_field.valid_mask(), 5)) == 5
-
-    def test_balances_cost_better_than_uniform(self, tilted_field):
-        mask = tilted_field.valid_mask()
-        n = 4
-        uniform = row_bands(64, 64, n)
-        weighted = row_bands_weighted(mask, n)
-
-        def imbalance(tiles):
-            w = tile_weights(mask, tiles)
-            return w.max() / w.mean()
-
-        assert imbalance(weighted) <= imbalance(uniform) + 1e-9
-
-    def test_count_capped_by_rows(self):
-        mask = np.ones((3, 4), dtype=bool)
-        tiles = row_bands_weighted(mask, 9)
-        assert len(tiles) == 3
-
-    def test_validation(self):
-        with pytest.raises(PartitionError):
-            row_bands_weighted(np.ones(4, dtype=bool), 2)
-        with pytest.raises(PartitionError):
-            row_bands_weighted(np.ones((4, 4), dtype=bool), 0)
-
-
 @given(height=st.integers(1, 50), width=st.integers(1, 50),
        count=st.integers(1, 20))
 @settings(max_examples=80, deadline=None)
@@ -140,13 +107,3 @@ def test_property_row_bands_always_cover(height, width, count):
 @settings(max_examples=80, deadline=None)
 def test_property_blocks_always_cover(height, width, th, tw):
     assert covers_exactly(blocks(height, width, th, tw), height, width)
-
-
-@given(height=st.integers(2, 30), count=st.integers(1, 10), seed=st.integers(0, 99))
-@settings(max_examples=60, deadline=None)
-def test_property_weighted_bands_cover(height, count, seed):
-    rng = np.random.default_rng(seed)
-    mask = rng.random((height, 8)) > 0.5
-    tiles = row_bands_weighted(mask, count)
-    assert covers_exactly(tiles, height, 8)
-    assert len(tiles) == min(count, height)

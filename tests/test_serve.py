@@ -761,10 +761,6 @@ class TestTeardown:
 # service facade
 # ----------------------------------------------------------------------
 class TestServiceFacade:
-    def test_metrics_url_none_without_server(self):
-        with MultiStreamCorrector(workers=1) as svc:
-            assert svc.metrics_url is None
-
     def test_stats_shape(self, small_field):
         with MultiStreamCorrector(workers=1) as svc:
             svc.open_stream(_const_frames(0, 1), small_field, name="x")
