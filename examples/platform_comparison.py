@@ -14,22 +14,17 @@ Run:  python examples/platform_comparison.py          # quick subset
 import sys
 import time
 
-from repro.bench import EXPERIMENT_ORDER, EXPERIMENTS, run_experiment
+from repro.bench import resolve_experiments, run_experiment
+from repro.errors import BenchmarkError
 
 QUICK = ["T1", "F4", "F7"]
 
 
 def main(argv) -> int:
-    if not argv:
-        ids = QUICK
-    elif argv == ["all"]:
-        ids = EXPERIMENT_ORDER
-    else:
-        ids = [a.upper() for a in argv]
-
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}; known: {sorted(EXPERIMENTS)}")
+    try:
+        ids = resolve_experiments(argv or QUICK)
+    except BenchmarkError as exc:
+        print(exc)
         return 2
 
     for exp_id in ids:

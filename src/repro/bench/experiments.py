@@ -63,6 +63,7 @@ __all__ = [
     "f12_fixed_point",
     "EXPERIMENTS",
     "EXPERIMENT_ORDER",
+    "resolve_experiments",
     "run_experiment",
 ]
 
@@ -606,11 +607,29 @@ EXPERIMENT_ORDER = tuple(sorted(EXPERIMENTS,
                                 key=lambda k: ("TFAH".index(k[0]), int(k[1:]))))
 
 
+def _unknown(ids) -> BenchmarkError:
+    return BenchmarkError(f"unknown experiment ids {list(ids)}; "
+                          f"known: {' '.join(EXPERIMENT_ORDER)}")
+
+
+def resolve_experiments(ids) -> tuple:
+    """The experiment ids to run, in order, for a command line's ``ids``.
+
+    ``all`` (any case) is every id in :data:`EXPERIMENT_ORDER`; other ids
+    are upper-cased.  Every unknown id is rejected before anything runs.
+    """
+    if [i.lower() for i in ids] == ["all"]:
+        return EXPERIMENT_ORDER
+    resolved = tuple(i.upper() for i in ids)
+    unknown = [i for i in resolved if i not in EXPERIMENTS]
+    if unknown:
+        raise _unknown(unknown)
+    return resolved
+
+
 def run_experiment(exp_id: str) -> Table:
     """Run one experiment by id (``T1``, ``F4``, ...)."""
-    try:
-        fn = EXPERIMENTS[exp_id.upper()]
-    except KeyError:
-        raise BenchmarkError(
-            f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}") from None
+    fn = EXPERIMENTS.get(exp_id.upper())
+    if fn is None:
+        raise _unknown([exp_id])
     return fn()

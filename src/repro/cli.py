@@ -221,13 +221,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import EXPERIMENT_ORDER, run_experiment
+    from .bench import resolve_experiments, run_experiment
 
-    if args.ids == ["all"]:
-        ids = EXPERIMENT_ORDER
-    else:
-        ids = [i.upper() for i in args.ids]
-    for exp_id in ids:
+    for exp_id in resolve_experiments(args.ids):
         print(run_experiment(exp_id))
         print()
     return 0

@@ -48,12 +48,9 @@ from .mapping import (
 from .antialias import SupersampledLUT, minification_map, supersample_field
 from .lutcache import LUTCache, field_fingerprint
 from .compose import affine_field, compose_fields, crop_field
-from .multiview import ViewSpec, compose_views, quad_view
 from .pipeline import FisheyeCorrector, StreamStats
-from .points import distort_points, undistort_points
 from .quality import center_scale, fov_retention, line_straightness, psnr, ssim
 from .remap import RemapLUT, StageProfile, remap, remap_profiled
-from .vignette import VignetteModel, correct_vignette
 
 __all__ = [
     "BrownConrady",
@@ -104,16 +101,9 @@ __all__ = [
     "SupersampledLUT",
     "supersample_field",
     "minification_map",
-    "distort_points",
-    "undistort_points",
     "compose_fields",
     "crop_field",
     "affine_field",
-    "ViewSpec",
-    "compose_views",
-    "quad_view",
-    "VignetteModel",
-    "correct_vignette",
     "psnr",
     "ssim",
     "line_straightness",

@@ -203,42 +203,36 @@ def _rotate_rays(x_n, y_n, rot):
                  for i in range(3))
 
 
-def _rays_to_sensor(dx, dy, dz, lens: LensModel, sensor: FisheyeIntrinsics,
-                    map_x, map_y) -> None:
-    """Shared tail: rays of any length -> fisheye sensor coordinates.
-
-    The field angle ``theta = atan2(rho, dz)``, ``rho = |(dx, dy)|``,
-    and the azimuth are both invariant to a ray's length, so rays need
-    no normalization, and the azimuth enters only as ``(cos phi, sin
-    phi) = (dx, dy) / rho`` — no ``atan2``/``cos``/``sin`` of it.  On
-    the axis (``rho == 0``) the azimuth is 0: ``(cx + r, cy)``.
-    Writes ``map_x``/``map_y`` (the broadcast shape of the components)
-    in place.
-    """
-    rho = np.sqrt(dx * dx + dy * dy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = lens.angle_to_radius(np.arctan2(rho, dz))
-        scale = r / rho
-        np.multiply(dx, scale, out=map_x)
-        np.multiply(dy, scale, out=map_y)
-    if not np.all(rho):
-        axis = rho == 0.0
-        map_x[axis] = r[axis]
-        map_y[axis] = 0.0 * r[axis]
-    map_x += sensor.cx
-    map_y += sensor.cy
-
-
 def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
             width: int, rays) -> RemapField:
     """Build a field band by band from ``rays(r0, r1) -> (dx, dy, dz)``,
-    the (broadcastable) ray components of output rows ``r0:r1``."""
+    the (broadcastable) ray components of output rows ``r0:r1``.
+
+    The tail every builder shares, rays of any length -> fisheye sensor
+    coordinates: the field angle ``theta = atan2(rho, dz)``, ``rho =
+    |(dx, dy)|``, and the azimuth are both invariant to a ray's length,
+    so rays need no normalization, and the azimuth enters only as
+    ``(cos phi, sin phi) = (dx, dy) / rho`` — no ``atan2``/``cos``/``sin``
+    of it.  On the axis (``rho == 0``) the azimuth is 0: ``(cx + r, cy)``.
+    """
     map_x = np.empty((height, width))
     map_y = np.empty((height, width))
     for r0 in range(0, height, _BAND_ROWS):
         r1 = min(r0 + _BAND_ROWS, height)
-        _rays_to_sensor(*rays(r0, r1), lens, sensor,
-                        map_x[r0:r1], map_y[r0:r1])
+        dx, dy, dz = rays(r0, r1)
+        band_x, band_y = map_x[r0:r1], map_y[r0:r1]
+        rho = np.sqrt(dx * dx + dy * dy)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = lens.angle_to_radius(np.arctan2(rho, dz))
+            scale = r / rho
+            np.multiply(dx, scale, out=band_x)
+            np.multiply(dy, scale, out=band_y)
+        if not np.all(rho):
+            axis = rho == 0.0
+            band_x[axis] = r[axis]
+            band_y[axis] = 0.0 * r[axis]
+        band_x += sensor.cx
+        band_y += sensor.cy
     return RemapField(map_x, map_y, sensor.width, sensor.height)
 
 

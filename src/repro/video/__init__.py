@@ -2,7 +2,6 @@
 
 from .distort import FisheyeRenderer, render_fisheye, scene_camera_for_sensor
 from .io import read_npy, read_pgm, read_ppm, write_npy, write_pgm, write_ppm
-from .sensor import SensorNoise
 from .stream import SyntheticStream, corrected_stream, panning_crops
 from .synth import checkerboard, circle_grid, gradient, noise, radial_circles, urban
 from .yuv import PLANE_NAMES, YUV420Frame, YUVCorrector, to_yuv420_stream
@@ -30,5 +29,4 @@ __all__ = [
     "PLANE_NAMES",
     "to_yuv420_stream",
     "corrected_stream",
-    "SensorNoise",
 ]

@@ -154,3 +154,36 @@ class TestCalibrate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate(np.zeros((5, 3)), np.ones(5), (0, 0))
+
+
+def test_calibration_survives_noise():
+    """Blob detection and calibration on a rendered target under shot and read noise."""
+    from repro.core.intrinsics import FisheyeIntrinsics
+    from repro.core.lens import EquidistantLens
+    from repro.video.distort import FisheyeRenderer, scene_camera_for_sensor
+    from repro.video.synth import circle_grid
+
+    size = 256
+    circle = size / 2.0 - 1.0
+    sensor = FisheyeIntrinsics.centered(size, size, focal=circle / (np.pi / 2.0))
+    lens = EquidistantLens(sensor.focal)
+    scene_cam = scene_camera_for_sensor(sensor, lens, size, size)
+    target, pts = circle_grid(size, size, rings=4, spokes=8, dot_radius=4,
+                              margin=0.7)
+    frame = FisheyeRenderer(scene_cam, lens, sensor).render(target)
+    rng = np.random.default_rng(9)
+    full_well = 2000.0
+    shot = rng.poisson(frame / 255.0 * full_well) / full_well * 255.0
+    noisy = np.clip(np.rint(shot + rng.normal(0.0, 8.0, frame.shape)), 0, 255)
+
+    xn, yn = scene_cam.normalize(pts[:, 0], pts[:, 1])
+    thetas = np.arctan(np.hypot(xn, yn))
+    blobs = detect_blobs(noisy, min_area=4)
+    assert len(blobs) == len(pts)
+    blob_pts = np.array([[b.x, b.y] for b in blobs])
+    guess = blob_pts.mean(axis=0)
+    order = np.argsort(np.hypot(blob_pts[:, 0] - guess[0],
+                                blob_pts[:, 1] - guess[1]))
+    result = calibrate(blob_pts[order][1:], np.sort(thetas)[1:],
+                       center_guess=tuple(guess))
+    assert result.focal == pytest.approx(sensor.focal, rel=0.02)

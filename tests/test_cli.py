@@ -98,19 +98,26 @@ class TestBenchInfo:
         assert main(["bench", "t1"]) == 0
         assert "platform characteristics" in capsys.readouterr().out
 
-    def test_bench_all_runs_every_id_in_order(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("word", ["all", "ALL", "All"])
+    def test_bench_all_runs_every_id_in_order(self, word, monkeypatch, capsys):
         import repro.bench
 
         ran = []
         monkeypatch.setattr(repro.bench, "run_experiment",
                             lambda exp_id: ran.append(exp_id) or exp_id)
-        assert main(["bench", "all"]) == 0
+        assert main(["bench", word]) == 0
         assert ran == ["T1", "T2"] + [f"F{i}" for i in range(1, 13)] \
             + ["A1", "A2", "A3", "A4", "H1", "H2"]
 
     def test_bench_unknown_id(self, capsys):
         assert main(["bench", "F99"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bench_rejects_unknown_id_before_running(self, capsys):
+        assert main(["bench", "T1", "F99"]) == 1
+        captured = capsys.readouterr()
+        assert "T1:" not in captured.out
+        assert "known: T1 T2 F1 F2" in captured.err
 
     def test_info(self, capsys):
         assert main(["info"]) == 0

@@ -25,7 +25,6 @@ from repro.core.lens import LENS_MODELS
 from repro.core.lutcache import LUTCache
 from repro.core.mapping import (RemapField, chroma_half_field, cylindrical_map,
                                 equirectangular_map, perspective_map)
-from repro.core.points import distort_points
 from repro.core.remap import _BUILD_ROWS, RemapLUT
 
 pytestmark = pytest.mark.tier1
@@ -179,21 +178,6 @@ def test_skew_is_honoured(pose):
     assert_matches(field, _oracle_tail(rays, lens, sensor), sensor)
     unskewed = perspective_map(sensor, lens, view(65, 43, lens, 0.5), **kw)
     assert np.nanmax(np.abs(field.map_x - unskewed.map_x)) > 0.1
-    px, py = distort_points(xs, ys, sensor, lens, out, **kw)
-    np.testing.assert_array_equal(px, field.map_x)
-    np.testing.assert_array_equal(py, field.map_y)
-
-
-@pytest.mark.parametrize("pose", POSES)
-def test_distort_points_equals_map(pose):
-    sensor, lens = standard_sensor(96, 72)
-    out = view(65, 43, lens, 1.0)
-    kw = dict(zip(("yaw", "pitch", "roll"), (math.radians(a) for a in pose)))
-    field = perspective_map(sensor, lens, out, **kw)
-    xs, ys = geometry.pixel_grid(out.height, out.width)
-    px, py = distort_points(xs, ys, sensor, lens, out, **kw)
-    np.testing.assert_array_equal(px, field.map_x)
-    np.testing.assert_array_equal(py, field.map_y)
 
 
 # ----------------------------------------------------------------------

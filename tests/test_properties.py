@@ -147,21 +147,3 @@ class TestEnergyInvariants:
         spec = POWER_SPECS["xeon16"]
         assert spec.idle_w - 1e-9 <= e.watts_average <= spec.active_w + 1e-9
 
-
-class TestComposedViewsInvariant:
-    @given(split=st.integers(8, 24), seed=st.integers(0, 20))
-    @settings(max_examples=15, deadline=None)
-    def test_mosaic_panes_independent(self, split, seed):
-        """Correcting a mosaic == correcting each pane separately."""
-        from repro.core.multiview import ViewSpec, compose_views
-
-        sensor, lens, _ = _rig()
-        rng = np.random.default_rng(seed)
-        img = rng.integers(0, 256, size=(SIZE, SIZE), dtype=np.uint8)
-        views = [ViewSpec(0, 0, split, SIZE, zoom=0.5),
-                 ViewSpec(split, 0, SIZE - split, SIZE, zoom=1.0, pitch=0.3)]
-        whole = RemapLUT(compose_views(sensor, lens, views, SIZE, SIZE)).apply(img)
-        left = RemapLUT(compose_views(sensor, lens,
-                                      [ViewSpec(0, 0, split, SIZE, zoom=0.5)],
-                                      split, SIZE)).apply(img)
-        np.testing.assert_array_equal(whole[:, :split], left)
