@@ -310,8 +310,7 @@ def measured_dma_ledger(lut, tile_rows: int, pixel_bytes: int = 1) -> dict:
     """
     oh, ow = lut.out_shape
     n = oh * ow
-    keep = (np.ones(n, dtype=bool) if lut.mask is None
-            else np.asarray(lut.mask).reshape(-1))
+    keep = np.asarray(lut.mask).reshape(-1)
     src_bytes = 0
     for r0 in range(0, oh, tile_rows):
         r1 = min(oh, r0 + tile_rows)

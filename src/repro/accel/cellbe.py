@@ -25,6 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import CapacityError, PlatformError
 from ..obs.telemetry import emit_phase_spans, get_telemetry
 from ..parallel.partition import Tile
@@ -306,6 +308,61 @@ class CellModel(PlatformModel):
         usable = self.local_store_bytes - self.code_bytes
         return usable // 2 if double_buffering else usable
 
+    def _worst_working_set(self, workload: Workload,
+                           tile_cols: int | None = None):
+        """``worst(rows)``: the largest tile working set of the ``rows``
+        x ``tile_cols`` tiling, ``max(j.working_set for j in
+        self._jobs(workload, rows, tile_cols))``.
+
+        With a field, each output row's valid-sample extents per column
+        block are found once here, and ``worst`` only reduces them per
+        band of rows: ``floor(min) == min(floor)`` (and likewise for
+        ``ceil``/``max``), so every tile's source bounding box is the
+        one :meth:`~repro.core.mapping.RemapField.source_bbox` gives.
+        """
+        if workload.field is None:
+            return lambda rows: max(j.working_set
+                                    for j in self._jobs(workload, rows, tile_cols))
+        field = workload.field
+        spec = workload.spec
+        pixel_bytes = spec.out_bytes
+        h, w = workload.out_height, workload.out_width
+        col0 = np.arange(0, w, tile_cols or w)
+        widths = np.diff(np.append(col0, w))
+        valid = field.valid_mask()
+        # per (output row, column block): min/max of the valid samples
+        # (+inf/-inf where there are none)
+        lo_x, hi_x, lo_y, hi_y = (
+            ufunc.reduceat(np.where(valid, plane, empty), col0, axis=1)
+            for plane in (field.map_x, field.map_y)
+            for ufunc, empty in ((np.minimum, np.inf), (np.maximum, -np.inf)))
+        margin = 2  # RemapField.source_bbox's interpolation footprint
+
+        def span(lo, hi, size):
+            """Clamped half-open source span of each tile; 0 when empty."""
+            some = np.isfinite(lo)
+            a = np.floor(np.where(some, lo, 0.0)).astype(np.int64) - margin
+            b = np.ceil(np.where(some, hi, 0.0)).astype(np.int64) + margin + 1
+            return np.where(some, np.minimum(size, b) - np.maximum(0, a), 0)
+
+        def worst(rows: int) -> int:
+            row0 = np.arange(0, h, rows)
+            heights = np.diff(np.append(row0, h))
+            pixels = heights[:, None] * widths[None, :]
+            sy = span(np.minimum.reduceat(lo_y, row0, axis=0),
+                      np.maximum.reduceat(hi_y, row0, axis=0),
+                      field.src_height)
+            sx = span(np.minimum.reduceat(lo_x, row0, axis=0),
+                      np.maximum.reduceat(hi_x, row0, axis=0),
+                      field.src_width)
+            # the integer truncations of _jobs, in its order
+            src = np.trunc(sy * sx * pixel_bytes)
+            lut = np.trunc(pixels * spec.lut_bytes)
+            out = np.trunc(pixels * pixel_bytes)
+            return int((src + lut + out).max())
+
+        return worst
+
     def max_tile_rows(self, workload: Workload, double_buffering: bool = True,
                       tile_cols: int | None = None) -> int:
         """Largest band height whose working set fits the local store.
@@ -314,10 +371,10 @@ class CellModel(PlatformModel):
         row (at the given column split) does not fit.
         """
         budget = self.usable_local_store(double_buffering)
+        worst = self._worst_working_set(workload, tile_cols)
 
         def fits(rows: int) -> bool:
-            jobs = self._jobs(workload, rows, tile_cols)
-            return max(j.working_set for j in jobs) <= budget
+            return worst(rows) <= budget
 
         if not fits(1):
             raise CapacityError(

@@ -89,7 +89,7 @@ def _build_kernel():
     from numba import njit, prange
 
     @njit(parallel=True, nogil=True, fastmath=False)
-    def _apply_q(flat, idx, qw, mask, has_mask, fill, shift, lo, hi,
+    def _apply_q(flat, idx, qw, mask, fill, shift, lo, hi,
                  out, width, tile_h, tile_w):
         n = idx.shape[0]
         taps = idx.shape[1]
@@ -107,7 +107,7 @@ def _build_kernel():
                 base = y * width
                 for x in range(tx * tile_w, x_end):
                     i = base + x
-                    if has_mask and not mask[i]:
+                    if not mask[i]:
                         for c in range(channels):
                             out[i, c] = fill
                         continue
@@ -143,7 +143,7 @@ def compiled_apply_block(flat, idx, qw_t, mask, fill, frac_bits, lo, hi,
     qw_t:
         ``(taps, n)`` int16 quantized weights (Q ``frac_bits``).
     mask:
-        ``(n,)`` bool validity mask or ``None``.
+        ``(n,)`` bool validity mask.
     fill:
         Integer fill value for masked-out pixels.
     frac_bits:
@@ -165,13 +165,7 @@ def compiled_apply_block(flat, idx, qw_t, mask, fill, frac_bits, lo, hi,
     if not numba_available():  # pragma: no cover - guarded by tier resolution
         raise RuntimeError("compiled kernel tier requested but numba is not importable")
     kernel = _build_kernel()
-    if mask is None:
-        mask_arr = np.empty(1, dtype=np.bool_)
-        has_mask = False
-    else:
-        mask_arr = mask
-        has_mask = True
-    kernel(flat, idx, qw_t, mask_arr, has_mask,
+    kernel(flat, idx, qw_t, mask,
            np.int64(fill), np.int64(frac_bits), np.int64(lo), np.int64(hi),
            out_flat, np.int64(width), np.int64(TILE_H), np.int64(TILE_W))
     return out_flat

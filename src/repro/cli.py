@@ -121,6 +121,28 @@ def _observed_run(port):
             obs.disable()
 
 
+def _synthetic_camera(args):
+    """The synthetic camera ``stream`` and ``serve`` run: ``(renderer,
+    world, corrector)`` — a fisheye renderer for the ``--width`` x
+    ``--height`` sensor of ``--model``/``--focal``, the urban world of
+    ``--seed`` it films, and the sensor's perspective corrector at
+    ``--zoom``/``--method``/``--kernel``."""
+    from .video.distort import FisheyeRenderer, scene_camera_for_sensor
+    from .video.synth import urban
+
+    w, h = args.width, args.height
+    focal = args.focal or (min(w, h) / 2.0 - 1.0) / (np.pi / 2.0)
+    sensor = FisheyeIntrinsics.centered(w, h, focal=focal)
+    lens = make_lens(args.model, focal)
+    scene_cam = scene_camera_for_sensor(sensor, lens, w, h)
+    renderer = FisheyeRenderer(scene_cam, lens, sensor)
+    world = urban(int(w * 1.5) + 64, int(h * 1.5) + 64, seed=args.seed)
+    corrector = FisheyeCorrector.for_sensor(
+        sensor, lens, w, h, zoom=args.zoom, method=args.method,
+        kernel=args.kernel)
+    return renderer, world, corrector
+
+
 def _sensor_for(image, focal, cx=None, cy=None):
     h, w = image.shape[:2]
     if focal is None:
@@ -233,24 +255,14 @@ def cmd_stream(args) -> int:
     """Run a synthetic camera stream through a correction engine."""
     import time
 
-    from .video.distort import FisheyeRenderer, scene_camera_for_sensor
     from .video.stream import SyntheticStream, corrected_stream
-    from .video.synth import urban
 
     w, h = args.width, args.height
-    focal = args.focal or (min(w, h) / 2.0 - 1.0) / (np.pi / 2.0)
-    sensor = FisheyeIntrinsics.centered(w, h, focal=focal)
-    lens = make_lens(args.model, focal)
-    scene_cam = scene_camera_for_sensor(sensor, lens, w, h)
-    renderer = FisheyeRenderer(scene_cam, lens, sensor)
-    world = urban(int(w * 1.5) + 64, int(h * 1.5) + 64, seed=args.seed)
+    renderer, world, corrector = _synthetic_camera(args)
     source = SyntheticStream(renderer, world, frames=args.frames, step=12)
 
     out_size = args.out_size
     fmt = _pixfmt(args.pixfmt)
-    corrector = FisheyeCorrector.for_sensor(
-        sensor, lens, w, h, zoom=args.zoom, method=args.method,
-        kernel=args.kernel)
     engine = {"seq": "sync"}.get(args.engine, args.engine)
     engine_kwargs = {}
     if engine == "pipelined":
@@ -299,22 +311,12 @@ def cmd_serve(args) -> int:
     import time
 
     from .serve import MultiStreamCorrector
-    from .video.distort import FisheyeRenderer, scene_camera_for_sensor
-    from .video.stream import SyntheticStream, corrected_stream
-    from .video.synth import urban
+    from .video.stream import SyntheticStream
 
     w, h = args.width, args.height
-    focal = args.focal or (min(w, h) / 2.0 - 1.0) / (np.pi / 2.0)
-    sensor = FisheyeIntrinsics.centered(w, h, focal=focal)
-    lens = make_lens(args.model, focal)
-    scene_cam = scene_camera_for_sensor(sensor, lens, w, h)
-    renderer = FisheyeRenderer(scene_cam, lens, sensor)
-    world = urban(int(w * 1.5) + 64, int(h * 1.5) + 64, seed=args.seed)
     # every camera shares one calibration (the common rack-of-cameras
     # deployment): the broker builds and publishes exactly one LUT
-    corrector = FisheyeCorrector.for_sensor(
-        sensor, lens, w, h, zoom=args.zoom, method=args.method,
-        kernel=args.kernel)
+    renderer, world, corrector = _synthetic_camera(args)
 
     weights = [1] * args.streams
     if args.weights:

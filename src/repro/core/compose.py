@@ -104,13 +104,13 @@ def compose_fields(outer: RemapField, inner: RemapField) -> RemapField:
 
 
 def _composed_table(outer: RemapField, inner: RemapField, method: str,
-                    border: str, fill: float) -> RemapLUT:
+                    fill: float) -> RemapLUT:
     """The fused table of ``inner after outer``, built band by band
     without materializing the composed field."""
     rows = _composed_rows(outer, inner)
     return RemapLUT.from_rows(rows, outer.shape,
                               (inner.src_height, inner.src_width),
-                              method=method, border=border, fill=fill)
+                              method=method, fill=fill)
 
 
 def crop_field(width: int, height: int, x0: float, y0: float,
@@ -197,21 +197,17 @@ def _composed_builder(outer: RemapField, inner: RemapField):
     :func:`~repro.core.antialias.supersample_field` consumes.
     """
     def build(xs, ys):
-        ox = sample(outer.map_x, xs, ys, method="bilinear",
-                    border="constant", fill=np.nan)
-        oy = sample(outer.map_y, xs, ys, method="bilinear",
-                    border="constant", fill=np.nan)
-        mx = sample(inner.map_x, ox, oy, method="bilinear",
-                    border="constant", fill=np.nan)
-        my = sample(inner.map_y, ox, oy, method="bilinear",
-                    border="constant", fill=np.nan)
+        ox = sample(outer.map_x, xs, ys, method="bilinear", fill=np.nan)
+        oy = sample(outer.map_y, xs, ys, method="bilinear", fill=np.nan)
+        mx = sample(inner.map_x, ox, oy, method="bilinear", fill=np.nan)
+        my = sample(inner.map_y, ox, oy, method="bilinear", fill=np.nan)
         return mx, my, inner.src_width, inner.src_height
     return build
 
 
 def composed_lut(outer: RemapField, inner: RemapField, *,
-                 method: str = "bilinear", border: str = "constant",
-                 fill: float = 0.0, cache=None, antialias=None):
+                 method: str = "bilinear", fill: float = 0.0, cache=None,
+                 antialias=None):
     """One fused gather table for ``inner after outer``.
 
     The hot path of fused correct+downscale(+crop): instead of
@@ -249,6 +245,5 @@ def composed_lut(outer: RemapField, inner: RemapField, *,
             _composed_builder(outer, inner), ow, oh, factor,
             method=method, fill=fill)
     if cache is not None:
-        return cache.get_composed(outer, inner, method=method,
-                                  border=border, fill=fill)
-    return _composed_table(outer, inner, method, border, fill)
+        return cache.get_composed(outer, inner, method=method, fill=fill)
+    return _composed_table(outer, inner, method, fill)

@@ -9,17 +9,10 @@ uses — and each has a straight-line *scalar reference* twin
 Coordinate convention: pixel centres on integer coordinates, ``x``
 along width (axis 1), ``y`` along height (axis 0).
 
-Border modes
-------------
-``constant``
-    Samples whose footprint leaves the image return ``fill``
-    (the "black ring" of a corrected fisheye frame).
-``replicate``
-    Indices clamp to the edge.
-``reflect``
-    Mirror about the edge pixel (``dcb|abcd|cba``).
-``wrap``
-    Periodic tiling.
+A sample point outside the image (or ``nan``, an out-of-FOV mapping
+result) returns ``fill`` — the "black ring" of a corrected fisheye
+frame.  A point inside it whose footprint reaches past the edge reads
+the edge pixel for the missing taps.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ from ..errors import InterpolationError
 
 __all__ = [
     "METHODS",
-    "BORDER_MODES",
     "resolve_indices",
     "valid_mask",
     "sample",
@@ -48,9 +40,6 @@ __all__ = [
 #: supported interpolation methods, cheapest first
 METHODS = ("nearest", "bilinear", "bicubic")
 
-#: supported border handling modes
-BORDER_MODES = ("constant", "replicate", "reflect", "wrap")
-
 #: taps along each axis per method (footprint is taps**2 pixels)
 _TAPS = {"nearest": 1, "bilinear": 2, "bicubic": 4}
 
@@ -65,24 +54,13 @@ def footprint(method: str) -> int:
     return taps * taps
 
 
-def resolve_indices(idx, size: int, border: str):
-    """Map (possibly out-of-range) integer indices into ``[0, size)``.
+def resolve_indices(idx, size: int):
+    """Clamp (possibly out-of-range) integer indices into ``[0, size)``.
 
-    For ``constant`` the indices are clamped — the caller is expected to
-    mask invalid samples separately via :func:`valid_mask`.
+    The caller masks samples outside the image separately via
+    :func:`valid_mask`.
     """
-    idx = np.asarray(idx)
-    if border in ("constant", "replicate"):
-        return np.clip(idx, 0, size - 1)
-    if border == "reflect":
-        if size == 1:
-            return np.zeros_like(idx)
-        period = 2 * (size - 1)
-        idx = np.mod(idx, period)
-        return np.where(idx >= size, period - idx, idx)
-    if border == "wrap":
-        return np.mod(idx, size)
-    raise InterpolationError(f"unknown border mode {border!r}; known: {BORDER_MODES}")
+    return np.clip(np.asarray(idx), 0, size - 1)
 
 
 def valid_mask(xs, ys, width: int, height: int):
@@ -113,8 +91,7 @@ def _prepare(image, xs, ys):
 
 
 def _finish(out, image, mask, fill, squeeze, out_dtype):
-    if mask is not None:
-        out = np.where(mask[..., None], out, fill)
+    out = np.where(mask[..., None], out, fill)
     if np.issubdtype(out_dtype, np.integer):
         info = np.iinfo(out_dtype)
         out = np.clip(np.rint(out), info.min, info.max)
@@ -127,14 +104,14 @@ def _finish(out, image, mask, fill, squeeze, out_dtype):
 # ----------------------------------------------------------------------
 # Nearest neighbour
 # ----------------------------------------------------------------------
-def sample_nearest(image, xs, ys, border: str = "constant", fill: float = 0.0):
+def sample_nearest(image, xs, ys, fill: float = 0.0):
     """Nearest-neighbour sampling (1 gather per output pixel)."""
     image, xs, ys, squeeze = _prepare(image, xs, ys)
     h, w = image.shape[:2]
-    mask = valid_mask(xs, ys, w, h) if border == "constant" else None
-    ix, iy = nearest_taps(xs, ys, (h, w), border)
-    ix = resolve_indices(ix, w, border)
-    iy = resolve_indices(iy, h, border)
+    mask = valid_mask(xs, ys, w, h)
+    ix, iy = nearest_taps(xs, ys)
+    ix = resolve_indices(ix, w)
+    iy = resolve_indices(iy, h)
     out = image[iy, ix].astype(np.float64)
     return _finish(out, image, mask, fill, squeeze, image.dtype)
 
@@ -148,28 +125,14 @@ def sample_nearest(image, xs, ys, border: str = "constant", fill: float = 0.0):
 _FAR = 2.0 ** 52
 
 
-def _fold(v, size, border):
-    """Move whole coordinates ``v`` (``|v| >= _FAR``) into
-    ``(-_FAR, _FAR)`` without changing the pixel any tap ``v + k``
-    resolves to under ``border``: ``fmod`` by the border's period is
-    exact, and ``constant``/``replicate`` (or an unknown ``size``) only
-    need the coordinate beyond the edge."""
-    if size is not None and border == "wrap":
-        return np.fmod(v, size)
-    if size is not None and border == "reflect":
-        return np.fmod(v, 2 * (size - 1)) if size > 1 else np.zeros_like(v)
-    return np.clip(v, -_FAR / 2, _FAR / 2)
-
-
-def _taps(xs, ys, shape, border, to_base, fractions=True):
+def _taps(xs, ys, to_base, fractions=True):
     """Integer tap origins ``to_base(xs)``, ``to_base(ys)`` and, with
     ``fractions``, the float64 fractions ``xs - to_base(xs)`` etc.
 
     A non-finite coordinate gets origin 0 and fraction 0 on its axis
-    (the caller masks its pixel under ``constant``); a finite one with
-    ``|x| >= _FAR`` is folded (:func:`_fold`) by the source ``shape``
-    ``(h, w)`` and ``border``.  Every other coordinate keeps its
-    origin and fraction.
+    (the caller masks its pixel); a finite one with ``|x| >= _FAR`` is
+    clamped to ``±_FAR / 2``, far beyond any edge, with fraction 0.
+    Every other coordinate keeps its origin and fraction.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -185,12 +148,11 @@ def _taps(xs, ys, shape, border, to_base, fractions=True):
         np.copyto(base, 0.0, where=gone)
         if frac is not None:
             np.copyto(frac, 0.0, where=gone)
-    if not _inside(bx, by):  # far-out finite coordinates: few, folded
-        h, w = shape if shape is not None else (None, None)
-        for base, frac, size in ((bx, fx, w), (by, fy, h)):
+    if not _inside(bx, by):  # far-out finite coordinates: few, clamped
+        for base, frac in ((bx, fx), (by, fy)):
             far = np.flatnonzero(np.abs(base) >= _FAR)
-            whole = to_base(_fold(base.reshape(-1)[far], size, border))
-            base.reshape(-1)[far] = whole
+            base.reshape(-1)[far] = np.clip(base.reshape(-1)[far],
+                                            -_FAR / 2, _FAR / 2)
             if frac is not None:
                 frac.reshape(-1)[far] = 0.0
     return bx.astype(np.intp), by.astype(np.intp), fx, fy
@@ -203,39 +165,37 @@ def _inside(bx, by) -> bool:
                            and -_FAR < by.min() and by.max() < _FAR)
 
 
-def nearest_taps(xs, ys, shape=None, border: str = "replicate"):
+def nearest_taps(xs, ys):
     """Nearest-neighbour taps ``(ix, iy)``: each coordinate rounded to
     the nearest integer (halves to even), with the non-finite and
     far-out handling of :func:`bilinear_taps`."""
-    ix, iy, _, _ = _taps(xs, ys, shape, border, np.rint, fractions=False)
+    ix, iy, _, _ = _taps(xs, ys, np.rint, fractions=False)
     return ix, iy
 
 
-def bilinear_taps(xs, ys, shape=None, border: str = "replicate"):
+def bilinear_taps(xs, ys):
     """Decompose coordinates into integer bases and fractional weights.
 
     Returns ``(ix, iy, fx, fy)`` with ``ix = floor(xs)`` etc.  A ``nan``
     or infinite coordinate produces tap 0 with zero fraction on its
-    axis; the caller masks the pixel out under ``constant``.  A finite
-    coordinate too far out for an integer tap (``|x| >= 2**52``, a
-    whole number) is moved, with zero fraction, to one that resolves
-    to the same pixels under ``border`` on a source of ``shape``
-    ``(h, w)``; without ``shape`` it is clamped far beyond the edge.
-    This is the precomputation a remap LUT stores.
+    axis; the caller masks the pixel out.  A finite coordinate too far
+    out for an integer tap (``|x| >= 2**52``, a whole number) is
+    clamped, with zero fraction, far beyond the edge.  This is the
+    precomputation a remap LUT stores.
     """
-    return _taps(xs, ys, shape, border, np.floor)
+    return _taps(xs, ys, np.floor)
 
 
-def sample_bilinear(image, xs, ys, border: str = "constant", fill: float = 0.0):
+def sample_bilinear(image, xs, ys, fill: float = 0.0):
     """Bilinear sampling (4 gathers + 8 multiply-adds per output pixel)."""
     image, xs, ys, squeeze = _prepare(image, xs, ys)
     h, w = image.shape[:2]
-    mask = valid_mask(xs, ys, w, h) if border == "constant" else None
-    ix, iy, fx, fy = bilinear_taps(xs, ys, (h, w), border)
-    x0 = resolve_indices(ix, w, border)
-    x1 = resolve_indices(ix + 1, w, border)
-    y0 = resolve_indices(iy, h, border)
-    y1 = resolve_indices(iy + 1, h, border)
+    mask = valid_mask(xs, ys, w, h)
+    ix, iy, fx, fy = bilinear_taps(xs, ys)
+    x0 = resolve_indices(ix, w)
+    x1 = resolve_indices(ix + 1, w)
+    y0 = resolve_indices(iy, h)
+    y1 = resolve_indices(iy + 1, h)
     fx = fx[..., None]
     fy = fy[..., None]
     img = image.astype(np.float64, copy=False)
@@ -264,7 +224,7 @@ def catmull_rom_weights(frac):
     return np.stack([w0, w1, w2, w3], axis=-1)
 
 
-def bicubic_taps(xs, ys, shape=None, border: str = "replicate"):
+def bicubic_taps(xs, ys):
     """Integer bases plus 4-tap weight vectors along each axis.
 
     Returns ``(ix, iy, wx, wy)`` where ``wx``/``wy`` have a trailing
@@ -272,24 +232,24 @@ def bicubic_taps(xs, ys, shape=None, border: str = "replicate"):
     weighted by ``wy[..., j] * wx[..., i]``.  Non-finite and far-out
     coordinates are handled as in :func:`bilinear_taps`.
     """
-    ix, iy, fx, fy = _taps(xs, ys, shape, border, np.floor)
+    ix, iy, fx, fy = _taps(xs, ys, np.floor)
     return ix, iy, catmull_rom_weights(fx), catmull_rom_weights(fy)
 
 
-def sample_bicubic(image, xs, ys, border: str = "constant", fill: float = 0.0):
+def sample_bicubic(image, xs, ys, fill: float = 0.0):
     """Bicubic (Catmull-Rom) sampling: 16 gathers + ~20 MACs per pixel."""
     image, xs, ys, squeeze = _prepare(image, xs, ys)
     h, w = image.shape[:2]
-    mask = valid_mask(xs, ys, w, h) if border == "constant" else None
-    ix, iy, wx, wy = bicubic_taps(xs, ys, (h, w), border)
+    mask = valid_mask(xs, ys, w, h)
+    ix, iy, wx, wy = bicubic_taps(xs, ys)
     img = image.astype(np.float64, copy=False)
     out = np.zeros(xs.shape + (img.shape[2],), dtype=np.float64)
     # Separable accumulation: 4 row passes, each combining 4 column taps.
     for j in range(4):
-        yj = resolve_indices(iy - 1 + j, h, "replicate" if border == "constant" else border)
+        yj = resolve_indices(iy - 1 + j, h)
         row = np.zeros_like(out)
         for i in range(4):
-            xi = resolve_indices(ix - 1 + i, w, "replicate" if border == "constant" else border)
+            xi = resolve_indices(ix - 1 + i, w)
             row += img[yj, xi] * wx[..., i, None]
         out += row * wy[..., j, None]
     return _finish(out, image, mask, fill, squeeze, image.dtype)
@@ -302,8 +262,7 @@ _SAMPLERS = {
 }
 
 
-def sample(image, xs, ys, method: str = "bilinear", border: str = "constant",
-           fill: float = 0.0):
+def sample(image, xs, ys, method: str = "bilinear", fill: float = 0.0):
     """Sample ``image`` at fractional coordinates ``(xs, ys)``.
 
     Parameters
@@ -312,13 +271,11 @@ def sample(image, xs, ys, method: str = "bilinear", border: str = "constant",
         ``(H, W)`` or ``(H, W, C)`` array of any real dtype.
     xs, ys:
         Fractional source coordinates (same shape); ``nan`` marks
-        out-of-FOV points, which return ``fill`` in ``constant`` mode.
+        out-of-FOV points.
     method:
         One of :data:`METHODS`.
-    border:
-        One of :data:`BORDER_MODES`.
     fill:
-        Value used by ``constant`` border handling.
+        Value of every sample point outside the image.
 
     Returns
     -------
@@ -326,35 +283,26 @@ def sample(image, xs, ys, method: str = "bilinear", border: str = "constant",
         Sampled image with shape ``xs.shape`` (+ channels), same dtype
         as ``image`` (rounded and clipped for integer dtypes).
     """
-    if border not in BORDER_MODES:
-        raise InterpolationError(f"unknown border mode {border!r}; known: {BORDER_MODES}")
     try:
         fn = _SAMPLERS[method]
     except KeyError:
         raise InterpolationError(
             f"unknown interpolation method {method!r}; known: {METHODS}") from None
-    return fn(image, xs, ys, border=border, fill=fill)
+    return fn(image, xs, ys, fill=fill)
 
 
 # ----------------------------------------------------------------------
 # Scalar reference implementation (oracle; deliberately loop-based)
 # ----------------------------------------------------------------------
-def _sample_one(image, x, y, method, border, fill):
+def _sample_one(image, x, y, method, fill):
     h, w = image.shape[:2]
-    if not (np.isfinite(x) and np.isfinite(y)):
-        if border == "constant":
-            return np.full(image.shape[2], fill, dtype=np.float64)
-        # like the vectorized taps: only the non-finite axis moves to 0
-        x = x if np.isfinite(x) else 0.0
-        y = y if np.isfinite(y) else 0.0
+    if not (0 <= x <= w - 1 and 0 <= y <= h - 1):  # False for nan too
+        return np.full(image.shape[2], fill, dtype=np.float64)
 
     def fetch(ix, iy):
-        ix = int(resolve_indices(np.array(ix), w, border if border != "constant" else "replicate"))
-        iy = int(resolve_indices(np.array(iy), h, border if border != "constant" else "replicate"))
+        ix = min(max(ix, 0), w - 1)
+        iy = min(max(iy, 0), h - 1)
         return image[iy, ix].astype(np.float64)
-
-    if border == "constant" and not (0 <= x <= w - 1 and 0 <= y <= h - 1):
-        return np.full(image.shape[2], fill, dtype=np.float64)
 
     if method == "nearest":
         return fetch(int(round(x)), int(round(y)))
@@ -378,8 +326,7 @@ def _sample_one(image, x, y, method, border, fill):
     raise InterpolationError(f"unknown interpolation method {method!r}")
 
 
-def sample_scalar(image, xs, ys, method: str = "bilinear", border: str = "constant",
-                  fill: float = 0.0):
+def sample_scalar(image, xs, ys, method: str = "bilinear", fill: float = 0.0):
     """Loop-based reference sampler (slow; for tests and tiny images).
 
     Semantically identical to :func:`sample`; kept free of any numpy
@@ -396,7 +343,7 @@ def sample_scalar(image, xs, ys, method: str = "bilinear", border: str = "consta
     flat_y = ys.ravel()
     out = np.empty((flat_x.size, image.shape[2]), dtype=np.float64)
     for k in range(flat_x.size):
-        out[k] = _sample_one(image, flat_x[k], flat_y[k], method, border, fill)
+        out[k] = _sample_one(image, flat_x[k], flat_y[k], method, fill)
     if np.issubdtype(image.dtype, np.integer):
         info = np.iinfo(image.dtype)
         out = np.clip(np.rint(out), info.min, info.max)

@@ -1,7 +1,7 @@
 """LUT memoization: reuse built remap tables across streams and restarts.
 
 The T2 profile shows the per-stream cost of the LUT pipeline is
-dominated by table *construction* (map analysis, border resolution,
+dominated by table *construction* (map analysis, edge clamping,
 fraction extraction), not application — roughly two orders of magnitude
 more than correcting one frame.  A long-running service that restarts
 streams, rotates views, or multiplexes a handful of camera geometries
@@ -50,9 +50,10 @@ from .remap import RemapLUT
 __all__ = ["LUTCache", "field_fingerprint", "derived_fingerprint"]
 
 #: On-disk table layout.  Version 1 stored ``(N, taps)`` offsets
-#: (``indices.npy``); version 2 stores one ``base`` per pixel plus the
-#: patch list.
-_FORMAT_VERSION = 2
+#: (``indices.npy``); version 2 stored one ``base`` per pixel plus the
+#: patch list, and a ``border`` mode; version 3 drops the mode (every
+#: table clamps at the edge and carries a ``mask``).
+_FORMAT_VERSION = 3
 
 
 def field_fingerprint(field: RemapField) -> str:
@@ -159,16 +160,15 @@ class LUTCache:
     # ------------------------------------------------------------------
     @staticmethod
     def key_for(field: RemapField | str, method: str = "bilinear",
-                border: str = "constant", fill: float = 0.0) -> str:
+                fill: float = 0.0) -> str:
         """Cache key: field content hash (or a
         :func:`derived_fingerprint`) + build parameters."""
-        tail = f"|{method}|{border}|{float(fill)!r}"
+        tail = f"|{method}|{float(fill)!r}"
         return _identity(field) + hashlib.sha1(tail.encode()).hexdigest()[:8]
 
     @staticmethod
     def key_for_composed(outer: RemapField | str, inner: RemapField | str,
-                         method: str = "bilinear", border: str = "constant",
-                         fill: float = 0.0) -> str:
+                         method: str = "bilinear", fill: float = 0.0) -> str:
         """Cache key of a fused ``inner after outer`` table.
 
         Derived from the content hashes of the *constituent* fields
@@ -177,7 +177,7 @@ class LUTCache:
         numerically identical stages share one fused table.  Either
         field may be given by its :func:`derived_fingerprint`.
         """
-        tail = f"|{method}|{border}|{float(fill)!r}"
+        tail = f"|{method}|{float(fill)!r}"
         h = hashlib.sha1(b"composed|")
         h.update(_identity(outer).encode())
         h.update(_identity(inner).encode())
@@ -209,18 +209,17 @@ class LUTCache:
 
     # ------------------------------------------------------------------
     def get(self, field: RemapField, method: str = "bilinear",
-            border: str = "constant", fill: float = 0.0) -> RemapLUT:
+            fill: float = 0.0) -> RemapLUT:
         """Return the LUT for this configuration, building at most once."""
-        key = self.key_for(field, method, border, fill)
+        key = self.key_for(field, method, fill)
 
         def build() -> RemapLUT:
-            return RemapLUT(field, method=method, border=border, fill=fill)
+            return RemapLUT(field, method=method, fill=fill)
 
         return self.get_or_build(key, build)
 
     def get_composed(self, outer: RemapField, inner: RemapField,
-                     method: str = "bilinear", border: str = "constant",
-                     fill: float = 0.0) -> RemapLUT:
+                     method: str = "bilinear", fill: float = 0.0) -> RemapLUT:
         """Return the fused LUT of ``inner after outer``.
 
         The key comes from the constituent fields' content hashes
@@ -231,10 +230,10 @@ class LUTCache:
         """
         from .compose import _composed_table
 
-        key = self.key_for_composed(outer, inner, method, border, fill)
+        key = self.key_for_composed(outer, inner, method, fill)
 
         def build() -> RemapLUT:
-            return _composed_table(outer, inner, method, border, fill)
+            return _composed_table(outer, inner, method, fill)
 
         return self.get_or_build(key, build)
 
@@ -304,10 +303,9 @@ class LUTCache:
         tmp = path + ".tmp"
         os.makedirs(tmp, exist_ok=True)
         np.save(os.path.join(tmp, "base.npy"), lut.base)
+        np.save(os.path.join(tmp, "mask.npy"), lut.mask)
         if lut.fracs is not None:
             np.save(os.path.join(tmp, "fracs.npy"), lut.fracs)
-        if lut.mask is not None:
-            np.save(os.path.join(tmp, "mask.npy"), lut.mask)
         patches = len(lut.patch_pixels)
         if patches:
             np.save(os.path.join(tmp, "patch_pixels.npy"), lut.patch_pixels)
@@ -315,7 +313,6 @@ class LUTCache:
         meta = {
             "version": _FORMAT_VERSION,
             "method": lut.method,
-            "border": lut.border,
             "fill": lut.fill,
             "out_shape": list(lut.out_shape),
             "src_shape": list(lut.src_shape),
@@ -366,9 +363,9 @@ class LUTCache:
             patch = ((table("patch_pixels"), table("patch_taps"))
                      if meta["patches"] else None)
             return RemapLUT.from_tables(
-                table("base"), fracs, optional("mask"),
+                table("base"), fracs, table("mask"),
                 out_shape=tuple(meta["out_shape"]), src_shape=tuple(meta["src_shape"]),
-                method=meta["method"], border=meta["border"], fill=meta["fill"],
+                method=meta["method"], fill=meta["fill"],
                 patch=patch)
         except (OSError, EOFError, ValueError, KeyError, TypeError,
                 json.JSONDecodeError, ReproError):

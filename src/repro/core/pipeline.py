@@ -69,8 +69,8 @@ class FisheyeCorrector:
         from :func:`repro.core.mapping.perspective_map`).
     method:
         Interpolation kind (``nearest``/``bilinear``/``bicubic``).
-    border, fill:
-        Border handling for out-of-FOV output pixels.
+    fill:
+        Value of out-of-FOV output pixels.
     kernel:
         Kernel-tier request, one of
         :data:`~repro.core.kernel_tiers.KERNEL_CHOICES`
@@ -97,14 +97,12 @@ class FisheyeCorrector:
     """
 
     def __init__(self, field: RemapField, method: str = "bilinear",
-                 border: str = "constant", fill: float = 0.0,
-                 lut_cache=None, kernel: str = "numpy",
+                 fill: float = 0.0, lut_cache=None, kernel: str = "numpy",
                  out_size: Optional[tuple] = None):
         from ..video.pixfmt import PIXFMTS
 
         self.field = field
         self.method = method
-        self.border = border
         self.fill = fill
         self.kernel = kernel_tiers.resolve_tier(kernel)
         self.lut_cache = lut_cache
@@ -122,8 +120,8 @@ class FisheyeCorrector:
     def for_sensor(cls, sensor: FisheyeIntrinsics, lens: LensModel,
                    out_width: int, out_height: int, zoom: float = 1.0,
                    yaw: float = 0.0, pitch: float = 0.0, roll: float = 0.0,
-                   method: str = "bilinear", border: str = "constant",
-                   fill: float = 0.0, lut_cache=None, kernel: str = "numpy",
+                   method: str = "bilinear", fill: float = 0.0,
+                   lut_cache=None, kernel: str = "numpy",
                    out_size: Optional[tuple] = None) -> "FisheyeCorrector":
         """Build a perspective-view corrector for a fisheye sensor.
 
@@ -144,7 +142,7 @@ class FisheyeCorrector:
             width=out_width, height=out_height,
         )
         field = perspective_map(sensor, lens, out, yaw=yaw, pitch=pitch, roll=roll)
-        return cls(field, method=method, border=border, fill=fill,
+        return cls(field, method=method, fill=fill,
                    lut_cache=lut_cache, kernel=kernel, out_size=out_size)
 
     # ------------------------------------------------------------------
@@ -162,7 +160,7 @@ class FisheyeCorrector:
                 hits0, misses0 = cache.hits, cache.misses
             self._lut = plane_luts(PIXFMTS["rgb"], self.field, self.out_size,
                                    cache, self.kernel, method=self.method,
-                                   border=self.border, fill=self.fill)[0]
+                                   fill=self.fill)[0]
             if cache is not None:
                 self._cache_hits += cache.hits - hits0
                 self._cache_misses += cache.misses - misses0

@@ -163,9 +163,9 @@ def warp_composition_error(correction: RemapField, rendering: RemapField,
     # Sample the rendering map (a float field over fisheye pixels) at the
     # fractional fisheye coordinates the correction requests.
     got_x = sample(rendering.map_x, correction.map_x, correction.map_y,
-                   method="bilinear", border="constant", fill=np.nan)
+                   method="bilinear", fill=np.nan)
     got_y = sample(rendering.map_y, correction.map_x, correction.map_y,
-                   method="bilinear", border="constant", fill=np.nan)
+                   method="bilinear", fill=np.nan)
     ex = np.asarray(expected_x, dtype=np.float64)
     ey = np.asarray(expected_y, dtype=np.float64)
     if ex.shape != correction.shape or ey.shape != correction.shape:

@@ -21,9 +21,8 @@ interpolation fractions (nothing at all for nearest).  Every other tap
 sits at a fixed stencil step from the base — ``base + (0, 1, W, W+1)``
 for bilinear, the 4x4 grid for bicubic — so the kernel gathers each tap
 through a view of the source offset by that step.  The few valid
-pixels whose resolved taps break the stencil (a clamp at the right or
-bottom edge, bicubic near any edge, a ``replicate``/``reflect``/``wrap``
-fold) are kept in a small patch list of ``(pixel, taps)`` rows that the
+pixels whose clamped taps break the stencil (at the right or bottom
+edge, bicubic near any edge) are kept in a small patch list of ``(pixel, taps)`` rows that the
 kernel re-gathers.  The per-tap weights are derived from the fractions
 per tile, the same entry the paper DMAs to a Cell SPE or streams
 through a GPU texture path.  :meth:`RemapLUT.entry_bytes` prices
@@ -107,7 +106,7 @@ __all__ = ["remap", "RemapLUT", "remap_profiled", "StageProfile"]
 
 
 def remap(image, field: RemapField, method: str = "bilinear",
-          border: str = "constant", fill: float = 0.0):
+          fill: float = 0.0):
     """On-the-fly remap of ``image`` through ``field``.
 
     Parameters
@@ -117,7 +116,7 @@ def remap(image, field: RemapField, method: str = "bilinear",
     field:
         Backward coordinate field (its ``src_width``/``src_height``
         must match the image).
-    method, border, fill:
+    method, fill:
         Passed to :func:`repro.core.interpolation.sample`.
     """
     image = np.asarray(image)
@@ -126,12 +125,7 @@ def remap(image, field: RemapField, method: str = "bilinear",
             f"image {image.shape[1]}x{image.shape[0]} does not match field source "
             f"{field.src_width}x{field.src_height}")
     return interp.sample(image, field.map_x, field.map_y, method=method,
-                         border=border, fill=fill)
-
-
-def _resolve_border(idx, size, border):
-    mode = "replicate" if border == "constant" else border
-    return interp.resolve_indices(idx, size, mode)
+                         fill=fill)
 
 
 #: Output rows resolved per band of a table build.  The band's int64
@@ -155,39 +149,37 @@ def _stencil(method, w):
                     dtype=np.int32)
 
 
-def _table_band(mx, my, method, border, w, h, base, fracs, mask):
+def _table_band(mx, my, method, w, h, base, fracs, mask):
     """Resolve one band of coordinates into its rows of the final tables.
 
     ``mx``/``my`` are the band's float64 source coordinates (any shape);
     ``base`` (int32 tap-0 offsets), ``fracs`` (float32, ``None`` for
-    nearest) and ``mask`` (bool, ``None`` unless ``constant``) are the
-    band's rows of the LUT's tables and are written in place.  Returns
-    the band's patch rows ``(positions, taps)``: the valid pixels whose
-    resolved taps are not ``base + stencil``, with all their taps.
-    Every temporary is band-sized.
+    nearest) and ``mask`` (bool) are the band's rows of the LUT's tables
+    and are written in place.  Returns the band's patch rows
+    ``(positions, taps)``: the valid pixels whose clamped taps are not
+    ``base + stencil``, with all their taps.  Every temporary is
+    band-sized.
 
-    Border resolution is paid only where it can change a tap.  A pixel
+    The edge clamp is paid only where it can change a tap.  A pixel
     whose stencil lies inside the source on both axes (tap 0 at column
     ``x0``, row ``y0`` with ``0 <= x0 <= w - side`` and
-    ``0 <= y0 <= h - side``) resolves to itself under every border
-    mode, so its base is ``y0 * w + x0`` and it is regular.  Only the
-    other pixels — a source edge, a fold, ``nan`` or far-out
-    coordinates — go through :func:`_resolve_border`, tap by tap, and
-    the stencil check.
+    ``0 <= y0 <= h - side``) clamps to itself, so its base is
+    ``y0 * w + x0`` and it is regular.  Only the other pixels — a
+    source edge, ``nan`` or far-out coordinates — are clamped tap by
+    tap and go through the stencil check.
     """
     mx = mx.ravel()
     my = my.ravel()
-    if mask is not None:
-        mask[:] = interp.valid_mask(mx, my, w, h)
+    mask[:] = interp.valid_mask(mx, my, w, h)
     side = _SIDE[method]
     if method == "nearest":
-        x0, y0 = interp.nearest_taps(mx, my, (h, w), border)
+        x0, y0 = interp.nearest_taps(mx, my)
     elif method == "bilinear":
-        x0, y0, fx, fy = interp.bilinear_taps(mx, my, (h, w), border)
+        x0, y0, fx, fy = interp.bilinear_taps(mx, my)
         fracs[:, 0] = fx
         fracs[:, 1] = fy
     else:  # bicubic
-        ix, iy, wx, wy = interp.bicubic_taps(mx, my, (h, w), border)
+        ix, iy, wx, wy = interp.bicubic_taps(mx, my)
         x0, y0 = ix - 1, iy - 1
         fracs[:, :4] = wx
         fracs[:, 4:] = wy
@@ -199,39 +191,36 @@ def _table_band(mx, my, method, border, w, h, base, fracs, mask):
     np.multiply(y0, w, out=y0)
     np.add(y0, x0, out=base, casting="unsafe")
     if pos.size:
-        base[pos], keep, taps = _edge_taps(
-            x0_edge, y0_edge, side, border, w, h,
-            None if mask is None else mask[pos])
+        base[pos], keep, taps = _edge_taps(x0_edge, y0_edge, side, w, h,
+                                           mask[pos])
         pos = pos[keep]
     else:  # the common band, well inside the source
         taps = np.empty((0, side * side), dtype=np.int32)
-    if mask is not None:
-        # Invalid output pixels contribute nothing; keep their taps at 0
-        # so the gather stays in-bounds and branch-free.
-        base[~mask] = 0
+    # Invalid output pixels contribute nothing; keep their taps at 0
+    # so the gather stays in-bounds and branch-free.
+    base[~mask] = 0
     return pos, taps
 
 
-def _edge_taps(x0, y0, side, border, w, h, valid):
-    """Resolve the pixels whose ``side`` x ``side`` stencil, with origin
-    column ``x0`` and row ``y0``, leaves the source.
+def _edge_taps(x0, y0, side, w, h, valid):
+    """Clamp the taps of the pixels whose ``side`` x ``side`` stencil,
+    with origin column ``x0`` and row ``y0``, leaves the source.
 
-    Returns their resolved tap-0 offsets, the indices (into ``x0``) of
-    the valid ones (``valid``: their mask, ``None`` when all are) whose
-    resolved taps are not ``base + stencil``, and all those pixels' taps
-    ``(p, side**2)`` int32.  Tap ``(j, i)`` reads ``rows[j] + cols[i]``;
-    it is ``base + j*w + i`` for every tap exactly when each axis steps
-    by one sample.
+    Returns their clamped tap-0 offsets, the indices (into ``x0``) of
+    the valid ones (``valid``: their mask) whose clamped taps are not
+    ``base + stencil``, and all those pixels' taps ``(p, side**2)``
+    int32.  Tap ``(j, i)`` reads ``rows[j] + cols[i]``; it is
+    ``base + j*w + i`` for every tap exactly when each axis steps by one
+    sample.
     """
-    cols = [_resolve_border(x0 + i, w, border) for i in range(side)]
-    rows = [_resolve_border(y0 + j, h, border) * w for j in range(side)]
+    cols = [interp.resolve_indices(x0 + i, w) for i in range(side)]
+    rows = [interp.resolve_indices(y0 + j, h) * w for j in range(side)]
     irregular = np.zeros(x0.shape, dtype=bool)
     for i, col in enumerate(cols[1:], 1):
         irregular |= col != cols[0] + i
     for j, row in enumerate(rows[1:], 1):
         irregular |= row != rows[0] + j * w
-    if valid is not None:
-        irregular &= valid
+    irregular &= valid
     keep = np.flatnonzero(irregular)
     taps = np.empty((keep.size, side * side), dtype=np.int32)
     for j, row in enumerate(rows):
@@ -395,11 +384,9 @@ class RemapLUT:
         The backward coordinate field to freeze.
     method:
         Interpolation kind; determines taps per pixel (1/4/16).
-    border:
-        Border mode resolved *at build time*.  ``constant`` keeps a
-        validity mask and writes ``fill`` at apply time.
     fill:
-        Fill value for ``constant`` border handling.
+        Value written at apply time to every output pixel whose sample
+        point lies outside the source (the validity ``mask``).
 
     Notes
     -----
@@ -413,27 +400,26 @@ class RemapLUT:
     per-tap table.  Valid pixels whose resolved taps break the stencil
     are the *patch list*: ``patch_pixels`` (their output positions,
     ascending) and ``patch_taps`` (all their taps), re-gathered by the
-    kernel.  Invalid pixels (``constant`` mode) keep every tap at 0.
+    kernel.  Invalid pixels keep every tap at 0.
     Instead of materialized per-tap weights, the table keeps only the
     per-axis interpolation fractions (``fracs``): 2 float32 for
     bilinear, the two 4-vector Catmull-Rom axis weights for bicubic,
     nothing for nearest.  The float weights are derived per tile into
     pooled scratch — in a hardware kernel that derivation happens
     in-register, which is why :meth:`entry_bytes` (DMA sizing) prices
-    only the base + fractions (+ 1 mask byte).
+    only the base, the fractions and the mask byte.
     """
 
     def __init__(self, field: RemapField, method: str = "bilinear",
-                 border: str = "constant", fill: float = 0.0,
-                 tier: str = "numpy",
+                 fill: float = 0.0, tier: str = "numpy",
                  frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS):
         self._build(field.shape, (field.src_height, field.src_width),
                     lambda r0, r1: (field.map_x[r0:r1], field.map_y[r0:r1]),
-                    method, border, fill, tier, frac_bits)
+                    method, fill, tier, frac_bits)
 
     @classmethod
     def from_rows(cls, rows, out_shape, src_shape, method: str = "bilinear",
-                  border: str = "constant", fill: float = 0.0) -> "RemapLUT":
+                  fill: float = 0.0) -> "RemapLUT":
         """Build a LUT from a band evaluator instead of a stored field.
 
         ``rows(r0, r1)`` returns the ``(map_x, map_y)`` float64 source
@@ -445,22 +431,18 @@ class RemapLUT:
         The LUT runs on the numpy tier; :meth:`with_tier` re-tiers it.
         """
         self = cls.__new__(cls)
-        self._build(tuple(out_shape), tuple(src_shape), rows, method, border,
-                    fill, "numpy", kernel_tiers.DEFAULT_FRAC_BITS)
+        self._build(tuple(out_shape), tuple(src_shape), rows, method, fill,
+                    "numpy", kernel_tiers.DEFAULT_FRAC_BITS)
         return self
 
-    def _build(self, out_shape, src_shape, rows, method, border, fill, tier,
+    def _build(self, out_shape, src_shape, rows, method, fill, tier,
                frac_bits):
         """The one table builder: walk the output in :data:`_BUILD_ROWS`
         bands and write each into the final int32/float32/bool tables."""
         if method not in interp.METHODS:
             raise InterpolationError(
                 f"unknown interpolation method {method!r}; known: {interp.METHODS}")
-        if border not in interp.BORDER_MODES:
-            raise InterpolationError(
-                f"unknown border mode {border!r}; known: {interp.BORDER_MODES}")
-        self._set_params(out_shape, src_shape, method, border, fill, tier,
-                         frac_bits)
+        self._set_params(out_shape, src_shape, method, fill, tier, frac_bits)
         h, w = src_shape
         if h * w - 1 > np.iinfo(np.int32).max:
             raise MappingError(
@@ -473,7 +455,7 @@ class RemapLUT:
         # memory — so a tile's per-axis reads are contiguous streams
         self.fracs = (None if method == "nearest" else
                       np.empty((_FRAC_FLOATS[method], n), dtype=np.float32).T)
-        self.mask = np.empty(n, dtype=bool) if border == "constant" else None
+        self.mask = np.empty(n, dtype=bool)
         pixels, taps = [np.empty(0, dtype=np.intp)], [
             np.empty((0, self.taps), dtype=np.int32)]
         for r0 in range(0, h_out, _BUILD_ROWS):
@@ -481,9 +463,8 @@ class RemapLUT:
             sl = slice(r0 * w_out, r1 * w_out)
             mx, my = rows(r0, r1)
             pos, tap_rows = _table_band(
-                mx, my, method, border, w, h, self.base[sl],
-                None if self.fracs is None else self.fracs[sl],
-                None if self.mask is None else self.mask[sl])
+                mx, my, method, w, h, self.base[sl],
+                None if self.fracs is None else self.fracs[sl], self.mask[sl])
             if pos.size:
                 pixels.append(pos + sl.start)
                 taps.append(tap_rows)
@@ -492,10 +473,9 @@ class RemapLUT:
         self._qwtab = None         # lazily derived (taps, N) int16 Q weights
         self._pool = _ScratchPool()
 
-    def _set_params(self, out_shape, src_shape, method, border, fill, tier,
+    def _set_params(self, out_shape, src_shape, method, fill, tier,
                     frac_bits):
         self.method = method
-        self.border = border
         self.fill = float(fill)
         self.tier = kernel_tiers.resolve_tier(tier)
         self.frac_bits = _check_frac_bits(frac_bits)
@@ -505,7 +485,7 @@ class RemapLUT:
     # ------------------------------------------------------------------
     @classmethod
     def from_tables(cls, base, fracs, mask, out_shape, src_shape,
-                    method: str, border: str, fill: float,
+                    method: str, fill: float,
                     tier: str = "numpy",
                     frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS,
                     qweight_table=None, patch=None) -> "RemapLUT":
@@ -520,8 +500,7 @@ class RemapLUT:
         hands a Q-tier publication.
         """
         self = cls.__new__(cls)
-        self._set_params(out_shape, src_shape, method, border, fill, tier,
-                         frac_bits)
+        self._set_params(out_shape, src_shape, method, fill, tier, frac_bits)
         n = int(np.prod(self.out_shape))
         if base.shape != (n,):
             raise MappingError(
@@ -555,7 +534,7 @@ class RemapLUT:
             return self
         return RemapLUT.from_tables(
             self.base, self.fracs, self.mask, self.out_shape,
-            self.src_shape, self.method, self.border, self.fill,
+            self.src_shape, self.method, self.fill,
             tier=resolved, frac_bits=bits,
             qweight_table=self._qwtab if bits == self.frac_bits else None,
             patch=(self.patch_pixels, self.patch_taps))
@@ -572,11 +551,6 @@ class RemapLUT:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # LUTs pickled by pre-tier callers lack the tier fields; default
-        # them.
-        self.__dict__.setdefault("tier", "numpy")
-        self.__dict__.setdefault("frac_bits", kernel_tiers.DEFAULT_FRAC_BITS)
-        self.__dict__.setdefault("_qwtab", None)
         self._pool = _ScratchPool()
 
     # ------------------------------------------------------------------
@@ -605,8 +579,7 @@ class RemapLUT:
             out = np.empty((base.size, self.taps), dtype=np.int32)
         np.add(base[:, None], _stencil(self.method, self.src_shape[1]),
                out=out)
-        if self.mask is not None:
-            out[~np.asarray(self.mask[sl])] = 0
+        out[~np.asarray(self.mask[sl])] = 0
         patch = self._tile_patch(sl)
         if patch is not None:
             out[patch[0]] = patch[1]
@@ -649,16 +622,15 @@ class RemapLUT:
         """Bytes per output pixel of streamed LUT data (DMA sizing).
 
         Compact layout: one int32 base offset, the per-axis fractions
-        (8 B bilinear, 32 B bicubic, 0 B nearest) and one validity byte
-        in ``constant`` mode.  The derived tap offsets and weights are
+        (8 B bilinear, 32 B bicubic, 0 B nearest) and one validity byte.  The derived tap offsets and weights are
         *not* counted — a device kernel rebuilds them in-register.  The
         Q tiers read int16 weights in place of the fractions, the same
         8 B bilinear and 32 B bicubic.
         """
-        return self.entry_bytes_for(self.method, self.border)
+        return self.entry_bytes_for(self.method)
 
     @staticmethod
-    def entry_bytes_for(method: str, border: str = "constant") -> int:
+    def entry_bytes_for(method: str) -> int:
         """Predict :meth:`entry_bytes` for a configuration without building.
 
         Used by the accelerator models and benchmarks to price DMA/LUT
@@ -667,7 +639,7 @@ class RemapLUT:
         if method not in interp.METHODS:
             raise InterpolationError(
                 f"unknown interpolation method {method!r}; known: {interp.METHODS}")
-        return 4 + 4 * _FRAC_FLOATS[method] + (1 if border == "constant" else 0)
+        return 4 + 4 * _FRAC_FLOATS[method] + 1
 
     def traffic_per_frame(self, channels: int = 1,
                           pixel_bytes: int = 1) -> dict:
@@ -725,8 +697,7 @@ class RemapLUT:
             for k in range(self.taps):
                 # tap 0 borrows tap 1's row, written next
                 _tap_weight(self.method, k, fr, out[k], out[1])
-        if self.mask is not None:
-            out[:, ~self.mask[sl]] = 0.0
+        out[:, ~self.mask[sl]] = 0.0
 
     def _qweight_table(self):
         """``(taps, N)`` int16 Q-format weights for the fixed/compiled
@@ -764,8 +735,6 @@ class RemapLUT:
     def _tile_invalid(self, sl):
         """``~mask`` over table rows ``sl``, or ``None`` when every pixel
         there is valid (the fill is then a no-op)."""
-        if self.mask is None:
-            return None
         valid = self.mask[sl]
         return None if valid.all() else np.logical_not(valid)
 
@@ -786,7 +755,7 @@ class RemapLUT:
     def kernel_tables(self) -> dict:
         """The arrays this LUT's tier reads per frame, by table name.
 
-        ``base``, ``mask`` (``constant`` border only), the patch list
+        ``base``, ``mask``, the patch list
         (``patch_pixels``/``patch_taps``, when it is not empty) and the
         weights the tier derives its taps' weights from: ``fracs`` on
         the numpy tier (none for nearest), the ``(taps, N)`` int16
@@ -797,9 +766,7 @@ class RemapLUT:
         :meth:`from_tables` rebuilds a runnable LUT from exactly these
         arrays.
         """
-        tables = {"base": self.base}
-        if self.mask is not None:
-            tables["mask"] = np.asarray(self.mask)
+        tables = {"base": self.base, "mask": np.asarray(self.mask)}
         if self.tier == "numpy":
             if self.fracs is not None:
                 tables["fracs"] = self.fracs
@@ -1032,7 +999,7 @@ class RemapLUT:
             compiled_apply_block(
                 flat, self.tap_offsets(r0, r1, out=taps[:m]),
                 unit[:, :m] if qwtab is None else qwtab[:, sl],
-                self.mask[sl] if self.mask is not None else None,
+                self.mask[sl],
                 int(round(self.fill)), self.frac_bits, info.min, info.max,
                 dst_flat[(r0 - row0) * w_out:(r1 - row0) * w_out], w_out)
         if dst is not out:
@@ -1093,7 +1060,7 @@ class RemapLUT:
 
 
 def remap_profiled(image, field: RemapField, method: str = "bilinear",
-                   border: str = "constant", fill: float = 0.0):
+                   fill: float = 0.0):
     """Remap one frame while timing each pipeline stage (T2 profile).
 
     Stages: LUT build (tap/fraction resolution), gather (source
@@ -1118,7 +1085,7 @@ def remap_profiled(image, field: RemapField, method: str = "bilinear",
     tel = Telemetry(stage_detail=True)
     with scoped(tel):
         with tel.span("remap.lut_build", cat="kernel"):
-            lut = RemapLUT(field, method=method, border=border, fill=fill)
+            lut = RemapLUT(field, method=method, fill=fill)
         result = lut._run(image)
     prof.lut_build = tel.span_total("remap.lut_build")
     prof.gather = tel.span_total("remap.gather")

@@ -55,7 +55,6 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..core.kernel_tiers import DEFAULT_FRAC_BITS
 from ..core.remap import RemapLUT
 from ..obs.telemetry import (Telemetry, clear_scope, get_telemetry,
                              set_telemetry)
@@ -332,7 +331,6 @@ def _lut_meta(lut: RemapLUT) -> dict:
         "out_shape": lut.out_shape,
         "src_shape": lut.src_shape,
         "method": lut.method,
-        "border": lut.border,
         "fill": lut.fill,
         "tier": lut.tier,
         "frac_bits": lut.frac_bits,
@@ -405,10 +403,9 @@ def attach_tables(spec, meta):
         patch = (arrays["patch_pixels"], arrays["patch_taps"]
                  ) if "patch_pixels" in arrays else None
         luts.append(RemapLUT.from_tables(
-            arrays["base"], arrays.get("fracs"), arrays.get("mask"),
+            arrays["base"], arrays.get("fracs"), arrays["mask"],
             out_shape=lut_meta["out_shape"], src_shape=lut_meta["src_shape"],
-            method=lut_meta["method"], border=lut_meta["border"],
-            fill=lut_meta["fill"], tier=lut_meta.get("tier", "numpy"),
-            frac_bits=lut_meta.get("frac_bits", DEFAULT_FRAC_BITS),
+            method=lut_meta["method"], fill=lut_meta["fill"],
+            tier=lut_meta["tier"], frac_bits=lut_meta["frac_bits"],
             qweight_table=arrays.get("qwtab"), patch=patch))
     return segments, tuple(luts)

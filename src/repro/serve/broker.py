@@ -732,8 +732,8 @@ class StreamBroker:
     # admission
     # ------------------------------------------------------------------
     def open(self, frames, field, *, name: str | None = None,
-             method: str = "bilinear", border: str = "constant",
-             fill: float = 0.0, kernel: str = "numpy", depth: int = 2,
+             method: str = "bilinear", fill: float = 0.0,
+             kernel: str = "numpy", depth: int = 2,
              weight: int = 1, copy: bool = True,
              deadline_s: float | None = None,
              pixfmt: str = "rgb",
@@ -775,12 +775,11 @@ class StreamBroker:
         tier = resolve_tier(kernel)
         return self._admit(
             frames,
-            lambda: self._resolve(field, method, border, fill, tier, fmt,
-                                  out_size),
+            lambda: self._resolve(field, method, fill, tier, fmt, out_size),
             name=name, depth=depth, weight=weight, copy=copy,
             deadline_s=deadline_s, pixfmt=pixfmt)
 
-    def _resolve(self, field, method, border, fill, tier, fmt, out_size):
+    def _resolve(self, field, method, fill, tier, fmt, out_size):
         """Field to ``(publication key, the format's distinct LUTs)``.
 
         Single-flight through the shared cache: concurrent opens on one
@@ -788,12 +787,12 @@ class StreamBroker:
         (calibration, tier, delivery size and which LUTs the format
         reads) so they share one publication too.
         """
-        key = (self.lut_cache.key_for(field, method, border, fill)
+        key = (self.lut_cache.key_for(field, method, fill)
                + f"|{tier}"
                + (f"|fused{out_size[0]}x{out_size[1]}" if out_size else "")
                + "|luts" + "".join(map(str, fmt.luts)))
         return key, plane_luts(fmt, field, out_size, self.lut_cache, tier,
-                               method=method, border=border, fill=fill)
+                               method=method, fill=fill)
 
     def _admit(self, frames, resolve, *, name: str | None = None,
                depth: int = 2, weight: int = 1, copy: bool = True,

@@ -53,8 +53,8 @@ class MultiStreamCorrector:
 
     # ------------------------------------------------------------------
     def open_stream(self, frames, field, *, name: str | None = None,
-                    method: str = "bilinear", border: str = "constant",
-                    fill: float = 0.0, kernel: str = "numpy",
+                    method: str = "bilinear", fill: float = 0.0,
+                    kernel: str = "numpy",
                     depth: int = 2, weight: int = 1, copy: bool = True,
                     deadline_s: float | None = None,
                     pixfmt: str = "rgb",
@@ -69,7 +69,7 @@ class MultiStreamCorrector:
         correct+downscale composed table.
         """
         return self.broker.open(frames, field, name=name, method=method,
-                                border=border, fill=fill, kernel=kernel,
+                                fill=fill, kernel=kernel,
                                 depth=depth, weight=weight, copy=copy,
                                 deadline_s=deadline_s, pixfmt=pixfmt,
                                 out_size=out_size)

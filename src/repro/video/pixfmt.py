@@ -220,8 +220,7 @@ def pixfmt_of(item) -> PlaneSet:
 
 def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
                cache=None, tier: str = "numpy", *, method: str = "bilinear",
-               border: str = "constant", fill: float = 0.0,
-               chroma_fill: float = 128) -> tuple:
+               fill: float = 0.0, chroma_fill: float = 128) -> tuple:
     """The distinct LUTs of ``fmt`` over ``field``, by LUT index.
 
     LUT 0 is ``field`` at ``method``/``fill``; LUT 1 the derived
@@ -253,17 +252,17 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
         def build(chroma=chroma, m=m, v=v, scale=scale):
             inner = chroma_half_field(field) if chroma else field
             if scale is None:
-                return RemapLUT(inner, method=m, border=border, fill=v)
+                return RemapLUT(inner, method=m, fill=v)
             return composed_lut(downscale_field(*scale, prefilter=False),
-                                inner, method=m, border=border, fill=v)
+                                inner, method=m, fill=v)
 
         if cache is None:
             luts.append(build())
             continue
         inner_id = derived_fingerprint(field, "chroma_half") if chroma else field
-        key = (LUTCache.key_for(inner_id, m, border, v) if scale is None
+        key = (LUTCache.key_for(inner_id, m, v) if scale is None
                else LUTCache.key_for_composed(
                    derived_fingerprint(None, "downscale%dx%d<-%dx%d" % scale),
-                   inner_id, m, border, v))
+                   inner_id, m, v))
         luts.append(cache.get_or_build(key, build))
     return tuple(lut.with_tier(tier) for lut in luts)

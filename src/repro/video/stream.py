@@ -137,8 +137,8 @@ def _stream_telemetry(inner: Iterator, label: str | None = None,
 
 
 def corrected_stream(frames: Iterable, field: RemapField,
-                     method: str = "bilinear", border: str = "constant",
-                     fill: float = 0.0, lut_cache=None,
+                     method: str = "bilinear", fill: float = 0.0,
+                     lut_cache=None,
                      copy: bool = False, engine: str = "sync",
                      kernel: str = "numpy",
                      stream_label: str | None = None,
@@ -156,7 +156,7 @@ def corrected_stream(frames: Iterable, field: RemapField,
         :class:`~repro.video.yuv.NV12Frame`).
     field:
         Backward coordinate field shared by every frame.
-    method, border, fill:
+    method, fill:
         LUT build parameters.
     lut_cache:
         Optional :class:`~repro.core.lutcache.LUTCache`; when given the
@@ -223,7 +223,7 @@ def corrected_stream(frames: Iterable, field: RemapField,
     fmt = get_pixfmt(pixfmt)
     out_size = fmt.check_out_size(out_size)
     luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
-                      method=method, border=border, fill=fill)
+                      method=method, fill=fill)
     yield from _run_engine(luts, fmt, frames, copy, engine, stream_label,
                            out_size is not None, **engine_kwargs)
 

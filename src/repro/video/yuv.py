@@ -269,8 +269,7 @@ class YUVCorrector:
     # ------------------------------------------------------------------
     @classmethod
     def from_field(cls, field: RemapField, method: str = "bilinear",
-                   border: str = "constant", fill: int = 0,
-                   chroma_fill: int = 128, lut_cache=None,
+                   fill: int = 0, chroma_fill: int = 128, lut_cache=None,
                    kernel: str = "numpy") -> "YUVCorrector":
         """Build a corrector around an existing luma coordinate field.
 
@@ -279,18 +278,18 @@ class YUVCorrector:
         corrector.
         """
         self = cls.__new__(cls)
-        self._bind(field, method=method, border=border, fill=fill,
+        self._bind(field, method=method, fill=fill,
                    chroma_fill=chroma_fill, lut_cache=lut_cache, kernel=kernel)
         return self
 
     def _bind(self, luma_field: RemapField, *, method, fill, chroma_fill,
-              lut_cache, kernel, border="constant") -> None:
+              lut_cache, kernel) -> None:
         from .pixfmt import plane_luts
 
         self.luma_field = luma_field
         self._luts = plane_luts(_row(YUV420Frame), luma_field, cache=lut_cache,
-                                tier=kernel, method=method, border=border,
-                                fill=fill, chroma_fill=chroma_fill)
+                                tier=kernel, method=method, fill=fill,
+                                chroma_fill=chroma_fill)
         self.out_shape = luma_field.shape
         self._pools: dict = {}  # frame class -> pooled output planes
 

@@ -106,8 +106,7 @@ def _q_reference(lut, image, bits, row0=0, row1=None):
     out = (acc + (1 << (bits - 1))) >> bits
     info = np.iinfo(image.dtype)
     out = np.clip(out, info.min, info.max)
-    if lut.mask is not None:
-        out[~lut.mask.reshape(-1)[sl]] = int(round(lut.fill))
+    out[~lut.mask.reshape(-1)[sl]] = int(round(lut.fill))
     return out.astype(image.dtype).reshape((row1 - row0, w) + image.shape[2:])
 
 
@@ -116,8 +115,7 @@ def q_reference():
     return _q_reference
 
 
-def _reference_tables(field, method="bilinear", border="constant",
-                      bits=12):
+def _reference_tables(field, method="bilinear", bits=12):
     """Whole-array reference of the LUT table build.
 
     The table construction as it stood before the banded builder: every
@@ -131,11 +129,10 @@ def _reference_tables(field, method="bilinear", border="constant",
     from repro.core.fixedpoint import quantize_weights
 
     def resolve(idx, size):
-        return interp.resolve_indices(
-            idx, size, "replicate" if border == "constant" else border)
+        return np.clip(idx, 0, size - 1)
 
     h, w = field.src_height, field.src_width
-    mask = field.valid_mask().ravel() if border == "constant" else None
+    mask = field.valid_mask().ravel()
     if method == "nearest":
         mx = np.where(np.isfinite(field.map_x), field.map_x, 0.0)
         my = np.where(np.isfinite(field.map_y), field.map_y, 0.0)
@@ -162,8 +159,7 @@ def _reference_tables(field, method="bilinear", border="constant",
                 indices[:, j * 4 + i] = rows[j] * w + cols[i]
         fracs = np.concatenate([wx.reshape(-1, 4), wy.reshape(-1, 4)],
                                axis=1).astype(np.float32)
-    if mask is not None:
-        indices[~mask] = 0
+    indices[~mask] = 0
 
     n = indices.shape[0]
     one = np.float32(1.0)
@@ -176,8 +172,7 @@ def _reference_tables(field, method="bilinear", border="constant",
     else:
         wtab = np.stack([fracs[:, 4 + j] * fracs[:, i]
                          for j in range(4) for i in range(4)])
-    if mask is not None:
-        wtab[:, ~mask] = 0.0
+    wtab[:, ~mask] = 0.0
     qwtab = np.ascontiguousarray(quantize_weights(wtab.T, bits).T)
     return {"indices": indices, "fracs": fracs, "mask": mask,
             "wtab": wtab, "qwtab": qwtab}
@@ -237,8 +232,7 @@ def _float_reference(lut, image, row0=0, row1=None):
         if weights is not None:
             term = term * weights[:, k, None]
         acc = term if acc is None else acc + term
-    if lut.mask is not None:
-        acc[~lut.mask[sl]] = lut.fill
+    acc[~lut.mask[sl]] = lut.fill
     if np.issubdtype(image.dtype, np.integer):
         info = np.iinfo(image.dtype)
         acc = np.clip(np.rint(acc), info.min, info.max)

@@ -68,6 +68,45 @@ class TestTiling:
             small.simulate(workload, tile_rows=workload.out_height,
                            tile_cols=workload.out_width, double_buffering=True)
 
+    @pytest.mark.parametrize("tile_cols", [None, 24, 16])
+    @pytest.mark.parametrize("mode", ["otf", "lut"])
+    def test_worst_working_set_matches_jobs(self, cell, tilted_field, mode,
+                                            tile_cols):
+        """The per-band reduction of row extents prices every tiling
+        exactly as building its tiles does (ragged last band and column
+        block included)."""
+        workload = Workload.from_field(tilted_field, mode=mode, pixel_bytes=3)
+        worst = cell._worst_working_set(workload, tile_cols)
+        for rows in range(1, workload.out_height + 1):
+            jobs = cell._jobs(workload, rows, tile_cols)
+            assert worst(rows) == max(j.working_set for j in jobs), rows
+
+    @pytest.mark.parametrize("store_kb", [52, 56, 64, 96])
+    def test_max_tile_shape_matches_brute_force(self, tilted_field, store_kb):
+        """``max_tile_rows`` (with and without a column split) and
+        ``max_tile_shape`` agree with a model whose feasibility probe
+        builds every tile of the tiling."""
+
+        class BruteForceCell(CellModel):
+            def _worst_working_set(self, workload, tile_cols=None):
+                return lambda rows: max(
+                    j.working_set for j in self._jobs(workload, rows, tile_cols))
+
+        kw = dict(local_store_bytes=store_kb * 1024, code_bytes=48 * 1024)
+        fast, brute = CellModel(**kw), BruteForceCell(**kw)
+        workload = Workload.from_field(tilted_field, mode="lut")
+        for db in (True, False):
+            for cols in (None, 32, 16):
+                try:
+                    want = brute.max_tile_rows(workload, db, tile_cols=cols)
+                except CapacityError:
+                    with pytest.raises(CapacityError):
+                        fast.max_tile_rows(workload, db, tile_cols=cols)
+                    continue
+                assert fast.max_tile_rows(workload, db, tile_cols=cols) == want
+            assert (fast.max_tile_shape(workload, db)
+                    == brute.max_tile_shape(workload, db))
+
     def test_jobs_cover_all_pixels(self, cell, workload):
         jobs = cell._jobs(workload, 10, 20)
         total = sum(j.tile.pixels for j in jobs)

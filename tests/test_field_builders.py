@@ -20,7 +20,7 @@ from repro.core import geometry, mapping
 from repro.core.compose import (affine_field, compose_fields, composed_lut,
                                 crop_field, downscale_field)
 from repro.core.intrinsics import CameraIntrinsics
-from repro.core.interpolation import BORDER_MODES, METHODS, sample
+from repro.core.interpolation import METHODS, sample
 from repro.core.lens import LENS_MODELS
 from repro.core.lutcache import LUTCache
 from repro.core.mapping import (RemapField, chroma_half_field, cylindrical_map,
@@ -226,7 +226,7 @@ def test_compose_fields_is_bit_exact_bilinear_sampling():
         got = compose_fields(outer, inner)
         for plane, g in ((inner.map_x, got.map_x), (inner.map_y, got.map_y)):
             want = sample(plane, outer.map_x, outer.map_y, method="bilinear",
-                          border="constant", fill=np.nan)
+                          fill=np.nan)
             assert np.array_equal(g, want, equal_nan=True)
 
 
@@ -284,8 +284,7 @@ def test_fused_nv12_tables_give_identical_frames():
 @functools.lru_cache(maxsize=None)
 def _builder_fields():
     """Every field the tests above build, except the benchmark-size
-    views, too large to run the reference over every method and
-    border."""
+    views, too large to run the reference over every method."""
     fields = []
     for lens_name in sorted(LENS_MODELS):
         sensor, lens = standard_sensor(96, 72, lens_name)
@@ -320,13 +319,12 @@ def _builder_fields():
     return tuple(fields)
 
 
-@pytest.mark.parametrize("border", BORDER_MODES)
 @pytest.mark.parametrize("method", METHODS)
-def test_banded_tables_match_reference(method, border, reference_tables,
+def test_banded_tables_match_reference(method, reference_tables,
                                        assert_tables_match):
     for field in _builder_fields():
-        assert_tables_match(RemapLUT(field, method=method, border=border),
-                            reference_tables(field, method, border))
+        assert_tables_match(RemapLUT(field, method=method),
+                            reference_tables(field, method))
 
 
 @pytest.mark.parametrize("rows", [1, _BUILD_ROWS - 1, _BUILD_ROWS,
@@ -338,9 +336,8 @@ def test_band_edges_match_reference(rows, method, reference_tables,
     sensor, lens = standard_sensor(96, 72)
     field = perspective_map(sensor, lens, view(37, rows, lens, 0.7),
                             pitch=math.radians(70.0))
-    for border in BORDER_MODES:
-        assert_tables_match(RemapLUT(field, method=method, border=border),
-                            reference_tables(field, method, border))
+    assert_tables_match(RemapLUT(field, method=method),
+                        reference_tables(field, method))
 
 
 def _composition_cases():
@@ -361,21 +358,19 @@ def _composition_cases():
     return [(o, i) for i in inners for o in outers]
 
 
-@pytest.mark.parametrize("border", BORDER_MODES)
 @pytest.mark.parametrize("method", METHODS)
-def test_composed_tables_match_reference(method, border, reference_tables,
+def test_composed_tables_match_reference(method, reference_tables,
                                          assert_tables_match):
     """The banded composition equals ``RemapLUT(compose_fields(...))``
     and the whole-array reference of the composed field."""
     for outer, inner in _composition_cases():
         field = compose_fields(outer, inner)
-        ref = reference_tables(field, method, border)
-        fused = composed_lut(outer, inner, method=method, border=border,
-                             fill=7.0, antialias=False)
+        ref = reference_tables(field, method)
+        fused = composed_lut(outer, inner, method=method, fill=7.0,
+                             antialias=False)
         assert fused.out_shape == outer.shape
         assert_tables_match(fused, ref)
-        assert_tables_match(RemapLUT(field, method=method, border=border),
-                            ref)
+        assert_tables_match(RemapLUT(field, method=method), ref)
 
 
 def test_cached_composed_tables_match_reference(tmp_path, reference_tables,

@@ -1,5 +1,5 @@
-"""Interpolation kernel tests: vectorized vs scalar oracle, borders,
-mathematical properties."""
+"""Interpolation kernel tests: vectorized vs scalar oracle, the fill
+outside the image, mathematical properties."""
 
 import warnings
 
@@ -12,28 +12,10 @@ from repro.errors import InterpolationError
 
 
 class TestResolveIndices:
-    def test_replicate_clamps(self):
+    def test_clamps(self):
         idx = np.array([-3, 0, 4, 7])
-        out = interp.resolve_indices(idx, 5, "replicate")
+        out = interp.resolve_indices(idx, 5)
         np.testing.assert_array_equal(out, [0, 0, 4, 4])
-
-    def test_reflect(self):
-        idx = np.array([-2, -1, 0, 4, 5, 6])
-        out = interp.resolve_indices(idx, 5, "reflect")
-        np.testing.assert_array_equal(out, [2, 1, 0, 4, 3, 2])
-
-    def test_reflect_size_one(self):
-        out = interp.resolve_indices(np.array([-5, 0, 9]), 1, "reflect")
-        np.testing.assert_array_equal(out, [0, 0, 0])
-
-    def test_wrap(self):
-        idx = np.array([-1, 0, 5, 6])
-        out = interp.resolve_indices(idx, 5, "wrap")
-        np.testing.assert_array_equal(out, [4, 0, 0, 1])
-
-    def test_unknown_mode(self):
-        with pytest.raises(InterpolationError):
-            interp.resolve_indices(np.array([0]), 5, "banana")
 
 
 class TestFootprint:
@@ -54,7 +36,7 @@ class TestExactnessOnIntegerCoords:
     def test_integer_grid_identity(self, method, random_image):
         h, w = random_image.shape
         xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-        out = interp.sample(random_image, xs, ys, method=method, border="replicate")
+        out = interp.sample(random_image, xs, ys, method=method)
         np.testing.assert_array_equal(out, random_image)
 
     @pytest.mark.parametrize("method", interp.METHODS)
@@ -69,8 +51,7 @@ class TestExactnessOnIntegerCoords:
 class TestBilinearMath:
     def test_midpoint_average(self):
         img = np.array([[0.0, 10.0]], dtype=np.float64)
-        val = interp.sample(img, np.array([0.5]), np.array([0.0]), method="bilinear",
-                            border="replicate")
+        val = interp.sample(img, np.array([0.5]), np.array([0.0]), method="bilinear")
         assert float(val[0]) == pytest.approx(5.0)
 
     def test_linear_ramp_reproduced_exactly(self):
@@ -79,7 +60,7 @@ class TestBilinearMath:
         img = 3.0 * xs + 2.0 * ys + 1.0
         qx = np.array([1.25, 4.75, 7.5])
         qy = np.array([2.5, 3.25, 8.0])
-        out = interp.sample(img, qx, qy, method="bilinear", border="replicate")
+        out = interp.sample(img, qx, qy, method="bilinear")
         np.testing.assert_allclose(out, 3.0 * qx + 2.0 * qy + 1.0, rtol=1e-12)
 
 
@@ -99,7 +80,7 @@ class TestBicubicMath:
         img = 2.0 * xs - 1.0 * ys + 5.0
         qx = np.array([3.3, 6.7])
         qy = np.array([4.4, 5.5])
-        out = interp.sample(img, qx, qy, method="bicubic", border="replicate")
+        out = interp.sample(img, qx, qy, method="bicubic")
         np.testing.assert_allclose(out, 2.0 * qx - 1.0 * qy + 5.0, rtol=1e-10)
 
 
@@ -127,10 +108,9 @@ class TestMultiChannel:
     def test_channels_independent(self, method, rgb_image):
         xs = np.linspace(2, 60, 9)
         ys = np.linspace(3, 59, 9)
-        full = interp.sample(rgb_image, xs, ys, method=method, border="replicate")
+        full = interp.sample(rgb_image, xs, ys, method=method)
         for c in range(3):
-            single = interp.sample(rgb_image[..., c], xs, ys, method=method,
-                                   border="replicate")
+            single = interp.sample(rgb_image[..., c], xs, ys, method=method)
             np.testing.assert_array_equal(full[..., c], single)
 
 
@@ -138,14 +118,12 @@ class TestScalarOracle:
     """The vectorized kernels must agree with the loop reference."""
 
     @pytest.mark.parametrize("method", interp.METHODS)
-    @pytest.mark.parametrize("border", interp.BORDER_MODES)
-    def test_agreement_random_coords(self, method, border, random_image, rng):
+    def test_agreement_random_coords(self, method, random_image, rng):
         xs = rng.uniform(-5, 68, size=40)
         ys = rng.uniform(-5, 68, size=40)
-        fast = interp.sample(random_image, xs, ys, method=method, border=border,
-                             fill=9.0)
+        fast = interp.sample(random_image, xs, ys, method=method, fill=9.0)
         slow = interp.sample_scalar(random_image, xs, ys, method=method,
-                                    border=border, fill=9.0)
+                                    fill=9.0)
         # uint8 rounding can differ by 1 ULP at exact .5 boundaries
         np.testing.assert_allclose(fast.astype(int), slow.astype(int), atol=1)
 
@@ -153,8 +131,8 @@ class TestScalarOracle:
         img = rng.normal(size=(16, 16))
         xs = rng.uniform(0, 15, size=25)
         ys = rng.uniform(0, 15, size=25)
-        fast = interp.sample(img, xs, ys, method="bicubic", border="reflect")
-        slow = interp.sample_scalar(img, xs, ys, method="bicubic", border="reflect")
+        fast = interp.sample(img, xs, ys, method="bicubic")
+        slow = interp.sample_scalar(img, xs, ys, method="bicubic")
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
@@ -166,10 +144,6 @@ class TestValidation:
     def test_bad_method(self, random_image):
         with pytest.raises(InterpolationError):
             interp.sample(random_image, np.zeros(1), np.zeros(1), method="area")
-
-    def test_bad_border(self, random_image):
-        with pytest.raises(InterpolationError):
-            interp.sample(random_image, np.zeros(1), np.zeros(1), border="edge")
 
     def test_bad_image_ndim(self):
         with pytest.raises(InterpolationError):
@@ -183,7 +157,7 @@ def test_property_bilinear_within_local_extrema(x, y):
     rng = np.random.default_rng(99)
     img = rng.uniform(0, 1, size=(16, 16))
     val = float(interp.sample(img, np.array([x]), np.array([y]),
-                              method="bilinear", border="replicate")[0])
+                              method="bilinear")[0])
     x0, y0 = int(np.floor(x)), int(np.floor(y))
     patch = img[y0:y0 + 2, x0:x0 + 2]
     assert patch.min() - 1e-9 <= val <= patch.max() + 1e-9
@@ -196,7 +170,7 @@ def test_property_interpolation_is_translation_equivariant(sx, sy):
     ys, xs = np.indices((16, 16), dtype=np.float64)
     img = xs + 10.0 * ys
     v = float(interp.sample(img, np.array([sx]), np.array([sy]),
-                            method="bilinear", border="replicate")[0])
+                            method="bilinear")[0])
     assert v == pytest.approx(sx + 10.0 * sy, rel=1e-10)
 
 
@@ -217,8 +191,7 @@ class TestFarCoordinates:
         return np.array([xs]), np.array([ys])
 
     @pytest.mark.parametrize("method", interp.METHODS)
-    @pytest.mark.parametrize("border", interp.BORDER_MODES)
-    def test_agrees_with_scalar(self, method, border):
+    def test_agrees_with_scalar(self, method):
         from repro.core.kernel_tiers import available_tiers
         from repro.core.mapping import RemapField
         from repro.core.remap import RemapLUT
@@ -226,21 +199,22 @@ class TestFarCoordinates:
         xs, ys = self._coords()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = interp.sample_scalar(self.RAMP, xs, ys, method, border, 7.0)
-            got = interp.sample(self.RAMP, xs, ys, method, border, 7.0)
+            want = interp.sample_scalar(self.RAMP, xs, ys, method, 7.0)
+            got = interp.sample(self.RAMP, xs, ys, method, 7.0)
             np.testing.assert_array_equal(got, want)
             field = RemapField(xs, ys, 5, 4)
             for tier in available_tiers():
-                lut = RemapLUT(field, method=method, border=border, fill=7.0,
-                               tier=tier)
+                lut = RemapLUT(field, method=method, fill=7.0, tier=tier)
                 np.testing.assert_array_equal(lut.apply(self.RAMP), want,
                                               err_msg=tier)
 
     def test_far_edge_of_ramp(self):
-        # the right edge, not the fold of an int64 overflow
-        out = interp.sample(self.RAMP, np.array([1e20]), np.array([1.0]),
-                            "bilinear", "replicate")
-        assert out[0] == self.RAMP[1, 4]
+        # the tap clamps to the right edge, not to the fold of an int64
+        # overflow
+        ix, iy, fx, fy = interp.bilinear_taps(np.array([1e20]),
+                                              np.array([1.0]))
+        assert (interp.resolve_indices(ix, 5)[0], iy[0]) == (4, 1)
+        assert (fx[0], fy[0]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("taps", [interp.bilinear_taps,
                                       interp.bicubic_taps])
@@ -251,8 +225,9 @@ class TestFarCoordinates:
         np.testing.assert_array_equal(ix, np.floor(xs).astype(np.intp))
         np.testing.assert_array_equal(iy, np.floor(ys).astype(np.intp))
         xs[::3] = 1e300
-        ix2, iy2, _, _ = taps(xs, ys, (64, 64), "wrap")
+        ix2, iy2, _, _ = taps(xs, ys)
         np.testing.assert_array_equal(iy2, iy)
         mask = np.ones(200, bool)
         mask[::3] = False
         np.testing.assert_array_equal(ix2[mask], ix[mask])
+        np.testing.assert_array_equal(ix2[~mask], 2 ** 51)

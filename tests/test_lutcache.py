@@ -85,11 +85,29 @@ class TestDiskTier:
             np.testing.assert_array_equal(loaded.apply(random_image),
                                           built.apply(random_image))
 
+    @staticmethod
+    def _assert_rebuilt_and_overwritten(field, image, cache_dir, entry):
+        """``entry``, in an older layout, is a plain miss: it is rebuilt
+        and replaced by a current entry, never read as corrupt."""
+        import json
+
+        cache = LUTCache(cache_dir=str(cache_dir))
+        lut = cache.get(field)
+        assert cache.stats()["corrupt_reads"] == 0
+        assert cache.disk_hits == 0
+        meta = json.loads((entry / "meta.json").read_text())
+        assert meta["version"] == 3 and "border" not in meta
+        fresh = LUTCache(cache_dir=str(cache_dir))
+        loaded = fresh.get(field)
+        assert fresh.disk_hits == 1
+        np.testing.assert_array_equal(loaded.apply(image), lut.apply(image))
+        np.testing.assert_array_equal(loaded.apply(image),
+                                      RemapLUT(field).apply(image))
+
     def test_version_1_entry_is_rebuilt_and_overwritten(self, small_field,
                                                         random_image,
                                                         tmp_path):
-        """An entry in the per-tap offset layout is a plain miss: it is
-        rebuilt and replaced by a current entry, never read as corrupt."""
+        """An entry in the per-tap offset layout."""
         import json
 
         key = LUTCache.key_for(small_field)
@@ -102,21 +120,29 @@ class TestDiskTier:
         (entry / "meta.json").write_text(json.dumps({
             "version": 1, "method": "bilinear", "border": "constant",
             "fill": 0.0, "out_shape": [64, 64], "src_shape": [64, 64]}))
-
-        cache = LUTCache(cache_dir=str(tmp_path))
-        lut = cache.get(small_field)
-        assert cache.stats()["corrupt_reads"] == 0
-        assert cache.disk_hits == 0
+        self._assert_rebuilt_and_overwritten(small_field, random_image,
+                                             tmp_path, entry)
         assert not (entry / "indices.npy").exists()
-        assert json.loads((entry / "meta.json").read_text())["version"] == 2
-        fresh = LUTCache(cache_dir=str(tmp_path))
-        loaded = fresh.get(small_field)
-        assert fresh.disk_hits == 1
-        np.testing.assert_array_equal(loaded.apply(random_image),
-                                      lut.apply(random_image))
-        np.testing.assert_array_equal(
-            loaded.apply(random_image),
-            RemapLUT(small_field).apply(random_image))
+
+    def test_version_2_entry_is_rebuilt_and_overwritten(self, small_field,
+                                                        random_image,
+                                                        tmp_path):
+        """An entry in the compact layout that still recorded a border
+        mode, and could omit ``mask``."""
+        import json
+
+        key = LUTCache.key_for(small_field)
+        entry = tmp_path / key
+        entry.mkdir()
+        n = 64 * 64
+        np.save(entry / "base.npy", np.zeros(n, dtype=np.int32))
+        np.save(entry / "fracs.npy", np.zeros((n, 2), dtype=np.float32))
+        (entry / "meta.json").write_text(json.dumps({
+            "version": 2, "method": "bilinear", "border": "replicate",
+            "fill": 0.0, "out_shape": [64, 64], "src_shape": [64, 64],
+            "patches": 0}))
+        self._assert_rebuilt_and_overwritten(small_field, random_image,
+                                             tmp_path, entry)
 
     def test_patch_list_round_trips(self, tilted_field, random_image,
                                     tmp_path):

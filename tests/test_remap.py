@@ -82,10 +82,6 @@ class TestRemapLUT:
         with pytest.raises(InterpolationError):
             RemapLUT(small_field, method="spline")
 
-    def test_rejects_unknown_border(self, small_field):
-        with pytest.raises(InterpolationError):
-            RemapLUT(small_field, border="mirror99")
-
     def test_multichannel(self, small_field, rgb_image):
         lut = RemapLUT(small_field)
         out = lut.apply(rgb_image)
@@ -163,14 +159,13 @@ class TestScalarOracle:
     """The fused compact-LUT kernel against the loop-based reference."""
 
     @pytest.mark.parametrize("method", interp.METHODS)
-    @pytest.mark.parametrize("border", interp.BORDER_MODES)
-    def test_fused_kernel_matches_scalar(self, method, border, small_field,
+    def test_fused_kernel_matches_scalar(self, method, small_field,
                                          random_image):
-        lut = RemapLUT(small_field, method=method, border=border, fill=7.0)
+        lut = RemapLUT(small_field, method=method, fill=7.0)
         got = lut.apply(random_image)
         want = interp.sample_scalar(random_image, small_field.map_x,
                                     small_field.map_y, method=method,
-                                    border=border, fill=7.0)
+                                    fill=7.0)
         np.testing.assert_allclose(got.astype(int), want.astype(int), atol=1)
 
 

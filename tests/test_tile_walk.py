@@ -6,7 +6,7 @@ tile-sized scratch.  Every case below is held bit for bit against the
 frozen whole-frame oracle in ``conftest.py`` (``float_reference``):
 output heights that are and are not a multiple of the tile height,
 1-4 channels, integer and float sample types, both fills, every
-interpolation method and border mode, and every apply entry point over
+interpolation method, and every apply entry point over
 row ranges that cross tile edges.
 """
 
@@ -30,7 +30,7 @@ DTYPES = (np.uint8, np.uint16, np.float32, np.float64)
 
 def _field(h_out, seed):
     """Random coordinates over a small source, ~10% outside it and a
-    few ``nan`` holes, so every border mode and the fill are exercised."""
+    few ``nan`` holes, so the edge clamp and the fill are exercised."""
     rng = np.random.default_rng(seed)
     mx = rng.uniform(-0.1 * SRC_W, 1.1 * SRC_W, (h_out, OUT_W))
     my = rng.uniform(-0.1 * SRC_H, 1.1 * SRC_H, (h_out, OUT_W))
@@ -61,14 +61,12 @@ def _row_ranges(h):
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
-@pytest.mark.parametrize("border", interp.BORDER_MODES)
 @pytest.mark.parametrize("method", interp.METHODS)
-def test_tile_walk_matches_whole_frame(method, border, dtype,
-                                       float_reference):
+def test_tile_walk_matches_whole_frame(method, dtype, float_reference):
     for h_out in HEIGHTS:
         field = _field(h_out, seed=h_out)
         for fill in (0.0, 128.0):
-            lut = RemapLUT(field, method=method, border=border, fill=fill)
+            lut = RemapLUT(field, method=method, fill=fill)
             for shape in _channel_shapes():
                 image = _frame(shape, dtype, seed=len(shape) + h_out)
                 want = float_reference(lut, image)
@@ -90,7 +88,7 @@ def test_tile_walk_matches_whole_frame(method, border, dtype,
 def test_bicubic_overshoot_still_clips(float_reference):
     """A hard edge rings under Catmull-Rom; uint8 output saturates."""
     field = _field(HEIGHTS[0], seed=7)
-    lut = RemapLUT(field, method="bicubic", border="replicate")
+    lut = RemapLUT(field, method="bicubic")
     image = np.zeros((SRC_H, SRC_W), dtype=np.uint8)
     image[:, SRC_W // 2:] = 255
     raw = float_reference(lut, image.astype(np.float64))

@@ -144,8 +144,8 @@ class TestChromaCacheKeys:
     def test_luma_and_chroma_keys_distinct(self, small_field):
         cache = LUTCache()
         cfield = chroma_half_field(small_field)
-        k_luma = cache.key_for(small_field, "bilinear", "constant", 0.0)
-        k_chroma = cache.key_for(cfield, "bilinear", "constant", 128.0)
+        k_luma = cache.key_for(small_field, "bilinear", 0.0)
+        k_chroma = cache.key_for(cfield, "bilinear", 128.0)
         assert k_luma != k_chroma
 
     def test_two_correctors_share_both_entries(self, small_field):
