@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 from ..errors import PlatformError
 from ..sim.stats import Breakdown
 from ..core.mapping import RemapField
@@ -112,13 +110,7 @@ class Workload:
         """
         if self.field is None:
             return 0.6
-        mask = self.field.valid_mask()
-        if not mask.any():
-            return 0.0
-        xs = np.rint(self.field.map_x[mask]).astype(np.int64)
-        ys = np.rint(self.field.map_y[mask]).astype(np.int64)
-        uniq = np.unique(ys * self.field.src_width + xs).size
-        return float(uniq) / (self.src_width * self.src_height)
+        return self.field.source_footprint()
 
     @cached_property
     def gather_lines_per_warp(self) -> float:

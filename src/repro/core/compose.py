@@ -31,6 +31,18 @@ table is built from the composition one band of output rows at a time
 (:meth:`~repro.core.remap.RemapLUT.from_rows`), so the composed
 float64 field is never materialized; :func:`compose_fields` runs the
 same band lerp into a stored field for callers that want one.
+
+An outer field is **axis-aligned** when its x map depends only on the
+column and its y map only on the row.  :func:`downscale_field` and
+:func:`crop_field` build such fields with each map a zero-stride
+broadcast of its one axis, and the band lerp recognizes them by those
+strides.  For them the column taps and fractions are resolved once per
+table and the row ones once per output row; a band reads two rows of
+each inner map per output row and takes its four tap columns from
+them, instead of tapping every output pixel in 2-D.  The arithmetic
+per value is unchanged, so the composed coordinates, and the tables,
+are bit-identical to the per-pixel route, which every other outer (an
+:func:`affine_field`, say) still takes.
 """
 
 from __future__ import annotations
@@ -60,13 +72,17 @@ def _composed_rows(outer: RemapField, inner: RemapField):
     Returns ``rows(r0, r1) -> (map_x, map_y)``: the composed float64
     coordinates of output rows ``r0:r1``, every temporary band-sized.
     Both coordinate planes share ``outer``'s taps, resolved once per
-    band.
+    band — or once per table when ``outer`` is axis-aligned
+    (:func:`_axis_rows`).
     """
     ih, iw = inner.shape
     if (outer.src_width, outer.src_height) != (iw, ih):
         raise MappingError(
             f"outer field samples a {outer.src_width}x{outer.src_height} frame "
             f"but inner produces {iw}x{ih}")
+    axes = _axes(outer)
+    if axes is not None:
+        return _axis_rows(*axes, inner)
 
     def rows(r0, r1):
         ox, oy = outer.map_x[r0:r1], outer.map_y[r0:r1]
@@ -80,6 +96,50 @@ def _composed_rows(outer: RemapField, inner: RemapField):
         def lerp(plane):
             p00, p01, p10, p11 = (np.take(plane, t) for t in taps)
             out = (p00 * gx + p01 * fx) * gy + (p10 * gx + p11 * fx) * fy
+            return np.where(valid, out, np.nan)
+        return lerp(inner.map_x), lerp(inner.map_y)
+    return rows
+
+
+def _axes(field: RemapField):
+    """``(xs, ys)`` when ``field`` is axis-aligned — its x map repeats
+    one row and its y map one column, stored as zero-stride broadcasts
+    (:func:`crop_field`, :func:`downscale_field`) — else ``None``."""
+    if field.map_x.strides[0] == 0 and field.map_y.strides[1] == 0:
+        return field.map_x[0], field.map_y[:, 0]
+    return None
+
+
+def _axis_rows(xs, ys, inner: RemapField):
+    """:func:`_composed_rows` for an axis-aligned outer sampling ``xs``
+    along every row and ``ys`` down every column.
+
+    The column taps, fractions and validity are resolved once per
+    table and the row ones once per output row, all 1-D; a band then
+    reads its two rows of each inner plane per output row and takes
+    the two tap columns from each.  Every output value comes from the
+    same float64 operations, in the same order, as the per-pixel lerp,
+    so the coordinates are bit-identical.
+    """
+    ih, iw = inner.shape
+    ix, iy, fx, fy = bilinear_taps(xs, ys)
+    x0, x1 = np.clip(ix, 0, iw - 1), np.clip(ix + 1, 0, iw - 1)
+    y0, y1 = np.clip(iy, 0, ih - 1), np.clip(iy + 1, 0, ih - 1)
+    gx, gy = 1.0 - fx, 1.0 - fy
+    with np.errstate(invalid="ignore"):
+        valid_x = (xs >= 0) & (xs <= iw - 1)
+        valid_y = (ys >= 0) & (ys <= ih - 1)
+
+    def rows(r0, r1):
+        fy_b, gy_b = fy[r0:r1, None], gy[r0:r1, None]
+        valid = valid_y[r0:r1, None] & valid_x
+
+        def lerp(plane):
+            top = np.take(plane, y0[r0:r1], axis=0)
+            bot = np.take(plane, y1[r0:r1], axis=0)
+            p00, p01 = np.take(top, x0, axis=1), np.take(top, x1, axis=1)
+            p10, p11 = np.take(bot, x0, axis=1), np.take(bot, x1, axis=1)
+            out = (p00 * gx + p01 * fx) * gy_b + (p10 * gx + p11 * fx) * fy_b
             return np.where(valid, out, np.nan)
         return lerp(inner.map_x), lerp(inner.map_y)
     return rows
@@ -113,6 +173,16 @@ def _composed_table(outer: RemapField, inner: RemapField, method: str,
                               method=method, fill=fill)
 
 
+def _axis_field(xs, ys, src_width: int, src_height: int) -> RemapField:
+    """The axis-aligned field sampling ``xs`` along every row and ``ys``
+    down every column, its maps zero-stride broadcasts of the two axes
+    (read-only; :func:`_axes` recognizes them)."""
+    shape = (ys.size, xs.size)
+    return RemapField(np.broadcast_to(xs, shape),
+                      np.broadcast_to(ys[:, None], shape),
+                      src_width, src_height)
+
+
 def crop_field(width: int, height: int, x0: float, y0: float,
                src_width: int, src_height: int, scale: float = 1.0) -> RemapField:
     """A crop/zoom field: output pixel ``(i, j)`` samples
@@ -126,8 +196,9 @@ def crop_field(width: int, height: int, x0: float, y0: float,
     _require_finite("crop scale", scale)
     if scale <= 0:
         raise MappingError(f"scale must be positive, got {scale}")
-    ys, xs = np.indices((height, width), dtype=np.float64)
-    return RemapField(x0 + xs * scale, y0 + ys * scale, src_width, src_height)
+    xs = np.arange(width, dtype=np.float64)
+    ys = np.arange(height, dtype=np.float64)
+    return _axis_field(x0 + xs * scale, y0 + ys * scale, src_width, src_height)
 
 
 def affine_field(width: int, height: int, matrix, src_width: int,
@@ -179,9 +250,10 @@ def downscale_field(width: int, height: int, src_width: int,
             f"cannot downscale to {width}x{height}")
     sx = src_width / width
     sy = src_height / height
-    ys, xs = np.indices((height, width), dtype=np.float64)
-    field = RemapField((xs + 0.5) * sx - 0.5, (ys + 0.5) * sy - 0.5,
-                       src_width, src_height)
+    xs = np.arange(width, dtype=np.float64)
+    ys = np.arange(height, dtype=np.float64)
+    field = _axis_field((xs + 0.5) * sx - 0.5, (ys + 0.5) * sy - 0.5,
+                        src_width, src_height)
     field.prefilter_factor = max(1, math.ceil(max(sx, sy) / 2.0)) \
         if prefilter else 1
     return field

@@ -73,13 +73,18 @@ def field_fingerprint(field: RemapField) -> str:
 
 
 def _field_digest(field: RemapField) -> str:
-    """The uncached SHA-1 behind :func:`field_fingerprint`."""
+    """The uncached SHA-1 behind :func:`field_fingerprint`.
+
+    Each map is hashed as its C-order bytes, read in place when it is
+    C-contiguous (a strided or broadcast map is copied contiguous
+    first).
+    """
     h = hashlib.sha1()
     for arr in (field.map_x, field.map_y):
         a = np.ascontiguousarray(arr)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a.data)
     h.update(f"{field.src_width}x{field.src_height}".encode())
     return h.hexdigest()
 

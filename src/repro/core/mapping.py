@@ -98,6 +98,22 @@ class RemapField:
         """Fraction of output pixels that receive source data."""
         return float(self.valid_mask().mean())
 
+    def source_footprint(self) -> float:
+        """Fraction of the source frame actually sampled: the share of
+        distinct source pixels among the valid nearest-tap targets.
+
+        Cached after the first call, like :meth:`valid_mask`.
+        """
+        cached = getattr(self, "_source_footprint", None)
+        if cached is None:
+            mask = self.valid_mask()
+            xs = np.rint(self.map_x[mask]).astype(np.int64)
+            ys = np.rint(self.map_y[mask]).astype(np.int64)
+            uniq = np.unique(ys * self.src_width + xs).size
+            cached = float(uniq) / (self.src_width * self.src_height)
+            self._source_footprint = cached
+        return cached
+
     # ------------------------------------------------------------------
     # Analyses consumed by the platform models
     # ------------------------------------------------------------------

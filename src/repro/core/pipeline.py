@@ -237,8 +237,8 @@ class FisheyeCorrector:
         from ..video.stream import _run_engine
 
         copy = engine_kwargs.pop("copy", False)
-        it = _run_engine((self.lut,), PIXFMTS["rgb"], frames, copy, engine,
-                         fused=self.fused, **engine_kwargs)
+        it = _run_engine(lambda: (self.lut,), PIXFMTS["rgb"], frames, copy,
+                         engine, fused=self.fused, **engine_kwargs)
         pixels = int(np.prod(self.out_shape))
         try:
             while True:

@@ -93,7 +93,7 @@ def plan_bands(height: int, workers: int, schedule: str = DEFAULT_SCHEDULE,
     return bands
 
 
-def ring_stream(luts, frames, copy: bool = False, *,
+def ring_stream(make_luts, frames, copy: bool = False, *,
                 workers: int = 2, depth: int = 2,
                 schedule: str = DEFAULT_SCHEDULE,
                 chunk: int | None = None, context: str = "fork",
@@ -101,15 +101,21 @@ def ring_stream(luts, frames, copy: bool = False, *,
                 pixfmt: str | None = None, **session):
     """Correct ``frames`` through a one-session broker; yield in order.
 
-    ``luts`` is the tuple of the pixel format's distinct LUTs, by LUT
-    index (see :func:`~repro.video.pixfmt.plane_luts`): ``(lut,)`` for
-    packed frames, ``(luma, chroma)`` for
+    ``make_luts()`` returns the tuple of the pixel format's distinct
+    LUTs, by LUT index (see :func:`~repro.video.pixfmt.plane_luts`):
+    ``(lut,)`` for packed frames, ``(luma, chroma)`` for
     :class:`~repro.video.yuv.YUV420Frame` and
     :class:`~repro.video.yuv.NV12Frame` sources.  ``pixfmt`` defaults
     to the first frame's kind.  The broker gets ``workers`` processes
     and a slot budget of ``depth`` (at most :data:`MAX_RING_DEPTH`); it
     starts on the first frame, so an empty source costs nothing, and is
     closed when the generator finishes or is abandoned.
+
+    The tables are built after the fleet forks and published once: the
+    workers never map the parent's private copy, no parent reference
+    to it outlives the admission, and one heap trim then returns it,
+    with the build's temporaries, to the OS.
+
     ``copy=False`` (default) yields zero-copy views of the slot
     buffers, recycled when the consumer advances.  ``session`` passes
     ``deadline_s`` and ``name`` on to the session.
@@ -118,6 +124,7 @@ def ring_stream(luts, frames, copy: bool = False, *,
         raise ScheduleError(
             f"depth {depth} exceeds MAX_RING_DEPTH ({MAX_RING_DEPTH}); "
             f"each slot allocates a full frame pair in shared memory")
+    from .shmseg import release_free_heap
     from ..serve.broker import StreamBroker
     from ..video.pixfmt import pixfmt_of
 
@@ -127,14 +134,16 @@ def ring_stream(luts, frames, copy: bool = False, *,
         return
     if pixfmt is None:
         pixfmt = pixfmt_of(first).name
-    luts = tuple(luts)
     broker = StreamBroker(workers=workers, slot_budget=depth,
                           schedule=schedule, chunk=chunk, context=context,
                           stall_timeout_s=stall_timeout_s,
                           flight_dir=flight_dir)
     try:
-        yield from broker._admit(chain([first], it), lambda: (None, luts),
-                                 depth=depth, copy=copy, pixfmt=pixfmt,
-                                 **session)
+        stream = broker._admit(chain([first], it),
+                               lambda: (None, make_luts()),
+                               depth=depth, copy=copy, pixfmt=pixfmt,
+                               **session)
+        release_free_heap()
+        yield from stream
     finally:
         broker.close()

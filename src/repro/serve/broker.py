@@ -798,14 +798,15 @@ class StreamBroker:
                depth: int = 2, weight: int = 1, copy: bool = True,
                deadline_s: float | None = None,
                pixfmt: str = "rgb") -> StreamSession:
-        """The one admission path: a session over built LUTs.
+        """The one admission path: a session over resolved LUTs.
 
         ``resolve()`` returns ``(key, luts)`` — the distinct LUTs of
         ``pixfmt``, by LUT index — and runs once the session's slots
         are reserved, so a refused open builds nothing.  Sessions with
         equal keys share one table publication; ``key=None`` gives the
-        session a publication of its own (callers that bring their own
-        LUT objects).
+        session a publication of its own (the ring, which builds its
+        tables inside ``resolve`` and keeps no reference to them once
+        they are published).
         """
         from ..parallel.shmseg import FrameSegments, SharedTables
 

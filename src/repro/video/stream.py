@@ -222,20 +222,25 @@ def corrected_stream(frames: Iterable, field: RemapField,
     """
     fmt = get_pixfmt(pixfmt)
     out_size = fmt.check_out_size(out_size)
-    luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
-                      method=method, fill=fill)
-    yield from _run_engine(luts, fmt, frames, copy, engine, stream_label,
-                           out_size is not None, **engine_kwargs)
+    yield from _run_engine(
+        lambda: plane_luts(fmt, field, out_size, lut_cache, kernel,
+                           method=method, fill=fill),
+        fmt, frames, copy, engine, stream_label, out_size is not None,
+        **engine_kwargs)
 
 
-def _run_engine(luts, fmt, frames, copy, engine, stream_label=None,
+def _run_engine(make_luts, fmt, frames, copy, engine, stream_label=None,
                 fused=False, **engine_kwargs):
-    """Drive ``frames`` of ``fmt`` through ``engine`` over the resolved
-    ``luts``, wrapped in the standard ``stream.*`` metric surface.
+    """Drive ``frames`` of ``fmt`` through ``engine`` over the tables
+    ``make_luts()`` returns (the format's LUT tuple), wrapped in the
+    standard ``stream.*`` metric surface.
 
     The one stream dispatch: :func:`corrected_stream` and
     :meth:`~repro.core.pipeline.FisheyeCorrector.correct_stream` both
-    end here once their tables are resolved.
+    end here.  ``sync`` and ``pipelined`` build the tables at once; the
+    ring builds them after its fleet forks, so the workers never map
+    the parent's private copy (see
+    :func:`~repro.parallel.ring.ring_stream`).
     """
     labels = dict(label=stream_label, fused=fused, planes=fmt.plane_labels)
     if engine == "ring":
@@ -243,17 +248,17 @@ def _run_engine(luts, fmt, frames, copy, engine, stream_label=None,
         # unless the ring engine is actually requested
         from ..parallel.ring import ring_stream
         yield from _stream_telemetry(
-            ring_stream(luts, frames, copy=copy, pixfmt=fmt.name,
+            ring_stream(make_luts, frames, copy=copy, pixfmt=fmt.name,
                         name=stream_label, **engine_kwargs),
             counted=True, **labels)
         return
     if engine == "pipelined":
-        inner = _pipelined_stream(luts, fmt, frames, **engine_kwargs)
+        inner = _pipelined_stream(make_luts(), fmt, frames, **engine_kwargs)
     elif engine == "sync":
         if engine_kwargs:
             raise ScheduleError(
                 f"engine 'sync' takes no options, got {sorted(engine_kwargs)}")
-        inner = _sync_stream(frames, luts, fmt, copy)
+        inner = _sync_stream(frames, make_luts(), fmt, copy)
     else:
         raise ScheduleError(
             f"unknown stream engine {engine!r}; known: sync, pipelined, ring")

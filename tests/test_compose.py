@@ -5,10 +5,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.compose import (affine_field, compose_fields, composed_lut,
-                                crop_field, downscale_field)
+from repro.core.compose import (_axes, _composed_table, affine_field,
+                                compose_fields, composed_lut, crop_field,
+                                downscale_field)
 from repro.core.lutcache import LUTCache
-from repro.core.mapping import identity_map
+from repro.core.mapping import RemapField, identity_map
 from repro.core.remap import RemapLUT
 from repro.errors import MappingError
 
@@ -248,3 +249,78 @@ class TestNanPropagationStages:
         mse = np.mean((fused - two_pass) ** 2)
         psnr = 10.0 * np.log10(255.0 ** 2 / mse)
         assert psnr > 30.0
+
+
+class TestAxisAlignedRoute:
+    """Axis-aligned outers (:func:`downscale_field`, :func:`crop_field`)
+    compose row by row; the tables must equal the per-pixel lerp's."""
+
+    @staticmethod
+    def _dense(field):
+        """The same field with C-contiguous maps: the general route."""
+        return RemapField(np.array(field.map_x), np.array(field.map_y),
+                          field.src_width, field.src_height)
+
+    def _assert_same_tables(self, outer, inner, method="bilinear"):
+        assert _axes(outer) is not None
+        dense = self._dense(outer)
+        assert _axes(dense) is None
+        got = _composed_table(outer, inner, method, 5.0)
+        want = _composed_table(dense, inner, method, 5.0)
+        for name in ("base", "fracs", "mask", "patch_pixels", "patch_taps"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        fx, fy = compose_fields(outer, inner), compose_fields(dense, inner)
+        assert np.array_equal(fx.map_x, fy.map_x, equal_nan=True)
+        assert np.array_equal(fx.map_y, fy.map_y, equal_nan=True)
+
+    @staticmethod
+    def _outer(inner, width, height):
+        ih, iw = inner.shape
+        return downscale_field(width, height, iw, ih, prefilter=False)
+
+    def test_downscale_two_to_one(self, small_field):
+        ih, iw = small_field.shape
+        outer = self._outer(small_field, iw // 2, ih // 2)
+        for method in ("nearest", "bilinear", "bicubic"):
+            self._assert_same_tables(outer, small_field, method)
+
+    def test_downscale_non_integer_ratio(self, small_field):
+        ih, iw = small_field.shape
+        self._assert_same_tables(
+            self._outer(small_field, iw * 5 // 12, ih * 5 // 12), small_field)
+
+    def test_crop_partly_outside_the_source(self, small_field):
+        ih, iw = small_field.shape
+        outer = crop_field(iw // 2 + 7, ih // 2 + 5, iw * 0.7, -3.5,
+                           iw, ih, scale=1.3)
+        assert not outer.valid_mask().all() and outer.valid_mask().any()
+        self._assert_same_tables(outer, small_field)
+
+    def test_inner_field_with_nan_regions(self, tilted_field):
+        """``nan`` blocks on either map (the out-of-FOV marker) over a
+        field that also leaves the source frame."""
+        ih, iw = tilted_field.shape
+        map_x = np.array(tilted_field.map_x)
+        map_y = np.array(tilted_field.map_y)
+        map_x[ih // 4:ih // 2, iw // 8:iw // 3] = np.nan
+        map_y[ih // 2:, iw // 2:] = np.nan
+        inner = RemapField(map_x, map_y, iw, ih)
+        self._assert_same_tables(self._outer(inner, iw // 2, ih // 3), inner)
+        self._assert_same_tables(
+            crop_field(iw // 2, ih // 2, 2.25, 1.5, iw, ih, scale=0.75), inner)
+
+    def test_maps_are_zero_stride_broadcasts(self):
+        """Each map stores one axis, read-only, with the values of the
+        per-pixel formula."""
+        ys, xs = np.indices((30, 40), dtype=np.float64)
+        down = downscale_field(40, 30, 96, 72)
+        crop = crop_field(40, 30, 10.0, 8.0, 96, 72, scale=0.5)
+        for f, (want_x, want_y) in (
+                (down, ((xs + 0.5) * 2.4 - 0.5, (ys + 0.5) * 2.4 - 0.5)),
+                (crop, (10.0 + xs * 0.5, 8.0 + ys * 0.5))):
+            assert f.map_x.strides[0] == 0 and f.map_y.strides[1] == 0
+            assert not f.map_x.flags.writeable
+            assert not f.map_y.flags.writeable
+            np.testing.assert_array_equal(f.map_x, want_x)
+            np.testing.assert_array_equal(f.map_y, want_y)

@@ -5,10 +5,13 @@ keeping a private copy of each page the parent reuses after the fork.
 The broker trims the free heap just before its fleet forks and again
 once the fleet is gone (:func:`repro.parallel.shmseg.release_free_heap`).
 These tests read ``Anonymous`` from ``/proc/<pid>/smaps_rollup``, so the
-memory ones run only on Linux with glibc's ``malloc_trim``.
+memory ones run only on Linux with glibc's ``malloc_trim``.  The ring
+builds its tables only after its fleet forks, and keeps no private copy
+once they are published.
 """
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from repro.core.mapping import identity_map
 from repro.obs.telemetry import Telemetry, scoped
 from repro.parallel import shmseg
 from repro.serve.broker import StreamBroker
+from repro.video import stream as stream_mod
+from repro.video.yuv import NV12Frame
 
 pytestmark = pytest.mark.tier1
 
@@ -110,3 +115,43 @@ def test_memory_split_per_process(small_field):
     assert memory["parent_mb"] > 0 and memory["workers_mb"] > 0
     assert gauges["serve.mem_parent_mb"] == memory["parent_mb"]
     assert gauges["serve.mem_workers_mb"] == memory["workers_mb"]
+
+
+def _shm_segments() -> set:
+    """Names of the POSIX shared-memory segments in ``/dev/shm``."""
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_ring_keeps_one_copy_of_its_tables(monkeypatch):
+    """The ring builds its tables after the fork and publishes them
+    once: after the first frame no parent reference to the private
+    LUTs (or their tables) is left, and closing the stream leaves none
+    of its segments behind."""
+    built = []
+
+    def tracked(*args, **kwargs):
+        luts = plane_luts(*args, **kwargs)
+        built.extend(weakref.ref(obj) for lut in luts
+                     for obj in (lut, lut.base, lut.mask))
+        return luts
+
+    plane_luts = stream_mod.plane_luts
+    monkeypatch.setattr(stream_mod, "plane_luts", tracked)
+    field = identity_map(64, 48)
+    frames = (NV12Frame(np.full((48, 64), i, np.uint8),
+                        np.full((24, 32, 2), 128, np.uint8))
+              for i in range(4))
+    before = _shm_segments()
+    stream = stream_mod.corrected_stream(
+        frames, field, engine="ring", workers=1, depth=2, pixfmt="nv12",
+        out_size=(32, 24))
+    try:
+        assert next(stream).y.shape == (24, 32)
+        alive = sum(ref() is not None for ref in built)
+        assert built and not alive, \
+            f"{alive} private table objects outlive the admission"
+        assert len(list(stream)) == 3
+    finally:
+        stream.close()
+    assert not _shm_segments() - before

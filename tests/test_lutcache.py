@@ -1,10 +1,12 @@
 """LUT cache tests: keying, LRU behaviour, and the persistent tier."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.lutcache import LUTCache, field_fingerprint
-from repro.core.mapping import identity_map
+from repro.core.lutcache import LUTCache, _field_digest, field_fingerprint
+from repro.core.mapping import RemapField, identity_map
 from repro.core.remap import RemapLUT
 from repro.errors import MappingError
 
@@ -21,6 +23,31 @@ class TestFingerprint:
         k2 = LUTCache.key_for(small_field, method="bicubic")
         k3 = LUTCache.key_for(small_field, method="bilinear", fill=9.0)
         assert len({k1, k2, k3}) == 3
+
+
+    @pytest.mark.parametrize("layout", ["c_order", "strided", "transposed",
+                                        "broadcast", "empty"])
+    def test_digest_equals_tobytes_sha1(self, layout):
+        """Hashing the map buffers gives the SHA-1 over ``tobytes()``
+        copies that disk-tier keys were written with, on every map
+        layout."""
+        grid = np.random.default_rng(3).random((130, 90)) * 50
+        map_x, map_y = {
+            "c_order": (grid, grid + 1.0),
+            "strided": (grid[1::3, ::2], grid[2::3, 1::2]),
+            "transposed": (grid.T, grid.T[::-1]),
+            "broadcast": (np.broadcast_to(grid[0], grid.shape),
+                          np.broadcast_to(grid[:, :1], grid.shape)),
+            "empty": (np.empty((0, 7)), np.empty((0, 7))),
+        }[layout]
+        field = RemapField(map_x, map_y, 64, 48)
+        h = hashlib.sha1()
+        for a in (field.map_x, field.map_y):
+            h.update(str(a.dtype).encode())
+            h.update(str(a.shape).encode())
+            h.update(a.tobytes())
+        h.update(b"64x48")
+        assert _field_digest(field) == h.hexdigest()
 
 
 class TestMemoryTier:

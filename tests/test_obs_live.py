@@ -217,7 +217,8 @@ class TestRingLineage:
         frames = _frames(rng, 4)
         tel = Telemetry()
         with scoped(tel):
-            list(ring_stream((lut,), frames, copy=True, workers=1, depth=2))
+            list(ring_stream(lambda: (lut,), frames, copy=True, workers=1,
+                             depth=2))
         _check_lineage(tel.spans, {"stream-0"}, 4)
 
     def test_lineage_on_two_session_broker(self, small_field, rng):
@@ -234,7 +235,8 @@ class TestRingLineage:
         frames = _frames(rng, 5)
         tel = Telemetry()
         with scoped(tel):
-            list(ring_stream((lut,), frames, copy=True, workers=2, depth=2))
+            list(ring_stream(lambda: (lut,), frames, copy=True, workers=2,
+                             depth=2))
         snap = tel.snapshot()
         h = snap["histograms"]["frame.e2e_latency_seconds"]
         assert h["count"] == 5
@@ -246,8 +248,8 @@ class TestRingLineage:
         frames = _frames(rng, 4)
         tel = Telemetry()
         with scoped(tel):
-            list(ring_stream((lut,), frames, copy=True, workers=1, depth=2,
-                             deadline_s=1e-9))
+            list(ring_stream(lambda: (lut,), frames, copy=True, workers=1,
+                             depth=2, deadline_s=1e-9))
         snap = tel.snapshot()
         assert snap["counters"]["stream.deadline_miss"] == 4
         slo = slo_summary(snap)
@@ -256,9 +258,10 @@ class TestRingLineage:
 
     def test_deadline_validation(self, lut, rng):
         with pytest.raises(ScheduleError):
-            list(ring_stream((lut,), _frames(rng, 1), deadline_s=0))
+            list(ring_stream(lambda: (lut,), _frames(rng, 1), deadline_s=0))
         with pytest.raises(ScheduleError):
-            list(ring_stream((lut,), _frames(rng, 1), stall_timeout_s=-1))
+            list(ring_stream(lambda: (lut,), _frames(rng, 1),
+                             stall_timeout_s=-1))
         with pytest.raises(ScheduleError):
             StreamBroker(workers=1, stall_timeout_s=0)
 
@@ -329,8 +332,8 @@ class TestCrashAndStall:
         tel = Telemetry()
         with scoped(tel):
             with pytest.raises(StreamError) as err:
-                stream = ring_stream((lut,), _endless(), workers=2, depth=2,
-                                     flight_dir=tmp_path)
+                stream = ring_stream(lambda: (lut,), _endless(), workers=2,
+                                     depth=2, flight_dir=tmp_path)
                 # frame 0 delivered in full: its band completions and
                 # the workers' shipped-back spans are on record
                 next(stream)
@@ -373,7 +376,8 @@ class TestCrashAndStall:
         frames = _frames(rng, 3)
         tel = Telemetry()
         with scoped(tel):
-            stream = ring_stream((lut,), frames, copy=True, workers=1, depth=2,
+            stream = ring_stream(lambda: (lut,), frames, copy=True, workers=1,
+                                 depth=2,
                                  stall_timeout_s=0.3, flight_dir=tmp_path)
             first = next(stream)
             rest = _stall_and_resume(brokers[0]._procs[0].pid,
@@ -402,7 +406,8 @@ class TestCrashAndStall:
         frames = _frames(rng, 4)
         tel = Telemetry()
         with scoped(tel):
-            list(ring_stream((lut,), frames, copy=True, workers=2, depth=2,
+            list(ring_stream(lambda: (lut,), frames, copy=True, workers=2,
+                             depth=2,
                              stall_timeout_s=30.0, flight_dir=tmp_path))
         assert "stream.stalls" not in tel.snapshot()["counters"]
         assert not list(tmp_path.glob("repro-flightrec-*.json"))

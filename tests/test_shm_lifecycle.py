@@ -179,7 +179,7 @@ class TestExecutorLifecycle:
     def test_ring_close_unlinks_every_segment(self, small_field, brokers):
         lut = RemapLUT(small_field, method="bilinear")
         frames = [np.zeros((64, 64), dtype=np.uint8)] * 3
-        stream = ring_stream((lut,), frames, workers=1, depth=2)
+        stream = ring_stream(lambda: (lut,), frames, workers=1, depth=2)
         next(stream)
         names = _broker_segment_names(brokers[0])
         assert list(stream)  # exhaustion closes the ring
@@ -229,7 +229,7 @@ _CRASH_SCRIPT = textwrap.dedent("""
 
     names = []
     try:
-        for k, _ in enumerate(ring_stream((lut,), endless(), workers=2,
+        for k, _ in enumerate(ring_stream(lambda: (lut,), endless(), workers=2,
                                           depth=2, context="{context}")):
             if k == 1:
                 broker = brokers[0]
@@ -344,7 +344,7 @@ class TestEarlyStreamClose:
 
     def _stream(self, small_field):
         lut = RemapLUT(small_field, method="bilinear")
-        return ring_stream((lut,), self._endless(), workers=2, depth=2)
+        return ring_stream(lambda: (lut,), self._endless(), workers=2, depth=2)
 
     def test_generator_close_stops_workers_and_unlinks(self, small_field,
                                                        brokers):

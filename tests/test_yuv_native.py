@@ -268,7 +268,8 @@ class TestPlanarRing:
         lut = RemapLUT(small_field)
         rng = np.random.default_rng(8)
         with pytest.raises(ScheduleError):
-            list(ring_stream((lut,), _frames(rng, 1), workers=1, depth=1))
+            list(ring_stream(lambda: (lut,), _frames(rng, 1), workers=1,
+                             depth=1))
 
 
 # ----------------------------------------------------------------------
