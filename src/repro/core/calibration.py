@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize
 
 from ..errors import CalibrationError
 from .lens import LENS_MODELS, LensModel, make_lens
@@ -74,6 +73,9 @@ def detect_blobs(image, threshold: float | None = None, min_area: int = 3):
         lo, hi = np.percentile(image, [10.0, 99.5])
         threshold = 0.5 * (lo + hi)
     binary = image > threshold
+    # scipy loads on first use: the streaming path never runs it
+    from scipy import ndimage
+
     labels, count = ndimage.label(binary)
     blobs = []
     for idx in range(1, count + 1):
@@ -213,6 +215,8 @@ def calibrate(blob_points, blob_angles, center_guess, refine_center: bool = True
         return fits[0].rms_residual, fits
 
     if refine_center:
+        from scipy import optimize
+
         result = optimize.minimize(
             lambda c: best_rms(c)[0], np.asarray(center_guess, dtype=np.float64),
             method="Nelder-Mead", options={"xatol": 1e-3, "fatol": 1e-9, "maxiter": 200},

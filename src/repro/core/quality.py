@@ -22,7 +22,6 @@ Geometric metrics
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import GeometryError, ImageFormatError
 from .intrinsics import CameraIntrinsics, FisheyeIntrinsics
@@ -93,6 +92,9 @@ def ssim(reference, test, peak: float | None = None, sigma: float = 1.5) -> floa
         peak = 255.0 if reference.max() > 1.5 or test.max() > 1.5 else 1.0
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
+
+    # scipy loads on first use: the streaming path never runs it
+    from scipy import ndimage
 
     def blur(a):
         return ndimage.gaussian_filter(a, sigma, mode="reflect")

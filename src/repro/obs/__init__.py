@@ -10,7 +10,9 @@ The runtime-visibility layer the production pipeline reports through:
   snapshot diffing and the frame-SLO digest;
 - :mod:`repro.obs.live` — the live scrape surface: a zero-dependency
   threaded HTTP server exposing ``/metrics`` (Prometheus), ``/health``
-  (JSON liveness) and ``/snapshot`` while a stream runs;
+  (JSON liveness) and ``/snapshot`` while a stream runs; its two names
+  here resolve on first access, so ``import repro.obs`` loads no HTTP
+  module;
 - :mod:`repro.obs.flightrec` — the crash flight recorder: a bounded
   ring of the last N spans/events, dumped to a timestamped JSON file
   when a worker dies or the stall watchdog fires;
@@ -57,7 +59,6 @@ from .export import (  # noqa: F401
     write_trace,
 )
 from .flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder  # noqa: F401
-from .live import MetricsServer, health_summary  # noqa: F401
 from .logsetup import LOG_LEVELS, configure_logging, get_logger  # noqa: F401
 
 __all__ = [
@@ -94,3 +95,12 @@ __all__ = [
     "get_logger",
     "LOG_LEVELS",
 ]
+
+
+def __getattr__(name):
+    # ``live`` loads http.server, and with it http.client, ssl and email
+    if name in ("MetricsServer", "health_summary"):
+        from . import live
+
+        return getattr(live, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -73,12 +73,14 @@ session with a :class:`~repro.errors.StreamError` whose
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import multiprocessing as mp
 import os
 import queue as _queue
 import threading
 import time
+import weakref
 from collections import deque
 
 import numpy as np
@@ -111,6 +113,18 @@ _POLL_S = 0.2
 #: queue short so round-robin fairness acts at frame granularity
 #: instead of deep in a FIFO.
 _INFLIGHT_BANDS_PER_WORKER = 4
+
+#: every broker not yet closed.  A broker left open (say, by a ring
+#: stream generator kept in a global) is closed at exit, while its
+#: queues can still start the feeder threads that ``close()`` needs;
+#: closed later, during finalization, the first such start never returns.
+_open_brokers = weakref.WeakSet()
+
+
+@atexit.register
+def _close_open_brokers() -> None:
+    for broker in list(_open_brokers):
+        broker.close()
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +741,7 @@ class StreamBroker:
         self._collector = threading.Thread(
             target=self._collect, name="serve-collect", daemon=True)
         self._collector.start()
+        _open_brokers.add(self)
 
     # ------------------------------------------------------------------
     # admission
@@ -1156,6 +1171,7 @@ class StreamBroker:
         if self._closed:
             return
         self._closed = True
+        _open_brokers.discard(self)
         with self._lock:
             sessions = list(self._sessions.values())
         for s in sessions:

@@ -222,11 +222,19 @@ def corrected_stream(frames: Iterable, field: RemapField,
     """
     fmt = get_pixfmt(pixfmt)
     out_size = fmt.check_out_size(out_size)
+
+    def make_luts():
+        # the field only builds the tables: once they are built, neither
+        # this generator nor the recipe keeps it for the rest of the stream
+        nonlocal field
+        luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
+                          method=method, fill=fill)
+        field = None
+        return luts
+
     yield from _run_engine(
-        lambda: plane_luts(fmt, field, out_size, lut_cache, kernel,
-                           method=method, fill=fill),
-        fmt, frames, copy, engine, stream_label, out_size is not None,
-        **engine_kwargs)
+        make_luts, fmt, frames, copy, engine, stream_label,
+        out_size is not None, **engine_kwargs)
 
 
 def _run_engine(make_luts, fmt, frames, copy, engine, stream_label=None,

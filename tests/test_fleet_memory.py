@@ -155,3 +155,22 @@ def test_ring_keeps_one_copy_of_its_tables(monkeypatch):
     finally:
         stream.close()
     assert not _shm_segments() - before
+
+
+@pytest.mark.parametrize("engine", ["sync", "pipelined"])
+def test_thread_engines_drop_the_field_once_built(engine):
+    """``sync`` and ``pipelined`` streams keep only their tables: after
+    the first frame neither the calibration field nor its maps are
+    alive, though the stream runs on."""
+    field = identity_map(64, 48)
+    refs = [weakref.ref(obj) for obj in (field, field.map_x, field.map_y)]
+    stream = stream_mod.corrected_stream(_frames(4, (48, 64)), field,
+                                         engine=engine)
+    del field
+    try:
+        assert next(stream).shape == (48, 64)
+        alive = sum(ref() is not None for ref in refs)
+        assert not alive, f"{alive} field objects outlive the table build"
+        assert len(list(stream)) == 3
+    finally:
+        stream.close()

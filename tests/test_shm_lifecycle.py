@@ -9,6 +9,8 @@ crashes, and even when a segment group is dropped without
 the tracker's shutdown sweep.
 """
 
+import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -413,3 +415,63 @@ class TestEarlyStreamClose:
         for p in workers:
             p.join(timeout=5.0)
         assert not [p for p in workers if p.is_alive()]
+
+
+# Run inside a subprocess: pull one frame from a ring stream and keep
+# the generator, neither exhausted nor closed, in a global.  Its broker
+# must be closed at exit: closed during finalization instead, its first
+# control-queue put waits for a feeder thread that never starts.
+_ABANDON_SCRIPT = textwrap.dedent("""
+    import multiprocessing
+
+    import numpy as np
+
+    from repro.core.mapping import identity_map
+    from repro.video.stream import corrected_stream
+
+    frames = [np.full((48, 64), i, np.uint8) for i in range(100)]
+    stream = corrected_stream(frames, identity_map(64, 48), engine="ring",
+                              workers=1, depth=2)
+    next(stream)
+    print("PIDS:" + ",".join(str(p.pid)
+                             for p in multiprocessing.active_children()),
+          flush=True)
+""")
+
+
+def _shm_segments() -> set:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm")
+                    or not os.path.exists("/proc/self/stat"),
+                    reason="needs /dev/shm and /proc")
+def test_abandoned_ring_stream_lets_the_interpreter_exit():
+    before = _shm_segments()
+    try:
+        proc = subprocess.run([sys.executable, "-c", _ABANDON_SCRIPT],
+                              capture_output=True, text=True, timeout=20)
+        out, hung = proc.stdout, False
+    except subprocess.TimeoutExpired as exc:
+        out, hung = exc.stdout or "", True
+        if isinstance(out, bytes):
+            out = out.decode()
+    pids = [int(p) for line in out.splitlines() if line.startswith("PIDS:")
+            for p in line[len("PIDS:"):].split(",") if p]
+    alive = [pid for pid in pids if _running(pid)]
+    for pid in alive:  # a hung run orphans its fleet: do not keep it
+        os.kill(pid, signal.SIGKILL)
+    assert not hung, "the interpreter did not exit within 20 s"
+    assert proc.returncode == 0, proc.stderr
+    assert pids, out
+    assert not alive, f"workers {alive} outlive the interpreter"
+    assert not _shm_segments() - before
