@@ -30,7 +30,10 @@ content hashes, so composed maps warm-start like plain ones.  The
 table is built from the composition one band of output rows at a time
 (:meth:`~repro.core.remap.RemapLUT.from_rows`), so the composed
 float64 field is never materialized; :func:`compose_fields` runs the
-same band lerp into a stored field for callers that want one.
+same band lerp into a stored field for callers that want one.  Each
+band reads only the inner rows it taps, so a recipe inner field
+(:mod:`repro.core.mapping`) is computed a window of rows at a time,
+each row once while the bands move down the field.
 
 An outer field is **axis-aligned** when its x map depends only on the
 column and its y map only on the row.  :func:`downscale_field` and
@@ -53,7 +56,7 @@ import numpy as np
 
 from ..errors import MappingError
 from .interpolation import bilinear_taps, sample, valid_mask
-from .mapping import RemapField
+from .mapping import _BAND_ROWS, RemapField
 from .remap import _BUILD_ROWS, RemapLUT
 
 __all__ = ["compose_fields", "crop_field", "affine_field",
@@ -73,7 +76,9 @@ def _composed_rows(outer: RemapField, inner: RemapField):
     coordinates of output rows ``r0:r1``, every temporary band-sized.
     Both coordinate planes share ``outer``'s taps, resolved once per
     band — or once per table when ``outer`` is axis-aligned
-    (:func:`_axis_rows`).
+    (:func:`_axis_rows`).  Each band reads only the ``inner`` rows its
+    valid pixels tap (:func:`_row_window`), so a recipe ``inner`` is
+    computed a window at a time, never whole.
     """
     ih, iw = inner.shape
     if (outer.src_width, outer.src_height) != (iw, ih):
@@ -83,13 +88,16 @@ def _composed_rows(outer: RemapField, inner: RemapField):
     axes = _axes(outer)
     if axes is not None:
         return _axis_rows(*axes, inner)
+    fetch = _row_window(inner)
 
     def rows(r0, r1):
-        ox, oy = outer.map_x[r0:r1], outer.map_y[r0:r1]
+        ox, oy = outer.rows(r0, r1)
         valid = valid_mask(ox, oy, iw, ih)
         ix, iy, fx, fy = bilinear_taps(ox, oy)
         x0, x1 = np.clip(ix, 0, iw - 1), np.clip(ix + 1, 0, iw - 1)
-        y0, y1 = np.clip(iy, 0, ih - 1) * iw, np.clip(iy + 1, 0, ih - 1) * iw
+        lo, hi = _tapped_rows(iy, valid, ih)
+        y0 = (np.clip(iy, lo, hi - 1) - lo) * iw
+        y1 = (np.clip(iy + 1, lo, hi - 1) - lo) * iw
         taps = (y0 + x0, y0 + x1, y1 + x0, y1 + x1)
         gx, gy = 1.0 - fx, 1.0 - fy
 
@@ -97,15 +105,65 @@ def _composed_rows(outer: RemapField, inner: RemapField):
             p00, p01, p10, p11 = (np.take(plane, t) for t in taps)
             out = (p00 * gx + p01 * fx) * gy + (p10 * gx + p11 * fx) * fy
             return np.where(valid, out, np.nan)
-        return lerp(inner.map_x), lerp(inner.map_y)
+        return tuple(map(lerp, fetch(lo, hi)))
     return rows
+
+
+def _tapped_rows(iy, valid, ih: int):
+    """The ``inner`` rows ``[lo, hi)`` that the valid pixels of a band
+    tap, given their top tap rows ``iy`` (``(0, 1)`` when none is
+    valid).  Clipping every tap row into it leaves the valid pixels'
+    taps — the only ones whose values are kept — where they were."""
+    if not valid.any():
+        return 0, 1
+    rows = iy[valid]
+    return (min(max(int(rows.min()), 0), ih - 1),
+            min(max(int(rows.max()) + 1, 0), ih - 1) + 1)
+
+
+def _row_window(field: RemapField):
+    """``fetch(lo, hi) -> (map_x, map_y)`` of ``field``'s rows ``lo:hi``.
+
+    A field that stores its maps hands out views.  A recipe's rows are
+    computed in whole :data:`~repro.core.mapping._BAND_ROWS` bands
+    (:meth:`~repro.core.mapping.RemapField.rows`) into a window that
+    holds them until a request leaves it; the rows a request shares
+    with the window are kept, not recomputed.  Bands whose requests
+    move down the field compute every row once, and a composition
+    holds only its current window.
+    """
+    if field.has_maps:
+        return field.rows
+    h, w = field.shape
+    win = [0, 0, np.empty((0, w)), np.empty((0, w))]  # lo, hi, maps
+
+    def fetch(lo, hi):
+        wlo, whi, wx, wy = win
+        if not wlo <= lo < hi <= whi:
+            nlo = lo - lo % _BAND_ROWS
+            nhi = min(h, hi + -hi % _BAND_ROWS)
+            olo, ohi = max(nlo, wlo), min(nhi, whi)
+            if olo >= ohi:
+                olo = ohi = nhi
+            nx, ny = np.empty((nhi - nlo, w)), np.empty((nhi - nlo, w))
+            nx[olo - nlo:ohi - nlo] = wx[olo - wlo:ohi - wlo]
+            ny[olo - nlo:ohi - nlo] = wy[olo - wlo:ohi - wlo]
+            for a, b in ((nlo, olo), (ohi, nhi)):
+                if a < b:
+                    nx[a - nlo:b - nlo], ny[a - nlo:b - nlo] = field.rows(a, b)
+            win[:] = nlo, nhi, nx, ny
+            wlo, wx, wy = nlo, nx, ny
+        return wx[lo - wlo:hi - wlo], wy[lo - wlo:hi - wlo]
+    return fetch
 
 
 def _axes(field: RemapField):
     """``(xs, ys)`` when ``field`` is axis-aligned — its x map repeats
     one row and its y map one column, stored as zero-stride broadcasts
-    (:func:`crop_field`, :func:`downscale_field`) — else ``None``."""
-    if field.map_x.strides[0] == 0 and field.map_y.strides[1] == 0:
+    (:func:`crop_field`, :func:`downscale_field`) — else ``None``.  A
+    recipe field is never axis-aligned here (nor materialized)."""
+    if (field.has_maps and field.map_x.strides[0] == 0
+            and field.map_y.strides[1] == 0):
         return field.map_x[0], field.map_y[:, 0]
     return None
 
@@ -124,24 +182,27 @@ def _axis_rows(xs, ys, inner: RemapField):
     ih, iw = inner.shape
     ix, iy, fx, fy = bilinear_taps(xs, ys)
     x0, x1 = np.clip(ix, 0, iw - 1), np.clip(ix + 1, 0, iw - 1)
-    y0, y1 = np.clip(iy, 0, ih - 1), np.clip(iy + 1, 0, ih - 1)
     gx, gy = 1.0 - fx, 1.0 - fy
     with np.errstate(invalid="ignore"):
         valid_x = (xs >= 0) & (xs <= iw - 1)
         valid_y = (ys >= 0) & (ys <= ih - 1)
+    fetch = _row_window(inner)
 
     def rows(r0, r1):
         fy_b, gy_b = fy[r0:r1, None], gy[r0:r1, None]
         valid = valid_y[r0:r1, None] & valid_x
+        lo, hi = _tapped_rows(iy[r0:r1], valid_y[r0:r1], ih)
+        y0 = np.clip(iy[r0:r1], lo, hi - 1) - lo
+        y1 = np.clip(iy[r0:r1] + 1, lo, hi - 1) - lo
 
         def lerp(plane):
-            top = np.take(plane, y0[r0:r1], axis=0)
-            bot = np.take(plane, y1[r0:r1], axis=0)
+            top = np.take(plane, y0, axis=0)
+            bot = np.take(plane, y1, axis=0)
             p00, p01 = np.take(top, x0, axis=1), np.take(top, x1, axis=1)
             p10, p11 = np.take(bot, x0, axis=1), np.take(bot, x1, axis=1)
             out = (p00 * gx + p01 * fx) * gy_b + (p10 * gx + p11 * fx) * fy_b
             return np.where(valid, out, np.nan)
-        return lerp(inner.map_x), lerp(inner.map_y)
+        return tuple(map(lerp, fetch(lo, hi)))
     return rows
 
 
@@ -313,8 +374,10 @@ def composed_lut(outer: RemapField, inner: RemapField, *,
     if factor > 1:
         from .antialias import SupersampledLUT
         oh, ow = outer.shape
+        # sub-pixel sampling reads the whole inner maps: a recipe's are
+        # computed for this build only, never cached on it
         return SupersampledLUT.from_builder(
-            _composed_builder(outer, inner), ow, oh, factor,
+            _composed_builder(outer, inner.eager()), ow, oh, factor,
             method=method, fill=fill)
     if cache is not None:
         return cache.get_composed(outer, inner, method=method, fill=fill)

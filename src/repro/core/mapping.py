@@ -14,6 +14,19 @@ plus :func:`fisheye_forward_map`, the inverse construction used by the
 synthetic-workload generator to *create* fisheye imagery from an ideal
 perspective scene (ground truth for quality metrics).
 
+The three output-view builders return **recipe** fields: a field that
+keeps its builder's band evaluator (rays, sensor, lens) and its shape,
+not its maps.  Building one costs next to nothing; the coordinates are
+computed when something reads them.  The table builders pull them a
+band at a time through :meth:`RemapField.rows`
+(:class:`~repro.core.remap.RemapLUT`,
+:func:`~repro.core.compose.composed_lut`), so a stream's float64 field
+exists, if at all, only inside its table build — on the ring engine
+after the fleet has forked.  Reading ``map_x``/``map_y`` computes the
+whole maps once and caches them on the field, so every analysis works
+unchanged; a pickled recipe field carries its maps.  Rows computed on
+demand equal the cached maps bit for bit.
+
 The result type :class:`RemapField` also carries the analysis methods
 the accelerator models need: per-tile source bounding boxes (Cell-BE
 local-store sizing), row-span statistics (FPGA line buffering), and
@@ -21,8 +34,6 @@ cache-line gather counts (GPU coalescing).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +53,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class RemapField:
     """A backward-warp coordinate field plus its source geometry.
 
@@ -51,30 +61,107 @@ class RemapField:
     map_x, map_y:
         ``(H_out, W_out)`` float64 arrays of fractional source
         coordinates; ``nan`` marks output pixels with no source
-        (outside the lens FOV or outside the source frame).
+        (outside the lens FOV or outside the source frame).  On a
+        recipe field (see the module docs) the first read computes
+        and caches them.
     src_width, src_height:
         Size of the source image the maps index into.
     """
 
-    map_x: np.ndarray
-    map_y: np.ndarray
-    src_width: int
-    src_height: int
-
-    def __post_init__(self):
-        self.map_x = np.asarray(self.map_x, dtype=np.float64)
-        self.map_y = np.asarray(self.map_y, dtype=np.float64)
+    def __init__(self, map_x, map_y, src_width: int, src_height: int):
+        self.map_x = np.asarray(map_x, dtype=np.float64)
+        self.map_y = np.asarray(map_y, dtype=np.float64)
         if self.map_x.shape != self.map_y.shape or self.map_x.ndim != 2:
             raise MappingError(
                 f"map_x/map_y must be matching 2-D arrays, got {self.map_x.shape} / {self.map_y.shape}")
+        self.src_width = src_width
+        self.src_height = src_height
         if self.src_width <= 0 or self.src_height <= 0:
             raise MappingError(f"source size must be positive: {self.src_width}x{self.src_height}")
+
+    @classmethod
+    def _recipe(cls, band, shape, src_width: int, src_height: int):
+        """A field computed on demand by ``band(r0, r1, out_x, out_y)``,
+        which writes the coordinates of output rows ``r0:r1`` (one
+        :data:`_BAND_ROWS` band) into the two ``(r1 - r0, W_out)``
+        buffers."""
+        self = cls.__new__(cls)
+        self._band = band
+        self._shape = tuple(shape)
+        self.src_width = src_width
+        self.src_height = src_height
+        return self
+
+    def __getattr__(self, name):
+        # reached only for unset attributes: a recipe's maps, first read
+        if name in ("map_x", "map_y") and "_band" in self.__dict__:
+            self.map_x, self.map_y = self.rows(0, self._shape[0])
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        # the band evaluator is a closure: a recipe pickles as its maps
+        state = self.__dict__.copy()
+        if state.pop("_band", None) is not None and "map_x" not in state:
+            state["map_x"], state["map_y"] = self.rows(0, self._shape[0])
+        return state
+
+    @property
+    def has_maps(self) -> bool:
+        """Whether the field stores its maps: built from arrays, or a
+        recipe whose maps have been read."""
+        return "map_x" in self.__dict__
+
+    def rows(self, r0: int, r1: int):
+        """``(map_x, map_y)`` of output rows ``r0:r1``.
+
+        A field that stores its maps returns views of them.  A recipe
+        computes the rows and keeps nothing; it evaluates whole
+        :data:`_BAND_ROWS` bands, the ones a full computation walks,
+        so the rows equal the cached maps bit for bit wherever the
+        range starts and ends.
+        """
+        if self.has_maps:
+            return self.map_x[r0:r1], self.map_y[r0:r1]
+        h, w = self._shape
+        r0, r1, _ = slice(r0, r1).indices(h)
+        r1 = max(r0, r1)
+        map_x = np.empty((r1 - r0, w))
+        map_y = np.empty((r1 - r0, w))
+        for b0 in range(r0 - r0 % _BAND_ROWS, r1, _BAND_ROWS):
+            b1 = min(b0 + _BAND_ROWS, h)
+            lo, hi = max(b0, r0), min(b1, r1)
+            if (lo, hi) == (b0, b1):
+                self._band(b0, b1, map_x[b0 - r0:b1 - r0],
+                           map_y[b0 - r0:b1 - r0])
+                continue
+            # a band cut by the range: evaluate it whole, keep its share
+            band_x, band_y = np.empty((b1 - b0, w)), np.empty((b1 - b0, w))
+            self._band(b0, b1, band_x, band_y)
+            map_x[lo - r0:hi - r0] = band_x[lo - b0:hi - b0]
+            map_y[lo - r0:hi - r0] = band_y[lo - b0:hi - b0]
+        return map_x, map_y
+
+    def eager(self) -> "RemapField":
+        """This field with stored maps: itself when it has them, else a
+        new field over freshly computed maps (this recipe keeps none).
+
+        A caller that reads the maps several times and then drops them
+        — :func:`~repro.video.pixfmt.plane_luts` over a planar format
+        — computes them once this way.
+        """
+        if self.has_maps:
+            return self
+        return RemapField(*self.rows(0, self._shape[0]), self.src_width,
+                          self.src_height)
 
     # ------------------------------------------------------------------
     @property
     def shape(self):
         """Output shape ``(H_out, W_out)``."""
-        return self.map_x.shape
+        maps = self.__dict__.get("map_x")
+        return self._shape if maps is None else maps.shape
 
     def valid_mask(self) -> np.ndarray:
         """Boolean mask of output pixels with an in-source sample point.
@@ -202,9 +289,9 @@ class RemapField:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-#: Output rows evaluated per band.  The builders write straight into
-#: preallocated maps, and a band's dozen float64 temporaries (160 KB
-#: each at 2560 px wide) stay in L2.
+#: Output rows evaluated per band.  A recipe writes each band straight
+#: into the rows it is asked for, and a band's dozen float64 temporaries
+#: (160 KB each at 2560 px wide) stay in L2.
 _BAND_ROWS = 8
 
 
@@ -221,8 +308,9 @@ def _rotate_rays(x_n, y_n, rot):
 
 def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
             width: int, rays) -> RemapField:
-    """Build a field band by band from ``rays(r0, r1) -> (dx, dy, dz)``,
-    the (broadcastable) ray components of output rows ``r0:r1``.
+    """The recipe field of ``rays(r0, r1) -> (dx, dy, dz)``, the
+    (broadcastable) ray components of output rows ``r0:r1``, evaluated
+    band by band when read (:meth:`RemapField.rows`).
 
     The tail every builder shares, rays of any length -> fisheye sensor
     coordinates: the field angle ``theta = atan2(rho, dz)``, ``rho =
@@ -231,12 +319,8 @@ def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
     ``(cos phi, sin phi) = (dx, dy) / rho`` — no ``atan2``/``cos``/``sin``
     of it.  On the axis (``rho == 0``) the azimuth is 0: ``(cx + r, cy)``.
     """
-    map_x = np.empty((height, width))
-    map_y = np.empty((height, width))
-    for r0 in range(0, height, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, height)
+    def band(r0, r1, band_x, band_y):
         dx, dy, dz = rays(r0, r1)
-        band_x, band_y = map_x[r0:r1], map_y[r0:r1]
         rho = np.sqrt(dx * dx + dy * dy)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = lens.angle_to_radius(np.arctan2(rho, dz))
@@ -249,7 +333,9 @@ def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
             band_y[axis] = 0.0 * r[axis]
         band_x += sensor.cx
         band_y += sensor.cy
-    return RemapField(map_x, map_y, sensor.width, sensor.height)
+
+    return RemapField._recipe(band, (height, width), sensor.width,
+                              sensor.height)
 
 
 def perspective_map(sensor: FisheyeIntrinsics, lens: LensModel,

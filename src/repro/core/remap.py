@@ -381,7 +381,9 @@ class RemapLUT:
     Parameters
     ----------
     field:
-        The backward coordinate field to freeze.
+        The backward coordinate field to freeze, read band by band
+        through :meth:`~repro.core.mapping.RemapField.rows` (a recipe
+        field's maps are never materialized).
     method:
         Interpolation kind; determines taps per pixel (1/4/16).
     fill:
@@ -414,8 +416,7 @@ class RemapLUT:
                  fill: float = 0.0, tier: str = "numpy",
                  frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS):
         self._build(field.shape, (field.src_height, field.src_width),
-                    lambda r0, r1: (field.map_x[r0:r1], field.map_y[r0:r1]),
-                    method, fill, tier, frac_bits)
+                    field.rows, method, fill, tier, frac_bits)
 
     @classmethod
     def from_rows(cls, rows, out_shape, src_shape, method: str = "bilinear",

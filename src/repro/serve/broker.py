@@ -802,12 +802,15 @@ class StreamBroker:
         (calibration, tier, delivery size and which LUTs the format
         reads) so they share one publication too.
         """
+        # the tables first: they fingerprint a recipe field from the
+        # maps they build from, and the key then reuses that digest
+        luts = plane_luts(fmt, field, out_size, self.lut_cache, tier,
+                          method=method, fill=fill)
         key = (self.lut_cache.key_for(field, method, fill)
                + f"|{tier}"
                + (f"|fused{out_size[0]}x{out_size[1]}" if out_size else "")
                + "|luts" + "".join(map(str, fmt.luts)))
-        return key, plane_luts(fmt, field, out_size, self.lut_cache, tier,
-                               method=method, fill=fill)
+        return key, luts
 
     def _admit(self, frames, resolve, *, name: str | None = None,
                depth: int = 2, weight: int = 1, copy: bool = True,

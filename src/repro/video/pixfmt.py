@@ -24,6 +24,7 @@ path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,7 @@ import numpy as np
 from ..core.compose import composed_lut, downscale_field
 from ..core.image import Frame
 from ..core.kernel_tiers import resolve_tier
-from ..core.lutcache import LUTCache, derived_fingerprint
+from ..core.lutcache import LUTCache, _digest_and_source, derived_fingerprint
 from ..core.mapping import RemapField, chroma_half_field
 from ..core.remap import RemapLUT
 from ..errors import ImageFormatError
@@ -236,11 +237,23 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
     fingerprint and the derivation — so those fields are built only on
     a miss and never hashed, and a reopen of one field object costs no
     digest at all.
+
+    A recipe field (:mod:`repro.core.mapping`) with one table to build
+    streams its rows into it.  When several tables read it — a planar
+    format's luma and chroma — or its fingerprint is not cached yet, its
+    maps are computed once for the call and held until it returns;
+    nothing is stored on ``field``, so they go with the build's
+    temporaries.
     """
     tier = resolve_tier(tier)
     fh, fw = field.shape
     # the resolution divisor of the planes each LUT corrects
     divisors = {p.lut: p.divisor for p in fmt.planes}
+    ident, source = ((None, lambda: field) if cache is None
+                     else _digest_and_source(field))
+    if len(fmt.luts) > 1:
+        # every table reads one computation of a recipe's maps
+        source = functools.cache(lambda base=source: base().eager())
     luts = []
     for i in fmt.luts:
         chroma = i != 0
@@ -250,7 +263,7 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
                  (out_size[0] // d, out_size[1] // d, fw // d, fh // d))
 
         def build(chroma=chroma, m=m, v=v, scale=scale):
-            inner = chroma_half_field(field) if chroma else field
+            inner = chroma_half_field(source()) if chroma else source()
             if scale is None:
                 return RemapLUT(inner, method=m, fill=v)
             return composed_lut(downscale_field(*scale, prefilter=False),
@@ -259,7 +272,7 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
         if cache is None:
             luts.append(build())
             continue
-        inner_id = derived_fingerprint(field, "chroma_half") if chroma else field
+        inner_id = derived_fingerprint(ident, "chroma_half") if chroma else ident
         key = (LUTCache.key_for(inner_id, m, v) if scale is None
                else LUTCache.key_for_composed(
                    derived_fingerprint(None, "downscale%dx%d<-%dx%d" % scale),

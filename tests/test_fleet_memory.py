@@ -7,7 +7,8 @@ once the fleet is gone (:func:`repro.parallel.shmseg.release_free_heap`).
 These tests read ``Anonymous`` from ``/proc/<pid>/smaps_rollup``, so the
 memory ones run only on Linux with glibc's ``malloc_trim``.  The ring
 builds its tables only after its fleet forks, and keeps no private copy
-once they are published.
+once they are published, and a view builder's field is a recipe, so
+the fleet forks before the field's maps exist.
 """
 
 import os
@@ -16,10 +17,12 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.bench.harness import standard_field
 from repro.core.lutcache import LUTCache
 from repro.core.mapping import identity_map
 from repro.obs.telemetry import Telemetry, scoped
 from repro.parallel import shmseg
+from repro.serve import broker as broker_mod
 from repro.serve.broker import StreamBroker
 from repro.video import stream as stream_mod
 from repro.video.yuv import NV12Frame
@@ -174,3 +177,42 @@ def test_thread_engines_drop_the_field_once_built(engine):
         assert len(list(stream)) == 3
     finally:
         stream.close()
+
+
+def _ring_workers_mb(field):
+    """Workers' MB of a 2-worker ring NV12 stream over ``field``, fused
+    to half size, after its first frame."""
+    h, w = field.shape
+    frames = (NV12Frame(np.full((h, w), i, np.uint8),
+                        np.full((h // 2, w // 2, 2), 128, np.uint8))
+              for i in range(2))
+    open_before = set(broker_mod._open_brokers)
+    stream = stream_mod.corrected_stream(
+        frames, field, engine="ring", workers=2, depth=1, pixfmt="nv12",
+        out_size=(w // 2, h // 2))
+    try:
+        next(stream)
+        (broker,) = set(broker_mod._open_brokers) - open_before
+        return broker.memory()["workers_mb"]
+    finally:
+        stream.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                    reason="needs Linux smaps_rollup")
+def test_ring_fleet_forks_before_the_maps_exist():
+    """A perspective field holds no maps when the ring forks, nor after
+    the tables are built, so the workers' share of memory leaves out
+    the maps' bytes.  The control is the same stream over a field whose
+    maps were read before the fork: the workers then share them with
+    the parent, two thirds of their bytes (run first, so the parent's
+    heap growth between the runs cannot favour the recipe)."""
+    maps_mb = 2 * 8 * 1920 * 1080 / 1e6
+    control = standard_field.__wrapped__(1920, 1080, 1.0)
+    control.map_x
+    eager_mb = _ring_workers_mb(control)
+    del control
+    field = standard_field.__wrapped__(1920, 1080, 1.0)
+    recipe_mb = _ring_workers_mb(field)
+    assert recipe_mb < eager_mb - maps_mb / 3, (recipe_mb, eager_mb, maps_mb)
+    assert not field.has_maps
