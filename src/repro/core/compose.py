@@ -31,9 +31,10 @@ table is built from the composition one band of output rows at a time
 (:meth:`~repro.core.remap.RemapLUT.from_rows`), so the composed
 float64 field is never materialized; :func:`compose_fields` runs the
 same band lerp into a stored field for callers that want one.  Each
-band reads only the inner rows it taps, so a recipe inner field
-(:mod:`repro.core.mapping`) is computed a window of rows at a time,
-each row once while the bands move down the field.
+band reads only the inner rows it taps
+(:meth:`~repro.core.mapping.RemapField.rows`), so a recipe inner field
+(:mod:`repro.core.mapping`) is never materialized; the bands of a
+recipe that two output bands both tap are computed for each of them.
 
 An outer field is **axis-aligned** when its x map depends only on the
 column and its y map only on the row.  :func:`downscale_field` and
@@ -56,7 +57,7 @@ import numpy as np
 
 from ..errors import MappingError
 from .interpolation import bilinear_taps, sample, valid_mask
-from .mapping import _BAND_ROWS, RemapField
+from .mapping import RemapField
 from .remap import _BUILD_ROWS, RemapLUT
 
 __all__ = ["compose_fields", "crop_field", "affine_field",
@@ -77,8 +78,8 @@ def _composed_rows(outer: RemapField, inner: RemapField):
     Both coordinate planes share ``outer``'s taps, resolved once per
     band — or once per table when ``outer`` is axis-aligned
     (:func:`_axis_rows`).  Each band reads only the ``inner`` rows its
-    valid pixels tap (:func:`_row_window`), so a recipe ``inner`` is
-    computed a window at a time, never whole.
+    valid pixels tap, so a recipe ``inner`` is computed a few bands at
+    a time, never whole.
     """
     ih, iw = inner.shape
     if (outer.src_width, outer.src_height) != (iw, ih):
@@ -88,7 +89,6 @@ def _composed_rows(outer: RemapField, inner: RemapField):
     axes = _axes(outer)
     if axes is not None:
         return _axis_rows(*axes, inner)
-    fetch = _row_window(inner)
 
     def rows(r0, r1):
         ox, oy = outer.rows(r0, r1)
@@ -105,7 +105,7 @@ def _composed_rows(outer: RemapField, inner: RemapField):
             p00, p01, p10, p11 = (np.take(plane, t) for t in taps)
             out = (p00 * gx + p01 * fx) * gy + (p10 * gx + p11 * fx) * fy
             return np.where(valid, out, np.nan)
-        return tuple(map(lerp, fetch(lo, hi)))
+        return tuple(map(lerp, inner.rows(lo, hi)))
     return rows
 
 
@@ -119,42 +119,6 @@ def _tapped_rows(iy, valid, ih: int):
     rows = iy[valid]
     return (min(max(int(rows.min()), 0), ih - 1),
             min(max(int(rows.max()) + 1, 0), ih - 1) + 1)
-
-
-def _row_window(field: RemapField):
-    """``fetch(lo, hi) -> (map_x, map_y)`` of ``field``'s rows ``lo:hi``.
-
-    A field that stores its maps hands out views.  A recipe's rows are
-    computed in whole :data:`~repro.core.mapping._BAND_ROWS` bands
-    (:meth:`~repro.core.mapping.RemapField.rows`) into a window that
-    holds them until a request leaves it; the rows a request shares
-    with the window are kept, not recomputed.  Bands whose requests
-    move down the field compute every row once, and a composition
-    holds only its current window.
-    """
-    if field.has_maps:
-        return field.rows
-    h, w = field.shape
-    win = [0, 0, np.empty((0, w)), np.empty((0, w))]  # lo, hi, maps
-
-    def fetch(lo, hi):
-        wlo, whi, wx, wy = win
-        if not wlo <= lo < hi <= whi:
-            nlo = lo - lo % _BAND_ROWS
-            nhi = min(h, hi + -hi % _BAND_ROWS)
-            olo, ohi = max(nlo, wlo), min(nhi, whi)
-            if olo >= ohi:
-                olo = ohi = nhi
-            nx, ny = np.empty((nhi - nlo, w)), np.empty((nhi - nlo, w))
-            nx[olo - nlo:ohi - nlo] = wx[olo - wlo:ohi - wlo]
-            ny[olo - nlo:ohi - nlo] = wy[olo - wlo:ohi - wlo]
-            for a, b in ((nlo, olo), (ohi, nhi)):
-                if a < b:
-                    nx[a - nlo:b - nlo], ny[a - nlo:b - nlo] = field.rows(a, b)
-            win[:] = nlo, nhi, nx, ny
-            wlo, wx, wy = nlo, nx, ny
-        return wx[lo - wlo:hi - wlo], wy[lo - wlo:hi - wlo]
-    return fetch
 
 
 def _axes(field: RemapField):
@@ -186,7 +150,6 @@ def _axis_rows(xs, ys, inner: RemapField):
     with np.errstate(invalid="ignore"):
         valid_x = (xs >= 0) & (xs <= iw - 1)
         valid_y = (ys >= 0) & (ys <= ih - 1)
-    fetch = _row_window(inner)
 
     def rows(r0, r1):
         fy_b, gy_b = fy[r0:r1, None], gy[r0:r1, None]
@@ -202,7 +165,7 @@ def _axis_rows(xs, ys, inner: RemapField):
             p10, p11 = np.take(bot, x0, axis=1), np.take(bot, x1, axis=1)
             out = (p00 * gx + p01 * fx) * gy_b + (p10 * gx + p11 * fx) * fy_b
             return np.where(valid, out, np.nan)
-        return tuple(map(lerp, fetch(lo, hi)))
+        return tuple(map(lerp, inner.rows(lo, hi)))
     return rows
 
 

@@ -69,21 +69,10 @@ def field_fingerprint(field: RemapField) -> str:
     dropped (:meth:`~repro.core.mapping.RemapField.eager`): it keeps
     the digest, which equals its eager twin's, and no maps.
     """
-    return _digest_and_source(field)[0]
-
-
-def _digest_and_source(field: RemapField):
-    """``(field_fingerprint(field), source)``.  ``source()`` returns the
-    field a table of ``field`` is built from: the eager twin the digest
-    was just hashed from, when a recipe's maps had to be computed for
-    it, else ``field`` itself — so a cold recipe's maps are computed
-    once for its key and its table, and live as long as ``source``."""
-    held = []
-    digest = getattr(field, "_fingerprint", None)
-    if digest is None:
-        held.append(field.eager())
-        digest = field._fingerprint = _field_digest(held[0])
-    return digest, lambda: held[0] if held else field
+    cached = getattr(field, "_fingerprint", None)
+    if cached is None:
+        cached = field._fingerprint = _field_digest(field.eager())
+    return cached
 
 
 def _field_digest(field: RemapField) -> str:
@@ -230,11 +219,10 @@ class LUTCache:
     def get(self, field: RemapField, method: str = "bilinear",
             fill: float = 0.0) -> RemapLUT:
         """Return the LUT for this configuration, building at most once."""
-        digest, source = _digest_and_source(field)
-        key = self.key_for(digest, method, fill)
+        key = self.key_for(field, method, fill)
 
         def build() -> RemapLUT:
-            return RemapLUT(source(), method=method, fill=fill)
+            return RemapLUT(field, method=method, fill=fill)
 
         return self.get_or_build(key, build)
 
@@ -250,11 +238,10 @@ class LUTCache:
         """
         from .compose import _composed_table
 
-        digest, source = _digest_and_source(inner)
-        key = self.key_for_composed(outer, digest, method, fill)
+        key = self.key_for_composed(outer, inner, method, fill)
 
         def build() -> RemapLUT:
-            return _composed_table(outer, source(), method, fill)
+            return _composed_table(outer, inner, method, fill)
 
         return self.get_or_build(key, build)
 

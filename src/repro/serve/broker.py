@@ -802,8 +802,9 @@ class StreamBroker:
         (calibration, tier, delivery size and which LUTs the format
         reads) so they share one publication too.
         """
-        # the tables first: they fingerprint a recipe field from the
-        # maps they build from, and the key then reuses that digest
+        # the tables first: plane_luts fingerprints a cold recipe from
+        # the maps it builds from, and the key then reuses that digest
+        # (keyed first, the maps would be computed twice)
         luts = plane_luts(fmt, field, out_size, self.lut_cache, tier,
                           method=method, fill=fill)
         key = (self.lut_cache.key_for(field, method, fill)

@@ -33,7 +33,7 @@ import numpy as np
 from ..core.compose import composed_lut, downscale_field
 from ..core.image import Frame
 from ..core.kernel_tiers import resolve_tier
-from ..core.lutcache import LUTCache, _digest_and_source, derived_fingerprint
+from ..core.lutcache import LUTCache, derived_fingerprint, field_fingerprint
 from ..core.mapping import RemapField, chroma_half_field
 from ..core.remap import RemapLUT
 from ..errors import ImageFormatError
@@ -240,20 +240,24 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
 
     A recipe field (:mod:`repro.core.mapping`) with one table to build
     streams its rows into it.  When several tables read it — a planar
-    format's luma and chroma — or its fingerprint is not cached yet, its
-    maps are computed once for the call and held until it returns;
-    nothing is stored on ``field``, so they go with the build's
+    format's luma and chroma — or ``cache`` needs its fingerprint and
+    it has none yet, its maps are computed once for the call, serve the
+    digest and every table, and are held until it returns.  Only the
+    digest is stored on ``field`` (as :func:`~repro.core.lutcache
+    .field_fingerprint` does), so the maps go with the build's
     temporaries.
     """
     tier = resolve_tier(tier)
     fh, fw = field.shape
     # the resolution divisor of the planes each LUT corrects
     divisors = {p.lut: p.divisor for p in fmt.planes}
-    ident, source = ((None, lambda: field) if cache is None
-                     else _digest_and_source(field))
-    if len(fmt.luts) > 1:
-        # every table reads one computation of a recipe's maps
-        source = functools.cache(lambda base=source: base().eager())
+    cold = cache is not None and getattr(field, "_fingerprint", None) is None
+    source = (functools.cache(field.eager) if cold or len(fmt.luts) > 1
+              else lambda: field)
+    if cold:
+        # the maps' digest is the recipe's: keep it, not the maps
+        field._fingerprint = field_fingerprint(source())
+    ident = getattr(field, "_fingerprint", None)
     luts = []
     for i in fmt.luts:
         chroma = i != 0
