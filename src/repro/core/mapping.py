@@ -21,11 +21,17 @@ computed when something reads them.  The table builders pull them a
 band at a time through :meth:`RemapField.rows`
 (:class:`~repro.core.remap.RemapLUT`,
 :func:`~repro.core.compose.composed_lut`), so a stream's float64 field
-exists, if at all, only inside its table build — on the ring engine
-after the fleet has forked.  Reading ``map_x``/``map_y`` computes the
-whole maps once and caches them on the field, so every analysis works
-unchanged; a pickled recipe field carries its maps.  Rows computed on
-demand equal the cached maps bit for bit.
+exists, if at all, only inside its table build — and on the ring
+engine not even there: each fleet worker computes the bands of its own
+rows (:class:`~repro.video.pixfmt.TableRecipe`).  Reading
+``map_x``/``map_y`` computes the whole maps once and caches them on
+the field, so every analysis works unchanged.  A recipe pickles as its
+parameters — a module-level evaluator and its arguments (sensor, lens,
+output intrinsics, rotation) — never as its maps, so a build task sent
+to a worker is a small message under ``fork`` and ``spawn`` alike.
+Rows computed on demand equal the cached maps bit for bit.
+:func:`chroma_half_field` of a recipe is a recipe too, each of its
+bands derived from one band of the luma rows.
 
 The result type :class:`RemapField` also carries the analysis methods
 the accelerator models need: per-tile source bounding boxes (Cell-BE
@@ -80,14 +86,20 @@ class RemapField:
             raise MappingError(f"source size must be positive: {self.src_width}x{self.src_height}")
 
     @classmethod
-    def _recipe(cls, band, shape, src_width: int, src_height: int):
-        """A field computed on demand by ``band(r0, r1, out_x, out_y)``,
-        which writes the coordinates of output rows ``r0:r1`` (one
-        :data:`_BAND_ROWS` band) into the two ``(r1 - r0, W_out)``
-        buffers."""
+    def _recipe(cls, make, args, shape, src_width: int, src_height: int,
+                step: int | None = None):
+        """A field computed on demand by the band evaluator
+        ``make(*args)``: ``band(r0, r1, out_x, out_y)`` writes the
+        coordinates of output rows ``r0:r1`` (one ``step``-row band,
+        :data:`_BAND_ROWS` by default) into the two ``(r1 - r0, W_out)``
+        buffers.  ``make`` is a module-level function, so the recipe
+        pickles as ``make`` and ``args`` and rebuilds its evaluator
+        where it is unpickled."""
         self = cls.__new__(cls)
-        self._band = band
+        self._make, self._args = make, tuple(args)
+        self._band = make(*args)
         self._shape = tuple(shape)
+        self._step = _BAND_ROWS if step is None else step
         self.src_width = src_width
         self.src_height = src_height
         return self
@@ -101,11 +113,18 @@ class RemapField:
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __getstate__(self):
-        # the band evaluator is a closure: a recipe pickles as its maps
+        # a recipe pickles as its parameters: the evaluator is a
+        # closure, and the maps and mask are recomputed on demand
         state = self.__dict__.copy()
-        if state.pop("_band", None) is not None and "map_x" not in state:
-            state["map_x"], state["map_y"] = self.rows(0, self._shape[0])
+        if "_make" in state:
+            for key in ("_band", "map_x", "map_y", "_valid_mask"):
+                state.pop(key, None)
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if "_make" in state:
+            self._band = self._make(*self._args)
 
     @property
     def has_maps(self) -> bool:
@@ -117,20 +136,21 @@ class RemapField:
         """``(map_x, map_y)`` of output rows ``r0:r1``.
 
         A field that stores its maps returns views of them.  A recipe
-        computes the rows and keeps nothing; it evaluates whole
-        :data:`_BAND_ROWS` bands, the ones a full computation walks,
-        so the rows equal the cached maps bit for bit wherever the
-        range starts and ends.
+        computes the rows and keeps nothing; it evaluates whole bands
+        (:data:`_BAND_ROWS` rows for the view builders), the ones a full
+        computation walks, so the rows equal the cached maps bit for bit
+        wherever the range starts and ends.
         """
         if self.has_maps:
             return self.map_x[r0:r1], self.map_y[r0:r1]
         h, w = self._shape
+        step = self._step
         r0, r1, _ = slice(r0, r1).indices(h)
         r1 = max(r0, r1)
         map_x = np.empty((r1 - r0, w))
         map_y = np.empty((r1 - r0, w))
-        for b0 in range(r0 - r0 % _BAND_ROWS, r1, _BAND_ROWS):
-            b1 = min(b0 + _BAND_ROWS, h)
+        for b0 in range(r0 - r0 % step, r1, step):
+            b1 = min(b0 + step, h)
             lo, hi = max(b0, r0), min(b1, r1)
             if (lo, hi) == (b0, b1):
                 self._band(b0, b1, map_x[b0 - r0:b1 - r0],
@@ -142,6 +162,20 @@ class RemapField:
             map_x[lo - r0:hi - r0] = band_x[lo - b0:hi - b0]
             map_y[lo - r0:hi - r0] = band_y[lo - b0:hi - b0]
         return map_x, map_y
+
+    def kept_bands(self, keep: int) -> "RemapField":
+        """This field, or for a recipe a recipe over it that keeps the
+        last ``keep`` bands it computed.
+
+        Several tables built over one row range — the luma and chroma
+        tables of a fleet build task — then compute each band of the
+        maps once, and no more than ``keep`` bands are ever held.
+        """
+        if self.has_maps:
+            return self
+        return RemapField._recipe(_kept_bands, (self, keep), self._shape,
+                                  self.src_width, self.src_height,
+                                  self._step)
 
     def eager(self) -> "RemapField":
         """This field with stored maps: itself when it has them, else a
@@ -306,11 +340,26 @@ def _rotate_rays(x_n, y_n, rot):
                  for i in range(3))
 
 
-def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
-            width: int, rays) -> RemapField:
-    """The recipe field of ``rays(r0, r1) -> (dx, dy, dz)``, the
-    (broadcastable) ray components of output rows ``r0:r1``, evaluated
-    band by band when read (:meth:`RemapField.rows`).
+def _kept_bands(field: RemapField, keep: int):
+    """Band evaluator of :meth:`RemapField.kept_bands`."""
+    kept = {}  # band start -> (map_x, map_y), oldest first
+
+    def band(r0, r1, band_x, band_y):
+        rows = kept.pop(r0, None)
+        if rows is None:
+            rows = field.rows(r0, r1)
+        kept[r0] = rows
+        if len(kept) > keep:
+            del kept[next(iter(kept))]
+        band_x[...], band_y[...] = rows
+    return band
+
+
+def _sensor_band(sensor: FisheyeIntrinsics, lens: LensModel, rays,
+                 rays_args):
+    """Band evaluator of a view builder's recipe: ``rays(*rays_args)``
+    returns the (broadcastable) ray components ``(dx, dy, dz)`` of
+    output rows ``r0:r1``.
 
     The tail every builder shares, rays of any length -> fisheye sensor
     coordinates: the field angle ``theta = atan2(rho, dz)``, ``rho =
@@ -319,8 +368,10 @@ def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
     ``(cos phi, sin phi) = (dx, dy) / rho`` — no ``atan2``/``cos``/``sin``
     of it.  On the axis (``rho == 0``) the azimuth is 0: ``(cx + r, cy)``.
     """
+    ray_rows = rays(*rays_args)
+
     def band(r0, r1, band_x, band_y):
-        dx, dy, dz = rays(r0, r1)
+        dx, dy, dz = ray_rows(r0, r1)
         rho = np.sqrt(dx * dx + dy * dy)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = lens.angle_to_radius(np.arctan2(rho, dz))
@@ -333,9 +384,46 @@ def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
             band_y[axis] = 0.0 * r[axis]
         band_x += sensor.cx
         band_y += sensor.cy
+    return band
 
-    return RemapField._recipe(band, (height, width), sensor.width,
-                              sensor.height)
+
+def _banded(sensor: FisheyeIntrinsics, lens: LensModel, height: int,
+            width: int, rays, *rays_args) -> RemapField:
+    """The recipe field of the module-level ray factory ``rays``:
+    ``rays(*rays_args)`` returns ``rows(r0, r1) -> (dx, dy, dz)``,
+    evaluated band by band when read (:meth:`RemapField.rows`) through
+    :func:`_sensor_band`."""
+    return RemapField._recipe(_sensor_band, (sensor, lens, rays, rays_args),
+                              (height, width), sensor.width, sensor.height)
+
+
+def _perspective_rays(out: CameraIntrinsics, rot):
+    xs = np.arange(out.width, dtype=np.float64)
+    ys = np.arange(out.height, dtype=np.float64)[:, None]
+    if out.skew:
+        return lambda r0, r1: _rotate_rays(*out.normalize(xs, ys[r0:r1]), rot)
+    # Unskewed, x_n depends on the column alone (bit for bit what
+    # out.normalize computes), so every band is rank-1.
+    x_n = (xs - out.cx) / out.fx
+    y_n = (ys - out.cy) / out.fy
+    return lambda r0, r1: _rotate_rays(x_n, y_n[r0:r1], rot)
+
+
+def _cylindrical_rays(width: int, height: int, hfov: float, vfov: float):
+    psi = np.linspace(-hfov / 2.0, hfov / 2.0, width)
+    v = np.linspace(-np.tan(vfov / 2.0), np.tan(vfov / 2.0), height)[:, None]
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+    return lambda r0, r1: (sin_psi, v[r0:r1], cos_psi)
+
+
+def _equirectangular_rays(width: int, height: int, hfov: float,
+                          vfov: float):
+    lon = np.linspace(-hfov / 2.0, hfov / 2.0, width)
+    lat = np.linspace(-vfov / 2.0, vfov / 2.0, height)[:, None]
+    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
+    cos_lat, sin_lat = np.cos(lat), np.sin(lat)
+    return lambda r0, r1: (cos_lat[r0:r1] * sin_lon, sin_lat[r0:r1],
+                           cos_lat[r0:r1] * cos_lon)
 
 
 def perspective_map(sensor: FisheyeIntrinsics, lens: LensModel,
@@ -363,20 +451,8 @@ def perspective_map(sensor: FisheyeIntrinsics, lens: LensModel,
     RemapField
     """
     rot = geometry.rotation_matrix_ypr(yaw, pitch, roll)
-    xs = np.arange(out.width, dtype=np.float64)
-    ys = np.arange(out.height, dtype=np.float64)[:, None]
-    if out.skew:
-        def rays(r0, r1):
-            return _rotate_rays(*out.normalize(xs, ys[r0:r1]), rot)
-    else:
-        # Unskewed, x_n depends on the column alone (bit for bit what
-        # out.normalize computes), so every band is rank-1.
-        x_n = (xs - out.cx) / out.fx
-        y_n = (ys - out.cy) / out.fy
-
-        def rays(r0, r1):
-            return _rotate_rays(x_n, y_n[r0:r1], rot)
-    return _banded(sensor, lens, out.height, out.width, rays)
+    return _banded(sensor, lens, out.height, out.width, _perspective_rays,
+                   out, rot)
 
 
 def cylindrical_map(sensor: FisheyeIntrinsics, lens: LensModel,
@@ -392,11 +468,8 @@ def cylindrical_map(sensor: FisheyeIntrinsics, lens: LensModel,
         raise MappingError(f"output size must be positive: {out_width}x{out_height}")
     if not 0 < hfov <= 2 * np.pi or not 0 < vfov < np.pi:
         raise MappingError(f"invalid panorama FOV: hfov={hfov}, vfov={vfov}")
-    psi = np.linspace(-hfov / 2.0, hfov / 2.0, out_width)
-    v = np.linspace(-np.tan(vfov / 2.0), np.tan(vfov / 2.0), out_height)[:, None]
-    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
-    return _banded(sensor, lens, out_height, out_width,
-                   lambda r0, r1: (sin_psi, v[r0:r1], cos_psi))
+    return _banded(sensor, lens, out_height, out_width, _cylindrical_rays,
+                   out_width, out_height, hfov, vfov)
 
 
 def equirectangular_map(sensor: FisheyeIntrinsics, lens: LensModel,
@@ -405,13 +478,8 @@ def equirectangular_map(sensor: FisheyeIntrinsics, lens: LensModel,
     """Backward map for an equirectangular (longitude/latitude) output."""
     if out_width <= 0 or out_height <= 0:
         raise MappingError(f"output size must be positive: {out_width}x{out_height}")
-    lon = np.linspace(-hfov / 2.0, hfov / 2.0, out_width)
-    lat = np.linspace(-vfov / 2.0, vfov / 2.0, out_height)[:, None]
-    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
-    cos_lat, sin_lat = np.cos(lat), np.sin(lat)
     return _banded(sensor, lens, out_height, out_width,
-                   lambda r0, r1: (cos_lat[r0:r1] * sin_lon, sin_lat[r0:r1],
-                                   cos_lat[r0:r1] * cos_lon))
+                   _equirectangular_rays, out_width, out_height, hfov, vfov)
 
 
 def fisheye_forward_map(scene: CameraIntrinsics, lens: LensModel,
@@ -469,6 +537,13 @@ def chroma_half_field(field: RemapField) -> RemapField:
     the full-resolution map's key, so a cache hit never builds it.  NaN (out-of-FOV) luma
     samples propagate through the mean, so a chroma pixel is valid
     only when its whole 2x2 luma block is.
+
+    The chroma field of a field with maps stores its maps.  That of a
+    recipe is a recipe: each band of 4 chroma rows is derived from the
+    luma rows it covers, one :data:`_BAND_ROWS` band, so neither field
+    is ever materialized.  The derivation is exact arithmetic per
+    element, so rows derived a band at a time equal the stored maps'
+    bit for bit.
     """
     h, w = field.shape
     if h % 2 or w % 2:
@@ -477,12 +552,30 @@ def chroma_half_field(field: RemapField) -> RemapField:
         raise MappingError(
             f"4:2:0 source size must be even, got "
             f"{field.src_width}x{field.src_height}")
-    def half(m):
-        # the 2x2 block mean as a strided four-term sum, then c' = (c - 0.5) / 2
-        c = (m[0::2, 0::2] + m[0::2, 1::2]) + (m[1::2, 0::2] + m[1::2, 1::2])
-        c /= 4.0
-        c -= 0.5
-        c /= 2.0
-        return c
-    return RemapField(half(field.map_x), half(field.map_y),
+    if not field.has_maps:
+        return RemapField._recipe(_chroma_band, (field,), (h // 2, w // 2),
+                                  field.src_width // 2, field.src_height // 2,
+                                  _BAND_ROWS // 2)
+    return RemapField(*(_half(m, np.empty((h // 2, w // 2)))
+                        for m in (field.map_x, field.map_y)),
                       field.src_width // 2, field.src_height // 2)
+
+
+def _half(m, out):
+    """The 2x2 block means of ``m`` as a strided four-term sum, then
+    ``c' = (c - 0.5) / 2``, into ``out``."""
+    np.add(m[0::2, 0::2], m[0::2, 1::2], out=out)
+    out += m[1::2, 0::2] + m[1::2, 1::2]
+    out /= 4.0
+    out -= 0.5
+    out /= 2.0
+    return out
+
+
+def _chroma_band(luma: RemapField):
+    """Band evaluator of the chroma recipe over ``luma``: chroma rows
+    ``r0:r1`` from luma rows ``2 r0:2 r1``."""
+    def band(r0, r1, band_x, band_y):
+        for m, out in zip(luma.rows(2 * r0, 2 * r1), (band_x, band_y)):
+            _half(m, out)
+    return band

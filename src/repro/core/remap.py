@@ -92,6 +92,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,7 +103,8 @@ from . import kernel_tiers
 from .fixedpoint import quantize_weights
 from .mapping import RemapField
 
-__all__ = ["remap", "RemapLUT", "remap_profiled", "StageProfile"]
+__all__ = ["remap", "RemapLUT", "TableLayout", "build_table_rows",
+           "remap_profiled", "StageProfile"]
 
 
 def remap(image, field: RemapField, method: str = "bilinear",
@@ -228,6 +230,113 @@ def _edge_taps(x0, y0, side, w, h, valid):
             np.add(row[keep], col[keep], out=taps[:, j * side + i],
                    casting="unsafe")
     return rows[0] + cols[0], keep, taps
+
+
+class TableLayout(NamedTuple):
+    """What fixes a table's arrays before it is built: its output and
+    source shapes, method, fill and kernel tier (``frac_bits`` is the Q
+    tiers' precision).  A :class:`RemapLUT` reports its own
+    (:attr:`RemapLUT.layout`); a table built in place, band by band
+    (:func:`build_table_rows`), is sized from one."""
+
+    out_shape: tuple
+    src_shape: tuple
+    method: str
+    fill: float
+    tier: str
+    frac_bits: int
+
+    def kernel_layout(self) -> dict:
+        """``name -> (shape, dtype, order)`` of the arrays this tier's
+        kernel reads (:meth:`RemapLUT.kernel_tables`), the patch list
+        aside: ``base`` and ``mask``, plus ``fracs`` on the numpy tier
+        or the ``(taps, N)`` int16 ``qwtab`` on the Q tiers (neither for
+        nearest).  Raises on an unknown method and on a source too
+        large for the int32 offsets."""
+        if self.method not in interp.METHODS:
+            raise InterpolationError(
+                f"unknown interpolation method {self.method!r}; known: "
+                f"{interp.METHODS}")
+        h, w = self.src_shape
+        if h * w - 1 > np.iinfo(np.int32).max:
+            raise MappingError(
+                f"source frame {w}x{h} exceeds the int32 index range of the "
+                f"compact LUT layout")
+        n = int(np.prod(self.out_shape))
+        layout = {"base": ((n,), np.dtype(np.int32), "C"),
+                  "mask": ((n,), np.dtype(bool), "C")}
+        floats = _FRAC_FLOATS[self.method]
+        if floats and self.tier == "numpy":
+            # axis-major: a tile's per-axis reads are contiguous streams
+            layout["fracs"] = ((n, floats), np.dtype(np.float32), "F")
+        elif floats:
+            layout["qwtab"] = ((_SIDE[self.method] ** 2, n),
+                               np.dtype(np.int16), "C")
+        return layout
+
+
+def build_table_rows(rows, r0: int, r1: int, layout: TableLayout,
+                     tables: dict):
+    """Resolve output rows ``r0:r1`` of a table into ``tables``: the one
+    table builder.
+
+    ``rows(a, b)`` returns the float64 source coordinates of output rows
+    ``a:b`` (:meth:`~repro.core.mapping.RemapField.rows`, a composition's
+    band evaluator); ``tables`` holds the whole arrays of
+    ``layout.kernel_layout()``, of which only rows ``r0:r1`` are
+    written, :data:`_BUILD_ROWS` rows at a time.  A ``qwtab`` gets the
+    quantized weights of each band's fractions, as
+    :meth:`RemapLUT.kernel_tables` derives them.  Returns the patch rows
+    of ``r0:r1``, ``(pixels, taps)``, pixels ascending.  The parent
+    build (:class:`RemapLUT`) walks every row in one call; a fleet
+    build (:class:`~repro.video.pixfmt.TableRecipe`) walks each task's
+    rows straight into the shared-memory publication.
+    """
+    h, w = layout.src_shape
+    w_out = layout.out_shape[1]
+    method = layout.method
+    fracs, qwtab = tables.get("fracs"), tables.get("qwtab")
+    pixels = [np.empty(0, dtype=np.intp)]
+    taps = [np.empty((0, _SIDE[method] ** 2), dtype=np.int32)]
+    for b0 in range(r0, r1, _BUILD_ROWS):
+        b1 = min(b0 + _BUILD_ROWS, r1)
+        sl = slice(b0 * w_out, b1 * w_out)
+        if fracs is not None:
+            band = fracs[sl]
+        else:  # nearest (None), or a Q table's band of fractions
+            band = None if qwtab is None else np.empty(
+                (_FRAC_FLOATS[method], sl.stop - sl.start),
+                dtype=np.float32).T
+        mask = tables["mask"][sl]
+        pos, tap_rows = _table_band(*rows(b0, b1), method, w, h,
+                                    tables["base"][sl], band, mask)
+        if qwtab is not None:
+            _qweight_band(method, band, mask, layout.frac_bits, qwtab[:, sl])
+        if pos.size:
+            pixels.append(pos + sl.start)
+            taps.append(tap_rows)
+    return np.concatenate(pixels), np.concatenate(taps)
+
+
+def _band_weights(method, fracs, mask, out):
+    """Write the float32 weights of one band into the ``(taps, len)``
+    block ``out`` from its stored ``fracs`` and ``mask``; rows of
+    invalid pixels are 0."""
+    if method == "nearest":
+        out[...] = 1.0
+    else:
+        for k in range(out.shape[0]):
+            # tap 0 borrows tap 1's row, written next
+            _tap_weight(method, k, fracs, out[k], out[1])
+    out[:, ~mask] = 0.0
+
+
+def _qweight_band(method, fracs, mask, frac_bits, out):
+    """Quantize one band's weights into its ``(taps, len)`` int16 block
+    ``out`` (:func:`~repro.core.fixedpoint.quantize_weights`)."""
+    wt = np.empty(out.shape, dtype=np.float32)
+    _band_weights(method, fracs, mask, wt)
+    out[...] = quantize_weights(wt.T, frac_bits).T
 
 
 def _tap_weight(method, k, fracs, out, spare):
@@ -438,39 +547,18 @@ class RemapLUT:
 
     def _build(self, out_shape, src_shape, rows, method, fill, tier,
                frac_bits):
-        """The one table builder: walk the output in :data:`_BUILD_ROWS`
-        bands and write each into the final int32/float32/bool tables."""
-        if method not in interp.METHODS:
-            raise InterpolationError(
-                f"unknown interpolation method {method!r}; known: {interp.METHODS}")
+        """The parent build: every row of the final int32/float32/bool
+        tables through :func:`build_table_rows`."""
         self._set_params(out_shape, src_shape, method, fill, tier, frac_bits)
-        h, w = src_shape
-        if h * w - 1 > np.iinfo(np.int32).max:
-            raise MappingError(
-                f"source frame {w}x{h} exceeds the int32 index range of the "
-                f"compact LUT layout")
-        h_out, w_out = out_shape
-        n = h_out * w_out
-        self.base = np.empty(n, dtype=np.int32)
-        # fractions are stored axis-major — an (N, F) view of (F, N)
-        # memory — so a tile's per-axis reads are contiguous streams
-        self.fracs = (None if method == "nearest" else
-                      np.empty((_FRAC_FLOATS[method], n), dtype=np.float32).T)
-        self.mask = np.empty(n, dtype=bool)
-        pixels, taps = [np.empty(0, dtype=np.intp)], [
-            np.empty((0, self.taps), dtype=np.int32)]
-        for r0 in range(0, h_out, _BUILD_ROWS):
-            r1 = min(r0 + _BUILD_ROWS, h_out)
-            sl = slice(r0 * w_out, r1 * w_out)
-            mx, my = rows(r0, r1)
-            pos, tap_rows = _table_band(
-                mx, my, method, w, h, self.base[sl],
-                None if self.fracs is None else self.fracs[sl], self.mask[sl])
-            if pos.size:
-                pixels.append(pos + sl.start)
-                taps.append(tap_rows)
-        self.patch_pixels = np.concatenate(pixels)
-        self.patch_taps = np.concatenate(taps)
+        # the LUT stores fractions whatever its tier (Q weights derive
+        # from them on demand)
+        tables = {name: np.empty(shape, dtype=dtype, order=order)
+                  for name, (shape, dtype, order) in
+                  self.layout._replace(tier="numpy").kernel_layout().items()}
+        self.base, self.mask = tables["base"], tables["mask"]
+        self.fracs = tables.get("fracs")
+        self.patch_pixels, self.patch_taps = build_table_rows(
+            rows, 0, self.out_shape[0], self.layout, tables)
         self._qwtab = None         # lazily derived (taps, N) int16 Q weights
         self._pool = _ScratchPool()
 
@@ -556,6 +644,12 @@ class RemapLUT:
 
     # ------------------------------------------------------------------
     @property
+    def layout(self) -> TableLayout:
+        """This table's :class:`TableLayout`."""
+        return TableLayout(self.out_shape, self.src_shape, self.method,
+                           self.fill, self.tier, self.frac_bits)
+
+    @property
     def taps(self) -> int:
         """Source gathers per output pixel."""
         return interp.footprint(self.method)
@@ -599,7 +693,9 @@ class RemapLUT:
         self._require_fracs()
         wtab = np.empty((self.taps, self.base.shape[0]), dtype=np.float32)
         for sl in self._row_bands():
-            self._weight_band(sl, wtab[:, sl])
+            _band_weights(self.method,
+                          None if self.fracs is None else self.fracs[sl],
+                          self.mask[sl], wtab[:, sl])
         return wtab.T
 
     @property
@@ -688,18 +784,6 @@ class RemapLUT:
         step = _BUILD_ROWS * self.out_shape[1]
         return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
-    def _weight_band(self, sl, out):
-        """Write the float32 weights of table rows ``sl`` into the
-        ``(taps, len)`` block ``out``; rows of invalid pixels are 0."""
-        if self.method == "nearest":
-            out[...] = 1.0
-        else:
-            fr = self.fracs[sl]
-            for k in range(self.taps):
-                # tap 0 borrows tap 1's row, written next
-                _tap_weight(self.method, k, fr, out[k], out[1])
-        out[:, ~self.mask[sl]] = 0.0
-
     def _qweight_table(self):
         """``(taps, N)`` int16 Q-format weights for the fixed/compiled
         tiers (``None`` for nearest, whose unit weight the Q kernels
@@ -717,9 +801,9 @@ class RemapLUT:
         self._require_fracs()
         qwtab = np.empty((self.taps, self.base.shape[0]), dtype=np.int16)
         for sl in self._row_bands():
-            wt = np.empty((self.taps, sl.stop - sl.start), dtype=np.float32)
-            self._weight_band(sl, wt)
-            qwtab[:, sl] = quantize_weights(wt.T, self.frac_bits).T
+            _qweight_band(self.method,
+                          None if self.fracs is None else self.fracs[sl],
+                          self.mask[sl], self.frac_bits, qwtab[:, sl])
         return qwtab
 
     def _tile_patch(self, sl):

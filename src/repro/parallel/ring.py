@@ -105,16 +105,25 @@ def ring_stream(make_luts, frames, copy: bool = False, *,
     LUTs, by LUT index (see :func:`~repro.video.pixfmt.plane_luts`):
     ``(lut,)`` for packed frames, ``(luma, chroma)`` for
     :class:`~repro.video.yuv.YUV420Frame` and
-    :class:`~repro.video.yuv.NV12Frame` sources.  ``pixfmt`` defaults
+    :class:`~repro.video.yuv.NV12Frame` sources.  ``make_luts`` may
+    instead be a :class:`~repro.video.pixfmt.TableRecipe` (what
+    :func:`~repro.video.stream.corrected_stream` passes for a recipe
+    field and no LUT cache).  ``pixfmt`` defaults
     to the first frame's kind.  The broker gets ``workers`` processes
     and a slot budget of ``depth`` (at most :data:`MAX_RING_DEPTH`); it
     starts on the first frame, so an empty source costs nothing, and is
     closed when the generator finishes or is abandoned.
 
-    The tables are built after the fleet forks and published once: the
-    workers never map the parent's private copy, no parent reference
-    to it outlives the admission, and one heap trim then returns it,
-    with the build's temporaries, to the OS.
+    The tables are built after the fleet forks and published once.  A
+    :class:`~repro.video.pixfmt.TableRecipe` is built by the fleet
+    itself: each worker computes the maps of its own bands of rows and
+    writes their tables straight into the publication's segments, the
+    way a Cell SPE computes its own band of the map, so no process holds
+    a full map and the parent builds and copies no table.  Any other
+    ``make_luts`` runs in the parent (prebuilt LUTs, a field built from
+    arrays, a LUT cache): the workers never map the parent's private
+    copy, no parent reference to it outlives the admission, and one
+    heap trim then returns it, with the build's temporaries, to the OS.
 
     ``copy=False`` (default) yields zero-copy views of the slot
     buffers, recycled when the consumer advances.  ``session`` passes
@@ -126,7 +135,7 @@ def ring_stream(make_luts, frames, copy: bool = False, *,
             f"each slot allocates a full frame pair in shared memory")
     from .shmseg import release_free_heap
     from ..serve.broker import StreamBroker
-    from ..video.pixfmt import pixfmt_of
+    from ..video.pixfmt import TableRecipe, pixfmt_of
 
     it = iter(frames)
     first = next(it, None)
@@ -138,9 +147,12 @@ def ring_stream(make_luts, frames, copy: bool = False, *,
                           schedule=schedule, chunk=chunk, context=context,
                           stall_timeout_s=stall_timeout_s,
                           flight_dir=flight_dir)
+    # a table recipe goes to the fleet; anything else builds here
+    tables = ((lambda: make_luts) if isinstance(make_luts, TableRecipe)
+              else make_luts)
     try:
         stream = broker._admit(chain([first], it),
-                               lambda: (None, make_luts()),
+                               lambda: (None, tables()),
                                depth=depth, copy=copy, pixfmt=pixfmt,
                                **session)
         release_free_heap()

@@ -8,7 +8,7 @@ per-frame fork-join baseline) live here:
   POSIX shared-memory segments (:func:`share_array`,
   :class:`SharedTables`, :class:`FrameSegments`);
 - **attachment** from worker processes (:func:`attach_segment`,
-  :func:`attach_tables`);
+  :func:`attach_tables`, :func:`attach_table_arrays`);
 - **lifecycle hardening**: every parent-owned segment group is wired to
   a :func:`weakref.finalize` finalizer, which Python also runs at
   interpreter exit (atexit), so segments are unlinked even when a
@@ -40,8 +40,10 @@ freed chunks mapped, and each page of it the parent reuses after the
 fork is copied on write while the child keeps the old copy for its
 life.  :func:`release_free_heap` hands that free heap back to the OS;
 the broker calls it just before its fleet forks and again after the
-fleet is gone.  :func:`private_mb` reads the memory one process holds
-for the broker's per-process split.
+fleet is gone, and a worker after its share of a table build, whose
+band temporaries :func:`keep_free_heap` keeps on the heap meanwhile.
+:func:`private_mb` reads the memory one process holds for the broker's
+per-process split.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..core.remap import RemapLUT
+from ..core.remap import RemapLUT, TableLayout
 from ..obs.telemetry import (Telemetry, clear_scope, get_telemetry,
                              set_telemetry)
 
@@ -68,9 +70,11 @@ __all__ = [
     "attach_slot",
     "SharedTables",
     "attach_tables",
+    "attach_table_arrays",
     "init_worker_telemetry",
     "worker_delta",
     "release_free_heap",
+    "keep_free_heap",
     "private_mb",
 ]
 
@@ -121,6 +125,35 @@ def _malloc_trim():
     trim.argtypes = [ctypes.c_size_t]
     trim.restype = ctypes.c_int
     return trim
+
+
+#: glibc ``mallopt`` parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_free_heap() -> bool:
+    """Make this process's freed heap wait for
+    :func:`release_free_heap` (glibc ``mallopt``).
+
+    Blocks up to 32 MiB come from the heap rather than from a fresh
+    ``mmap``, and ``free`` no longer trims the heap top.  A fleet
+    worker's table build allocates and frees band-sized temporaries
+    (a few hundred KB at 2560 px wide) thousands of times; with the
+    default 128 KiB thresholds of a fresh process each one was a new
+    mapping whose pages faulted in again: ~68k minor faults and
+    ~0.12 s of system time for the two workers of one QHD fused NV12
+    build, against ~11k faults and ~0.03 s with this call (2-core
+    Xeon).  The worker trims once its build is done.  Returns
+    ``False`` (and does nothing) where libc has no ``mallopt``.
+    """
+    if _malloc_trim() is None:
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return True
 
 
 def release_free_heap() -> bool:
@@ -326,17 +359,6 @@ def attach_slot(spec):
     return [src_shm, dst_shm], src_views, dst_views
 
 
-def _lut_meta(lut: RemapLUT) -> dict:
-    return {
-        "out_shape": lut.out_shape,
-        "src_shape": lut.src_shape,
-        "method": lut.method,
-        "fill": lut.fill,
-        "tier": lut.tier,
-        "frac_bits": lut.frac_bits,
-    }
-
-
 class SharedTables(_SegmentGroup):
     """The tables a set of LUTs' kernel tier runs, published once.
 
@@ -353,35 +375,87 @@ class SharedTables(_SegmentGroup):
     chroma for the 4:2:0 formats (see
     :func:`~repro.video.pixfmt.plane_luts`) — is published once:
     ``spec[i]`` maps LUT ``i``'s table keys to ``(segment_name, shape,
-    dtype_str, order)`` tuples and ``meta[i]`` carries its scalar parameters,
-    everything a worker needs to rebuild the zero-copy LUT tuple with
+    dtype_str, order)`` tuples and ``meta[i]`` carries its scalar
+    parameters (its :class:`~repro.core.remap.TableLayout`), everything
+    a worker needs to rebuild the zero-copy LUT tuple with
     :func:`attach_tables`.  Which plane reads which LUT is the
     session's business, not the publication's.  :attr:`name` names the
     publication: unique while it exists, so workers may cache their
     attachment under it.
+
+    :meth:`allocate` publishes tables that are not built yet: their
+    segments are sized from the layouts, filled in place by whoever
+    builds them (the ring's fleet, :meth:`~repro.video.pixfmt
+    .TableRecipe.build_rows`), and the patch lists follow with
+    :meth:`add_patch`.
     """
 
     def __init__(self, *luts: RemapLUT):
-        shms = []
-        spec = []
-        self.nbytes = 0
-        for lut in luts:
-            tables = {}
+        self._start(lut.layout for lut in luts)
+        for i, lut in enumerate(luts):
             for key, arr in lut.kernel_tables().items():
-                shm, view = share_array(arr)
-                shms.append(shm)
-                tables[key] = (shm.name, tuple(arr.shape), arr.dtype.str,
-                               _order(view))
-                self.nbytes += arr.nbytes
-            spec.append(tables)
-        self.spec = tuple(spec)
-        self.meta = tuple(_lut_meta(lut) for lut in luts)
-        super().__init__(shms)
+                self._add(i, key, *share_array(arr))
+
+    @classmethod
+    def allocate(cls, *layouts: TableLayout) -> "SharedTables":
+        """Unwritten ``base``, ``mask`` and ``fracs`` or ``qwtab``
+        segments for tables of ``layouts``
+        (:meth:`~repro.core.remap.TableLayout.kernel_layout`), with no
+        patch list yet."""
+        self = cls.__new__(cls)
+        self._start(layouts)
+        for i, layout in enumerate(layouts):
+            for key, (shape, dtype, order) in layout.kernel_layout().items():
+                nbytes = int(np.prod(shape)) * dtype.itemsize
+                shm = shared_memory.SharedMemory(create=True,
+                                                 size=max(1, nbytes))
+                self._add(i, key, shm, np.ndarray(shape, dtype=dtype,
+                                                  buffer=shm.buf, order=order))
+        return self
+
+    def _start(self, layouts) -> None:
+        layouts = tuple(layouts)
+        super().__init__([])
+        self.spec = tuple({} for _ in layouts)
+        self.meta = tuple(dict(layout._asdict()) for layout in layouts)
+        self.nbytes = 0
+
+    def _add(self, i, key, shm, view) -> None:
+        self._shms.append(shm)  # the list the finalizer releases
+        self.spec[i][key] = (shm.name, tuple(view.shape), view.dtype.str,
+                             _order(view))
+        self.nbytes += view.nbytes
+
+    def add_patch(self, i: int, pixels, taps) -> None:
+        """Publish LUT ``i``'s patch list (none when it is empty)."""
+        if len(pixels):
+            self._add(i, "patch_pixels", *share_array(pixels))
+            self._add(i, "patch_taps", *share_array(taps))
 
     @property
     def name(self) -> str:
         """The publication's name: its first base-offset segment's."""
         return self.spec[0]["base"][0]
+
+
+def attach_table_arrays(spec):
+    """Map the arrays of every LUT of a :class:`SharedTables` spec.
+
+    Returns ``(segments, arrays)``: ``arrays[i]`` maps LUT ``i``'s
+    table keys to writable zero-copy views.  The caller must keep
+    ``segments`` alive as long as the views are used.
+    """
+    segments = []
+    arrays = []
+    for tables in spec:
+        views = {}
+        for key, (name, shape, dtype_str, order) in tables.items():
+            shm = attach_segment(name)
+            segments.append(shm)
+            views[key] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str),
+                                    buffer=shm.buf, order=order)
+        arrays.append(views)
+    return segments, arrays
 
 
 def attach_tables(spec, meta):
@@ -391,21 +465,15 @@ def attach_tables(spec, meta):
     the caller must keep ``segments`` alive as long as the LUTs are
     used.
     """
-    segments = []
+    segments, arrays = attach_table_arrays(spec)
     luts = []
-    for tables, lut_meta in zip(spec, meta):
-        arrays = {}
-        for key, (name, shape, dtype_str, order) in tables.items():
-            shm = attach_segment(name)
-            segments.append(shm)
-            arrays[key] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str),
-                                     buffer=shm.buf, order=order)
-        patch = (arrays["patch_pixels"], arrays["patch_taps"]
-                 ) if "patch_pixels" in arrays else None
+    for tables, lut_meta in zip(arrays, meta):
+        patch = (tables["patch_pixels"], tables["patch_taps"]
+                 ) if "patch_pixels" in tables else None
         luts.append(RemapLUT.from_tables(
-            arrays["base"], arrays.get("fracs"), arrays["mask"],
+            tables["base"], tables.get("fracs"), tables["mask"],
             out_shape=lut_meta["out_shape"], src_shape=lut_meta["src_shape"],
             method=lut_meta["method"], fill=lut_meta["fill"],
             tier=lut_meta["tier"], frac_bits=lut_meta["frac_bits"],
-            qweight_table=arrays.get("qwtab"), patch=patch))
+            qweight_table=tables.get("qwtab"), patch=patch))
     return segments, tuple(luts)

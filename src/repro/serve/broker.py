@@ -74,6 +74,7 @@ session with a :class:`~repro.errors.StreamError` whose
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import multiprocessing as mp
 import os
@@ -88,6 +89,7 @@ import numpy as np
 from ..core.image import Frame
 from ..core.kernel_tiers import resolve_tier
 from ..core.lutcache import LUTCache
+from ..core.remap import _BUILD_ROWS
 from ..errors import AdmissionError, ScheduleError, StreamError
 from ..obs.export import labeled
 from ..obs.flightrec import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
@@ -96,7 +98,7 @@ from ..obs.telemetry import get_telemetry
 from ..parallel.ring import DEFAULT_SCHEDULE, plan_bands
 from ..parallel.shmseg import (ensure_resource_tracker, private_mb,
                                release_free_heap)
-from ..video.pixfmt import get_pixfmt, plane_luts
+from ..video.pixfmt import TableRecipe, get_pixfmt, plane_luts
 
 __all__ = ["StreamBroker", "StreamSession", "DEFAULT_SLOT_BUDGET"]
 
@@ -206,8 +208,32 @@ class _FairScheduler:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
+def _pin_to_own_cpu(rank: int):
+    """Pin this process to the ``rank``-th of its allowed CPUs (cycled)
+    and return the allowed set, to restore afterwards; ``None`` (and no
+    pin) with a single CPU or where affinity cannot be set.
+
+    A fleet build keeps every worker busy at once.  Left to the
+    scheduler, the two workers of a 2-core fleet were at times both
+    placed on one CPU and stayed there for the whole build, with the
+    other CPU idle: each band's wall time was twice its CPU time, and a
+    QHD fused NV12 build took 190-270 ms instead of ~110 ms (2-core
+    Xeon VM).  Pinned, each worker has a CPU of its own.
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            return None
+        os.sched_setaffinity(0, {sorted(allowed)[rank % len(allowed)]})
+    except (AttributeError, OSError):  # not Linux, or a denied mask
+        return None
+    return allowed
+
+
 def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
-    """Fleet worker: pull ``(sid, seq, slot, plane, row0, row1, desc)``.
+    """Fleet worker: pull ``(sid, seq, slot, plane, row0, row1, desc)``
+    bands, and ``("build", build, band, row0, row1, recipe, spec)``
+    table-build bands.
 
     Attachments are *lazy and cached*: the first band of a session
     attaches its slots (and its LUT tables — cached by
@@ -223,12 +249,25 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
     so the worker unmaps both; a band whose segments are already gone
     posts ``rows=-1`` and the collector decides whether anyone still
     cares.
+
+    A build band writes rows ``row0:row1`` of a
+    :class:`~repro.video.pixfmt.TableRecipe`'s tables (and the chroma
+    rows they cover) into the publication ``spec`` describes, and posts
+    their patch rows back (an error string when it fails).  Its
+    attachment is kept for the worker's next build band, and the worker
+    stays pinned to a CPU of its own (:func:`_pin_to_own_cpu`); once the
+    task queue holds no build band, the worker unmaps the build, unpins
+    and hands the build's free heap back to the OS before anything else
+    (:func:`~repro.parallel.shmseg.release_free_heap`).
     """
-    from ..parallel.shmseg import (attach_slot, attach_tables,
-                                   init_worker_telemetry, worker_delta)
+    from ..parallel.shmseg import (attach_slot, attach_table_arrays,
+                                   attach_tables, init_worker_telemetry,
+                                   keep_free_heap, worker_delta)
 
     init_worker_telemetry(telemetry_enabled)
     luts: dict = {}      # publication -> (segments, LUT tuple)
+    builds: dict = {}    # publication being built -> (segments, arrays)
+    unpinned = None      # CPUs to restore once no build is mapped
     sessions: dict = {}  # sid -> (segments, slot views, publication,
     #                              label, plane -> LUT map, plane names)
     track = f"serve-worker-{rank}"
@@ -267,6 +306,43 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
         sessions[sid] = (slot_segs, slots, pub, label, plane_lut, names)
         return sessions[sid]
 
+    def build_band(row0, row1, recipe, spec):
+        """Build one band of ``recipe``'s tables; returns their patch rows."""
+        nonlocal unpinned
+        pub = spec[0]["base"][0]
+        if pub not in builds:
+            keep_free_heap()  # the band temporaries, until finish_builds
+            if not builds:
+                unpinned = _pin_to_own_cpu(rank)
+            builds[pub] = attach_table_arrays(spec)
+        return recipe.build_rows(row0, row1, builds[pub][1])
+
+    def finish_builds():
+        nonlocal unpinned
+        for pub in list(builds):
+            unmap(builds, pub)
+        if unpinned is not None:
+            os.sched_setaffinity(0, unpinned)
+            unpinned = None
+        release_free_heap()
+
+    def run_build(bid, k, row0, row1, recipe, spec):
+        tel = get_telemetry()
+        wall0 = time.time() if tel.enabled else 0.0
+        t0 = time.perf_counter() if tel.enabled else 0.0
+        delta = None
+        try:
+            result = build_band(row0, row1, recipe, spec)
+        except Exception as exc:  # reported to the parent's build
+            result = f"{type(exc).__name__}: {exc}"
+        if tel.enabled and not isinstance(result, str):
+            tel.counter("remap.build_rows").inc(row1 - row0)
+            tel.add_span("serve.build_band", wall0, time.perf_counter() - t0,
+                         cat="serve", tid=track,
+                         args={"rows": row1 - row0, "planes": len(result)})
+            delta = worker_delta()
+        done_q.put(("build", bid, k, result, rank, delta))
+
     def run_band(sid, slot_idx, plane, row0, row1, desc):
         """Apply one band; returns ``(label, tier, plane name)``.
 
@@ -294,11 +370,21 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
                 elif kind == "drop":
                     drop(key)
             try:
-                item = task_q.get(timeout=_POLL_S)
+                # with a build mapped, take a task only if one waits:
+                # none means this worker's last build band is done
+                item = (task_q.get_nowait() if builds
+                        else task_q.get(timeout=_POLL_S))
             except _queue.Empty:
+                if builds:
+                    finish_builds()
                 continue
+            if builds and (item is None or item[0] != "build"):
+                finish_builds()
             if item is None:
                 break
+            if item[0] == "build":
+                run_build(*item[1:])
+                continue
             sid, seq, slot_idx, plane, row0, row1, desc = item
             tel = get_telemetry()
             wall0 = time.time() if tel.enabled else 0.0
@@ -333,6 +419,63 @@ def _serve_worker_main(rank, task_q, done_q, ctrl_q, telemetry_enabled):
             forget(sid)
         for pub in list(luts):
             drop(pub)
+        for pub in list(builds):
+            unmap(builds, pub)
+
+
+class _TableBuild:
+    """One fleet table build: its bands' patch rows as they come back,
+    and its first error."""
+
+    def __init__(self, bands: int):
+        self._cond = threading.Condition()
+        self.left = bands
+        self.patches = [None] * bands
+        self.error: BaseException | None = None
+
+    def returned(self, k, result, rank) -> None:
+        """Band ``k`` is back from ``serve-worker-<rank>``: its patch
+        rows, or the error string it failed with."""
+        with self._cond:
+            self.left -= 1
+            if not isinstance(result, str):
+                self.patches[k] = result
+            elif self.error is None:
+                self.error = StreamError(
+                    f"table build band {k} failed in serve-worker-{rank}: "
+                    f"{result}")
+            self._cond.notify_all()
+
+    def fail(self, exc: BaseException) -> None:
+        with self._cond:
+            if self.error is None:
+                self.error = exc
+            self._cond.notify_all()
+
+    def wait(self, closed) -> None:
+        """Until every band is back; raises the build's first error, or
+        :class:`~repro.errors.StreamError` once ``closed()``."""
+        with self._cond:
+            while self.left and self.error is None:
+                if closed():
+                    raise StreamError("stream broker closed during a table "
+                                      "build")
+                self._cond.wait(_POLL_S)
+            if self.error is not None:
+                raise self.error
+
+    def drain(self, aborted) -> None:
+        """Wait (bounded) for the bands already sent to come back, so no
+        worker can still attach the segments after their unlink (its
+        resource-tracker registration would then be reported as a
+        leak).  Skipped once ``aborted()``: the fleet is going down."""
+        deadline = time.monotonic() + 2.0
+        with self._cond:
+            while self.left and not aborted():
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self._cond.wait(min(left, _POLL_S))
 
 
 
@@ -706,6 +849,8 @@ class StreamBroker:
         self._lock = threading.Lock()
         self._sessions: dict = {}          # sid -> StreamSession
         self._tables: dict = {}            # lut_key -> [SharedTables, refs]
+        self._builds: dict = {}            # build id -> _TableBuild
+        self._build_ids = itertools.count()
         self._slots_used = 0
         self._sid_gen = itertools.count()
         self._error: BaseException | None = None
@@ -820,12 +965,15 @@ class StreamBroker:
         """The one admission path: a session over resolved LUTs.
 
         ``resolve()`` returns ``(key, luts)`` — the distinct LUTs of
-        ``pixfmt``, by LUT index — and runs once the session's slots
+        ``pixfmt``, by LUT index, or a
+        :class:`~repro.video.pixfmt.TableRecipe` of them, which the
+        fleet then builds straight into the session's publication
+        (:meth:`_build_tables`) — and runs once the session's slots
         are reserved, so a refused open builds nothing.  Sessions with
         equal keys share one table publication; ``key=None`` gives the
         session a publication of its own (the ring, which builds its
-        tables inside ``resolve`` and keeps no reference to them once
-        they are published).
+        tables after its fleet forks and keeps no reference to them
+        once they are published).
         """
         from ..parallel.shmseg import FrameSegments, SharedTables
 
@@ -855,6 +1003,11 @@ class StreamBroker:
         ref_key = None  # set once this admission holds a table reference
         try:
             key, luts = resolve()
+            if isinstance(luts, TableRecipe):
+                recipe, luts = luts, luts.layouts()
+                publish = functools.partial(self._build_tables, recipe, luts)
+            else:
+                publish = functools.partial(SharedTables, *luts)
             if len(luts) != len(fmt.luts):
                 raise ScheduleError(
                     f"{fmt.name} streams need {len(fmt.luts)} LUTs "
@@ -875,7 +1028,7 @@ class StreamBroker:
                             f"stream {name!r} plane {p.name!r} "
                             f"{plane.shape} does not match the LUT geometry "
                             f"{lut.src_shape} -> {lut.out_shape}")
-                tables = self._ref_tables(key, lambda: SharedTables(*luts))
+                tables = self._ref_tables(key, publish)
                 ref_key = key
                 slots = [FrameSegments([a.shape for a in planes],
                                        planes[0].dtype,
@@ -913,6 +1066,52 @@ class StreamBroker:
                   "%d/%d slots in use",
                   name, sid, depth, weight, self._slots_used, self.slot_budget)
         return session
+
+    def _build_tables(self, recipe: TableRecipe, layouts):
+        """Build ``recipe``'s tables on the fleet, straight into a new
+        publication; the parent builds and copies no table.
+
+        The segments are sized from ``layouts``
+        (:meth:`~repro.parallel.shmseg.SharedTables.allocate`).  LUT 0's
+        output rows are cut into guided runs of whole
+        :data:`~repro.core.remap._BUILD_ROWS` blocks
+        (:func:`~repro.parallel.ring.plan_bands`), and each run goes to
+        the fleet queue as one task, which builds those rows of every
+        table (:meth:`~repro.video.pixfmt.TableRecipe.build_rows`).  The
+        bands' patch rows are joined here once all are back;
+        ``serve.table_build_seconds`` times dispatch to the last band.
+        A band that fails or a worker that dies raises
+        :class:`~repro.errors.StreamError`, and the segments are
+        released once the bands already sent are back.
+        """
+        from ..parallel.shmseg import SharedTables
+
+        tables = SharedTables.allocate(*layouts)
+        h = layouts[0].out_shape[0]
+        bands = [(b0 * _BUILD_ROWS, min(b1 * _BUILD_ROWS, h)) for b0, b1
+                 in plan_bands(-(-h // _BUILD_ROWS), self.workers)]
+        build = _TableBuild(len(bands))
+        bid = next(self._build_ids)
+        with self._lock:
+            self._builds[bid] = build
+        t0 = time.perf_counter()
+        try:
+            for k, (r0, r1) in enumerate(bands):
+                self._task_q.put(("build", bid, k, r0, r1, recipe,
+                                  tables.spec))
+            build.wait(lambda: self._closed)
+        except BaseException:
+            build.drain(self._abort.is_set)
+            tables.release()
+            raise
+        finally:
+            with self._lock:
+                del self._builds[bid]
+        self._tel.histogram("serve.table_build_seconds").observe(
+            time.perf_counter() - t0)
+        for i, parts in enumerate(zip(*build.patches)):
+            tables.add_patch(i, *map(np.concatenate, zip(*parts)))
+        return tables
 
     # ------------------------------------------------------------------
     # internals: scheduling + collection
@@ -960,9 +1159,8 @@ class StreamBroker:
                 item = self._done_q.get(timeout=_POLL_S)
                 if item is None:
                     return  # close()'s wake-up: no poll to wait out
-                sid, seq, slot, rows, rank, delta = item
             except _queue.Empty:
-                sid = None
+                item = None
             now = time.monotonic()
             # a dead worker must be noticed even while the healthy ones
             # keep the completion queue busy (its band is lost, so its
@@ -971,7 +1169,7 @@ class StreamBroker:
                 last_check = now
                 if self._check_workers():
                     return
-            if sid is None:
+            if item is None:
                 if self.stall_timeout_s is None:
                     continue
                 with self._lock:
@@ -985,6 +1183,10 @@ class StreamBroker:
                     self._on_stall(now - last_progress, outstanding)
                 continue
             last_progress, stalled = now, False
+            if item[0] == "build":
+                self._build_returned(*item[1:])
+                continue
+            sid, seq, slot, rows, rank, delta = item
             with self._sched_lock:
                 self._inflight -= 1
             self._dispatch()
@@ -993,11 +1195,7 @@ class StreamBroker:
             self.flightrec.record(
                 "band_done", stream=session.name if session else sid,
                 frame_id=seq, slot=slot, rows=rows, worker=rank)
-            if delta:
-                for span in delta.get("spans", ()):
-                    self.flightrec.record_span(span)
-                if self._tel.enabled:
-                    self._tel.merge(delta)
+            self._absorb(delta)
             if session is None:
                 continue  # closed session's stale band: nobody cares
             session._band_returned(seq, slot, rows >= 0)
@@ -1005,6 +1203,26 @@ class StreamBroker:
                 session._fail(StreamError(
                     f"band ({seq}, slot {slot}) of stream {session.name!r} "
                     f"failed in serve-worker-{rank}"))
+
+    def _build_returned(self, bid, k, result, rank, delta) -> None:
+        """Route a build band's completion to its :class:`_TableBuild`
+        (gone when the build already failed)."""
+        self.flightrec.record("build_band_done", build=bid, band=k,
+                              worker=rank, ok=not isinstance(result, str))
+        self._absorb(delta)
+        with self._lock:
+            build = self._builds.get(bid)
+        if build is not None:
+            build.returned(k, result, rank)
+
+    def _absorb(self, delta) -> None:
+        """Fold a worker's telemetry delta into the flight recorder and
+        the broker's registry."""
+        if delta:
+            for span in delta.get("spans", ()):
+                self.flightrec.record_span(span)
+            if self._tel.enabled:
+                self._tel.merge(delta)
 
     def _on_stall(self, waited_s: float, outstanding: int) -> None:
         """Watchdog fired: count, warn and dump (once per episode)."""
@@ -1040,6 +1258,9 @@ class StreamBroker:
         with self._lock:
             sessions = list(self._sessions.values())
             tables = [entry[0] for entry in self._tables.values()]
+            builds = list(self._builds.values())
+        for build in builds:
+            build.fail(exc)  # its builder releases its segments
         for group in tables:
             group.release()
         for s in sessions:

@@ -14,7 +14,9 @@ from its row here:
   per-plane apply loop (:meth:`PlaneSet.apply`);
 - plane names, samples per pixel and the per-plane host byte ledger;
 - the format's distinct LUTs (:func:`plane_luts`), resolved through the
-  same :class:`~repro.core.lutcache.LUTCache` keys by every front end.
+  same :class:`~repro.core.lutcache.LUTCache` keys by every front end,
+  or the same tables as a :class:`TableRecipe` that the ring's fleet
+  builds band by band.
 
 The sync stream, the stream broker (and so the ring), the shared-memory
 slots and :class:`~repro.video.yuv.YUVCorrector` index planes by this
@@ -30,17 +32,17 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.compose import composed_lut, downscale_field
+from ..core.compose import _composed_rows, composed_lut, downscale_field
 from ..core.image import Frame
-from ..core.kernel_tiers import resolve_tier
+from ..core.kernel_tiers import DEFAULT_FRAC_BITS, resolve_tier
 from ..core.lutcache import LUTCache, derived_fingerprint, field_fingerprint
-from ..core.mapping import RemapField, chroma_half_field
-from ..core.remap import RemapLUT
+from ..core.mapping import _BAND_ROWS, RemapField, chroma_half_field
+from ..core.remap import _BUILD_ROWS, RemapLUT, TableLayout, build_table_rows
 from ..errors import ImageFormatError
 from .yuv import NV12Frame, YUV420Frame, to_nv12_stream, to_yuv420_stream
 
 __all__ = ["Plane", "PlaneSet", "PIXFMTS", "get_pixfmt", "pixfmt_of",
-           "plane_luts"]
+           "plane_luts", "TableRecipe"]
 
 
 @dataclass(frozen=True)
@@ -219,9 +221,13 @@ def pixfmt_of(item) -> PlaneSet:
     return PIXFMTS["rgb"]
 
 
+#: The neutral chroma fill of the 4:2:0 formats' chroma tables.
+CHROMA_FILL = 128
+
+
 def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
                cache=None, tier: str = "numpy", *, method: str = "bilinear",
-               fill: float = 0.0, chroma_fill: float = 128) -> tuple:
+               fill: float = 0.0, chroma_fill: float = CHROMA_FILL) -> tuple:
     """The distinct LUTs of ``fmt`` over ``field``, by LUT index.
 
     LUT 0 is ``field`` at ``method``/``fill``; LUT 1 the derived
@@ -248,9 +254,6 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
     temporaries.
     """
     tier = resolve_tier(tier)
-    fh, fw = field.shape
-    # the resolution divisor of the planes each LUT corrects
-    divisors = {p.lut: p.divisor for p in fmt.planes}
     cold = cache is not None and getattr(field, "_fingerprint", None) is None
     source = (functools.cache(field.eager) if cold or len(fmt.luts) > 1
               else lambda: field)
@@ -259,13 +262,8 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
         field._fingerprint = field_fingerprint(source())
     ident = getattr(field, "_fingerprint", None)
     luts = []
-    for i in fmt.luts:
-        chroma = i != 0
-        m, v = ("bilinear", chroma_fill) if chroma else (method, fill)
-        d = divisors[i]
-        scale = (None if out_size is None else
-                 (out_size[0] // d, out_size[1] // d, fw // d, fh // d))
-
+    for i, chroma, d, m, v, scale in _lut_plan(fmt, field.shape, out_size,
+                                               method, fill, chroma_fill):
         def build(chroma=chroma, m=m, v=v, scale=scale):
             inner = chroma_half_field(source()) if chroma else source()
             if scale is None:
@@ -283,3 +281,97 @@ def plane_luts(fmt: PlaneSet, field: RemapField, out_size=None,
                    inner_id, m, v))
         luts.append(cache.get_or_build(key, build))
     return tuple(lut.with_tier(tier) for lut in luts)
+
+
+def _lut_plan(fmt: PlaneSet, shape, out_size, method, fill, chroma_fill):
+    """``(index, chroma, divisor, method, fill, scale)`` of each distinct
+    LUT of ``fmt`` over a field of ``shape``: LUT 0 the field itself,
+    LUT 1 its chroma twin; ``divisor`` is the resolution divisor of the
+    planes it corrects, and ``scale`` the fused downscale's
+    ``(width, height, field width, field height)`` (``None``: none)."""
+    fh, fw = shape
+    divisors = {p.lut: p.divisor for p in fmt.planes}
+    for i in fmt.luts:
+        chroma, d = i != 0, divisors[i]
+        m, v = ("bilinear", chroma_fill) if chroma else (method, fill)
+        scale = (None if out_size is None else
+                 (out_size[0] // d, out_size[1] // d, fw // d, fh // d))
+        yield i, chroma, d, m, v, scale
+
+
+class TableRecipe:
+    """The tables :func:`plane_luts` builds (with no cache), as a recipe
+    that any process can build a band of rows at a time, in place.
+
+    The ring engine's fleet builds it this way when its field is a
+    recipe (:mod:`repro.core.mapping`): the broker sizes the shared
+    segments from :meth:`layouts`
+    (:meth:`~repro.parallel.shmseg.SharedTables.allocate`), each worker
+    runs :meth:`build_rows` on its tasks' rows straight into them, and
+    the parent joins the bands' patch rows.  The tables equal
+    ``plane_luts(fmt, field, out_size, tier=tier, method=method,
+    fill=fill)``'s bit for bit.
+    The recipe pickles as its parameters and the field's (a few hundred
+    bytes), so a task is a small message under ``fork`` and ``spawn``.
+    """
+
+    def __init__(self, fmt: PlaneSet, field: RemapField, out_size=None,
+                 tier: str = "numpy", *, method: str = "bilinear",
+                 fill: float = 0.0):
+        self.pixfmt = fmt.name
+        self.field = field
+        self.out_size = out_size
+        self.tier = resolve_tier(tier)
+        self.method, self.fill = method, fill
+
+    def _tables(self, field: RemapField):
+        """``(divisor, rows, layout)`` of each distinct LUT over
+        ``field``: the resolution divisor of its planes, its output-row
+        evaluator and its :class:`~repro.core.remap.TableLayout` — the
+        fields and compositions :func:`plane_luts` builds, unbuilt."""
+        for _, chroma, d, m, v, scale in _lut_plan(
+                get_pixfmt(self.pixfmt), self.field.shape, self.out_size,
+                self.method, self.fill, CHROMA_FILL):
+            inner = chroma_half_field(field) if chroma else field
+            rows, out_shape = inner.rows, inner.shape
+            if scale is not None:
+                outer = downscale_field(*scale, prefilter=False)
+                rows, out_shape = _composed_rows(outer, inner), outer.shape
+            yield d, rows, TableLayout(
+                out_shape, (inner.src_height, inner.src_width), m, float(v),
+                self.tier, DEFAULT_FRAC_BITS)
+
+    def layouts(self) -> tuple:
+        """The :class:`~repro.core.remap.TableLayout` of each distinct
+        LUT, by LUT index; raises on a geometry :func:`plane_luts`
+        refuses (odd 4:2:0 sizes, a downscale that grows)."""
+        return tuple(layout for _, _, layout in self._tables(self.field))
+
+    def build_rows(self, r0: int, r1: int, tables) -> list:
+        """Build rows ``r0:r1`` of LUT 0 and the rows of every other LUT
+        they cover (``r0 / 2 : r1 / 2`` of a 4:2:0 chroma table, so
+        ``r0`` and ``r1`` are even there) into ``tables``, by LUT index
+        the dicts of whole arrays :meth:`layouts` sizes.
+
+        The planes' tables advance together, :data:`~repro.core.remap
+        ._BUILD_ROWS` luma rows at a time, over one view of the field
+        that keeps the bands they tap
+        (:meth:`~repro.core.mapping.RemapField.kept_bands`): each band
+        of the maps is computed once however many tables read it, and
+        the call never holds more than a few bands.  Returns each LUT's
+        patch rows of the range, ``(pixels, taps)``.
+        """
+        field = self.field
+        # the inner bands one step of output rows taps (a fused table
+        # taps ``out_height / field height`` as many), plus the two a
+        # step may straddle
+        span = field.shape[0] * _BUILD_ROWS / self.layouts()[0].out_shape[0]
+        shared = field.kept_bands(2 + int(-(-span // _BAND_ROWS)))
+        luts = list(self._tables(shared))
+        patches = [[] for _ in luts]
+        for b0 in range(r0, r1, _BUILD_ROWS):
+            b1 = min(b0 + _BUILD_ROWS, r1)
+            for (d, rows, layout), arrays, out in zip(luts, tables, patches):
+                out.append(build_table_rows(rows, b0 // d, b1 // d, layout,
+                                            arrays))
+        return [tuple(map(np.concatenate, zip(*bands))) for bands in patches]

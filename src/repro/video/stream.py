@@ -36,7 +36,7 @@ from ..obs.telemetry import get_telemetry
 from ..core.image import GRAY8, Frame
 from ..core.mapping import RemapField
 from .distort import FisheyeRenderer
-from .pixfmt import get_pixfmt, plane_luts
+from .pixfmt import TableRecipe, get_pixfmt, plane_luts
 
 __all__ = ["SyntheticStream", "panning_crops", "corrected_stream",
            "MAX_STREAM_DEPTH"]
@@ -223,14 +223,20 @@ def corrected_stream(frames: Iterable, field: RemapField,
     fmt = get_pixfmt(pixfmt)
     out_size = fmt.check_out_size(out_size)
 
-    def make_luts():
-        # the field only builds the tables: once they are built, neither
-        # this generator nor the recipe keeps it for the rest of the stream
-        nonlocal field
-        luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
-                          method=method, fill=fill)
-        field = None
-        return luts
+    if engine == "ring" and lut_cache is None and not field.has_maps:
+        # the ring's fleet builds a recipe field's tables, band by band
+        make_luts = TableRecipe(fmt, field, out_size, kernel, method=method,
+                                fill=fill)
+    else:
+        def make_luts():
+            # the field only builds the tables: once they are built,
+            # neither this generator nor the recipe keeps it for the rest
+            # of the stream
+            nonlocal field
+            luts = plane_luts(fmt, field, out_size, lut_cache, kernel,
+                              method=method, fill=fill)
+            field = None
+            return luts
 
     yield from _run_engine(
         make_luts, fmt, frames, copy, engine, stream_label,
@@ -247,7 +253,8 @@ def _run_engine(make_luts, fmt, frames, copy, engine, stream_label=None,
     :meth:`~repro.core.pipeline.FisheyeCorrector.correct_stream` both
     end here.  ``sync`` and ``pipelined`` build the tables at once; the
     ring builds them after its fleet forks, so the workers never map
-    the parent's private copy (see
+    the parent's private copy, and its fleet builds a
+    :class:`~repro.video.pixfmt.TableRecipe` itself (see
     :func:`~repro.parallel.ring.ring_stream`).
     """
     labels = dict(label=stream_label, fused=fused, planes=fmt.plane_labels)

@@ -179,7 +179,7 @@ def test_thread_engines_drop_the_field_once_built(engine):
         stream.close()
 
 
-def _ring_workers_mb(field):
+def _ring_workers_mb(field, **request):
     """Workers' MB of a 2-worker ring NV12 stream over ``field``, fused
     to half size, after its first frame."""
     h, w = field.shape
@@ -189,7 +189,7 @@ def _ring_workers_mb(field):
     open_before = set(broker_mod._open_brokers)
     stream = stream_mod.corrected_stream(
         frames, field, engine="ring", workers=2, depth=1, pixfmt="nv12",
-        out_size=(w // 2, h // 2))
+        out_size=(w // 2, h // 2), **request)
     try:
         next(stream)
         (broker,) = set(broker_mod._open_brokers) - open_before
@@ -215,4 +215,27 @@ def test_ring_fleet_forks_before_the_maps_exist():
     field = standard_field.__wrapped__(1920, 1080, 1.0)
     recipe_mb = _ring_workers_mb(field)
     assert recipe_mb < eager_mb - maps_mb / 3, (recipe_mb, eager_mb, maps_mb)
+    assert not field.has_maps
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                    reason="needs Linux smaps_rollup")
+def test_fleet_built_tables_leave_the_workers_no_heavier():
+    """When the fleet builds a recipe's tables, each worker computes its
+    bands' maps and trims its free heap once its last band is done, so
+    after the first frame the workers hold what a parent build leaves
+    them: the published tables and their own state.  The control is the
+    same stream with a LUT cache, whose parent builds the tables (a
+    field built from arrays would fork its maps into the workers and
+    inflate the control).  The slack covers the tables' accounting: the
+    parent of a fleet build never touches their pages, so the workers'
+    proportional share holds all of the tables' bytes, not two thirds
+    of them."""
+    w, h = 1920, 1080
+    tables_mb = 13 * (w // 2 * h // 2 + w // 4 * h // 4) / 1e6
+    control = _ring_workers_mb(standard_field.__wrapped__(w, h, 1.0),
+                               lut_cache=LUTCache())
+    field = standard_field.__wrapped__(w, h, 1.0)
+    fleet = _ring_workers_mb(field)
+    assert fleet < control + tables_mb / 2 + 4, (fleet, control, tables_mb)
     assert not field.has_maps

@@ -18,8 +18,9 @@ from repro.core.compose import (affine_field, composed_lut, crop_field,
                                 downscale_field)
 from repro.core.intrinsics import CameraIntrinsics
 from repro.core.lutcache import LUTCache, field_fingerprint
-from repro.core.mapping import (_BAND_ROWS, cylindrical_map,
-                                equirectangular_map, perspective_map)
+from repro.core.mapping import (_BAND_ROWS, chroma_half_field,
+                                cylindrical_map, equirectangular_map,
+                                perspective_map)
 from repro.core.remap import _BUILD_ROWS, RemapLUT
 from repro.serve.broker import StreamBroker
 from repro.video.pixfmt import get_pixfmt, plane_luts
@@ -105,13 +106,48 @@ def test_rows_at_any_edges_equal_the_maps(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_recipe_pickles_and_fingerprints_as_its_maps(kind):
+    """A recipe pickles as its parameters, not its maps: a small
+    message that unpickles to a recipe computing the eager twin's maps
+    bit for bit, with the same fingerprint.  Reading the maps first
+    does not put them into the pickle."""
     recipe, twin = _pair(kind)
-    back = pickle.loads(pickle.dumps(recipe))
-    assert back.has_maps and back.shape == twin.shape
-    np.testing.assert_array_equal(_bits(back.map_x), _bits(twin.map_x))
+    data = pickle.dumps(recipe)
+    assert len(data) < 4096, len(data)
+    back = pickle.loads(data)
+    assert not back.has_maps and back.shape == twin.shape
+    assert (back.src_width, back.src_height) == (twin.src_width,
+                                                 twin.src_height)
+    for got, want in zip(back.rows(0, H), (twin.map_x, twin.map_y)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
     assert field_fingerprint(recipe) == field_fingerprint(twin)
-    assert not recipe.has_maps
+    assert field_fingerprint(back) == field_fingerprint(twin)
+    assert not recipe.has_maps and not back.has_maps
     assert recipe.eager() is not recipe and twin.eager() is twin
+    back.map_x
+    assert back.has_maps and len(pickle.dumps(back)) < 4096
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chroma_rows_at_any_edges_equal_the_whole_map(kind):
+    """The chroma twin of a recipe is a recipe: its rows, read at odd
+    band edges, equal the chroma field of the eager twin bit for bit,
+    and neither field computes or keeps whole maps."""
+    recipe, twin = _pair(kind)
+    want = chroma_half_field(twin)
+    chroma = chroma_half_field(recipe)
+    assert not chroma.has_maps and chroma.shape == want.shape
+    assert (chroma.src_width, chroma.src_height) == (want.src_width,
+                                                     want.src_height)
+    h = H // 2
+    edges = [(0, 1), (1, 4), (3, 5), (3, 10), (5, h), (h - 3, h), (0, h),
+             (7, 7)]
+    for r0, r1 in edges:
+        for got, m in zip(chroma.rows(r0, r1), (want.map_x, want.map_y)):
+            np.testing.assert_array_equal(_bits(got), _bits(m[r0:r1]))
+    assert not chroma.has_maps and not recipe.has_maps
+    back = pickle.loads(pickle.dumps(chroma))
+    assert len(pickle.dumps(chroma)) < 4096
+    np.testing.assert_array_equal(_bits(back.map_y), _bits(want.map_y))
 
 
 # (pixfmt, out_size, method): packed, planar, fused planar, bicubic
