@@ -51,6 +51,7 @@ from repro.obs.telemetry import Telemetry, scoped  # noqa: E402
 from repro.parallel.ring import DEFAULT_SCHEDULE  # noqa: E402
 from repro.serve import MultiStreamCorrector, StreamBroker  # noqa: E402
 from repro.video import synth  # noqa: E402
+from repro.video.pixfmt import get_pixfmt, plane_luts  # noqa: E402
 from repro.video.stream import corrected_stream, panning_crops  # noqa: E402
 from repro.video.yuv import YUV420Frame, YUVCorrector  # noqa: E402
 
@@ -200,9 +201,10 @@ def measure_stream(full: bool) -> dict:
                                      else ("VGA", 12, 2, 2))
     w, h = resolution(res)
     field = standard_field(w, h)
-    # every session fetches this same LUT from the cache
+    # every session fetches this same LUT from the cache: the broker's
+    # own call, so its sessions hit this entry
     cache = LUTCache()
-    lut = cache.get(field, method="bilinear")
+    lut, = plane_luts(get_pixfmt("rgb"), field, cache=cache)
     world = synth.urban(w + 128, h + 128)
 
     def source():

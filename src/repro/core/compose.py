@@ -24,12 +24,12 @@ fractional targets.  Out-of-range at either stage propagates to
 
 :func:`downscale_field` is the area-convention outer map for fused
 delivery, and :func:`composed_lut` collapses a composition into one
-gather table — memoized through :meth:`repro.core.lutcache.LUTCache
-.get_composed` under a key derived from the *constituent* field
-content hashes, so composed maps warm-start like plain ones.  The
-table is built from the composition one band of output rows at a time
-(:meth:`~repro.core.remap.RemapLUT.from_rows`), so the composed
-float64 field is never materialized; :func:`compose_fields` runs the
+gather table — memoized by :func:`~repro.video.pixfmt.plane_luts`
+under a key derived from the *constituent* fields
+(:meth:`~repro.core.lutcache.LUTCache.key_for_composed`), so a hit
+never composes.  The table is built from the composition one band
+of output rows at a time (:meth:`~repro.core.remap.RemapLUT
+.from_rows`), so the composed float64 field is never materialized; :func:`compose_fields` runs the
 same band lerp into a stored field for callers that want one.  Each
 band reads only the inner rows it taps
 (:meth:`~repro.core.mapping.RemapField.rows`), so a recipe inner field
@@ -302,7 +302,7 @@ def _composed_builder(outer: RemapField, inner: RemapField):
 
 
 def composed_lut(outer: RemapField, inner: RemapField, *,
-                 method: str = "bilinear", fill: float = 0.0, cache=None,
+                 method: str = "bilinear", fill: float = 0.0,
                  antialias=None):
     """One fused gather table for ``inner after outer``.
 
@@ -314,13 +314,6 @@ def composed_lut(outer: RemapField, inner: RemapField, *,
 
     Parameters
     ----------
-    cache:
-        Optional :class:`~repro.core.lutcache.LUTCache`; the fused
-        table is then fetched through :meth:`~repro.core.lutcache
-        .LUTCache.get_composed`, keyed by the content hashes of the
-        *constituent* fields (cheap — no need to fingerprint the
-        composed field), so concurrent opens build once and restarts
-        warm-start from the disk tier.
     antialias:
         ``None`` (default) honours the outer field's
         ``prefilter_factor`` hint (see :func:`downscale_field`);
@@ -342,6 +335,4 @@ def composed_lut(outer: RemapField, inner: RemapField, *,
         return SupersampledLUT.from_builder(
             _composed_builder(outer, inner.eager()), ow, oh, factor,
             method=method, fill=fill)
-    if cache is not None:
-        return cache.get_composed(outer, inner, method=method, fill=fill)
     return _composed_table(outer, inner, method, fill)

@@ -82,9 +82,8 @@ class FisheyeCorrector:
     lut_cache:
         Optional :class:`~repro.core.lutcache.LUTCache`.  When given,
         the remap table is fetched through it instead of being built
-        unconditionally, so correctors sharing a cache (or restarting
-        against its disk tier) skip the most expensive per-stream
-        stage.
+        unconditionally, so correctors sharing a cache skip the most
+        expensive per-stream stage.
     out_size:
         Optional ``(width, height)`` to deliver at.  Builds one
         **fused** correct+downscale table (the plain 4-tap composition

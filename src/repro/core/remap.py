@@ -578,10 +578,11 @@ class RemapLUT:
                     tier: str = "numpy",
                     frac_bits: int = kernel_tiers.DEFAULT_FRAC_BITS,
                     qweight_table=None, patch=None) -> "RemapLUT":
-        """Reconstruct a LUT from prebuilt tables (cache / shared memory).
+        """Reconstruct a LUT from prebuilt tables (a shared-memory
+        publication, or another tier's view of one LUT).
 
-        Arrays are adopted as-is (no copy), so memory-mapped or
-        shared-memory-backed tables stay zero-copy.  ``patch`` is the
+        Arrays are adopted as-is (no copy), so shared-memory-backed
+        tables stay zero-copy.  ``patch`` is the
         ``(patch_pixels, patch_taps)`` pair (``None``: no patch rows).
         ``qweight_table`` optionally injects the ``(taps, N)`` int16
         quantized table the Q tiers execute; ``fracs`` may be ``None``

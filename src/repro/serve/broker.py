@@ -924,9 +924,10 @@ class StreamBroker:
 
         ``out_size=(width, height)`` delivers at a smaller size
         through a **fused** correct+downscale table: the area-style
-        downscale map is composed with ``field`` (per LUT) via
-        :meth:`~repro.core.lutcache.LUTCache.get_composed`, so every
-        frame pays one gather pass whose traffic scales with the
+        downscale map is composed with ``field`` (per LUT) and the
+        table fetched through :meth:`~repro.core.lutcache.LUTCache
+        .get_or_build` by :func:`~repro.video.pixfmt.plane_luts`, so
+        every frame pays one gather pass whose traffic scales with the
         delivered size, and concurrent opens of the same composition
         build the table once.
         """

@@ -160,8 +160,8 @@ def corrected_stream(frames: Iterable, field: RemapField,
         LUT build parameters.
     lut_cache:
         Optional :class:`~repro.core.lutcache.LUTCache`; when given the
-        table is fetched from it (memory or mmap'd disk tier) instead
-        of rebuilt, which is what makes stream restarts cheap.
+        table is fetched from it instead of rebuilt, which is what
+        makes stream restarts cheap.
     copy:
         When false (default) every yielded frame aliases one reused
         output buffer — consume or copy it before advancing, like any

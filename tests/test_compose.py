@@ -158,16 +158,21 @@ class TestComposedLut:
         assert np.array_equal(lut.apply(random_image),
                               direct.apply(random_image))
 
+    @staticmethod
+    def _cached(cache, outer, inner):
+        return cache.get_or_build(LUTCache.key_for_composed(outer, inner),
+                                  lambda: composed_lut(outer, inner))
+
     def test_cache_key_and_reuse(self, small_field):
         outer = downscale_field(32, 32, 64, 64, prefilter=False)
         cache = LUTCache()
-        a = composed_lut(outer, small_field, cache=cache)
-        b = composed_lut(outer, small_field, cache=cache)
+        a = self._cached(cache, outer, small_field)
+        b = self._cached(cache, outer, small_field)
         assert a is b
         assert cache.misses == 1 and cache.hits == 1
         # a different outer keys a different entry
         other = downscale_field(16, 16, 64, 64, prefilter=False)
-        c = composed_lut(other, small_field, cache=cache)
+        c = self._cached(cache, other, small_field)
         assert c is not a
 
     def test_composed_build_single_flight(self, small_field):
@@ -183,7 +188,7 @@ class TestComposedLut:
             # scoped() is context-local: enter it per thread
             with scoped(tel):
                 barrier.wait()
-                got.append(cache.get_composed(outer, small_field))
+                got.append(self._cached(cache, outer, small_field))
 
         threads = [threading.Thread(target=build) for _ in range(4)]
         for t in threads:

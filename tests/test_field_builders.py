@@ -373,16 +373,16 @@ def test_composed_tables_match_reference(method, reference_tables,
         assert_tables_match(RemapLUT(field, method=method), ref)
 
 
-def test_cached_composed_tables_match_reference(tmp_path, reference_tables,
+def test_cached_composed_tables_match_reference(reference_tables,
                                                 assert_tables_match):
-    """``LUTCache.get_composed``: a built (memory-tier) entry and the
-    same entry loaded back from the disk tier."""
-    for k, (outer, inner) in enumerate(_composition_cases()):
+    """A fused table built into a :class:`LUTCache` under its
+    :meth:`~LUTCache.key_for_composed` key, and the hit that follows."""
+    cache = LUTCache(capacity=len(_composition_cases()))
+    for outer, inner in _composition_cases():
         ref = reference_tables(compose_fields(outer, inner))
-        built = LUTCache(cache_dir=str(tmp_path)).get_composed(outer, inner)
+        key = LUTCache.key_for_composed(outer, inner)
+        build = functools.partial(composed_lut, outer, inner)
+        built = cache.get_or_build(key, build)
         assert_tables_match(built, ref)
-        cache = LUTCache(cache_dir=str(tmp_path))
-        loaded = cache.get_composed(outer, inner)
-        assert cache.disk_hits == 1
-        assert_tables_match(loaded, ref)
-        assert cache.get_composed(outer, inner) is loaded
+        assert cache.get_or_build(key, build) is built
+    assert cache.misses == cache.hits == len(_composition_cases())

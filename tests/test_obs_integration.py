@@ -1,13 +1,12 @@
 """Telemetry wired through the pipeline: kernels, the fleet, CLI.
 
 Covers the cross-process aggregation path (fork *and* spawn), the
-disabled-registry overhead budget, the cache hardening against corrupt
-disk entries, and the ``--metrics``/``--trace``/``stats`` CLI surface.
+disabled-registry overhead budget, and the
+``--metrics``/``--trace``/``stats`` CLI surface.
 """
 
 import json
 import logging
-import os
 import time
 
 import numpy as np
@@ -212,54 +211,6 @@ class TestCorrectorStats:
         snap = tel.snapshot()
         assert snap["counters"]["pipeline.frames"] == 1
         assert snap["histograms"]["pipeline.frame_seconds"]["count"] == 1
-
-
-class TestLUTCacheCorruption:
-    def _cache_with_entry(self, tmp_path, field):
-        cache_dir = str(tmp_path / "luts")
-        cache = LUTCache(cache_dir=cache_dir)
-        cache.get(field, method="bilinear")
-        entries = os.listdir(cache_dir)
-        assert len(entries) == 1
-        return cache_dir, os.path.join(cache_dir, entries[0])
-
-    def test_truncated_table_is_miss_not_error(self, tmp_path, small_field,
-                                               gradient_image):
-        cache_dir, entry = self._cache_with_entry(tmp_path, small_field)
-        with open(os.path.join(entry, "base.npy"), "r+b") as fh:
-            fh.truncate(16)  # partial mmap source: header survives, data gone
-        fresh = LUTCache(cache_dir=cache_dir)
-        tel = Telemetry()
-        with scoped(tel):
-            lut = fresh.get(small_field, method="bilinear")
-        assert fresh.corrupt_reads == 1
-        assert fresh.stats()["corrupt_reads"] == 1
-        assert fresh.disk_hits == 0
-        assert tel.snapshot()["counters"]["lutcache.disk.corrupt"] == 1
-        # the rebuilt table still corrects frames
-        assert lut.apply(gradient_image).shape == lut.out_shape
-
-    def test_garbled_meta_is_miss_not_error(self, tmp_path, small_field):
-        cache_dir, entry = self._cache_with_entry(tmp_path, small_field)
-        with open(os.path.join(entry, "meta.json"), "w") as fh:
-            fh.write("{not json")
-        fresh = LUTCache(cache_dir=cache_dir)
-        fresh.get(small_field, method="bilinear")
-        assert fresh.corrupt_reads == 1
-
-    def test_missing_fracs_for_bilinear_is_corrupt(self, tmp_path, small_field):
-        cache_dir, entry = self._cache_with_entry(tmp_path, small_field)
-        os.remove(os.path.join(entry, "fracs.npy"))
-        fresh = LUTCache(cache_dir=cache_dir)
-        fresh.get(small_field, method="bilinear")
-        assert fresh.corrupt_reads == 1
-
-    def test_intact_entry_still_disk_hits(self, tmp_path, small_field):
-        cache_dir, _ = self._cache_with_entry(tmp_path, small_field)
-        fresh = LUTCache(cache_dir=cache_dir)
-        fresh.get(small_field, method="bilinear")
-        assert fresh.disk_hits == 1
-        assert fresh.corrupt_reads == 0
 
 
 class TestCLI:

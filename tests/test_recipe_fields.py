@@ -243,13 +243,14 @@ def test_one_map_computation_per_cache_miss(pixfmt, out_size):
     assert not field.has_maps
 
 
-@pytest.mark.parametrize("composed", [False, True], ids=["get", "get_composed"])
-def test_cache_getters_keep_no_maps_on_a_recipe(composed):
-    outer = downscale_field(W // 2, H // 2, W, H, prefilter=False)
-
+@pytest.mark.parametrize("out_size", [None, (W // 2, H // 2)],
+                         ids=["plain", "fused"])
+def test_cache_getters_keep_no_maps_on_a_recipe(out_size):
+    """Through a cache, a cold recipe's maps serve its key and its table
+    and are dropped; a hit computes nothing."""
     def get(cache, field):
-        return (cache.get_composed(outer, field) if composed
-                else cache.get(field))
+        lut, = plane_luts(get_pixfmt("rgb"), field, out_size, cache)
+        return lut
 
     field, twin = _pair("perspective")
     cache = LUTCache()

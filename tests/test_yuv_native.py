@@ -15,6 +15,7 @@ from repro.core.lutcache import LUTCache
 from repro.core.mapping import chroma_half_field
 from repro.core.remap import RemapLUT
 from repro.errors import ImageFormatError, ScheduleError
+from repro.video.pixfmt import get_pixfmt, plane_luts
 from repro.video.stream import corrected_stream
 from repro.video.yuv import (PLANE_NAMES, YUV420Frame, YUVCorrector,
                              to_yuv420_stream)
@@ -162,7 +163,7 @@ class TestChromaCacheKeys:
         # chroma entry is keyed by the luma field plus its derivation, so the
         # packed LUT is reused and only the chroma build is added
         cache = LUTCache()
-        packed = cache.get(small_field)
+        packed, = plane_luts(get_pixfmt("rgb"), small_field, cache=cache)
         corr = YUVCorrector.from_field(small_field, lut_cache=cache)
         assert corr.luma_lut is packed
         assert corr.chroma_lut is not packed
@@ -173,7 +174,6 @@ class TestChromaCacheKeys:
         from repro.obs.telemetry import Telemetry, scoped
 
         cache = LUTCache()
-        cfield = chroma_half_field(small_field)
         got = []
         barrier = threading.Barrier(4)
 
@@ -183,7 +183,8 @@ class TestChromaCacheKeys:
             # scoped() is context-local: enter it per thread
             with scoped(tel):
                 barrier.wait()
-                got.append(cache.get(cfield, fill=128.0))
+                got.append(plane_luts(get_pixfmt("yuv420"), small_field,
+                                      cache=cache)[1])
 
         threads = [threading.Thread(target=build) for _ in range(4)]
         for t in threads:
@@ -191,9 +192,11 @@ class TestChromaCacheKeys:
         for t in threads:
             t.join()
         assert len(got) == 4
-        # single flight: everyone gets the one object, built exactly once
+        # single flight: everyone gets the one chroma object, and the
+        # luma and chroma tables are each built exactly once
         assert all(g is got[0] for g in got)
-        assert tel.snapshot()["counters"]["lutcache.builds"] == 1
+        assert got[0].fill == 128.0
+        assert tel.snapshot()["counters"]["lutcache.builds"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +210,7 @@ class TestPlanarSegments:
         corrects them into views the parent reads."""
         from repro.parallel.shmseg import (FrameSegments, SharedTables,
                                            attach_slot, attach_tables)
-        from repro.video.pixfmt import PIXFMTS, plane_luts
+        from repro.video.pixfmt import PIXFMTS
         from repro.video.yuv import NV12Frame
 
         fmt = PIXFMTS[pixfmt]
